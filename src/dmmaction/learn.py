@@ -337,28 +337,38 @@ def save_models(path: str | Path, pca: PcaModel, svm: SvmModel) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
+def _unpack(fmt: str, data: bytes, offset: int) -> tuple:
+    try:
+        return struct.unpack_from(fmt, data, offset)
+    except struct.error:
+        raise ParseError(f"truncated model file at byte {offset}") from None
+
+
 def load_models(path: str | Path) -> tuple[PcaModel, SvmModel]:
     data = Path(path).read_bytes()
     if data[:4] != _MODEL_MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}; expected {_MODEL_MAGIC!r}")
     offset = 4
-    version, n_labels = struct.unpack_from("<II", data, offset)
+    version, n_labels = _unpack("<II", data, offset)
     offset += 8
     if version != 1:
         raise FormatError(f"unsupported model version {version}")
     labels = []
     for _ in range(n_labels):
-        (ln,) = struct.unpack_from("<I", data, offset)
+        (ln,) = _unpack("<I", data, offset)
         offset += 4
-        labels.append(data[offset : offset + ln].decode())
+        if offset + ln > len(data):
+            raise ParseError(f"truncated label at byte {offset}")
+        try:
+            labels.append(data[offset : offset + ln].decode())
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"label at byte {offset} is not UTF-8: {exc}") from None
         offset += ln
-    (reg,) = struct.unpack_from("<d", data, offset)
+    (reg,) = _unpack("<d", data, offset)
     offset += 8
     arrays = []
     for _ in range(5):
-        if offset + 8 > len(data):
-            raise ParseError(f"truncated model file at byte {offset}")
-        rows, cols = struct.unpack_from("<II", data, offset)
+        rows, cols = _unpack("<II", data, offset)
         offset += 8
         n = rows * cols
         end = offset + 4 * n

@@ -1,9 +1,14 @@
 """Dense optical flow between consecutive frames and motion-magnitude weighting.
 
-Flow is estimated with Horn-Schunck: brightness constancy plus a
-smoothness term, solved by fixed-point Jacobi iteration.  The magnitude
-map is the squared flow magnitude g = ox^2 + oy^2, normalized per frame
-pair by its maximum so it can weight motion-template accumulation.
+Flow is estimated with Horn-Schunck (Horn & Schunck, "Determining Optical
+Flow", 1981): brightness constancy plus a smoothness term, solved by
+fixed-point Jacobi iteration.  estimate_flow takes stacks of frames with
+any leading pair axes, so all pairs of a sequence go through one call.
+It walks the pairs in chunks of FLOW_CHUNK_PIXELS pixels to bound its
+working set; each pair's result is bit-identical to solving that pair
+alone.  The magnitude map is the squared flow magnitude g = ox^2 + oy^2,
+normalized per frame pair by its maximum so it can weight
+motion-template accumulation.
 """
 
 from __future__ import annotations
@@ -17,12 +22,25 @@ from .errors import ContractError
 DEFAULT_ITERATIONS = 100
 DEFAULT_SMOOTHNESS = 0.02
 
+# Pixels per batch of frame pairs solved together.  The Jacobi working
+# set is fifteen float64 buffers of this size, about 2 MB, so it stays
+# within a per-core L2 cache and peak memory stays flat however long the
+# sequence.
+FLOW_CHUNK_PIXELS = 1 << 14
+
 # Horn-Schunck neighborhood average: 8-connected, corners at half the
 # weight of edge neighbors.
 _AVG_WEIGHTS = (
     (1 / 12, 1 / 6, 1 / 12),
     (1 / 6, 0.0, 1 / 6),
     (1 / 12, 1 / 6, 1 / 12),
+)
+# (weight, dy, dx) of each nonzero weight, in row-major order.
+_AVG_TERMS = tuple(
+    (weight, dy, dx)
+    for dy, row in enumerate(_AVG_WEIGHTS)
+    for dx, weight in enumerate(row)
+    if weight
 )
 
 
@@ -54,25 +72,75 @@ class MagnitudeMap:
             raise ContractError("normalized magnitudes must lie in [0, 1]")
 
 
-def _neighbor_average(a: np.ndarray) -> np.ndarray:
-    padded = np.pad(a, 1, mode="edge")
-    h, w = a.shape
-    out = np.zeros_like(a)
-    for dy, row in enumerate(_AVG_WEIGHTS):
-        for dx, weight in enumerate(row):
-            if weight:
-                out += weight * padded[dy : dy + h, dx : dx + w]
-    return out
+def _refresh_border(padded: np.ndarray) -> None:
+    """Rewrite the one-pixel frame of (..., h+2, w+2) as an edge pad of its interior."""
+    padded[..., 0, 1:-1] = padded[..., 1, 1:-1]
+    padded[..., -1, 1:-1] = padded[..., -2, 1:-1]
+    padded[..., :, 0] = padded[..., :, 1]
+    padded[..., :, -1] = padded[..., :, -2]
 
 
-def _central_gradients(a: np.ndarray, b: np.ndarray):
-    avg = 0.5 * (a + b)
-    padded = np.pad(avg, 1, mode="edge")
-    h, w = a.shape
-    fx = 0.5 * (padded[1 : 1 + h, 2:] - padded[1 : 1 + h, :w])
-    fy = 0.5 * (padded[2:, 1 : 1 + w] - padded[:h, 1 : 1 + w])
-    ft = b - a
-    return fx, fy, ft
+def _neighbor_average(flat, width, scaled, out):
+    """Weighted 8-neighbor mean over a flattened edge-padded stack.
+
+    flat is an (..., h+2, w+2) stack raveled, width is w+2.  Neighbor
+    (dy, dx) of the output at flat index width+1+q sits at q + dy*width + dx,
+    so every term is one contiguous slice of a scaled copy; scaled maps each
+    weight to a buffer that receives weight * flat.  The terms are added in
+    _AVG_WEIGHTS row-major order starting from 0.0, exactly as a
+    per-neighbor multiply-accumulate would.  Interior entries of out are
+    exact; border entries get sums that wrap across a row or frame end.
+    """
+    span = flat.size - 2 * width - 2
+    for weight, buf in scaled.items():
+        np.multiply(flat, weight, out=buf)
+    terms = [scaled[weight][dy * width + dx :][:span] for weight, dy, dx in _AVG_TERMS]
+    target = out[width + 1 :][:span]
+    np.add(0.0, terms[0], out=target)
+    for term in terms[1:]:
+        target += term
+
+
+def _horn_schunck(a, b, iterations, smoothness, ox, oy) -> None:
+    """Jacobi iterations on a (n, h, w) stack of pairs, written to ox and oy.
+
+    Every array lives on the edge-padded (n, h+2, w+2) grid, with u and v
+    stacked on a leading axis, so each step is a few whole-array ufuncs.
+    The border entries carry no flow: the gradients are zero and the
+    denominator one there, which keeps the wrapped border sums of
+    _neighbor_average finite, and the border of (u, v) is rewritten from
+    the interior before every use, so no pair's interior reads another's.
+    """
+    n, h, w = a.shape
+    inner = (..., slice(1, h + 1), slice(1, w + 1))
+    mean = np.empty((n, h + 2, w + 2))
+    np.multiply(0.5, a + b, out=mean[inner])
+    _refresh_border(mean)
+    fx = 0.5 * (mean[..., 1 : 1 + h, 2:] - mean[..., 1 : 1 + h, :w])
+    fy = 0.5 * (mean[..., 2:, 1 : 1 + w] - mean[..., :h, 1 : 1 + w])
+    grad = np.zeros((2,) + mean.shape)
+    grad[0][inner] = fx
+    grad[1][inner] = fy
+    ft = np.zeros_like(mean)
+    ft[inner] = b - a
+    denom = np.ones_like(mean)
+    denom[inner] = smoothness**2 + fx**2 + fy**2
+    uv = np.zeros_like(grad)
+    avg = np.zeros_like(grad)
+    prod = np.empty_like(grad)
+    shared = np.empty_like(mean)
+    scaled = {weight: np.empty(uv.size) for weight, _, _ in _AVG_TERMS}
+    for _ in range(iterations):
+        _refresh_border(uv)
+        _neighbor_average(uv.reshape(-1), w + 2, scaled, avg.reshape(-1))
+        np.multiply(grad, avg, out=prod)
+        np.add(prod[0], prod[1], out=shared)
+        shared += ft
+        shared /= denom
+        np.multiply(grad, shared, out=prod)
+        np.subtract(avg, prod, out=uv)
+    ox[...] = uv[0][inner]
+    oy[...] = uv[1][inner]
 
 
 def estimate_flow(
@@ -81,34 +149,38 @@ def estimate_flow(
     iterations: int = DEFAULT_ITERATIONS,
     smoothness: float = DEFAULT_SMOOTHNESS,
 ) -> FlowField:
-    """Horn-Schunck flow from frame a to frame b.
+    """Horn-Schunck flow from frame a to frame b, for one pair or a stack.
 
     Args:
-        a, b: scalar frames of identical shape, at least 2x2.
+        a, b: scalar frames of identical shape (..., h, w), h and w at
+            least 2.  Leading axes index independent frame pairs, so a
+            sequence's flows come from one call on (frames[:-1], frames[1:]).
         iterations: fixed Jacobi iteration count; output is deterministic
             given this and the regularizer.
         smoothness: regularization weight (enters the update as its square).
 
     Returns:
-        FlowField with per-pixel (ox, oy) displacements.
+        FlowField with per-pixel (ox, oy) displacements, shaped like a.
+        Each pair's flow is bit-identical to a call on that pair alone.
+        Pairs are solved in chunks of at most FLOW_CHUNK_PIXELS pixels
+        (one pair when a frame is larger).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ContractError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim != 2 or min(a.shape) < 2:
+    if a.ndim < 2 or min(a.shape[-2:]) < 2:
         raise ContractError(f"frames must be at least 2x2, got {a.shape}")
-    fx, fy, ft = _central_gradients(a, b)
-    denom = smoothness**2 + fx**2 + fy**2
-    u = np.zeros_like(a)
-    v = np.zeros_like(a)
-    for _ in range(iterations):
-        u_avg = _neighbor_average(u)
-        v_avg = _neighbor_average(v)
-        shared = (fx * u_avg + fy * v_avg + ft) / denom
-        u = u_avg - fx * shared
-        v = v_avg - fy * shared
-    return FlowField(ox=u, oy=v)
+    h, w = a.shape[-2:]
+    a3 = a.reshape(-1, h, w)
+    b3 = b.reshape(-1, h, w)
+    ox = np.empty_like(a3)
+    oy = np.empty_like(a3)
+    step = max(1, FLOW_CHUNK_PIXELS // (h * w))
+    for start in range(0, len(a3), step):
+        chunk = slice(start, start + step)
+        _horn_schunck(a3[chunk], b3[chunk], iterations, smoothness, ox[chunk], oy[chunk])
+    return FlowField(ox=ox.reshape(a.shape), oy=oy.reshape(a.shape))
 
 
 def flow_magnitude(flow: FlowField) -> MagnitudeMap:

@@ -307,19 +307,26 @@ def template_count(n_maps: int, window: Window) -> int:
 def _flow_weights(
     maps: list, cfg: PipelineConfig
 ) -> list[MagnitudeMap]:
-    """Normalized motion-magnitude weights for each consecutive map pair."""
-    raw = []
-    for a, b in zip(maps, maps[1:]):
-        flow = estimate_flow(
-            a.grid, b.grid, iterations=cfg.flow_iterations, smoothness=cfg.flow_smoothness
-        )
-        raw.append(flow_magnitude(flow))
+    """Normalized motion-magnitude weights for each consecutive map pair.
+
+    All pairs of the sequence go through one batched flow call.
+    """
+    if len(maps) < 2:
+        return []
+    shapes = sorted({m.grid.shape for m in maps})
+    if len(shapes) != 1 or len(shapes[0]) != 2:
+        raise ContractError(f"a sequence needs 2-D maps of one shape, got {shapes}")
+    grids = np.stack([m.grid for m in maps])
+    flow = estimate_flow(
+        grids[:-1], grids[1:], iterations=cfg.flow_iterations, smoothness=cfg.flow_smoothness
+    )
+    raw = flow_magnitude(flow).g
     if cfg.flow_normalization == "pair":
-        return [normalize_magnitude(m) for m in raw]
-    peak = max((float(np.max(m.g)) for m in raw), default=0.0)
+        return [normalize_magnitude(MagnitudeMap(g)) for g in raw]
+    peak = float(np.max(raw))
     if peak <= 0.0:
-        return [MagnitudeMap(np.zeros_like(m.g), normalized=True) for m in raw]
-    return [MagnitudeMap(m.g / peak, normalized=True) for m in raw]
+        return [MagnitudeMap(np.zeros_like(g), normalized=True) for g in raw]
+    return [MagnitudeMap(g, normalized=True) for g in raw / peak]
 
 
 def _resize_rgb(pixels: np.ndarray, size: tuple[int, int]) -> np.ndarray:
@@ -887,7 +894,7 @@ def load_plan(plan_dir: str | Path) -> StreamPlan:
     root = Path(plan_dir)
     cfg = load_config(root / "config.txt")
     plan = build_streams(cfg)
-    plan.labels = tuple((root / "labels.txt").read_text().split())
+    plan.labels = tuple((root / "labels.txt").read_text().splitlines())
     for s in plan.streams:
         path = root / "streams" / _model_filename(s.id)
         if path.exists():

@@ -89,3 +89,41 @@ def occupancy_oracle(depth, bin_mm, bin_count):
                 yz[b, v] = 1.0
                 xz[u, b] = 1.0
     return yz, xz
+
+
+def horn_schunck_oracle(a, b, iterations, smoothness):
+    """Horn-Schunck flow for one frame pair, one edge-padded Jacobi step at a time.
+
+    Gradients are central differences of the pair mean, the temporal
+    derivative is b - a, and each step replaces (u, v) by the 8-neighbor
+    weighted mean (corners 1/12, edges 1/6) minus the brightness-constancy
+    correction.  Returns (ox, oy).
+    """
+    weights = ((1 / 12, 1 / 6, 1 / 12), (1 / 6, 0.0, 1 / 6), (1 / 12, 1 / 6, 1 / 12))
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    h, w = a.shape
+
+    def neighbor_average(f):
+        padded = np.pad(f, 1, mode="edge")
+        out = np.zeros_like(f)
+        for dy in range(3):
+            for dx in range(3):
+                if weights[dy][dx]:
+                    out += weights[dy][dx] * padded[dy : dy + h, dx : dx + w]
+        return out
+
+    mean = np.pad(0.5 * (a + b), 1, mode="edge")
+    fx = 0.5 * (mean[1 : 1 + h, 2:] - mean[1 : 1 + h, :w])
+    fy = 0.5 * (mean[2:, 1 : 1 + w] - mean[:h, 1 : 1 + w])
+    ft = b - a
+    denom = smoothness**2 + fx**2 + fy**2
+    u = np.zeros_like(a)
+    v = np.zeros_like(a)
+    for _ in range(iterations):
+        u_avg = neighbor_average(u)
+        v_avg = neighbor_average(v)
+        shared = (fx * u_avg + fy * v_avg + ft) / denom
+        u = u_avg - fx * shared
+        v = v_avg - fy * shared
+    return u, v

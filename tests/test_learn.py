@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from dmmaction import (
     ContractError,
+    DmmActionError,
     FeatureVector,
     PcaModel,
     RankError,
@@ -318,6 +320,19 @@ class TestModelFile:
         pca2, svm2 = load_models(p1)
         save_models(p2, pca2, svm2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_every_truncation_raises_typed_error(self, tmp_path):
+        pca, svm = self._models(seed=2)
+        # Multi-byte labels, so some cuts land inside a UTF-8 sequence.
+        svm = dataclasses.replace(svm, labels=("wave hand", "grüßen"))
+        path = tmp_path / "m.models"
+        save_models(path, pca, svm)
+        data = path.read_bytes()
+        cut_path = tmp_path / "cut.models"
+        for cut in range(len(data)):
+            cut_path.write_bytes(data[:cut])
+            with pytest.raises(DmmActionError):
+                load_models(cut_path)
 
     def test_loaded_model_scores_match_file_precision(self, tmp_path):
         pca, svm = self._models(seed=9)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,10 @@ from dmmaction import (
     MagnitudeMap,
     estimate_flow,
     flow_magnitude,
+    motion,
     normalize_magnitude,
 )
+from oracles import horn_schunck_oracle
 
 
 def _square_frame(h, w, top, left, size=4, value=200.0):
@@ -69,6 +73,18 @@ class TestEstimateFlow:
         with pytest.raises(ContractError):
             estimate_flow(np.zeros((1, 4)), np.zeros((1, 4)))
 
+    def test_tiny_frames_in_a_stack_rejected(self):
+        with pytest.raises(ContractError):
+            estimate_flow(np.zeros((3, 4, 1)), np.zeros((3, 4, 1)))
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ContractError):
+            estimate_flow(np.zeros(8), np.zeros(8))
+
+    def test_stack_shape_mismatch_rejected(self):
+        with pytest.raises(ContractError):
+            estimate_flow(np.zeros((3, 4, 4)), np.zeros((2, 4, 4)))
+
     def test_horizontal_mirror_negates_ox(self):
         a = _square_frame(16, 16, 6, 5) + np.arange(16) * 3.0
         b = _square_frame(16, 16, 6, 6) + np.arange(16) * 3.0
@@ -83,6 +99,58 @@ class TestEstimateFlow:
         flow = estimate_flow(a, b)
         assert np.all(np.isfinite(flow.ox))
         assert np.all(np.isfinite(flow.oy))
+
+
+def _assert_matches_oracle(a, b, iterations, smoothness=0.02):
+    flow = estimate_flow(a, b, iterations=iterations, smoothness=smoothness)
+    assert flow.ox.shape == flow.oy.shape == a.shape
+    for idx in np.ndindex(a.shape[:-2]):
+        ox, oy = horn_schunck_oracle(a[idx], b[idx], iterations, smoothness)
+        assert flow.ox[idx].tobytes() == ox.tobytes()
+        assert flow.oy[idx].tobytes() == oy.tobytes()
+
+
+class TestBatchedFlow:
+    """Stacked pairs give byte-for-byte the per-pair Horn-Schunck result."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(2, 7),
+        st.integers(2, 7),
+        st.sampled_from([(), (1,), (5,), (2, 3)]),
+        st.integers(1, 3),
+        st.sampled_from([1, 30]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_pair_oracle(self, seed, h, w, lead, chunk_pairs, iterations):
+        # Depth-like frames: a few coarse levels, so static and zero
+        # regions (where signed zeros could differ) are common.
+        local = np.random.default_rng(seed)
+        a = local.integers(0, 4, size=lead + (h, w)) * 50.0
+        b = np.where(local.random(a.shape) < 0.5, a, local.integers(0, 4, size=a.shape) * 50.0)
+        with mock.patch.object(motion, "FLOW_CHUNK_PIXELS", chunk_pairs * h * w):
+            _assert_matches_oracle(a, b, iterations)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_real_chunk_boundary(self, rng, offset):
+        h, w = 48, 64
+        pairs = motion.FLOW_CHUNK_PIXELS // (h * w) + offset
+        a = rng.random((pairs, h, w)) * 255.0
+        b = a + rng.normal(size=a.shape)
+        _assert_matches_oracle(a, b, iterations=30)
+
+    def test_frame_larger_than_chunk(self, rng):
+        a = rng.random((2, 3, 130, 130))
+        b = rng.random((2, 3, 130, 130))
+        _assert_matches_oracle(a, b, iterations=1)
+
+    def test_empty_stack(self):
+        flow = estimate_flow(np.zeros((0, 4, 5)), np.zeros((0, 4, 5)))
+        assert flow.ox.shape == flow.oy.shape == (0, 4, 5)
+
+    def test_zero_iterations_give_zero_flow(self, rng):
+        flow = estimate_flow(rng.random((3, 4, 4)), rng.random((3, 4, 4)), iterations=0)
+        assert not flow.ox.any() and not flow.oy.any()
 
 
 class TestFlowMagnitude:

@@ -10,6 +10,7 @@ from dmmaction import (
     ContractError,
     PcaModel,
     PipelineConfig,
+    ProjectedMap,
     ProtocolError,
     SampleRecord,
     Split,
@@ -31,8 +32,9 @@ from dmmaction import (
     train,
 )
 from dmmaction.neural import extract_features
-from dmmaction.pipeline import template_count
+from dmmaction.pipeline import _flow_weights, template_count
 from conftest import desk_config
+from oracles import horn_schunck_oracle
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +116,69 @@ class TestTemplateCount:
     def test_formula(self, n, w):
         assert template_count(n, w) == max(0, n - w)
         assert template_count(n, "all") == n - 2
+
+
+def _moving_square_maps(n, h=9, w=11):
+    maps = []
+    for i in range(n):
+        grid = np.zeros((h, w))
+        grid[2 : 6, 1 + i : 5 + i] = 900.0 + 10.0 * i
+        maps.append(ProjectedMap("xy", grid))
+    return maps
+
+
+def _per_pair_weights(maps, cfg):
+    """Flow weights pair by pair from the Horn-Schunck oracle."""
+    raw = []
+    for a, b in zip(maps, maps[1:]):
+        ox, oy = horn_schunck_oracle(a.grid, b.grid, cfg.flow_iterations, cfg.flow_smoothness)
+        raw.append(ox**2 + oy**2)
+    if cfg.flow_normalization == "pair":
+        peaks = [float(np.max(g)) for g in raw]
+        return [g / p if p >= 1e-12 else np.zeros_like(g) for g, p in zip(raw, peaks)]
+    peak = max((float(np.max(g)) for g in raw), default=0.0)
+    return [g / peak if peak > 0.0 else np.zeros_like(g) for g in raw]
+
+
+class TestFlowWeights:
+    @pytest.fixture(params=["pair", "global"])
+    def cfg(self, request):
+        return desk_config(flow_normalization=request.param)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+    def test_matches_per_pair_loop(self, cfg, n):
+        maps = _moving_square_maps(n)
+        weights = _flow_weights(maps, cfg)
+        expected = _per_pair_weights(maps, cfg)
+        assert len(weights) == len(expected) == max(0, n - 1)
+        for got, want in zip(weights, expected):
+            assert got.normalized
+            assert got.g.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_static_sequence_gives_zero_maps(self, cfg, n):
+        maps = [ProjectedMap("xy", np.zeros((6, 5))) for _ in range(n)]
+        weights = _flow_weights(maps, cfg)
+        assert len(weights) == n - 1
+        for m in weights:
+            assert m.normalized
+            assert m.g.shape == (6, 5)
+            assert m.g.tobytes() == np.zeros((6, 5)).tobytes()
+
+    def test_mismatched_shapes_rejected(self, cfg):
+        maps = [ProjectedMap("xy", np.zeros((6, 5))), ProjectedMap("xy", np.zeros((6, 6)))]
+        with pytest.raises(ContractError):
+            _flow_weights(maps, cfg)
+
+    def test_frames_below_two_by_two_rejected(self, cfg):
+        maps = [ProjectedMap("xy", np.zeros((1, 5))) for _ in range(3)]
+        with pytest.raises(ContractError):
+            _flow_weights(maps, cfg)
+
+    def test_one_dimensional_maps_rejected(self, cfg):
+        maps = [ProjectedMap("xy", np.zeros(5)) for _ in range(3)]
+        with pytest.raises(ContractError):
+            _flow_weights(maps, cfg)
 
 
 class TestExtractSample:
@@ -459,6 +524,13 @@ class TestPlanPersistence:
         a = evaluate(small_dataset, split, trained)
         b = evaluate(small_dataset, split, loaded)
         assert a.to_csv() == b.to_csv()
+
+    def test_labels_with_spaces_round_trip(self, tmp_path):
+        plan = _rigged_plan([0.7, 0.3], labels=("wave hand", "bob"))
+        save_plan(plan, tmp_path / "plan")
+        loaded = load_plan(tmp_path / "plan")
+        assert loaded.labels == ("wave hand", "bob")
+        assert loaded.svm["standing/dmm/xy/w5/a0"].labels == ("wave hand", "bob")
 
     def test_save_untrained_rejected(self, tmp_path):
         with pytest.raises(StateError):
