@@ -8,6 +8,7 @@ whole-remaining-sequence window.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -75,10 +76,33 @@ class PipelineConfig:
         for r in self.rgb_windows:
             if not isinstance(r, int) or r < 2:
                 raise ConfigError(f"rgb window must be an int >= 2, got {r!r}")
-        if self.clip_len < 1:
-            raise ConfigError(f"clip_len must be >= 1, got {self.clip_len}")
-        if self.render_size[0] < 8 or self.render_size[1] < 8:
-            raise ConfigError(f"render_size must be at least 8x8, got {self.render_size}")
+        for name, low in _INT_MINIMUM.items():
+            value = getattr(self, name)
+            if not (value is None and name in _OPTIONAL) and not (_is_int(value) and value >= low):
+                raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
+        for name, low in _PAIR_MINIMUM.items():
+            pair = getattr(self, name)
+            if not (
+                isinstance(pair, (tuple, list))
+                and len(pair) == 2
+                and all(_is_int(v) and v >= low for v in pair)
+            ):
+                raise ConfigError(f"{name} must be two ints >= {low}, got {pair!r}")
+        for name, positive in _REAL_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL:
+                continue
+            if not _is_real(value) or value < 0 or (positive and value == 0):
+                bound = "> 0" if positive else ">= 0"
+                raise ConfigError(f"{name} must be a number {bound}, got {value!r}")
+        target = self.pca_target
+        if not ((_is_int(target) and target >= 1) or (_is_real(target) and 0 < target <= 1)):
+            raise ConfigError(
+                f"pca_target must be an int >= 1 or a fraction in (0, 1], got {target!r}"
+            )
+        for name in ("depth_as_rgb", "bypass_view_synthesis"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.flow_normalization not in ("pair", "global"):
             raise ConfigError(f"unknown flow normalization {self.flow_normalization!r}")
         if self.network_preset not in ("c3d", "desk"):
@@ -91,6 +115,35 @@ class PipelineConfig:
         if self.fc_units is not None:
             return self.fc_units
         return 4096 if self.network_preset == "c3d" else 64
+
+
+# Int fields with their least value, pairs of ints likewise, and number
+# fields (True: must be > 0, False: >= 0).  Optional fields may be None.
+_INT_MINIMUM = {
+    "clip_len": 1,
+    "depth_bin_count": 1,
+    "flow_iterations": 0,
+    "svm_epochs": 1,
+    "seed": 0,
+    "fc_units": 1,
+}
+_PAIR_MINIMUM = {"render_size": 8, "desk_conv_maps": 1}
+_REAL_FIELDS = {
+    "focal_px": True,
+    "depth_bin_mm": True,
+    "flow_smoothness": True,
+    "noise_floor": False,
+    "svm_regularization": True,
+}
+_OPTIONAL = {"fc_units", "focal_px"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 _LIST_FIELDS = {

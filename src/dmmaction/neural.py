@@ -12,10 +12,18 @@ The canonical deep stack follows the eight-conv/five-pool C3D shape
 without it the temporal axis of a 16-frame clip collapses below kernel
 size before the fifth conv layer, so the published layer list is only
 realizable with same-padding.
+
+Each convolution is one BLAS GEMM per kernel offset, added in a fixed
+order.  It runs over chunks of output depth with three scratch buffers
+reused across chunks and offsets, so memory beyond the output stays
+cache-sized; where chunking could change a bit of the result it runs as
+one chunk (see `_chunk_frames`).  Feature extraction stops the forward
+pass at the first dense layer.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
@@ -117,8 +125,34 @@ class NetworkSpec:
     layers: tuple[Layer, ...]
 
 
+# Elements per conv3d_forward scratch buffer (window copy, GEMM result,
+# accumulator); a chunk always holds at least one output frame.
+CONV_CHUNK_ELEMENTS = 2**19
+# When a chunked GEMM gives the same bits as the whole-output one; see
+# _chunk_frames.
+CONV_GEMM_TILE = 16
+CONV_GEMM_MIN_MACS = 2**20
+
+
 def _out_len(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
+
+
+def _chunk_frames(out_maps: int, in_maps: int, depth: int, frame: int) -> int:
+    """Output frames per conv3d_forward chunk, for `frame` = height * width.
+
+    Chunking changes only the column count of each offset's GEMM, and BLAS
+    does not promise a column the same bits whatever that count is.  With
+    OpenBLAS (measured on its SkylakeX kernels) a column comes out the same
+    when every call covers whole 16-column tiles and is above the
+    small-matrix cut-off of 1e6 multiply-adds (2**20 here, for margin);
+    narrower tails and the small-matrix kernel sum in another order.
+    Layers that miss either bound run as one chunk, which is the
+    unchunked computation.
+    """
+    if frame % CONV_GEMM_TILE or out_maps * in_maps * frame <= CONV_GEMM_MIN_MACS:
+        return depth
+    return min(depth, max(1, CONV_CHUNK_ELEMENTS // (max(out_maps, in_maps) * frame)))
 
 
 def conv3d_forward(x: np.ndarray, layer: Conv3d) -> np.ndarray:
@@ -127,6 +161,12 @@ def conv3d_forward(x: np.ndarray, layer: Conv3d) -> np.ndarray:
     out(j, z, y, x) = tanh(b_j + sum over m, r, p, q of
     w(j, m, r, p, q) * in(m, z*sd + r, y*sh + p, x*sw + q)), indices taken
     in the zero-padded input.
+
+    The arithmetic is fixed: per kernel offset (r, p, q), in that order,
+    one GEMM of w(:, :, r, p, q) with the input window is added into an
+    accumulator that starts at 0.0, then the bias is added and tanh taken.
+    The work runs over chunks of output depth (see _chunk_frames) so that
+    its buffers stay cache-sized instead of output-sized.
     """
     j_maps, m_maps, kr, kp, kq = layer.weights.shape
     if x.ndim != 4:
@@ -150,20 +190,51 @@ def conv3d_forward(x: np.ndarray, layer: Conv3d) -> np.ndarray:
     od = (d - kr) // sr + 1
     oh = (h - kp) // sh + 1
     ow = (w - kq) // sw + 1
-    acc = np.zeros((j_maps, od, oh, ow))
-    # Shift-and-accumulate: one GEMM per kernel offset keeps memory flat
-    # and leaves the heavy lifting to BLAS.
-    for r in range(kr):
-        for p in range(kp):
-            for q in range(kq):
-                sub = x[
-                    :,
-                    r : r + sr * (od - 1) + 1 : sr,
-                    p : p + sh * (oh - 1) + 1 : sh,
-                    q : q + sw * (ow - 1) + 1 : sw,
-                ]
-                acc += np.tensordot(layer.weights[:, :, r, p, q], sub, axes=([1], [0]))
-    return np.tanh(acc + layer.bias[:, None, None, None])
+    n = oh * ow
+    frames = _chunk_frames(j_maps, m_maps, od, n)
+    # Three scratch buffers serve every chunk and offset; per-chunk views are
+    # contiguous prefixes, since np.dot(out=) needs a C-contiguous target.
+    window_buf = np.empty(m_maps * frames * n)
+    gemm_buf = np.empty(j_maps * frames * n)
+    acc_buf = np.empty(j_maps * frames * n)
+    # np.dot copies each strided (j, m) weight matrix before its GEMM; when
+    # several chunks would repeat that copy, one contiguous copy up front
+    # gives the same bits.  A single output map is a vector that BLAS reads
+    # in place, stride and all, so it always stays a view.
+    weights = layer.weights.transpose(2, 3, 4, 0, 1)
+    if j_maps > 1 and frames < od:
+        weights = np.ascontiguousarray(weights)
+    bias = layer.bias[:, None]
+    out = np.empty((j_maps, od, oh, ow))
+    for z0 in range(0, od, frames):
+        k = min(frames, od - z0)
+        window = window_buf[: m_maps * k * n].reshape(m_maps, k, oh, ow)
+        gemm = gemm_buf[: j_maps * k * n].reshape(j_maps, k * n)
+        acc = acc_buf[: j_maps * k * n].reshape(j_maps, k * n)
+        acc.fill(0.0)
+        z = z0 * sr
+        for r in range(kr):
+            for p in range(kp):
+                for q in range(kq):
+                    np.copyto(
+                        window,
+                        x[
+                            :,
+                            z + r : z + r + sr * (k - 1) + 1 : sr,
+                            p : p + sh * (oh - 1) + 1 : sh,
+                            q : q + sw * (ow - 1) + 1 : sw,
+                        ],
+                    )
+                    np.dot(
+                        weights[r, p, q],
+                        window.reshape(m_maps, k * n),
+                        out=gemm,
+                    )
+                    acc += gemm
+        acc += bias
+        np.tanh(acc, out=acc)
+        out[:, z0 : z0 + k] = acc.reshape(j_maps, k, oh, ow)
+    return out
 
 
 def maxpool3d(x: np.ndarray, kernel: Triple, stride: Triple) -> np.ndarray:
@@ -276,20 +347,21 @@ def clip_to_tensor(clip: Clip) -> np.ndarray:
 
 
 def extract_features(clip: Clip, net: NetworkSpec, provenance: object = None) -> FeatureVector:
-    """Run the stack on a clip and return the first dense layer's activations."""
-    outputs = run_layers(clip_to_tensor(clip), net)
-    for layer, (_, acts) in zip(net.layers, outputs):
-        if isinstance(layer, Dense):
-            return FeatureVector(values=acts, provenance=provenance)
-    raise ContractError(f"network {net.name} has no fully-connected layer")
+    """Run the stack on a clip up to the first dense layer and return its activations."""
+    first = next((i for i, l in enumerate(net.layers) if isinstance(l, Dense)), None)
+    if first is None:
+        raise ContractError(f"network {net.name} has no fully-connected layer")
+    head = replace(net, layers=net.layers[: first + 1])
+    _, acts = run_layers(clip_to_tensor(clip), head)[-1]
+    return FeatureVector(values=acts, provenance=provenance)
 
 
-def concat_views(xy: FeatureVector, yz: FeatureVector, xz: FeatureVector) -> FeatureVector:
-    """Concatenate the three plane features of one (window, angle, clip) slot."""
-    tags = [_plane_free(f.provenance) for f in (xy, yz, xz)]
-    if tags[0] != tags[1] or tags[0] != tags[2]:
+def concat_views(*views: FeatureVector) -> FeatureVector:
+    """Concatenate the plane features of one (window, angle, clip) slot, in order."""
+    tags = [_plane_free(f.provenance) for f in views]
+    if any(t != tags[0] for t in tags):
         raise ContractError(f"provenance mismatch across views: {tags}")
-    values = np.concatenate([xy.values, yz.values, xz.values])
+    values = np.concatenate([f.values for f in views])
     return FeatureVector(values=values, provenance=tags[0])
 
 
@@ -427,18 +499,14 @@ def load_weights(path: str | Path, template: NetworkSpec) -> NetworkSpec:
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}; expected {_MAGIC!r}")
-    offset = 4
-    (count,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+    (count,) = _read_u32s(data, 4, 1)
+    offset = 8
     arrays = []
-    for i in range(count):
-        if offset + 4 > len(data):
-            raise ParseError(f"truncated at array {i}: expected ndim at byte {offset}")
-        (ndim,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{ndim}I", data, offset)
-        offset += 4 * ndim
-        n = int(np.prod(dims)) if dims else 1
+    for _ in range(count):
+        (ndim,) = _read_u32s(data, offset, 1)
+        dims = _read_u32s(data, offset + 4, ndim)
+        offset += 4 + 4 * ndim
+        n = math.prod(dims)
         end = offset + 4 * n
         if end > len(data):
             raise ParseError(f"truncated payload: expected {end} bytes, got {len(data)}")
@@ -467,6 +535,15 @@ def load_weights(path: str | Path, template: NetworkSpec) -> NetworkSpec:
         else:
             new_layers.append(layer)
     return replace(template, layers=tuple(new_layers))
+
+
+def _read_u32s(data: bytes, offset: int, count: int) -> tuple[int, ...]:
+    """`count` little-endian u32 at `offset`, or ParseError if the data ends first."""
+    if offset + 4 * count > len(data):
+        raise ParseError(
+            f"truncated weight file: {count} u32 at byte {offset}, file has {len(data)} bytes"
+        )
+    return struct.unpack_from(f"<{count}I", data, offset)
 
 
 def net_layers_with_weights(net: NetworkSpec):

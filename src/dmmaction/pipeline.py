@@ -343,18 +343,8 @@ def _clip_ends(n_frames: int, lam: int) -> list[int]:
 
 def _combine_planes(per_plane: dict[str, list[FeatureVector]], planes) -> list[FeatureVector]:
     """Concatenate per-plane features clip by clip into one view vector."""
-    n_clips = len(per_plane[planes[0]])
-    combined = []
-    for j in range(n_clips):
-        feats = [per_plane[p][j] for p in planes]
-        if tuple(planes) == ("xy", "yz", "xz"):
-            combined.append(concat_views(*feats))
-        else:
-            values = np.concatenate([f.values for f in feats])
-            combined.append(
-                FeatureVector(values, feats[0].provenance.without_plane())
-            )
-    return combined
+    clips = zip(*(per_plane[p] for p in planes), strict=True)
+    return [concat_views(*feats) for feats in clips]
 
 
 def extract_sample(

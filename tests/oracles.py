@@ -50,6 +50,36 @@ def conv3d_oracle(x, weights, bias, stride=(1, 1, 1), padding=(0, 0, 0)):
     return out
 
 
+def conv3d_shift_oracle(x, weights, bias, stride=(1, 1, 1), padding=(0, 0, 0)):
+    """Shift-and-accumulate 3D convolution with tanh, as the package first shipped it.
+
+    One tensordot GEMM per kernel offset over the whole output, added in
+    (r, p, q) order into an accumulator that starts at 0.0, then the bias
+    and tanh.  It fixes the floating-point summation order, so fast paths
+    that keep that order must match it byte for byte.
+    """
+    _, _, kr, kp, kq = weights.shape
+    pd, ph, pw = padding
+    x = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    _, d, h, w = x.shape
+    sd, sh, sw = stride
+    od = (d - kr) // sd + 1
+    oh = (h - kp) // sh + 1
+    ow = (w - kq) // sw + 1
+    acc = np.zeros((weights.shape[0], od, oh, ow))
+    for r in range(kr):
+        for p in range(kp):
+            for q in range(kq):
+                sub = x[
+                    :,
+                    r : r + sd * (od - 1) + 1 : sd,
+                    p : p + sh * (oh - 1) + 1 : sh,
+                    q : q + sw * (ow - 1) + 1 : sw,
+                ]
+                acc += np.tensordot(weights[:, :, r, p, q], sub, axes=([1], [0]))
+    return np.tanh(acc + bias[:, None, None, None])
+
+
 def maxpool3d_oracle(x, kernel, stride):
     """Direct windowed max, channel by channel."""
     kd, kh, kw = kernel

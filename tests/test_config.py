@@ -113,6 +113,50 @@ class TestParsing:
         assert cfg.clip_len == 8
 
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "clip_len = 2.5",
+            "clip_len = true",
+            "seed = abc",
+            "seed = -1",
+            "desk_conv_maps = [8]",
+            "desk_conv_maps = [8, 16, 32]",
+            "render_size = [32]",
+            "render_size = [32, 32.5]",
+            "pca_target = 0",
+            "pca_target = 1.5",
+            "pca_target = -0.5",
+            "flow_iterations = -1",
+            "svm_epochs = 0",
+            "fc_units = 0",
+            "depth_bin_mm = 0",
+            "flow_smoothness = fast",
+            "noise_floor = -0.1",
+            "depth_as_rgb = 1",
+        ],
+    )
+    def test_ill_typed_values_rejected(self, line, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "line, field, value",
+        [
+            ("pca_target = 1", "pca_target", 1),
+            ("pca_target = 1.0", "pca_target", 1.0),
+            ("pca_target = 0.5", "pca_target", 0.5),
+            ("flow_iterations = 0", "flow_iterations", 0),
+            ("depth_bin_mm = 25", "depth_bin_mm", 25),
+            ("focal_px = none", "focal_px", None),
+        ],
+    )
+    def test_boundary_values_accepted(self, line, field, value):
+        assert getattr(parse_config_text(line + "\n"), field) == value
+
+
 class TestRoundTrip:
     def test_default_round_trip_exact(self):
         cfg = PipelineConfig()

@@ -1,15 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dmmaction import (
     Clip,
     ContractError,
     Conv3d,
+    Dense,
+    DmmActionError,
     FeatureVector,
     FormatError,
     NetworkSpec,
+    ParseError,
     Provenance,
     c3d_network,
     clip_to_tensor,
@@ -24,7 +29,8 @@ from dmmaction import (
     save_weights,
     stream_rng,
 )
-from oracles import conv3d_oracle, maxpool3d_oracle
+from dmmaction import neural
+from oracles import conv3d_oracle, conv3d_shift_oracle, maxpool3d_oracle
 
 
 def _identity_layer():
@@ -100,6 +106,94 @@ class TestConv3dForward:
         b = local.normal(size=cout) * 0.1
         layer = Conv3d("c", weights=w, bias=b)
         assert np.max(np.abs(conv3d_forward(x, layer) - conv3d_oracle(x, w, b))) < 1e-6
+
+
+def _f32_uniform(rng, scale, shape):
+    return rng.uniform(-scale, scale, shape).astype(np.float32).astype(np.float64)
+
+
+def _assert_shift_identical(x, layer):
+    out = conv3d_forward(x, layer)
+    ref = conv3d_shift_oracle(x, layer.weights, layer.bias, layer.stride, layer.padding)
+    assert out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+
+
+@st.composite
+def _conv_cases(draw):
+    """A layer, an input and a chunk bound; half the cases are shapes that chunk."""
+    kernel = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    stride = tuple(draw(st.integers(1, 2)) for _ in range(3))
+    padding = tuple(draw(st.integers(0, 1)) for _ in range(3))
+    od = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        oh, ow = draw(st.sampled_from([(4, 4), (2, 8), (16, 1), (4, 12), (8, 8)]))
+        out_maps = draw(st.integers(48, 128))
+        floor = neural.CONV_GEMM_MIN_MACS // (out_maps * oh * ow) + 1
+        in_maps = draw(st.integers(floor, floor + 8))
+    else:
+        oh, ow = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        out_maps, in_maps = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    dims = [
+        (o - 1) * s + k - 2 * p
+        for o, s, k, p in zip((od, oh, ow), stride, kernel, padding)
+    ]
+    assume(min(dims) >= 1)
+    chunk = draw(st.integers(1, max(out_maps, in_maps) * od * oh * ow))
+    seed = draw(st.integers(0, 2**32 - 1))
+    local = np.random.default_rng(seed)
+    layer = Conv3d(
+        "c",
+        weights=_f32_uniform(local, 0.3, (out_maps, in_maps, *kernel)),
+        bias=_f32_uniform(local, 0.3, out_maps),
+        stride=stride,
+        padding=padding,
+    )
+    return local.uniform(0.0, 1.0, (in_maps, *dims)), layer, chunk
+
+
+class TestConv3dChunked:
+    """The chunked conv3d_forward keeps the shift-and-accumulate bits exactly."""
+
+    @given(_conv_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_shift_oracle_bytes(self, case):
+        x, layer, chunk = case
+        with mock.patch.object(neural, "CONV_CHUNK_ELEMENTS", chunk):
+            _assert_shift_identical(x, layer)
+
+    @pytest.mark.parametrize(
+        "in_maps, out_maps, depth, side",
+        [(3, 64, 16, 112), (64, 128, 16, 56)],
+        ids=["c3d-conv1", "c3d-conv2"],
+    )
+    def test_c3d_layers_chunk_and_match(self, in_maps, out_maps, depth, side):
+        local = np.random.default_rng(in_maps)
+        scale = 1.0 / np.sqrt(27 * in_maps)
+        layer = Conv3d(
+            "c3d",
+            weights=_f32_uniform(local, scale, (out_maps, in_maps, 3, 3, 3)),
+            bias=_f32_uniform(local, scale, out_maps),
+            padding=(1, 1, 1),
+        )
+        assert neural._chunk_frames(out_maps, in_maps, depth, side * side) < depth
+        _assert_shift_identical(local.uniform(0.0, 1.0, (in_maps, depth, side, side)), layer)
+
+    def test_desk_layers_match(self):
+        net = desk_network(stream_rng(13, "desk-bytes"))
+        x = np.random.default_rng(13).uniform(0.0, 1.0, net.input_shape)
+        for layer in net.layers:
+            if isinstance(layer, Conv3d):
+                _assert_shift_identical(x, layer)
+                x = conv3d_forward(x, layer)
+            elif isinstance(layer, neural.MaxPool3d):
+                x = maxpool3d(x, layer.kernel, layer.stride)
+
+    def test_untiled_frames_run_as_one_chunk(self):
+        # A 7x7 frame is no whole number of 16-column tiles, and a desk conv1
+        # frame is under the small-matrix cut-off, whatever the chunk bound.
+        assert neural._chunk_frames(512, 512, 4, 49) == 4
+        assert neural._chunk_frames(8, 3, 16, 1024) == 16
 
 
 class TestMaxPool3d:
@@ -191,6 +285,28 @@ class TestNetworks:
         wb = b.layers[0].weights
         assert np.array_equal(wa, wb)
 
+    @pytest.mark.parametrize("preset", ["desk", "c3d"])
+    def test_features_are_first_dense_activations(self, preset, rng):
+        if preset == "desk":
+            net = desk_network(stream_rng(7, "fc-stop"), clip_len=4, height=16, width=16)
+        else:
+            # 32x32 is the smallest frame the five c3d pools leave 1x1 of.
+            net = c3d_network(stream_rng(7, "fc-stop"), height=32, width=32, fc_units=8)
+        _, depth, height, width = net.input_shape
+        frames = (rng.random((depth, height, width, 3)) * 255).astype(np.uint8)
+        first_dense = next(l.name for l in net.layers if isinstance(l, Dense))
+        full = dict(run_layers(clip_to_tensor(Clip(frames)), net))
+        feats = extract_features(Clip(frames), net)
+        assert feats.values.tobytes() == full[first_dense].tobytes()
+
+    def test_layers_after_first_dense_never_run(self, rng):
+        net = desk_network(stream_rng(7, "fc-tail"), clip_len=4, height=16, width=16, fc_units=8)
+        # A second dense layer whose input width cannot take fc's output.
+        broken = Dense("fc_next", weights=np.zeros((2, 5)), bias=np.zeros(2))
+        net = NetworkSpec(net.name, net.input_shape, net.layers + (broken,))
+        frames = (rng.random((4, 16, 16, 3)) * 255).astype(np.uint8)
+        assert len(extract_features(Clip(frames), net)) == 8
+
     def test_different_stream_different_weights(self):
         a = desk_network(stream_rng(6, "s1"), clip_len=4, height=16, width=16)
         b = desk_network(stream_rng(6, "s2"), clip_len=4, height=16, width=16)
@@ -227,6 +343,16 @@ class TestConcatViews:
         with pytest.raises(ContractError):
             concat_views(a, bad, self._fv([3.0], "xz"))
 
+    def test_any_number_of_views(self):
+        out = concat_views(self._fv([1, 2], "xy"), self._fv([3], "xz"))
+        assert list(out.values) == [1, 2, 3]
+        assert out.provenance.plane is None
+        with pytest.raises(ContractError):
+            concat_views(
+                self._fv([1.0], "xy"),
+                FeatureVector(np.array([2.0]), Provenance(pose="sitting", plane="xz")),
+            )
+
     def test_result_provenance_drops_plane(self):
         out = concat_views(self._fv([1], "xy"), self._fv([2], "yz"), self._fv([3], "xz"))
         assert out.provenance.plane is None
@@ -260,6 +386,27 @@ class TestWeightFile:
         other = desk_network(stream_rng(12, "b"), clip_len=4, height=16, width=16, fc_units=16)
         with pytest.raises(FormatError):
             load_weights(path, other)
+
+
+    def test_every_truncation_raises_typed_error(self, tmp_path):
+        net = desk_network(
+            stream_rng(14, "cut"), clip_len=2, height=8, width=8, conv_maps=(2, 2), fc_units=3
+        )
+        path = tmp_path / "w.bin"
+        save_weights(net, path)
+        data = path.read_bytes()
+        cut_path = tmp_path / "cut.bin"
+        for cut in range(len(data)):
+            cut_path.write_bytes(data[:cut])
+            with pytest.raises(DmmActionError):
+                load_weights(cut_path, net)
+
+    def test_oversized_ndim_rejected(self, tmp_path):
+        net = desk_network(stream_rng(15, "ndim"), clip_len=2, height=8, width=8)
+        path = tmp_path / "w.bin"
+        path.write_bytes(b"DMW1" + (1).to_bytes(4, "little") + (2**30).to_bytes(4, "little"))
+        with pytest.raises(ParseError):
+            load_weights(path, net)
 
 
 class TestNetworkSpecValidation:

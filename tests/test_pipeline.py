@@ -31,8 +31,8 @@ from dmmaction import (
     stack_clip,
     train,
 )
-from dmmaction.neural import extract_features
-from dmmaction.pipeline import _flow_weights, template_count
+from dmmaction.neural import FeatureVector, Provenance, extract_features
+from dmmaction.pipeline import _combine_planes, _flow_weights, template_count
 from conftest import desk_config
 from oracles import horn_schunck_oracle
 
@@ -179,6 +179,32 @@ class TestFlowWeights:
         maps = [ProjectedMap("xy", np.zeros(5)) for _ in range(3)]
         with pytest.raises(ContractError):
             _flow_weights(maps, cfg)
+
+
+class TestCombinePlanes:
+    def _fv(self, value, plane, clip_end=7, window=5):
+        prov = Provenance(
+            pose="standing", kind="dmm", plane=plane, window=window, angle=0.0, clip_end=clip_end
+        )
+        return FeatureVector(np.array([value]), prov)
+
+    @pytest.mark.parametrize("planes", [("xy", "yz", "xz"), ("xz", "xy"), ("yz",)])
+    def test_concatenates_in_plane_order_without_plane(self, planes):
+        per_plane = {p: [self._fv(i, p, 7), self._fv(10 + i, p, 15)] for i, p in enumerate(planes)}
+        combined = _combine_planes(per_plane, planes)
+        assert [list(f.values) for f in combined] == [
+            list(range(len(planes))),
+            list(range(10, 10 + len(planes))),
+        ]
+        assert [f.provenance.clip_end for f in combined] == [7, 15]
+        assert all(f.provenance.plane is None for f in combined)
+
+    @pytest.mark.parametrize("planes", [("xy", "yz", "xz"), ("xz", "xy")])
+    def test_provenance_mismatch_rejected(self, planes):
+        per_plane = {p: [self._fv(0, p)] for p in planes}
+        per_plane[planes[-1]] = [self._fv(0, planes[-1], window=10)]
+        with pytest.raises(ContractError, match="provenance mismatch"):
+            _combine_planes(per_plane, planes)
 
 
 class TestExtractSample:
