@@ -82,10 +82,8 @@ from .neural import (
     desk_network,
     extract_features,
     infer_shapes,
-    load_weights,
     maxpool3d,
     run_layers,
-    save_weights,
     stream_rng,
 )
 from .pipeline import (

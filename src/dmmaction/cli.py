@@ -15,21 +15,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig, load_config
-from .dmm import ALL, accumulate_ramdmm, render_template
-from .errors import DmmActionError
-from .geometry import BinParams, Intrinsics, RotationSpec, project_cartesian, synthesize_view
+from .config import PipelineConfig, load_config, parse_window
+from .errors import ConfigError, DmmActionError
 from .pipeline import (
     build_streams,
     classify,
     evaluate,
     extract_sample,
     load_plan,
+    plane_sequences,
     read_manifest,
+    render_templates,
     resolve_split,
     train,
 )
-from .pipeline import _flow_weights  # shared flow-weight recipe for render-dmm
 from .synth import SynthSpec, generate_synthetic_dataset
 from .videoio import read_depth_bin, write_image
 
@@ -44,6 +43,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--windows", help="comma-separated depth windows, e.g. 5,10,all")
 
 
+def _angle(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ConfigError(f"bad angle {token!r}: expected a number of degrees") from None
+
+
 def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     updates = {}
@@ -52,11 +58,9 @@ def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
     if args.pose_bank:
         updates["poses"] = (args.pose_bank,)
     if args.angles:
-        updates["angles"] = tuple(float(a) for a in args.angles.split(","))
+        updates["angles"] = tuple(_angle(a) for a in args.angles.split(","))
     if args.windows:
-        updates["depth_windows"] = tuple(
-            ALL if w.strip().lower() == ALL else int(w) for w in args.windows.split(",")
-        )
+        updates["depth_windows"] = tuple(parse_window(w) for w in args.windows.split(","))
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -153,6 +157,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     plan = load_plan(args.plan)
     records = _filter_pose(read_manifest(args.manifest), args)
+    if args.index is not None and not 0 <= args.index < len(records):
+        raise ConfigError(f"--index must be in [0, {len(records)}), got {args.index}")
     chosen = records if args.index is None else [records[args.index]]
     for rec in chosen:
         label, score, _ = classify(rec, plan)
@@ -163,19 +169,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_render_dmm(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
+    window = parse_window(args.window)
     seq = read_depth_bin(args.depth)
-    intr = Intrinsics.default_for(seq.width, seq.height, cfg.focal_px)
-    if args.angle != 0.0:
-        seq = synthesize_view(seq, RotationSpec(args.angle), intr)
-    bins = BinParams(cfg.depth_bin_mm, cfg.depth_bin_count)
-    plane_index = {"xy": 0, "yz": 1, "xz": 2}[args.plane]
-    maps = [project_cartesian(f, bins)[plane_index] for f in seq.frames]
-    weights = _flow_weights(maps, cfg)
-    window = ALL if args.window.lower() == ALL else int(args.window)
-    tpl = accumulate_ramdmm(
-        maps, weights, args.t, window, angle=args.angle, floor=cfg.noise_floor
-    )
-    write_image(render_template(tpl, cfg.render_size), args.out)
+    sequences = plane_sequences(seq, cfg, [args.angle], [args.plane])
+    maps, weights = sequences[(args.angle, args.plane)]
+    (image,) = render_templates(maps, weights, window, args.angle, cfg, [args.t])
+    write_image(image, args.out)
     print(args.out)
     return 0
 

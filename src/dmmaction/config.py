@@ -15,6 +15,7 @@ from pathlib import Path
 from .dmm import ALL, Window
 from .errors import ConfigError
 from .geometry import PLANES
+from .videoio import read_text
 
 DEFAULT_ANGLES = (-45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0)
 DEFAULT_DEPTH_WINDOWS: tuple[Window, ...] = (5, 10, ALL)
@@ -76,6 +77,10 @@ class PipelineConfig:
         for r in self.rgb_windows:
             if not isinstance(r, int) or r < 2:
                 raise ConfigError(f"rgb window must be an int >= 2, got {r!r}")
+        for name in ("poses", "planes", "angles", "depth_windows", "rgb_windows"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {values!r}")
         for name, low in _INT_MINIMUM.items():
             value = getattr(self, name)
             if not (value is None and name in _OPTIONAL) and not (_is_int(value) and value >= low):
@@ -168,6 +173,17 @@ def _parse_scalar(text: str):
     return text.strip("\"'")
 
 
+def parse_window(token: str) -> Window:
+    """A depth window token: an int, or `all` in any case."""
+    token = token.strip()
+    if token.lower() == ALL:
+        return ALL
+    try:
+        return int(token)
+    except ValueError:
+        raise ConfigError(f"bad window {token!r}: expected an int or {ALL!r}") from None
+
+
 def _parse_value(key: str, text: str):
     text = text.strip()
     if key in _LIST_FIELDS:
@@ -175,7 +191,7 @@ def _parse_value(key: str, text: str):
         items = [t.strip() for t in inner.split(",") if t.strip()]
         caster = _LIST_FIELDS[key]
         if caster == "window":
-            return tuple(ALL if t.lower() == ALL else int(t) for t in items)
+            return tuple(parse_window(t) for t in items)
         if caster is str:
             return tuple(t.strip("\"'") for t in items)
         return tuple(caster(t) for t in items)
@@ -205,7 +221,7 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
             updates[key] = _parse_value(key, value)
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     try:
         return replace(base, **updates)
@@ -214,7 +230,7 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
 
 
 def load_config(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
-    return parse_config_text(Path(path).read_text(), base)
+    return parse_config_text(read_text(path), base)
 
 
 def _format_value(value) -> str:

@@ -23,17 +23,14 @@ pass at the first dense layer.
 
 from __future__ import annotations
 
-import math
-import struct
 import zlib
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
 from .dmm import Clip
-from .errors import ContractError, FormatError, ParseError
+from .errors import ContractError
 
 Triple = tuple[int, int, int]
 
@@ -470,86 +467,3 @@ def _stack_flat_size(input_shape: tuple[int, ...], layers: Sequence[Layer]) -> i
         shape = _layer_output_shape(shape, layer)
     return int(np.prod(shape))
 
-
-_MAGIC = b"DMW1"
-
-
-def save_weights(net: NetworkSpec, path: str | Path) -> None:
-    """Serialize all weight arrays: [u32le count] then per array
-    [u32le ndim][u32le dims...][f32le values...]."""
-    arrays: list[np.ndarray] = []
-    for layer in net.layers:
-        if isinstance(layer, (Conv3d, Dense)):
-            arrays.extend([layer.weights, layer.bias])
-    blob = bytearray(_MAGIC)
-    blob += struct.pack("<I", len(arrays))
-    for a in arrays:
-        blob += struct.pack("<I", a.ndim)
-        blob += struct.pack(f"<{a.ndim}I", *a.shape)
-        blob += a.astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(blob))
-
-
-def load_weights(path: str | Path, template: NetworkSpec) -> NetworkSpec:
-    """Rebuild a network from a weight file, using template for structure.
-
-    The file stores only weighted-layer arrays; pool/flatten structure and
-    layer order come from the template, whose array shapes must match.
-    """
-    data = Path(path).read_bytes()
-    if data[:4] != _MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}; expected {_MAGIC!r}")
-    (count,) = _read_u32s(data, 4, 1)
-    offset = 8
-    arrays = []
-    for _ in range(count):
-        (ndim,) = _read_u32s(data, offset, 1)
-        dims = _read_u32s(data, offset + 4, ndim)
-        offset += 4 + 4 * ndim
-        n = math.prod(dims)
-        end = offset + 4 * n
-        if end > len(data):
-            raise ParseError(f"truncated payload: expected {end} bytes, got {len(data)}")
-        arrays.append(
-            np.frombuffer(data, dtype="<f4", count=n, offset=offset)
-            .reshape(dims)
-            .astype(np.float64)
-        )
-        offset = end
-    expected = sum(1 for l in net_layers_with_weights(template)) * 2
-    if count != expected:
-        raise FormatError(f"file holds {count} arrays, template needs {expected}")
-    it = iter(arrays)
-    new_layers: list[Layer] = []
-    for layer in template.layers:
-        if isinstance(layer, Conv3d):
-            w, b = next(it), next(it)
-            _check_loaded(layer.name, layer.weights.shape, w.shape)
-            _check_loaded(layer.name, layer.bias.shape, b.shape)
-            new_layers.append(replace(layer, weights=w, bias=b))
-        elif isinstance(layer, Dense):
-            w, b = next(it), next(it)
-            _check_loaded(layer.name, layer.weights.shape, w.shape)
-            _check_loaded(layer.name, layer.bias.shape, b.shape)
-            new_layers.append(replace(layer, weights=w, bias=b))
-        else:
-            new_layers.append(layer)
-    return replace(template, layers=tuple(new_layers))
-
-
-def _read_u32s(data: bytes, offset: int, count: int) -> tuple[int, ...]:
-    """`count` little-endian u32 at `offset`, or ParseError if the data ends first."""
-    if offset + 4 * count > len(data):
-        raise ParseError(
-            f"truncated weight file: {count} u32 at byte {offset}, file has {len(data)} bytes"
-        )
-    return struct.unpack_from(f"<{count}I", data, offset)
-
-
-def net_layers_with_weights(net: NetworkSpec):
-    return [l for l in net.layers if isinstance(l, (Conv3d, Dense))]
-
-
-def _check_loaded(name: str, expected: tuple, got: tuple) -> None:
-    if tuple(expected) != tuple(got):
-        raise FormatError(f"{name}: file array shape {got} does not match {expected}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,8 +33,10 @@ from .errors import (
     StateError,
 )
 from .geometry import (
+    PLANES,
     BinParams,
     Intrinsics,
+    ProjectedMap,
     RotationSpec,
     project_cartesian,
     sequence_centroid,
@@ -62,7 +65,7 @@ from .neural import (
     extract_features,
     stream_rng,
 )
-from .videoio import DepthFrame, DepthSequence, read_depth_bin, read_rgb_sequence
+from .videoio import DepthFrame, DepthSequence, read_depth_bin, read_rgb_sequence, read_text
 
 log = logging.getLogger(__name__)
 
@@ -225,7 +228,7 @@ def read_manifest(path: str | Path) -> list[SampleRecord]:
     path = Path(path)
     root = path.parent
     records: list[SampleRecord] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")
@@ -257,7 +260,7 @@ def _apply_crop(seq: DepthSequence, crop_path: Path) -> DepthSequence:
     The crop file holds one `x y w h` line per frame.  Masking instead of
     slicing keeps frame dimensions uniform across the sequence.
     """
-    lines = [ln for ln in crop_path.read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(crop_path).splitlines() if ln.strip()]
     if len(lines) != len(seq.frames):
         raise FormatError(
             f"crop file {crop_path} has {len(lines)} boxes for "
@@ -329,6 +332,54 @@ def _flow_weights(
     return [MagnitudeMap(g, normalized=True) for g in raw / peak]
 
 
+def plane_sequences(
+    seq: DepthSequence, cfg: PipelineConfig, angles: Iterable[float], planes: Iterable[str]
+) -> dict[tuple[float, str], tuple[list[ProjectedMap], list[MagnitudeMap]]]:
+    """Projected maps and their flow weights for every (angle, plane).
+
+    Each view angle is synthesized about the sequence centroid (the
+    original frames stand in for angle 0, and for every angle when
+    cfg.bypass_view_synthesis is set), projected onto the three planes,
+    and flow is estimated only for the planes asked for.
+    """
+    intr = Intrinsics.default_for(seq.width, seq.height, cfg.focal_px)
+    bins = BinParams(cfg.depth_bin_mm, cfg.depth_bin_count)
+    pivot = None
+    out = {}
+    for alpha in angles:
+        if alpha == 0.0 or cfg.bypass_view_synthesis:
+            view = seq
+        else:
+            if pivot is None:
+                pivot = sequence_centroid(seq, intr)
+            view = synthesize_view(seq, RotationSpec(alpha), intr, pivot=pivot)
+        projected = [project_cartesian(f, bins) for f in view.frames]
+        for p in planes:
+            maps = [per_frame[PLANES.index(p)] for per_frame in projected]
+            out[(alpha, p)] = (maps, _flow_weights(maps, cfg))
+    return out
+
+
+def render_templates(
+    maps: list[ProjectedMap],
+    weights: list[MagnitudeMap],
+    window: Window,
+    angle: float,
+    cfg: PipelineConfig,
+    starts: Iterable[int],
+) -> list[np.ndarray]:
+    """Accumulate and render the weighted motion map starting at each t in starts."""
+    return [
+        dmm_mod.render_template(
+            dmm_mod.accumulate_ramdmm(
+                maps, weights, t, window, angle=angle, floor=cfg.noise_floor
+            ),
+            cfg.render_size,
+        )
+        for t in starts
+    ]
+
+
 def _resize_rgb(pixels: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     if pixels.shape[:2] == size:
         return pixels
@@ -381,34 +432,13 @@ def extract_sample(
     depth_seq = read_depth_bin(rec.depth_path)
     if rec.crop_path is not None:
         depth_seq = _apply_crop(depth_seq, rec.crop_path)
-    intr = Intrinsics.default_for(depth_seq.width, depth_seq.height, cfg.focal_px)
-    bins = BinParams(cfg.depth_bin_mm, cfg.depth_bin_count)
     n = len(depth_seq.frames)
 
     dmm_streams = [s for s in bank if s.kind == "dmm"]
     rgb_streams = [s for s in bank if s.kind == "rgb"]
 
     angles = sorted({s.angle for s in dmm_streams})
-    pivot = None
-    plane_maps: dict[tuple[float, str], list] = {}
-    weights: dict[tuple[float, str], list[MagnitudeMap]] = {}
-    for alpha in angles:
-        if alpha == 0.0 or cfg.bypass_view_synthesis:
-            view = depth_seq
-        else:
-            if pivot is None:
-                pivot = sequence_centroid(depth_seq, intr)
-            view = synthesize_view(depth_seq, RotationSpec(alpha), intr, pivot=pivot)
-        collected: dict[str, list] = {p: [] for p in ("xy", "yz", "xz")}
-        for f in view.frames:
-            m_xy, m_yz, m_xz = project_cartesian(f, bins)
-            collected["xy"].append(m_xy)
-            collected["yz"].append(m_yz)
-            collected["xz"].append(m_xz)
-        for p in cfg.planes:
-            plane_maps[(alpha, p)] = collected[p]
-            weights[(alpha, p)] = _flow_weights(collected[p], cfg)
-
+    sequences = plane_sequences(depth_seq, cfg, angles, cfg.planes)
     for window in cfg.depth_windows:
         for alpha in angles:
             sids = {p: _dmm_stream_id(rec.pose, p, window, alpha) for p in cfg.planes}
@@ -423,21 +453,8 @@ def extract_sample(
                 continue
             per_plane: dict[str, list[FeatureVector]] = {}
             for p in cfg.planes:
-                maps = plane_maps[(alpha, p)]
-                rendered = [
-                    dmm_mod.render_template(
-                        dmm_mod.accumulate_ramdmm(
-                            maps,
-                            weights[(alpha, p)],
-                            t,
-                            window,
-                            angle=alpha,
-                            floor=cfg.noise_floor,
-                        ),
-                        cfg.render_size,
-                    )
-                    for t in range(n_templates)
-                ]
+                maps, weights = sequences[(alpha, p)]
+                rendered = render_templates(maps, weights, window, alpha, cfg, range(n_templates))
                 net = plan.network(sids[p])
                 plane_feats = []
                 for end in _clip_ends(n_templates, cfg.clip_len):
@@ -659,6 +676,10 @@ def train(
 
     report = TrainReport(n_train=len(split.train_indices))
     train_poses = {records[i].pose for i in split.train_indices}
+    # extract_sample hands every plane stream of a (pose, window, angle)
+    # slot the same feature objects, so one fit serves them all.  Keyed by
+    # object identity: the lists keep every feature alive, so ids are stable.
+    fitted: dict[tuple[int, ...], tuple[PcaModel, np.ndarray]] = {}
     for s in plan.streams:
         feats = per_stream_feats[s.id]
         if len(feats) < 2:
@@ -669,8 +690,11 @@ def train(
         if len(set(stream_labels)) < 2:
             warnings.append(f"stream {s.id}: single-class training data, skipped")
             continue
-        pca = pca_fit(feats, cfg.pca_target)
-        projected = np.stack([pca_project(pca, f) for f in feats])
+        key = tuple(map(id, feats))
+        if key not in fitted:
+            pca = pca_fit(feats, cfg.pca_target)
+            fitted[key] = pca, np.stack([pca_project(pca, f) for f in feats])
+        pca, projected = fitted[key]
         svm = svm_train(
             projected,
             stream_labels,
@@ -870,10 +894,10 @@ def save_plan(plan: StreamPlan, out_dir: str | Path) -> Path:
     """
     out = Path(out_dir)
     (out / "streams").mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(config_to_text(plan.cfg))
+    (out / "config.txt").write_text(config_to_text(plan.cfg), encoding="utf-8")
     if plan.labels is None:
         raise StateError("cannot save an untrained plan")
-    (out / "labels.txt").write_text("\n".join(plan.labels) + "\n")
+    (out / "labels.txt").write_text("\n".join(plan.labels) + "\n", encoding="utf-8")
     for sid in sorted(plan.svm):
         save_models(out / "streams" / _model_filename(sid), plan.pca[sid], plan.svm[sid])
     return out
@@ -884,7 +908,7 @@ def load_plan(plan_dir: str | Path) -> StreamPlan:
     root = Path(plan_dir)
     cfg = load_config(root / "config.txt")
     plan = build_streams(cfg)
-    plan.labels = tuple((root / "labels.txt").read_text().splitlines())
+    plan.labels = tuple(read_text(root / "labels.txt").splitlines())
     for s in plan.streams:
         path = root / "streams" / _model_filename(s.id)
         if path.exists():

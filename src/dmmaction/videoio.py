@@ -283,3 +283,11 @@ def read_rgb_sequence(directory: str | Path) -> RgbSequence:
             raise FormatError(f"{p.name} is not a color image")
         frames.append(RgbFrame(arr.shape[1], arr.shape[0], arr, timestamp_index=i))
     return RgbSequence(tuple(frames))
+
+
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 text file; bytes that do not decode raise ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None

@@ -1,12 +1,14 @@
 import io
+import logging
 from contextlib import redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dmmaction import config_to_text, read_manifest
+from dmmaction import config_to_text, dmm, extract_sample, read_manifest
 from dmmaction.cli import main
 from dmmaction.videoio import read_image
 from conftest import desk_config
@@ -176,6 +178,65 @@ class TestRenderDmm:
         )
         assert code == 0
         assert read_image(out).shape == (32, 32, 3)
+
+
+class TestRenderDmmMatchesPipeline:
+    @pytest.mark.parametrize("bypass", [False, True])
+    def test_image_equals_extracted_template(self, ws, tmp_path, bypass):
+        cfg = desk_config(angles=(30.0,), bypass_view_synthesis=bypass)
+        cfg_path = tmp_path / "a30.cfg"
+        cfg_path.write_text(config_to_text(cfg))
+        rec = read_manifest(ws.manifest)[0]
+        assert rec.crop_path is None
+        out = tmp_path / "dmm.ppm"
+        code, _ = _run(
+            ["render-dmm", "--depth", str(rec.depth_path), "--out", str(out),
+             "--config", str(cfg_path), "--plane", "yz", "--window", "5",
+             "--angle", "30", "--t", "3"]
+        )
+        assert code == 0
+
+        rendered = {}
+        real_render = dmm.render_template
+
+        def record(tpl, size):
+            image = real_render(tpl, size)
+            rendered[(tpl.plane, tpl.window, tpl.angle, tpl.start)] = image
+            return image
+
+        with mock.patch.object(dmm, "render_template", record):
+            extract_sample(rec, cfg)
+        assert read_image(out).tobytes() == rendered[("yz", 5, 30.0, 3)].tobytes()
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--index", "99"],
+            ["classify", "--index", "-1"],
+            ["render-dmm", "--window", "abc"],
+            ["render-dmm", "--windows", "5,x"],
+            ["render-dmm", "--angles", "0,x"],
+        ],
+        ids=["index-99", "index-negative", "window-abc", "windows-5x", "angles-0x"],
+    )
+    def test_exits_two_with_one_error_line(self, ws, tmp_path, caplog, argv):
+        command, *flags = argv
+        if command == "classify":
+            argv = [command, "--manifest", str(ws.manifest), "--plan", str(ws.plan), *flags]
+        else:
+            depth = read_manifest(ws.manifest)[0].depth_path
+            argv = [command, "--depth", str(depth), "--out", str(tmp_path / "o.ppm"), *flags]
+        with caplog.at_level(logging.ERROR):
+            code, out = _run(argv)
+        assert code == 2
+        assert out == ""
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].exc_info is None
+        assert "\n" not in errors[0].getMessage()
+        assert not (tmp_path / "o.ppm").exists()
 
 
 class TestParser:

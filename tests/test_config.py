@@ -5,6 +5,7 @@ import pytest
 from dmmaction import (
     ALL,
     ConfigError,
+    ParseError,
     PipelineConfig,
     config_to_text,
     load_config,
@@ -134,6 +135,14 @@ class TestParsing:
             "flow_smoothness = fast",
             "noise_floor = -0.1",
             "depth_as_rgb = 1",
+            "poses = [a, a]",
+            "planes = [xy, xy]",
+            "angles = [0, 0]",
+            "angles = [0, -0.0]",
+            "depth_windows = [5, 5]",
+            "depth_windows = [all, ALL]",
+            "rgb_windows = [10, 10]",
+            "depth_windows = [5, x]",
         ],
     )
     def test_ill_typed_values_rejected(self, line, tmp_path):
@@ -181,6 +190,12 @@ class TestRoundTrip:
             out_dir="runs/exp1",
         )
         assert parse_config_text(config_to_text(cfg)) == cfg
+
+    def test_non_utf8_file_raises_parse_error(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"seed = 1  # caf\xff\n")
+        with pytest.raises(ParseError):
+            load_config(path)
 
     def test_file_round_trip(self, tmp_path):
         cfg = dataclasses.replace(PipelineConfig(), seed=42, network_preset="desk")

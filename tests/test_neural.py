@@ -10,11 +10,8 @@ from dmmaction import (
     ContractError,
     Conv3d,
     Dense,
-    DmmActionError,
     FeatureVector,
-    FormatError,
     NetworkSpec,
-    ParseError,
     Provenance,
     c3d_network,
     clip_to_tensor,
@@ -23,10 +20,8 @@ from dmmaction import (
     desk_network,
     extract_features,
     infer_shapes,
-    load_weights,
     maxpool3d,
     run_layers,
-    save_weights,
     stream_rng,
 )
 from dmmaction import neural
@@ -357,56 +352,6 @@ class TestConcatViews:
         out = concat_views(self._fv([1], "xy"), self._fv([2], "yz"), self._fv([3], "xz"))
         assert out.provenance.plane is None
         assert out.provenance.window == 5
-
-
-class TestWeightFile:
-    def test_round_trip_bit_identical_features(self, rng, tmp_path):
-        net = desk_network(stream_rng(9, "file"), clip_len=4, height=16, width=16)
-        path = tmp_path / "weights.bin"
-        save_weights(net, path)
-        loaded = load_weights(path, desk_network(stream_rng(99, "other"), clip_len=4, height=16, width=16))
-        frames = (rng.random((4, 16, 16, 3)) * 255).astype(np.uint8)
-        a = extract_features(Clip(frames.copy()), net)
-        b = extract_features(Clip(frames.copy()), loaded)
-        assert np.array_equal(a.values, b.values)
-
-    def test_file_round_trip_bytes(self, tmp_path):
-        net = desk_network(stream_rng(10, "bytes"), clip_len=4, height=16, width=16)
-        p1 = tmp_path / "w1.bin"
-        p2 = tmp_path / "w2.bin"
-        save_weights(net, p1)
-        loaded = load_weights(p1, desk_network(stream_rng(11, "t"), clip_len=4, height=16, width=16))
-        save_weights(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_mismatched_template_rejected(self, tmp_path):
-        net = desk_network(stream_rng(12, "a"), clip_len=4, height=16, width=16)
-        path = tmp_path / "w.bin"
-        save_weights(net, path)
-        other = desk_network(stream_rng(12, "b"), clip_len=4, height=16, width=16, fc_units=16)
-        with pytest.raises(FormatError):
-            load_weights(path, other)
-
-
-    def test_every_truncation_raises_typed_error(self, tmp_path):
-        net = desk_network(
-            stream_rng(14, "cut"), clip_len=2, height=8, width=8, conv_maps=(2, 2), fc_units=3
-        )
-        path = tmp_path / "w.bin"
-        save_weights(net, path)
-        data = path.read_bytes()
-        cut_path = tmp_path / "cut.bin"
-        for cut in range(len(data)):
-            cut_path.write_bytes(data[:cut])
-            with pytest.raises(DmmActionError):
-                load_weights(cut_path, net)
-
-    def test_oversized_ndim_rejected(self, tmp_path):
-        net = desk_network(stream_rng(15, "ndim"), clip_len=2, height=8, width=8)
-        path = tmp_path / "w.bin"
-        path.write_bytes(b"DMW1" + (1).to_bytes(4, "little") + (2**30).to_bytes(4, "little"))
-        with pytest.raises(ParseError):
-            load_weights(path, net)
 
 
 class TestNetworkSpecValidation:

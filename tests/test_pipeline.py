@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from dmmaction import (
     ContractError,
+    ParseError,
     PcaModel,
     PipelineConfig,
     ProjectedMap,
@@ -24,6 +26,7 @@ from dmmaction import (
     extract_sample,
     generate_synthetic_dataset,
     load_plan,
+    pca_fit,
     read_manifest,
     render_grid,
     resolve_split,
@@ -400,6 +403,18 @@ class TestTrain:
         with pytest.raises(ProtocolError, match="absent"):
             train(small_dataset, s, desk_config())
 
+    def test_one_pca_fit_per_depth_slot(self, small_dataset, split):
+        cfg = desk_config(angles=(0.0,))
+        with mock.patch("dmmaction.pipeline.pca_fit", wraps=pca_fit) as fit:
+            plan = train(small_dataset, split, cfg)
+        # three plane streams share one (pose, window, angle) slot; the
+        # appearance stream has its own input
+        assert len(plan.pca) == 4
+        assert fit.call_count == 2
+        planes = [plan.pca[f"standing/dmm/{p}/w5/a0"] for p in ("xy", "yz", "xz")]
+        assert planes[0] is planes[1] is planes[2]
+        assert plan.pca["standing/rgb/r10"] is not planes[0]
+
     def test_retrain_bit_identical_model_files(self, small_dataset, split, tmp_path):
         cfg_a = desk_config(angles=(0.0,), out_dir=str(tmp_path / "a"))
         cfg_b = desk_config(angles=(0.0,), out_dir=str(tmp_path / "b"))
@@ -570,3 +585,24 @@ class TestPlanPersistence:
         (root / "labels.txt").write_text("bob\nslide\n")
         with pytest.raises(StateError, match="no stream models"):
             load_plan(root)
+
+
+class TestNonUtf8Text:
+    def test_manifest(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"d.bin\t-\tslide\ts0\tc0\tstand\xffing\n")
+        with pytest.raises(ParseError):
+            read_manifest(path)
+
+    def test_crop_file(self, small_dataset, tmp_path):
+        crop = tmp_path / "crop.txt"
+        crop.write_bytes(b"0 0 4 4\n\xff\n")
+        rec = dataclasses.replace(small_dataset[0], crop_path=crop)
+        with pytest.raises(ParseError):
+            extract_sample(rec, desk_config(angles=(0.0,)))
+
+    def test_plan_labels(self, tmp_path):
+        save_plan(_rigged_plan([0.7, 0.3]), tmp_path / "plan")
+        (tmp_path / "plan" / "labels.txt").write_bytes(b"bob\nsl\xffide\n")
+        with pytest.raises(ParseError):
+            load_plan(tmp_path / "plan")
