@@ -8,6 +8,7 @@ whole-remaining-sequence window.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -97,9 +98,10 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is None and name in _OPTIONAL:
                 continue
-            if not _is_real(value) or value < 0 or (positive and value == 0):
+            finite = _is_real(value) and math.isfinite(value)
+            if not finite or value < 0 or (positive and value == 0):
                 bound = "> 0" if positive else ">= 0"
-                raise ConfigError(f"{name} must be a number {bound}, got {value!r}")
+                raise ConfigError(f"{name} must be a finite number {bound}, got {value!r}")
         target = self.pca_target
         if not ((_is_int(target) and target >= 1) or (_is_real(target) and 0 < target <= 1)):
             raise ConfigError(
@@ -123,7 +125,7 @@ class PipelineConfig:
 
 
 # Int fields with their least value, pairs of ints likewise, and number
-# fields (True: must be > 0, False: >= 0).  Optional fields may be None.
+# fields (finite; True: must be > 0, False: >= 0).  Optional fields may be None.
 _INT_MINIMUM = {
     "clip_len": 1,
     "depth_bin_count": 1,

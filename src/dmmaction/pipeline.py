@@ -17,14 +17,14 @@ from __future__ import annotations
 import logging
 import zlib
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dmm as dmm_mod
 from .config import PipelineConfig, config_to_text, load_config
-from .dmm import ALL, Clip, Window, render_grid, stack_clip
+from .dmm import ALL, Window, render_grid, stack_clip
 from .errors import (
     ContractError,
     EmptyInputError,
@@ -387,9 +387,14 @@ def _resize_rgb(pixels: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     return np.clip(np.rint(resized), 0, 255).astype(np.uint8)
 
 
-def _clip_ends(n_frames: int, lam: int) -> list[int]:
-    """Stride-lam tiling: clips end at lam-1, 2*lam-1, ... within range."""
-    return list(range(lam - 1, n_frames, lam))
+def _clip_features(
+    frames: list[np.ndarray], lam: int, net: NetworkSpec, prov: Provenance
+) -> list[FeatureVector]:
+    """Features of the stride-lam clips of frames, ending at lam-1, 2*lam-1, ..."""
+    return [
+        extract_features(stack_clip(frames, end, lam), net, replace(prov, clip_end=end))
+        for end in range(lam - 1, len(frames), lam)
+    ]
 
 
 def _combine_planes(per_plane: dict[str, list[FeatureVector]], planes) -> list[FeatureVector]:
@@ -438,7 +443,9 @@ def extract_sample(
     rgb_streams = [s for s in bank if s.kind == "rgb"]
 
     angles = sorted({s.angle for s in dmm_streams})
-    sequences = plane_sequences(depth_seq, cfg, angles, cfg.planes)
+    sequences = {}
+    if any(template_count(n, w) >= cfg.clip_len for w in cfg.depth_windows):
+        sequences = plane_sequences(depth_seq, cfg, angles, cfg.planes)
     for window in cfg.depth_windows:
         for alpha in angles:
             sids = {p: _dmm_stream_id(rec.pose, p, window, alpha) for p in cfg.planes}
@@ -455,20 +462,8 @@ def extract_sample(
             for p in cfg.planes:
                 maps, weights = sequences[(alpha, p)]
                 rendered = render_templates(maps, weights, window, alpha, cfg, range(n_templates))
-                net = plan.network(sids[p])
-                plane_feats = []
-                for end in _clip_ends(n_templates, cfg.clip_len):
-                    clip = stack_clip(rendered, end, cfg.clip_len)
-                    prov = Provenance(
-                        pose=rec.pose,
-                        kind="dmm",
-                        plane=p,
-                        window=window,
-                        angle=alpha,
-                        clip_end=end,
-                    )
-                    plane_feats.append(extract_features(clip, net, prov))
-                per_plane[p] = plane_feats
+                prov = Provenance(pose=rec.pose, kind="dmm", plane=p, window=window, angle=alpha)
+                per_plane[p] = _clip_features(rendered, cfg.clip_len, plan.network(sids[p]), prov)
             combined = _combine_planes(per_plane, cfg.planes)
             for sid in sids.values():
                 features[sid] = combined
@@ -486,15 +481,8 @@ def extract_sample(
                 )
                 features[s.id] = []
                 continue
-            net = plan.network(s.id)
-            feats = []
-            for end in _clip_ends(len(rgb_frames), s.rgb_len):
-                clip = Clip(np.stack(rgb_frames[end - s.rgb_len + 1 : end + 1]))
-                prov = Provenance(
-                    pose=rec.pose, kind="rgb", window=s.rgb_len, clip_end=end
-                )
-                feats.append(extract_features(clip, net, prov))
-            features[s.id] = feats
+            prov = Provenance(pose=rec.pose, kind="rgb", window=s.rgb_len)
+            features[s.id] = _clip_features(rgb_frames, s.rgb_len, plan.network(s.id), prov)
     return ExtractResult(features=features, warnings=tuple(warnings))
 
 
@@ -538,6 +526,14 @@ def _repetition_index(records: list[SampleRecord]) -> list[int]:
     return out
 
 
+# Protocols that hold out whole values of one record attribute: the
+# attribute, and which of its sorted values train by default.
+_HELD_OUT = {
+    "cross-subject": ("subject", slice(None, None, 2)),
+    "cross-view": ("camera", slice(None, 1)),
+}
+
+
 def resolve_split(
     records: list[SampleRecord],
     protocol: str,
@@ -565,41 +561,23 @@ def resolve_split(
         if bad:
             raise ProtocolError(f"indices {bad} outside the {n}-record dataset")
         desc = f"manual: {len(train)} train / {len(test)} test"
-    elif protocol == "cross-subject":
-        subjects = sorted({r.subject for r in records})
-        if train_subjects is None:
-            train_subjects = tuple(subjects[::2])
-        chosen = set(train_subjects)
-        unknown = chosen - set(subjects)
+    elif protocol in _HELD_OUT:
+        attr, default = _HELD_OUT[protocol]
+        values = sorted({getattr(r, attr) for r in records})
+        given = train_subjects if attr == "subject" else train_cameras
+        chosen = set(values[default] if given is None else given)
+        unknown = chosen - set(values)
         if unknown:
-            raise ProtocolError(f"unknown train subjects {sorted(unknown)}")
-        if chosen == set(subjects):
-            raise ProtocolError("every subject is in train; test side would be empty")
-        train = tuple(i for i, r in enumerate(records) if r.subject in chosen)
-        test = tuple(i for i, r in enumerate(records) if r.subject not in chosen)
+            raise ProtocolError(f"unknown train {attr}s {sorted(unknown)}")
+        if chosen == set(values):
+            raise ProtocolError(f"every {attr} is in train; test side would be empty")
+        train = tuple(i for i, r in enumerate(records) if getattr(r, attr) in chosen)
+        test = tuple(i for i, r in enumerate(records) if getattr(r, attr) not in chosen)
         desc = (
-            "cross-subject: train="
+            f"{protocol}: train="
             + ";".join(sorted(chosen))
             + " test="
-            + ";".join(s for s in subjects if s not in chosen)
-        )
-    elif protocol == "cross-view":
-        cameras = sorted({r.camera for r in records})
-        if train_cameras is None:
-            train_cameras = (cameras[0],)
-        chosen = set(train_cameras)
-        unknown = chosen - set(cameras)
-        if unknown:
-            raise ProtocolError(f"unknown train cameras {sorted(unknown)}")
-        if chosen == set(cameras):
-            raise ProtocolError("every camera is in train; test side would be empty")
-        train = tuple(i for i, r in enumerate(records) if r.camera in chosen)
-        test = tuple(i for i, r in enumerate(records) if r.camera not in chosen)
-        desc = (
-            "cross-view: train="
-            + ";".join(sorted(chosen))
-            + " test="
-            + ";".join(c for c in cameras if c not in chosen)
+            + ";".join(v for v in values if v not in chosen)
         )
     elif protocol in ("one-third", "two-thirds"):
         reps = _repetition_index(records)
@@ -619,17 +597,13 @@ def resolve_split(
 
 
 def _check_disjoint(records, protocol, train, test):
-    if protocol == "cross-subject":
-        shared = {records[i].subject for i in train} & {records[i].subject for i in test}
+    if protocol in _HELD_OUT:
+        attr = _HELD_OUT[protocol][0]
+        train_values = {getattr(records[i], attr) for i in train}
+        shared = train_values & {getattr(records[i], attr) for i in test}
         if shared:
             raise ProtocolError(
-                f"subjects {sorted(shared)} appear on both sides of a cross-subject split"
-            )
-    if protocol == "cross-view":
-        shared = {records[i].camera for i in train} & {records[i].camera for i in test}
-        if shared:
-            raise ProtocolError(
-                f"cameras {sorted(shared)} appear on both sides of a cross-view split"
+                f"{attr}s {sorted(shared)} appear on both sides of a {protocol} split"
             )
 
 
@@ -687,8 +661,11 @@ def train(
                 warnings.append(f"stream {s.id}: {len(feats)} training clips, skipped")
             continue
         stream_labels = per_stream_labels[s.id]
-        if len(set(stream_labels)) < 2:
-            warnings.append(f"stream {s.id}: single-class training data, skipped")
+        # classify reads every stream's scores in plan.labels order, so a
+        # stream's SVM must know every class.
+        absent = sorted(set(labels) - set(stream_labels))
+        if absent:
+            warnings.append(f"stream {s.id}: no training clips of classes {absent}, skipped")
             continue
         key = tuple(map(id, feats))
         if key not in fitted:
@@ -913,6 +890,11 @@ def load_plan(plan_dir: str | Path) -> StreamPlan:
         path = root / "streams" / _model_filename(s.id)
         if path.exists():
             pca, svm = load_models(path)
+            if svm.labels != plan.labels:
+                raise FormatError(
+                    f"{path.name} scores classes {list(svm.labels)}, "
+                    f"but labels.txt lists {list(plan.labels)}"
+                )
             plan.pca[s.id] = pca
             plan.svm[s.id] = svm
     if not plan.svm:

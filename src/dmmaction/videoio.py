@@ -60,13 +60,26 @@ class RgbFrame:
 
 
 @dataclass(frozen=True)
-class DepthSequence:
-    """Time-ordered depth frames of identical dimensions."""
+class _Sequence:
+    """Time-ordered frames of identical dimensions, indexed from 0."""
 
-    frames: tuple[DepthFrame, ...]
+    frames: tuple
 
     def __post_init__(self) -> None:
-        _check_sequence(self.frames)
+        frames = self.frames
+        if not frames:
+            raise EmptyInputError("sequence contains no frames")
+        w, h = frames[0].width, frames[0].height
+        for i, f in enumerate(frames):
+            if (f.width, f.height) != (w, h):
+                raise FormatError(
+                    f"frame {i} is {f.width}x{f.height}, expected {w}x{h}"
+                )
+            if f.timestamp_index != i:
+                raise FormatError(
+                    f"frame {i} has timestamp_index {f.timestamp_index}; "
+                    "indices must increase from 0"
+                )
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -81,40 +94,17 @@ class DepthSequence:
 
 
 @dataclass(frozen=True)
-class RgbSequence:
+class DepthSequence(_Sequence):
+    """Time-ordered depth frames of identical dimensions."""
+
+    frames: tuple[DepthFrame, ...]
+
+
+@dataclass(frozen=True)
+class RgbSequence(_Sequence):
     """Time-ordered color frames of identical dimensions."""
 
     frames: tuple[RgbFrame, ...]
-
-    def __post_init__(self) -> None:
-        _check_sequence(self.frames)
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    @property
-    def width(self) -> int:
-        return self.frames[0].width
-
-    @property
-    def height(self) -> int:
-        return self.frames[0].height
-
-
-def _check_sequence(frames) -> None:
-    if not frames:
-        raise EmptyInputError("sequence contains no frames")
-    w, h = frames[0].width, frames[0].height
-    for i, f in enumerate(frames):
-        if (f.width, f.height) != (w, h):
-            raise FormatError(
-                f"frame {i} is {f.width}x{f.height}, expected {w}x{h}"
-            )
-        if f.timestamp_index != i:
-            raise FormatError(
-                f"frame {i} has timestamp_index {f.timestamp_index}; "
-                "indices must increase from 0"
-            )
 
 
 def read_depth_bin(path: str | Path) -> DepthSequence:

@@ -14,42 +14,45 @@ import pytest
 
 from dmmaction import (
     ALL,
-    Conv3d,
-    DepthFrame,
-    Intrinsics,
-    MagnitudeMap,
     PipelineConfig,
+    SynthSpec,
+    build_streams,
+    evaluate,
+    generate_synthetic_dataset,
+    read_manifest,
+    resolve_split,
+    train,
+)
+from dmmaction.dmm import accumulate_dmm, accumulate_ramdmm
+from dmmaction.geometry import (
+    Intrinsics,
     PointCloud,
     ProjectedMap,
     RotationSpec,
-    ScoreVector,
-    SynthSpec,
-    accumulate_dmm,
-    accumulate_ramdmm,
-    build_streams,
-    c3d_network,
-    conv3d_forward,
     depth_to_points,
-    estimate_flow,
-    evaluate,
+    points_to_depth,
+    rotate_points,
+)
+from dmmaction.learn import (
+    ScoreVector,
     fuse_scores,
-    generate_synthetic_dataset,
-    infer_shapes,
-    maxpool3d,
-    normalize_magnitude,
     pca_fit,
     pca_project,
-    points_to_depth,
-    read_manifest,
-    resolve_split,
-    rotate_points,
-    run_layers,
-    stream_rng,
     svm_margins,
     svm_score,
     svm_train,
-    train,
 )
+from dmmaction.motion import MagnitudeMap, estimate_flow, normalize_magnitude
+from dmmaction.neural import (
+    Conv3d,
+    c3d_network,
+    conv3d_forward,
+    infer_shapes,
+    maxpool3d,
+    run_layers,
+    stream_rng,
+)
+from dmmaction.videoio import DepthFrame
 from oracles import conv3d_oracle, maxpool3d_oracle
 from conftest import desk_config
 

@@ -8,8 +8,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dmmaction import config_to_text, dmm, extract_sample, read_manifest
+from dmmaction import dmm, extract_sample, read_manifest
 from dmmaction.cli import main
+from dmmaction.config import config_to_text
 from dmmaction.videoio import read_image
 from conftest import desk_config
 

@@ -2,15 +2,8 @@ import dataclasses
 
 import pytest
 
-from dmmaction import (
-    ALL,
-    ConfigError,
-    ParseError,
-    PipelineConfig,
-    config_to_text,
-    load_config,
-    parse_config_text,
-)
+from dmmaction import ALL, ConfigError, ParseError, PipelineConfig, load_config
+from dmmaction.config import config_to_text, parse_config_text
 
 
 class TestDefaults:
@@ -143,6 +136,16 @@ class TestParsing:
             "depth_windows = [all, ALL]",
             "rgb_windows = [10, 10]",
             "depth_windows = [5, x]",
+            "focal_px = nan",
+            "focal_px = inf",
+            "depth_bin_mm = nan",
+            "depth_bin_mm = inf",
+            "flow_smoothness = nan",
+            "flow_smoothness = inf",
+            "noise_floor = nan",
+            "noise_floor = inf",
+            "svm_regularization = nan",
+            "svm_regularization = inf",
         ],
     )
     def test_ill_typed_values_rejected(self, line, tmp_path):

@@ -3,13 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmmaction import (
-    ALL,
+from dmmaction import ALL, ContractError
+from dmmaction.dmm import (
     Clip,
-    ContractError,
     DmmTemplate,
-    MagnitudeMap,
-    ProjectedMap,
     accumulate_dmm,
     accumulate_ramdmm,
     jet_rgb,
@@ -17,6 +14,8 @@ from dmmaction import (
     render_template,
     stack_clip,
 )
+from dmmaction.geometry import ProjectedMap
+from dmmaction.motion import MagnitudeMap
 
 
 def _maps(values, plane="xy"):

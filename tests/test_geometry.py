@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmmaction import (
+from dmmaction import ContractError
+from dmmaction.geometry import (
     BinParams,
-    ContractError,
-    DepthFrame,
-    DepthSequence,
     Intrinsics,
     PointCloud,
     RotationSpec,
@@ -20,6 +18,7 @@ from dmmaction import (
     sequence_centroid,
     synthesize_view,
 )
+from dmmaction.videoio import DepthFrame, DepthSequence
 from oracles import occupancy_oracle
 
 ANGLE_SET = (-45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0)

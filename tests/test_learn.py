@@ -6,12 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmmaction import (
-    ContractError,
-    DmmActionError,
-    FeatureVector,
+from dmmaction import ContractError, DmmActionError, RankError
+from dmmaction.learn import (
     PcaModel,
-    RankError,
     ScoreVector,
     SvmModel,
     fuse_scores,
@@ -24,6 +21,7 @@ from dmmaction import (
     svm_score,
     svm_train,
 )
+from dmmaction.neural import FeatureVector
 
 
 def _blobs(n_per=50, margin=2.0, seed=7, scale=1.0):

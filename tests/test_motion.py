@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmmaction import (
-    ContractError,
+from dmmaction import ContractError, motion
+from dmmaction.motion import (
     FlowField,
     MagnitudeMap,
     estimate_flow,
     flow_magnitude,
-    motion,
     normalize_magnitude,
 )
 from oracles import horn_schunck_oracle

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dmmaction import (
-    Clip,
-    ContractError,
+from dmmaction import ContractError, neural
+from dmmaction.dmm import Clip
+from dmmaction.neural import (
     Conv3d,
     Dense,
     FeatureVector,
@@ -24,7 +24,6 @@ from dmmaction import (
     run_layers,
     stream_rng,
 )
-from dmmaction import neural
 from oracles import conv3d_oracle, conv3d_shift_oracle, maxpool3d_oracle
 
 

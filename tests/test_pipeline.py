@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,16 +10,11 @@ from hypothesis import strategies as st
 
 from dmmaction import (
     ContractError,
+    FormatError,
     ParseError,
-    PcaModel,
     PipelineConfig,
-    ProjectedMap,
     ProtocolError,
-    SampleRecord,
-    Split,
     StateError,
-    StreamPlan,
-    SvmModel,
     SynthSpec,
     build_streams,
     classify,
@@ -26,16 +22,26 @@ from dmmaction import (
     extract_sample,
     generate_synthetic_dataset,
     load_plan,
-    pca_fit,
     read_manifest,
-    render_grid,
     resolve_split,
     save_plan,
-    stack_clip,
     train,
 )
+from dmmaction.dmm import Clip, render_grid, stack_clip
+from dmmaction.geometry import ProjectedMap, synthesize_view
+from dmmaction.learn import PcaModel, SvmModel, pca_fit
+from dmmaction.motion import estimate_flow
 from dmmaction.neural import FeatureVector, Provenance, extract_features
-from dmmaction.pipeline import _combine_planes, _flow_weights, template_count
+from dmmaction.pipeline import (
+    SampleRecord,
+    Split,
+    StreamPlan,
+    _combine_planes,
+    _flow_weights,
+    _resize_rgb,
+    template_count,
+)
+from dmmaction.videoio import DepthSequence, read_depth_bin, read_rgb_sequence, write_depth_bin
 from conftest import desk_config
 from oracles import horn_schunck_oracle
 
@@ -237,6 +243,43 @@ class TestExtractSample:
         assert all(result.features[sid] == [] for sid in dmm_sids)
         assert any("too short" in w or "skip" in w for w in result.warnings)
 
+    def test_too_short_sequence_runs_no_flow(self, small_dataset):
+        cfg = desk_config(clip_len=30)
+        with mock.patch(
+            "dmmaction.pipeline.estimate_flow", wraps=estimate_flow
+        ) as flow, mock.patch(
+            "dmmaction.pipeline.synthesize_view", wraps=synthesize_view
+        ) as view:
+            result = extract_sample(small_dataset[0], cfg)
+        assert flow.call_count == 0
+        assert view.call_count == 0
+        assert all(f == [] for sid, f in result.features.items() if "/dmm/" in sid)
+
+    @pytest.mark.parametrize("depth_as_rgb", [False, True])
+    def test_appearance_clips_tile_by_window(self, small_dataset, depth_as_rgb):
+        cfg = desk_config(angles=(0.0,), rgb_windows=(6, 10), depth_as_rgb=depth_as_rgb)
+        rec = small_dataset[0]
+        if depth_as_rgb:
+            depth = read_depth_bin(rec.depth_path)
+            frames = [render_grid(f.depth, cfg.render_size) for f in depth.frames]
+        else:
+            rgb = read_rgb_sequence(rec.rgb_path)
+            frames = [_resize_rgb(f.pixels, cfg.render_size) for f in rgb.frames]
+        assert len(frames) == 20
+        plan = build_streams(cfg)
+        result = extract_sample(rec, cfg, plan)
+        for lam, ends in ((6, [5, 11, 17]), (10, [9, 19])):
+            sid = f"standing/rgb/r{lam}"
+            got = result.features[sid]
+            assert [f.provenance.clip_end for f in got] == ends
+            for f, end in zip(got, ends):
+                clip = Clip(np.stack(frames[end - lam + 1 : end + 1]))
+                want = extract_features(clip, plan.network(sid))
+                assert f.values.tobytes() == want.values.tobytes()
+                assert f.provenance == Provenance(
+                    pose="standing", kind="rgb", window=lam, clip_end=end
+                )
+
     def test_missing_rgb_marks_stream_absent(self, small_dataset):
         cfg = desk_config(angles=(0.0,))
         rec = dataclasses.replace(small_dataset[0], rgb_path=None)
@@ -331,6 +374,37 @@ class TestSplits:
         with pytest.raises(ProtocolError):
             resolve_split(small_dataset, "cross-view")
 
+    @pytest.mark.parametrize(
+        "protocol, attr, kwarg, description, shared",
+        [
+            ("cross-subject", "subject", "train_subjects", "cross-subject: train=s0;s2 test=s1",
+             "s1"),
+            ("cross-view", "camera", "train_cameras", "cross-view: train=c0 test=c1;c2", "c1"),
+        ],
+    )
+    def test_held_out_texts(self, protocol, attr, kwarg, description, shared):
+        records = [
+            SampleRecord(Path(f"{s}{c}.bin"), None, "slide", s, c, "standing")
+            for s in ("s0", "s1", "s2")
+            for c in ("c0", "c1", "c2")
+        ]
+        split = resolve_split(records, protocol)
+        assert split.description == description
+        with pytest.raises(ProtocolError, match=rf"^unknown train {attr}s \['x'\]$"):
+            resolve_split(records, protocol, **{kwarg: ("x",)})
+        everyone = tuple(sorted({getattr(r, attr) for r in records}))
+        with pytest.raises(
+            ProtocolError, match=rf"^every {attr} is in train; test side would be empty$"
+        ):
+            resolve_split(records, protocol, **{kwarg: everyone})
+        # train s0/c0 and s1/c1, test s1/c2 and s2/c1: one value on both sides
+        leaky = Split(protocol, (0, 4), (5, 7), "leak")
+        with pytest.raises(
+            ProtocolError,
+            match=rf"^{attr}s \['{shared}'\] appear on both sides of a {protocol} split$",
+        ):
+            train(records, leaky, desk_config())
+
     def test_repetition_splits(self, small_dataset):
         tripled = [r for r in small_dataset for _ in range(3)]
         one = resolve_split(tripled, "one-third")
@@ -402,6 +476,28 @@ class TestTrain:
         )
         with pytest.raises(ProtocolError, match="absent"):
             train(small_dataset, s, desk_config())
+
+    def test_stream_missing_a_class_is_skipped(self, tmp_path):
+        spec = SynthSpec(actions=("slide", "bob", "arc"), subjects=2, cameras=1, frames=20)
+        records = read_manifest(generate_synthetic_dataset(tmp_path, spec, seed=1))
+        for rec in records:
+            if rec.label == "arc":
+                seq = read_depth_bin(rec.depth_path)
+                write_depth_bin(rec.depth_path, DepthSequence(seq.frames[:11]))
+        # 11 frames give 6 window-5 templates, short of clip_len 8, but 9
+        # whole-sequence templates: the w5 stream never sees arc.
+        cfg = desk_config(planes=("xy",), angles=(0.0,), depth_windows=(5, "all"), rgb_windows=())
+        plan = train(records, resolve_split(records, "cross-subject"), cfg)
+        assert plan.labels == ("arc", "bob", "slide")
+        assert set(plan.svm) == {"standing/dmm/xy/wall/a0"}
+        assert plan.svm["standing/dmm/xy/wall/a0"].labels == plan.labels
+        assert any(
+            "standing/dmm/xy/w5/a0" in w and "'arc'" in w for w in plan.train_report.warnings
+        )
+        for rec in records:
+            predicted, fused, row = classify(rec, plan)
+            assert len(fused.values) == 3
+            assert list(row.stream_predictions) == ["standing/dmm/xy/wall/a0"]
 
     def test_one_pca_fit_per_depth_slot(self, small_dataset, split):
         cfg = desk_config(angles=(0.0,))
@@ -573,6 +669,13 @@ class TestPlanPersistence:
         assert loaded.labels == ("wave hand", "bob")
         assert loaded.svm["standing/dmm/xy/w5/a0"].labels == ("wave hand", "bob")
 
+    @pytest.mark.parametrize("text", ["slide\nbob\n", "", "bob\n"])
+    def test_labels_file_disagreeing_with_models_rejected(self, tmp_path, text):
+        save_plan(_rigged_plan([0.7, 0.3]), tmp_path / "plan")
+        (tmp_path / "plan" / "labels.txt").write_text(text)
+        with pytest.raises(FormatError, match="labels.txt"):
+            load_plan(tmp_path / "plan")
+
     def test_save_untrained_rejected(self, tmp_path):
         with pytest.raises(StateError):
             save_plan(build_streams(desk_config()), tmp_path / "plan")
@@ -580,7 +683,7 @@ class TestPlanPersistence:
     def test_load_missing_models_rejected(self, tmp_path):
         root = tmp_path / "plan"
         (root / "streams").mkdir(parents=True)
-        from dmmaction import config_to_text
+        from dmmaction.config import config_to_text
         (root / "config.txt").write_text(config_to_text(desk_config()))
         (root / "labels.txt").write_text("bob\nslide\n")
         with pytest.raises(StateError, match="no stream models"):

@@ -3,20 +3,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmmaction import (
-    ContractError,
+from dmmaction import ContractError, SynthSpec, generate_synthetic_dataset
+from dmmaction.dmm import accumulate_dmm
+from dmmaction.geometry import (
     Intrinsics,
     ProjectedMap,
     RotationSpec,
-    SynthSpec,
-    accumulate_dmm,
-    generate_synthetic_dataset,
-    read_depth_bin,
-    read_rgb_sequence,
     sequence_centroid,
     synthesize_view,
 )
 from dmmaction.pipeline import read_manifest
+from dmmaction.videoio import read_depth_bin, read_rgb_sequence
 
 
 def _tiny_spec(**overrides):

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmmaction import (
+from dmmaction import EmptyInputError, FormatError, ParseError
+from dmmaction.dmm import render_grid
+from dmmaction.videoio import (
     DepthFrame,
     DepthSequence,
-    EmptyInputError,
-    FormatError,
-    ParseError,
     RgbFrame,
+    RgbSequence,
     read_depth_bin,
     read_image,
     read_rgb_sequence,
-    render_grid,
     write_depth_bin,
     write_image,
 )
@@ -113,6 +112,35 @@ class TestFrameValidation:
         )
         with pytest.raises(FormatError, match="frame 1"):
             DepthSequence(frames)
+
+
+def _depth_frame(w, h, i):
+    return DepthFrame(w, h, np.zeros((h, w)), i)
+
+
+def _rgb_frame(w, h, i):
+    return RgbFrame(w, h, np.zeros((h, w, 3), dtype=np.uint8), i)
+
+
+@pytest.mark.parametrize(
+    "seq_type, frame", [(DepthSequence, _depth_frame), (RgbSequence, _rgb_frame)]
+)
+class TestSequenceChecks:
+    def test_dimensions_and_length(self, seq_type, frame):
+        seq = seq_type(tuple(frame(3, 2, i) for i in range(4)))
+        assert (len(seq), seq.width, seq.height) == (4, 3, 2)
+
+    def test_empty_rejected(self, seq_type, frame):
+        with pytest.raises(EmptyInputError, match="no frames"):
+            seq_type(())
+
+    def test_mixed_dims_rejected(self, seq_type, frame):
+        with pytest.raises(FormatError, match="frame 1 is 3x2, expected 2x2"):
+            seq_type((frame(2, 2, 0), frame(3, 2, 1)))
+
+    def test_out_of_order_timestamps_rejected(self, seq_type, frame):
+        with pytest.raises(FormatError, match="frame 1 has timestamp_index 2"):
+            seq_type((frame(2, 2, 0), frame(2, 2, 2)))
 
 
 def write_ppm(path, pixels):
