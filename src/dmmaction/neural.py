@@ -3,12 +3,12 @@
 Tensors are dense float64 arrays laid out (channels, depth, height,
 width).  Convolution is valid (no padding) unless a layer declares an
 explicit zero padding; every conv output passes through tanh, so values
-are strictly inside (-1, 1).  Features are the activations of the first
-fully-connected layer in the stack.
+are strictly inside (-1, 1).  Every network ends at its one
+fully-connected layer, and features are that layer's activations.
 
 The canonical deep stack follows the eight-conv/five-pool C3D shape
-(3x3x3 kernels, stride 1, first pool 1x2x2, remaining pools 2x2x2, two
-4096-unit dense layers).  Those conv layers carry 1x1x1 zero padding:
+(3x3x3 kernels, stride 1, first pool 1x2x2, remaining pools 2x2x2) and
+ends at fc6.  Those conv layers carry 1x1x1 zero padding:
 without it the temporal axis of a 16-frame clip collapses below kernel
 size before the fifth conv layer, so the published layer list is only
 realizable with same-padding.
@@ -17,8 +17,7 @@ Each convolution is one BLAS GEMM per kernel offset, added in a fixed
 order.  It runs over chunks of output depth with three scratch buffers
 reused across chunks and offsets, so memory beyond the output stays
 cache-sized; where chunking could change a bit of the result it runs as
-one chunk (see `_chunk_frames`).  Feature extraction stops the forward
-pass at the first dense layer.
+one chunk (see `_chunk_frames`).
 """
 
 from __future__ import annotations
@@ -344,12 +343,10 @@ def clip_to_tensor(clip: Clip) -> np.ndarray:
 
 
 def extract_features(clip: Clip, net: NetworkSpec, provenance: object = None) -> FeatureVector:
-    """Run the stack on a clip up to the first dense layer and return its activations."""
-    first = next((i for i, l in enumerate(net.layers) if isinstance(l, Dense)), None)
-    if first is None:
-        raise ContractError(f"network {net.name} has no fully-connected layer")
-    head = replace(net, layers=net.layers[: first + 1])
-    _, acts = run_layers(clip_to_tensor(clip), head)[-1]
+    """Run the whole stack on a clip and return its last, dense layer's activations."""
+    if not net.layers or not isinstance(net.layers[-1], Dense):
+        raise ContractError(f"network {net.name} does not end at a fully-connected layer")
+    _, acts = run_layers(clip_to_tensor(clip), net)[-1]
     return FeatureVector(values=acts, provenance=provenance)
 
 
@@ -371,29 +368,45 @@ def stream_rng(seed: int, stream_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(stream_id.encode())])
 
 
-def _init_conv(
-    name: str,
-    in_maps: int,
-    out_maps: int,
-    rng: np.random.Generator,
-    kernel: Triple = (3, 3, 3),
-    stride: Triple = (1, 1, 1),
-    padding: Triple = (0, 0, 0),
-) -> Conv3d:
-    kr, kp, kq = kernel
-    fan_in = in_maps * kr * kp * kq
-    s = 1.0 / np.sqrt(fan_in)
-    # float32 round trip at init keeps the on-disk f32 format lossless.
-    w = rng.uniform(-s, s, (out_maps, in_maps, kr, kp, kq)).astype(np.float32).astype(np.float64)
-    b = rng.uniform(-s, s, out_maps).astype(np.float32).astype(np.float64)
-    return Conv3d(name, w, b, stride=stride, padding=padding)
+# Conv groups of the canonical stack, as output maps per conv; a group of
+# several convs names them a, b, ... (conv3a, conv3b).
+_C3D_GROUPS = ((64,), (128,), (256, 256), (512, 512), (512, 512))
 
 
-def _init_dense(name: str, in_dim: int, out_dim: int, rng: np.random.Generator) -> Dense:
-    s = 1.0 / np.sqrt(in_dim)
-    w = rng.uniform(-s, s, (out_dim, in_dim)).astype(np.float32).astype(np.float64)
+def _draw(rng: np.random.Generator, out_dim: int, *in_shape: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (out_dim, *in_shape) then bias, uniform in +-1/sqrt(fan-in)."""
+    s = 1.0 / np.sqrt(np.prod(in_shape))
+    # The float32 rounding stays because it fixes the weights' bits.
+    w = rng.uniform(-s, s, (out_dim, *in_shape)).astype(np.float32).astype(np.float64)
     b = rng.uniform(-s, s, out_dim).astype(np.float32).astype(np.float64)
-    return Dense(name, w, b)
+    return w, b
+
+
+def _build(
+    rng: np.random.Generator,
+    name: str,
+    input_shape: tuple[int, int, int, int],
+    groups: Sequence[Sequence[int]],
+    fc_name: str,
+    fc_units: int,
+) -> NetworkSpec:
+    """Padded 3x3x3 conv groups, each closed by a pool (1x2x2 after the
+    first, 2x2x2 after the rest), then one dense layer."""
+    layers: list[Layer] = []
+    channels = input_shape[0]
+    for g, maps in enumerate(groups, start=1):
+        for i, out_maps in enumerate(maps):
+            suffix = chr(ord("a") + i) if len(maps) > 1 else ""
+            w, b = _draw(rng, out_maps, channels, 3, 3, 3)
+            layers.append(Conv3d(f"conv{g}{suffix}", w, b, padding=(1, 1, 1)))
+            channels = out_maps
+        pool = (1, 2, 2) if g == 1 else (2, 2, 2)
+        layers.append(MaxPool3d(f"pool{g}", pool, pool))
+    layers.append(Flatten("flatten"))
+    net = NetworkSpec(name, input_shape, tuple(layers))
+    _, (flat,) = infer_shapes(net)[-1]
+    w, b = _draw(rng, fc_units, flat)
+    return replace(net, layers=net.layers + (Dense(fc_name, w, b),))
 
 
 def c3d_network(
@@ -405,36 +418,9 @@ def c3d_network(
     width: int = 112,
     fc_units: int = 4096,
 ) -> NetworkSpec:
-    """The canonical eight-conv/five-pool stack with two dense layers."""
-    conv_maps = (64, 128, 256, 256, 512, 512, 512, 512)
-    # conv indices after which a pool follows, mirroring C3D's grouping:
-    # 1, 2, (3,4), (5,6), (7,8) with pools between groups.
-    plan = [
-        ("conv1", conv_maps[0]), ("pool1", None),
-        ("conv2", conv_maps[1]), ("pool2", None),
-        ("conv3a", conv_maps[2]), ("conv3b", conv_maps[3]), ("pool3", None),
-        ("conv4a", conv_maps[4]), ("conv4b", conv_maps[5]), ("pool4", None),
-        ("conv5a", conv_maps[6]), ("conv5b", conv_maps[7]), ("pool5", None),
-    ]
-    layers: list[Layer] = []
-    channels = in_channels
+    """The canonical eight-conv/five-pool stack, ending at fc6."""
     shape = (in_channels, clip_len, height, width)
-    first_pool = True
-    for layer_name, maps in plan:
-        if maps is None:
-            kernel = (1, 2, 2) if first_pool else (2, 2, 2)
-            first_pool = False
-            layers.append(MaxPool3d(layer_name, kernel, kernel))
-        else:
-            layers.append(
-                _init_conv(layer_name, channels, maps, rng, padding=(1, 1, 1))
-            )
-            channels = maps
-    flat = _stack_flat_size(shape, layers)
-    layers.append(Flatten("flatten"))
-    layers.append(_init_dense("fc6", flat, fc_units, rng))
-    layers.append(_init_dense("fc7", fc_units, fc_units, rng))
-    return NetworkSpec(name, shape, tuple(layers))
+    return _build(rng, name, shape, _C3D_GROUPS, "fc6", fc_units)
 
 
 def desk_network(
@@ -449,21 +435,4 @@ def desk_network(
 ) -> NetworkSpec:
     """Small two-conv/two-pool stack for synthetic-data runs."""
     shape = (in_channels, clip_len, height, width)
-    layers: list[Layer] = [
-        _init_conv("conv1", in_channels, conv_maps[0], rng, padding=(1, 1, 1)),
-        MaxPool3d("pool1", (1, 2, 2), (1, 2, 2)),
-        _init_conv("conv2", conv_maps[0], conv_maps[1], rng, padding=(1, 1, 1)),
-        MaxPool3d("pool2", (2, 2, 2), (2, 2, 2)),
-    ]
-    flat = _stack_flat_size(shape, layers)
-    layers.append(Flatten("flatten"))
-    layers.append(_init_dense("fc", flat, fc_units, rng))
-    return NetworkSpec(name, shape, tuple(layers))
-
-
-def _stack_flat_size(input_shape: tuple[int, ...], layers: Sequence[Layer]) -> int:
-    shape = input_shape
-    for layer in layers:
-        shape = _layer_output_shape(shape, layer)
-    return int(np.prod(shape))
-
+    return _build(rng, name, shape, [(m,) for m in conv_maps], "fc", fc_units)

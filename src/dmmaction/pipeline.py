@@ -178,27 +178,18 @@ def build_streams(cfg: PipelineConfig) -> StreamPlan:
 
 
 def _build_network(cfg: PipelineConfig, s: Stream) -> NetworkSpec:
-    rng = stream_rng(cfg.seed, s.id)
     height, width = cfg.render_size
-    clip_len = s.rgb_len if s.kind == "rgb" else cfg.clip_len
-    if cfg.network_preset == "desk":
-        return desk_network(
-            rng,
-            name=s.id,
-            clip_len=clip_len,
-            height=height,
-            width=width,
-            conv_maps=cfg.desk_conv_maps,
-            fc_units=cfg.fc_units_effective,
-        )
-    return c3d_network(
-        rng,
+    shared = dict(
         name=s.id,
-        clip_len=clip_len,
+        clip_len=s.rgb_len if s.kind == "rgb" else cfg.clip_len,
         height=height,
         width=width,
         fc_units=cfg.fc_units_effective,
     )
+    rng = stream_rng(cfg.seed, s.id)
+    if cfg.network_preset == "desk":
+        return desk_network(rng, conv_maps=cfg.desk_conv_maps, **shared)
+    return c3d_network(rng, **shared)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +449,12 @@ def extract_sample(
                 for sid in sids.values():
                     features[sid] = []
                 continue
+            # The clips tile only the first k * clip_len templates.
+            covered = range(n_templates // cfg.clip_len * cfg.clip_len)
             per_plane: dict[str, list[FeatureVector]] = {}
             for p in cfg.planes:
                 maps, weights = sequences[(alpha, p)]
-                rendered = render_templates(maps, weights, window, alpha, cfg, range(n_templates))
+                rendered = render_templates(maps, weights, window, alpha, cfg, covered)
                 prov = Provenance(pose=rec.pose, kind="dmm", plane=p, window=window, angle=alpha)
                 per_plane[p] = _clip_features(rendered, cfg.clip_len, plan.network(sids[p]), prov)
             combined = _combine_planes(per_plane, cfg.planes)
@@ -629,6 +622,8 @@ def train(
     plan = build_streams(cfg)
     _check_disjoint(records, split.protocol, split.train_indices, split.test_indices)
     labels = tuple(sorted({r.label for r in records}))
+    if len(labels) < 2:
+        raise ContractError(f"need at least 2 classes, got {labels}")
     train_labels = {records[i].label for i in split.train_indices}
     missing = [lab for lab in labels if lab not in train_labels]
     if missing:

@@ -199,6 +199,9 @@ def read_image(path: str | Path) -> np.ndarray:
     Returns:
         (h, w, 3) uint8 for P6; (h, w) uint8 or uint16 for P5 depending
         on maxval.
+
+    Raises:
+        FormatError: maxval outside 1..65535, or a 16-bit (maxval > 255) P6.
     """
     data = Path(path).read_bytes()
     if len(data) < 2:
@@ -213,6 +216,10 @@ def read_image(path: str | Path) -> np.ndarray:
         raise ParseError(f"non-numeric header field in {tokens}") from exc
     if width < 1 or height < 1:
         raise FormatError(f"invalid dimensions {width}x{height}")
+    if not 1 <= maxval <= 65535:
+        raise FormatError(f"maxval {maxval} outside 1..65535")
+    if magic == b"P6" and maxval > 255:
+        raise FormatError(f"16-bit colour (maxval {maxval}) is not supported")
     offset += 2
     channels = 3 if magic == b"P6" else 1
     dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")

@@ -1,3 +1,4 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from dmmaction.neural import (
     Conv3d,
     Dense,
     FeatureVector,
+    Flatten,
     NetworkSpec,
     Provenance,
     c3d_network,
@@ -234,7 +236,9 @@ class TestNetworks:
         assert conv_maps == [64, 128, 256, 256, 512, 512, 512, 512]
         assert shapes["pool1"][1:] == (16, 56, 56)
         assert shapes["fc6"] == (4096,)
-        assert shapes["fc7"] == (4096,)
+        assert net.layers[-1].name == "fc6"
+        weights = [l.weights.size for l in net.layers if isinstance(l, (Conv3d, Dense))]
+        assert sum(weights) == 46_527_552
 
     def test_desk_inference_agrees_with_execution(self, rng):
         net = desk_network(stream_rng(1, "desk"), clip_len=8, height=32, width=32)
@@ -295,11 +299,60 @@ class TestNetworks:
 
     def test_layers_after_first_dense_never_run(self, rng):
         net = desk_network(stream_rng(7, "fc-tail"), clip_len=4, height=16, width=16, fc_units=8)
-        # A second dense layer whose input width cannot take fc's output.
-        broken = Dense("fc_next", weights=np.zeros((2, 5)), bias=np.zeros(2))
-        net = NetworkSpec(net.name, net.input_shape, net.layers + (broken,))
+        # A network must end at its feature layer; one that goes on past it
+        # is refused before any layer runs.
+        net = NetworkSpec(net.name, net.input_shape, net.layers + (Flatten("after_fc"),))
         frames = (rng.random((4, 16, 16, 3)) * 255).astype(np.uint8)
-        assert len(extract_features(Clip(frames), net)) == 8
+        with mock.patch.object(neural, "run_layers") as run, pytest.raises(
+            ContractError, match="does not end at a fully-connected layer"
+        ):
+            extract_features(Clip(frames), net)
+        assert run.call_count == 0
+
+    def test_extract_features_runs_whole_network_once(self, rng):
+        # The traced run names its pool spans from this one call.
+        net = desk_network(stream_rng(7, "spy"), clip_len=4, height=16, width=16)
+        frames = (rng.random((4, 16, 16, 3)) * 255).astype(np.uint8)
+        with mock.patch.object(neural, "run_layers", wraps=run_layers) as run:
+            feats = extract_features(Clip(frames), net)
+        assert run.call_count == 1
+        (x, passed), _ = run.call_args
+        assert passed is net
+        assert x.tobytes() == clip_to_tensor(Clip(frames)).tobytes()
+        assert len(feats) == 64
+
+    # sha256 over every layer's name, weights and bias bytes, taken from the
+    # hand-written builders these presets replaced (fc7, the last draw of the
+    # old c3d stack, left out).
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (
+                lambda: desk_network(stream_rng(42, "golden/desk")),
+                "a738473607d079c2b086a51ac28a69bcf5a599f0b035a933348f963f88bd05bc",
+            ),
+            (
+                lambda: desk_network(
+                    stream_rng(42, "golden/desk"), clip_len=8, height=16, width=24,
+                    conv_maps=(4, 6), fc_units=10,
+                ),
+                "1d92bd6579e347b80adb18728b2e26aa52dfc5f6c6780ce9812b9288b496691b",
+            ),
+            (
+                lambda: c3d_network(stream_rng(42, "golden/c3d"), height=32, width=32, fc_units=8),
+                "2f2c34a977f4dbc20a72662d8b02c87f17932bbac57c2490b37c909e24a282e3",
+            ),
+        ],
+        ids=["desk-default", "desk-custom", "c3d-32"],
+    )
+    def test_weights_match_golden_digest(self, build, digest):
+        h = hashlib.sha256()
+        for layer in build().layers:
+            h.update(layer.name.encode())
+            if isinstance(layer, (Conv3d, Dense)):
+                h.update(layer.weights.tobytes())
+                h.update(layer.bias.tobytes())
+        assert h.hexdigest() == digest
 
     def test_different_stream_different_weights(self):
         a = desk_network(stream_rng(6, "s1"), clip_len=4, height=16, width=16)

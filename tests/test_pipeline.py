@@ -27,6 +27,7 @@ from dmmaction import (
     save_plan,
     train,
 )
+from dmmaction import dmm
 from dmmaction.dmm import Clip, render_grid, stack_clip
 from dmmaction.geometry import ProjectedMap, synthesize_view
 from dmmaction.learn import PcaModel, SvmModel, pca_fit
@@ -255,6 +256,17 @@ class TestExtractSample:
         assert view.call_count == 0
         assert all(f == [] for sid, f in result.features.items() if "/dmm/" in sid)
 
+    def test_renders_only_templates_a_clip_covers(self, small_dataset):
+        # 20 frames give 15 window-5 and 18 whole-sequence templates; clips
+        # of 8 cover 8 and 16 of them.
+        cfg = desk_config(angles=(0.0,), depth_windows=(5, "all"), rgb_windows=())
+        with mock.patch(
+            "dmmaction.dmm.render_template", wraps=dmm.render_template
+        ) as render:
+            result = extract_sample(small_dataset[0], cfg)
+        assert render.call_count == 3 * (8 + 16)
+        assert [len(result.features[f"standing/dmm/xy/w{w}/a0"]) for w in (5, "all")] == [1, 2]
+
     @pytest.mark.parametrize("depth_as_rgb", [False, True])
     def test_appearance_clips_tile_by_window(self, small_dataset, depth_as_rgb):
         cfg = desk_config(angles=(0.0,), rgb_windows=(6, 10), depth_as_rgb=depth_as_rgb)
@@ -476,6 +488,15 @@ class TestTrain:
         )
         with pytest.raises(ProtocolError, match="absent"):
             train(small_dataset, s, desk_config())
+
+    def test_one_label_set_rejected_before_extracting(self, small_dataset):
+        records = [r for r in small_dataset if r.label == "slide"]
+        s = resolve_split(records, "cross-subject")
+        with mock.patch(
+            "dmmaction.pipeline.extract_sample", wraps=extract_sample
+        ) as extract, pytest.raises(ContractError, match="at least 2 classes"):
+            train(records, s, desk_config())
+        assert extract.call_count == 0
 
     def test_stream_missing_a_class_is_skipped(self, tmp_path):
         spec = SynthSpec(actions=("slide", "bob", "arc"), subjects=2, cameras=1, frames=20)

@@ -169,6 +169,38 @@ class TestReadRgbSequence:
             read_rgb_sequence(tmp_path)
 
 
+def _netpbm(path, magic, maxval, payload):
+    path.write_bytes(f"{magic}\n2 1\n{maxval}\n".encode() + payload)
+    return path
+
+
+class TestReadImageMaxval:
+    @pytest.mark.parametrize("magic, channels", [("P5", 1), ("P6", 3)])
+    @pytest.mark.parametrize("maxval", [0, 70000])
+    def test_maxval_outside_range_rejected(self, tmp_path, magic, channels, maxval):
+        path = _netpbm(tmp_path / "x.pnm", magic, maxval, bytes(2 * 2 * channels))
+        with pytest.raises(FormatError, match="maxval"):
+            read_image(path)
+
+    def test_sixteen_bit_colour_rejected(self, tmp_path):
+        pixels = np.full((1, 2, 3), 300, dtype=">u2")
+        path = _netpbm(tmp_path / "x.ppm", "P6", 65535, pixels.tobytes())
+        with pytest.raises(FormatError, match="16-bit colour"):
+            read_image(path)
+
+    def test_sixteen_bit_colour_frame_rejected_by_sequence(self, tmp_path):
+        write_ppm(tmp_path / "f000.ppm", np.zeros((1, 2, 3)))
+        _netpbm(tmp_path / "f001.ppm", "P6", 65535, np.full((1, 2, 3), 300, ">u2").tobytes())
+        with pytest.raises(FormatError, match="16-bit colour"):
+            read_rgb_sequence(tmp_path)
+
+    @pytest.mark.parametrize("maxval, dtype", [(1, np.uint8), (255, np.uint8), (65535, np.uint16)])
+    def test_gray_maxval_bounds_accepted(self, tmp_path, maxval, dtype):
+        size = 1 if maxval < 256 else 2
+        path = _netpbm(tmp_path / "x.pgm", "P5", maxval, bytes(2 * size))
+        assert read_image(path).dtype == dtype
+
+
 class TestWriteImage:
     def test_single_color_pixel_payload(self, tmp_path):
         path = tmp_path / "p.ppm"
