@@ -148,7 +148,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     split = _resolve(args, records)
     report = evaluate(records, split, plan)
     if args.out:
-        Path(args.out).write_text(report.to_csv())
+        Path(args.out).write_text(report.to_csv(), encoding="utf-8")
         log.info("wrote %s", args.out)
     print(report.to_text(), end="")
     return 0

@@ -308,79 +308,82 @@ def fuse_scores(streams: Sequence[ScoreVector]) -> ScoreVector:
 _MODEL_MAGIC = b"DMM1"
 
 
-def save_models(path: str | Path, pca: PcaModel, svm: SvmModel) -> None:
-    """Write the per-stream model pair as a versioned little-endian binary.
+def save_models(path: str | Path, pca: PcaModel, svms: Sequence[SvmModel]) -> None:
+    """Write one feature slot's models as a versioned little-endian binary.
 
-    Layout: magic, u32 version, u32 class count, length-prefixed UTF-8
-    labels, f64 regularization, then (rows, cols)-prefixed f32le arrays:
-    svm weights, svm biases, pca mean, pca components, pca variance
-    fractions.  A load/save cycle reproduces the file byte-for-byte.
+    The slot's streams share their PCA and their class labels, so both are
+    stored once.  Layout: magic, u32 version, u32 class count,
+    length-prefixed UTF-8 labels, u32 SVM count, f64 regularization per
+    SVM, then (rows, cols)-prefixed f32le arrays: pca mean, pca
+    components, pca variance fractions, then weights and biases per SVM.
+    A load/save cycle reproduces the file byte-for-byte.
     """
+    labels = svms[0].labels
+    if any(svm.labels != labels for svm in svms):
+        raise ContractError("the SVMs of one model file must score the same labels")
     blob = bytearray(_MODEL_MAGIC)
-    blob += struct.pack("<I", 1)
-    blob += struct.pack("<I", len(svm.labels))
-    for label in svm.labels:
+    blob += struct.pack("<II", 2, len(labels))
+    for label in labels:
         encoded = label.encode()
         blob += struct.pack("<I", len(encoded))
         blob += encoded
-    blob += struct.pack("<d", svm.regularization)
-    for arr in (
-        svm.weights,
-        svm.biases,
-        pca.mean,
-        pca.components,
-        pca.variance_fractions,
-    ):
+    blob += struct.pack(f"<I{len(svms)}d", len(svms), *(svm.regularization for svm in svms))
+    arrays = [pca.mean, pca.components, pca.variance_fractions]
+    for svm in svms:
+        arrays += [svm.weights, svm.biases]
+    for arr in arrays:
         two_d = np.atleast_2d(arr)
         blob += struct.pack("<II", *two_d.shape)
         blob += two_d.astype("<f4").tobytes()
     Path(path).write_bytes(bytes(blob))
 
 
-def _unpack(fmt: str, data: bytes, offset: int) -> tuple:
-    try:
-        return struct.unpack_from(fmt, data, offset)
-    except struct.error:
-        raise ParseError(f"truncated model file at byte {offset}") from None
+class _Reader:
+    """Cursor over a model file that raises ParseError on short input."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.offset = 0
+
+    def take(self, n: int) -> bytes:
+        chunk = self.data[self.offset : self.offset + n]
+        if len(chunk) != n:
+            raise ParseError(f"truncated model file: {n} bytes wanted at byte {self.offset}")
+        self.offset += n
+        return chunk
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self) -> np.ndarray:
+        rows, cols = self.unpack("<II")
+        flat = np.frombuffer(self.take(4 * rows * cols), dtype="<f4")
+        return flat.reshape(rows, cols).astype(np.float64)
 
 
-def load_models(path: str | Path) -> tuple[PcaModel, SvmModel]:
-    data = Path(path).read_bytes()
-    if data[:4] != _MODEL_MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}; expected {_MODEL_MAGIC!r}")
-    offset = 4
-    version, n_labels = _unpack("<II", data, offset)
-    offset += 8
-    if version != 1:
+def load_models(path: str | Path) -> tuple[PcaModel, list[SvmModel]]:
+    """Read a file written by save_models: the slot's PCA and its SVMs in order."""
+    reader = _Reader(Path(path).read_bytes())
+    magic = reader.take(4)
+    if magic != _MODEL_MAGIC:
+        raise FormatError(f"bad magic {magic!r}; expected {_MODEL_MAGIC!r}")
+    version, n_labels = reader.unpack("<II")
+    if version != 2:
         raise FormatError(f"unsupported model version {version}")
-    labels = []
-    for _ in range(n_labels):
-        (ln,) = _unpack("<I", data, offset)
-        offset += 4
-        if offset + ln > len(data):
-            raise ParseError(f"truncated label at byte {offset}")
-        try:
-            labels.append(data[offset : offset + ln].decode())
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"label at byte {offset} is not UTF-8: {exc}") from None
-        offset += ln
-    (reg,) = _unpack("<d", data, offset)
-    offset += 8
-    arrays = []
-    for _ in range(5):
-        rows, cols = _unpack("<II", data, offset)
-        offset += 8
-        n = rows * cols
-        end = offset + 4 * n
-        if end > len(data):
-            raise ParseError(f"truncated payload: expected {end} bytes, got {len(data)}")
-        arrays.append(
-            np.frombuffer(data, dtype="<f4", count=n, offset=offset)
-            .reshape(rows, cols)
-            .astype(np.float64)
-        )
-        offset = end
-    w, b, mean, comps, fracs = arrays
-    svm = SvmModel(w, b.ravel(), tuple(labels), reg)
+    try:
+        labels = tuple(reader.take(*reader.unpack("<I")).decode() for _ in range(n_labels))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"a label is not UTF-8: {exc}") from None
+    (n_svms,) = reader.unpack("<I")
+    regs = reader.unpack(f"<{n_svms}d")
+    mean, comps, fracs, *rest = [reader.array() for _ in range(3 + 2 * n_svms)]
+    if reader.offset != len(reader.data):
+        raise FormatError(f"{len(reader.data) - reader.offset} bytes after the last array")
     pca = PcaModel(mean.ravel(), comps, fracs.ravel())
-    return pca, svm
+    svms = [SvmModel(w, b.ravel(), labels, r) for r, w, b in zip(regs, rest[::2], rest[1::2])]
+    k, d = comps.shape
+    if not svms or (k, d) != (len(pca.variance_fractions), len(pca.mean)) or any(
+        svm.weights.shape != (n_labels, k) or svm.biases.shape != (n_labels,) for svm in svms
+    ):
+        raise FormatError(f"{path} holds no SVM, or its array shapes disagree")
+    return pca, svms

@@ -321,6 +321,7 @@ def run_layers(x: np.ndarray, net: NetworkSpec) -> list[tuple[str, np.ndarray]]:
             f"input: clip tensor shape {x.shape} does not match network "
             f"input {net.input_shape}"
         )
+    infer_shapes(net)  # every layer fits its input, checked before any runs
     outputs = []
     for layer in net.layers:
         if isinstance(layer, Conv3d):
@@ -329,10 +330,8 @@ def run_layers(x: np.ndarray, net: NetworkSpec) -> list[tuple[str, np.ndarray]]:
             x = maxpool3d(x, layer.kernel, layer.stride)
         elif isinstance(layer, Flatten):
             x = x.reshape(-1)
-        elif isinstance(layer, Dense):
-            x = np.tanh(layer.weights @ x + layer.bias)
         else:
-            raise ContractError(f"unknown layer type {type(layer).__name__}")
+            x = np.tanh(layer.weights @ x + layer.bias)
         outputs.append((layer.name, x))
     return outputs
 

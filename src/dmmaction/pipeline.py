@@ -1,10 +1,10 @@
 """End-to-end orchestration: stream plans, extraction, training, evaluation.
 
 A stream is one (pose, plane, window, angle) depth pipeline or one
-(pose, rgb window) appearance pipeline, each owning a network, a PCA
-basis, and an SVM bank.  The orchestrator runs samples through every
-stream of their pose bank and fuses per-stream scores by averaging,
-depth streams first, then depth with appearance.
+(pose, rgb window) appearance pipeline, each owning a network and an SVM
+bank; the plane streams of one slot share a PCA basis.  The orchestrator
+runs samples through every stream of their pose bank and fuses per-stream
+scores by averaging, depth streams first, then depth with appearance.
 
 Everything here is sequential and deterministic: stream weights derive
 from (seed, stream id), so a plan rebuilds bit-identically from its
@@ -86,6 +86,13 @@ class Stream:
     angle: float | None = None
     rgb_len: int | None = None
 
+    @property
+    def slot(self) -> str:
+        """Key of the features this stream shares with others: its id without the plane."""
+        if self.kind == "rgb":
+            return self.id
+        return f"{self.pose}/dmm/w{self.window}/a{self.angle:g}"
+
 
 def _dmm_stream_id(pose: str, plane: str, window: Window, angle: float) -> str:
     return f"{pose}/dmm/{plane}/w{window}/a{angle:g}"
@@ -110,7 +117,8 @@ class StreamPlan:
 
     Network weights are a pure function of (cfg.seed, stream id), so they
     are built on demand; only the small desk networks are kept cached,
-    the canonical stack is too large to hold one copy per stream.
+    the canonical stack is too large to hold one copy per stream.  pca is
+    keyed by Stream.slot, svm by stream id.
     """
 
     cfg: PipelineConfig
@@ -645,10 +653,7 @@ def train(
 
     report = TrainReport(n_train=len(split.train_indices))
     train_poses = {records[i].pose for i in split.train_indices}
-    # extract_sample hands every plane stream of a (pose, window, angle)
-    # slot the same feature objects, so one fit serves them all.  Keyed by
-    # object identity: the lists keep every feature alive, so ids are stable.
-    fitted: dict[tuple[int, ...], tuple[PcaModel, np.ndarray]] = {}
+    projected: dict[str, np.ndarray] = {}
     for s in plan.streams:
         feats = per_stream_feats[s.id]
         if len(feats) < 2:
@@ -662,23 +667,21 @@ def train(
         if absent:
             warnings.append(f"stream {s.id}: no training clips of classes {absent}, skipped")
             continue
-        key = tuple(map(id, feats))
-        if key not in fitted:
-            pca = pca_fit(feats, cfg.pca_target)
-            fitted[key] = pca, np.stack([pca_project(pca, f) for f in feats])
-        pca, projected = fitted[key]
+        key = s.slot
+        if key not in plan.pca:
+            plan.pca[key] = pca_fit(feats, cfg.pca_target)
+            projected[key] = np.stack([pca_project(plan.pca[key], f) for f in feats])
         svm = svm_train(
-            projected,
+            projected[key],
             stream_labels,
             regularization=cfg.svm_regularization,
             epochs=cfg.svm_epochs,
             seed=[cfg.seed, zlib.crc32(s.id.encode()), 1],
         )
-        plan.pca[s.id] = pca
         plan.svm[s.id] = svm
         predictions = [
             svm.labels[int(np.argmax(svm_score(svm, x, normalize=False).values))]
-            for x in projected
+            for x in projected[key]
         ]
         correct = sum(p == y for p, y in zip(predictions, stream_labels))
         report.per_stream[s.id] = correct / len(stream_labels)
@@ -724,15 +727,17 @@ def classify(
     dmm_scores: list[ScoreVector] = []
     rgb_scores: list[ScoreVector] = []
     stream_predictions: dict[str, str] = {}
+    projected: dict[str, list[np.ndarray]] = {}
     for s in plan.streams:
         if s.pose != rec.pose:
             continue
         feats = result.features.get(s.id)
         if not feats or s.id not in plan.svm:
             continue
-        pca, svm = plan.pca[s.id], plan.svm[s.id]
+        if s.slot not in projected:
+            projected[s.slot] = [pca_project(plan.pca[s.slot], f) for f in feats]
         clip_scores = [
-            svm_score(svm, pca_project(pca, f), normalize=normalize) for f in feats
+            svm_score(plan.svm[s.id], x, normalize=normalize) for x in projected[s.slot]
         ]
         score = fuse_scores(clip_scores)
         stream_predictions[s.id] = plan.labels[int(np.argmax(score.values))]
@@ -855,23 +860,33 @@ def evaluate(
 # Plan persistence
 
 
-def _model_filename(stream_id: str) -> str:
-    return stream_id.replace("/", "__") + ".models"
+def _model_filename(slot: str) -> str:
+    return slot.replace("/", "__") + ".models"
 
 
 def save_plan(plan: StreamPlan, out_dir: str | Path) -> Path:
-    """Persist config, labels, and per-stream models under out_dir.
+    """Persist config, labels, and one model file per trained slot under out_dir.
 
-    Network weights are not stored; they rebuild from (seed, stream id).
+    A slot's file holds its PCA once and the SVM of each of its streams.
+    Model files left in out_dir by an earlier save are deleted.  Network
+    weights are not stored; they rebuild from (seed, stream id).
     """
-    out = Path(out_dir)
-    (out / "streams").mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(config_to_text(plan.cfg), encoding="utf-8")
     if plan.labels is None:
         raise StateError("cannot save an untrained plan")
+    files = {
+        _model_filename(key): (pca, [plan.svm[s.id] for s in plan.streams if s.slot == key])
+        for key, pca in plan.pca.items()
+    }
+    out = Path(out_dir)
+    streams_dir = out / "streams"
+    streams_dir.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").write_text(config_to_text(plan.cfg), encoding="utf-8")
     (out / "labels.txt").write_text("\n".join(plan.labels) + "\n", encoding="utf-8")
-    for sid in sorted(plan.svm):
-        save_models(out / "streams" / _model_filename(sid), plan.pca[sid], plan.svm[sid])
+    for name, (pca, svms) in files.items():
+        save_models(streams_dir / name, pca, svms)
+    for stale in streams_dir.glob("*.models"):
+        if stale.name not in files:
+            stale.unlink()
     return out
 
 
@@ -881,17 +896,19 @@ def load_plan(plan_dir: str | Path) -> StreamPlan:
     cfg = load_config(root / "config.txt")
     plan = build_streams(cfg)
     plan.labels = tuple(read_text(root / "labels.txt").splitlines())
-    for s in plan.streams:
-        path = root / "streams" / _model_filename(s.id)
+    for key in dict.fromkeys(s.slot for s in plan.streams):
+        path = root / "streams" / _model_filename(key)
         if path.exists():
-            pca, svm = load_models(path)
-            if svm.labels != plan.labels:
+            pca, svms = load_models(path)
+            members = [s.id for s in plan.streams if s.slot == key]
+            if len(svms) != len(members) or svms[0].labels != plan.labels:
                 raise FormatError(
-                    f"{path.name} scores classes {list(svm.labels)}, "
-                    f"but labels.txt lists {list(plan.labels)}"
+                    f"{path.name} holds {len(svms)} SVMs of classes {list(svms[0].labels)}, "
+                    f"but slot {key} has {len(members)} streams and labels.txt lists "
+                    f"{list(plan.labels)}"
                 )
-            plan.pca[s.id] = pca
-            plan.svm[s.id] = svm
+            plan.pca[key] = pca
+            plan.svm.update(zip(members, svms))
     if not plan.svm:
         raise StateError(f"no stream models found under {root}")
     return plan

@@ -242,6 +242,6 @@ def generate_synthetic_dataset(
                     )
                 )
     manifest = out / "manifest.tsv"
-    manifest.write_text("\n".join(rows) + "\n")
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
     log.info("wrote %d sequences under %s", len(rows), out)
     return manifest

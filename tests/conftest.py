@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,3 +40,21 @@ def small_dataset(tmp_path_factory):
     spec = SynthSpec(actions=("slide", "bob"), subjects=4, cameras=1, frames=20)
     manifest = generate_synthetic_dataset(root, spec, seed=1)
     return read_manifest(manifest)
+
+
+def run_python_in_c_locale(*args: str) -> subprocess.CompletedProcess:
+    """Run python with args under the C locale, without UTF-8 mode or locale
+    coercion, so that text written without an explicit encoding is ASCII.
+    stdio stays UTF-8: printing is the terminal's concern, files are ours."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(
+        os.environ,
+        LC_ALL="C",
+        PYTHONUTF8="0",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONIOENCODING="utf-8",
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    )
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )

@@ -12,7 +12,7 @@ from dmmaction import dmm, extract_sample, read_manifest
 from dmmaction.cli import main
 from dmmaction.config import config_to_text
 from dmmaction.videoio import read_image
-from conftest import desk_config
+from conftest import desk_config, run_python_in_c_locale
 
 
 def _run(argv):
@@ -78,7 +78,8 @@ class TestTrain:
     def test_plan_layout(self, ws):
         assert (ws.plan / "config.txt").is_file()
         assert (ws.plan / "labels.txt").is_file()
-        assert len(list((ws.plan / "streams").glob("*.models"))) == 7
+        # one model file per (pose, window, angle) slot and per appearance stream
+        assert len(list((ws.plan / "streams").glob("*.models"))) == 3
 
     def test_unknown_subject_exits_nonzero(self, ws, tmp_path):
         code, _ = _run(
@@ -100,6 +101,26 @@ class TestEval:
         lines = csv_path.read_text().splitlines()
         assert lines[0].startswith("overall_accuracy,")
         assert any(line.startswith("n_test,4") for line in lines)
+
+    def test_csv_written_as_utf8_under_c_locale(self, ws, tmp_path):
+        rows = []
+        for rec in read_manifest(ws.manifest):
+            label = "b\u00f6b" if rec.label == "bob" else rec.label
+            rows.append(f"{rec.depth_path}\t-\t{label}\t{rec.subject}\t{rec.camera}\t{rec.pose}")
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(config_to_text(desk_config(planes=("xy",), angles=(0.0,), rgb_windows=())))
+        code, _ = _run(["train", "--manifest", str(manifest), "--out", str(tmp_path / "plan"),
+                        "--config", str(cfg)])
+        assert code == 0
+        csv_path = tmp_path / "report.csv"
+        done = run_python_in_c_locale(
+            "-m", "dmmaction.cli", "eval", "--manifest", str(manifest),
+            "--plan", str(tmp_path / "plan"), "--out", str(csv_path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert "truth\\prediction,b\u00f6b,slide" in csv_path.read_text(encoding="utf-8")
 
     def test_csv_optional(self, ws, tmp_path):
         code, out = _run(

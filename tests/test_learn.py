@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmmaction import ContractError, DmmActionError, RankError
+from dmmaction import ContractError, DmmActionError, FormatError, RankError
 from dmmaction.learn import (
     PcaModel,
     ScoreVector,
@@ -292,39 +292,90 @@ class TestFuseScores:
 
 class TestModelFile:
     def _models(self, seed=0):
+        """One slot's models: a PCA and two SVMs trained on its projection."""
         local = np.random.default_rng(seed)
         x = local.normal(size=(30, 6))
         pca = pca_fit(x, target=0.9)
         proj = np.stack([pca_project(pca, row) for row in x])
         y = ["a" if v[0] < 0 else "b" for v in x]
-        svm = svm_train(proj, y, epochs=10, seed=1)
-        return pca, svm
+        svms = [svm_train(proj, y, epochs=10, seed=s) for s in (1, 2)]
+        return pca, svms
 
     def test_round_trip_values(self, tmp_path):
-        pca, svm = self._models()
+        pca, svms = self._models()
         path = tmp_path / "m.models"
-        save_models(path, pca, svm)
-        pca2, svm2 = load_models(path)
+        save_models(path, pca, svms)
+        pca2, svms2 = load_models(path)
         assert np.allclose(pca2.mean, pca.mean, atol=1e-6)
         assert np.allclose(pca2.components, pca.components, atol=1e-6)
-        assert svm2.labels == svm.labels
-        assert np.allclose(svm2.weights, svm.weights, atol=1e-6)
+        assert len(svms2) == 2
+        for svm, svm2 in zip(svms, svms2):
+            assert svm2.labels == svm.labels
+            assert np.allclose(svm2.weights, svm.weights, atol=1e-6)
 
     def test_save_load_save_bytes_identical(self, tmp_path):
-        pca, svm = self._models(seed=4)
+        pca, svms = self._models(seed=4)
         p1 = tmp_path / "m1.models"
         p2 = tmp_path / "m2.models"
-        save_models(p1, pca, svm)
-        pca2, svm2 = load_models(p1)
-        save_models(p2, pca2, svm2)
+        save_models(p1, pca, svms)
+        pca2, svms2 = load_models(p1)
+        save_models(p2, pca2, svms2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_every_truncation_raises_typed_error(self, tmp_path):
-        pca, svm = self._models(seed=2)
-        # Multi-byte labels, so some cuts land inside a UTF-8 sequence.
-        svm = dataclasses.replace(svm, labels=("wave hand", "grüßen"))
+    def test_pca_stored_once(self, tmp_path):
+        pca, svms = self._models(seed=5)
+        one, two = tmp_path / "one.models", tmp_path / "two.models"
+        save_models(one, pca, svms[:1])
+        save_models(two, pca, svms)
+        svm_bytes = 8 + 8 + 4 * svms[1].weights.size + 8 + 4 * svms[1].biases.size
+        assert two.stat().st_size - one.stat().st_size == svm_bytes
+
+    def test_mixed_labels_rejected(self, tmp_path):
+        pca, svms = self._models(seed=6)
+        other = dataclasses.replace(svms[1], labels=("a", "c"))
+        with pytest.raises(ContractError):
+            save_models(tmp_path / "m.models", pca, [svms[0], other])
+
+    def test_version_1_rejected(self, tmp_path):
+        pca, svms = self._models(seed=7)
         path = tmp_path / "m.models"
-        save_models(path, pca, svm)
+        save_models(path, pca, svms)
+        data = bytearray(path.read_bytes())
+        data[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="version 1"):
+            load_models(path)
+
+    @pytest.mark.parametrize(
+        "fault", ["no SVM", "weights transposed", "components transposed", "fraction missing"]
+    )
+    def test_array_shapes_that_disagree_rejected(self, tmp_path, fault):
+        pca, (svm, _) = self._models(seed=8)
+        if fault == "weights transposed":
+            svm = dataclasses.replace(svm, weights=svm.weights.T)
+        elif fault == "components transposed":
+            pca = dataclasses.replace(pca, components=pca.components.T)
+        elif fault == "fraction missing":
+            pca = dataclasses.replace(pca, variance_fractions=pca.variance_fractions[:-1])
+        path = tmp_path / "m.models"
+        save_models(path, pca, [svm])
+        if fault == "no SVM":
+            # Count 0, and cut the SVM's regularization, weights and biases.
+            data = path.read_bytes()
+            count_at = 12 + sum(4 + len(label.encode()) for label in svm.labels)
+            svm_arrays = 8 + 4 * svm.weights.size + 8 + 4 * svm.biases.size
+            path.write_bytes(
+                data[:count_at] + bytes(4) + data[count_at + 12 : len(data) - svm_arrays]
+            )
+        with pytest.raises(FormatError, match="no SVM, or its array shapes disagree"):
+            load_models(path)
+
+    def test_every_truncation_raises_typed_error(self, tmp_path):
+        pca, svms = self._models(seed=2)
+        # Multi-byte labels, so some cuts land inside a UTF-8 sequence.
+        svms = [dataclasses.replace(svm, labels=("wave hand", "grüßen")) for svm in svms]
+        path = tmp_path / "m.models"
+        save_models(path, pca, svms)
         data = path.read_bytes()
         cut_path = tmp_path / "cut.models"
         for cut in range(len(data)):
@@ -332,12 +383,43 @@ class TestModelFile:
             with pytest.raises(DmmActionError):
                 load_models(cut_path)
 
+    @given(data=st.binary(max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_load_or_raise_typed_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "m.models"
+        path.write_bytes(data)
+        try:
+            load_models(path)
+        except DmmActionError:
+            pass
+
+    @given(position=st.integers(min_value=0), value=st.integers(0, 255))
+    @settings(max_examples=300, deadline=None)
+    def test_single_byte_corruption_loads_or_raises_typed_error(
+        self, tmp_path_factory, position, value
+    ):
+        pca, svms = self._models(seed=3)
+        svms = [dataclasses.replace(svm, labels=("wave hand", "grüßen")) for svm in svms]
+        path = tmp_path_factory.mktemp("flip") / "m.models"
+        save_models(path, pca, svms)
+        data = bytearray(path.read_bytes())
+        data[position % len(data)] = value
+        path.write_bytes(bytes(data))
+        try:
+            pca2, svms2 = load_models(path)
+        except DmmActionError:
+            return
+        v = np.zeros(len(pca2.mean))
+        for svm in svms2:
+            svm_margins(svm, pca_project(pca2, v))
+
     def test_loaded_model_scores_match_file_precision(self, tmp_path):
-        pca, svm = self._models(seed=9)
+        pca, svms = self._models(seed=9)
         path = tmp_path / "m.models"
-        save_models(path, pca, svm)
-        pca2, svm2 = load_models(path)
+        save_models(path, pca, svms)
+        pca2, svms2 = load_models(path)
         v = np.linspace(-1, 1, 6)
-        a = svm_score(svm, pca_project(pca, v))
-        b = svm_score(svm2, pca_project(pca2, v))
-        assert np.allclose(a.values, b.values, atol=1e-5)
+        for svm, svm2 in zip(svms, svms2):
+            a = svm_score(svm, pca_project(pca, v))
+            b = svm_score(svm2, pca_project(pca2, v))
+            assert np.allclose(a.values, b.values, atol=1e-5)

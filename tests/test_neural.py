@@ -309,6 +309,17 @@ class TestNetworks:
             extract_features(Clip(frames), net)
         assert run.call_count == 0
 
+    def test_misfit_dense_rejected_before_any_layer_runs(self, rng):
+        net = desk_network(stream_rng(7, "fc-next"), clip_len=4, height=16, width=16, fc_units=8)
+        misfit = Dense("fc_next", np.zeros((2, 5)), np.zeros(2))
+        net = NetworkSpec(net.name, net.input_shape, net.layers + (misfit,))
+        frames = (rng.random((4, 16, 16, 3)) * 255).astype(np.uint8)
+        with mock.patch.object(neural, "conv3d_forward") as conv, pytest.raises(
+            ContractError, match="fc_next"
+        ):
+            extract_features(Clip(frames), net)
+        assert conv.call_count == 0
+
     def test_extract_features_runs_whole_network_once(self, rng):
         # The traced run names its pool spans from this one call.
         net = desk_network(stream_rng(7, "spy"), clip_len=4, height=16, width=16)

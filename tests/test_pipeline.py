@@ -27,7 +27,7 @@ from dmmaction import (
     save_plan,
     train,
 )
-from dmmaction import dmm
+from dmmaction import dmm, pipeline
 from dmmaction.dmm import Clip, render_grid, stack_clip
 from dmmaction.geometry import ProjectedMap, synthesize_view
 from dmmaction.learn import PcaModel, SvmModel, pca_fit
@@ -520,17 +520,18 @@ class TestTrain:
             assert len(fused.values) == 3
             assert list(row.stream_predictions) == ["standing/dmm/xy/wall/a0"]
 
-    def test_one_pca_fit_per_depth_slot(self, small_dataset, split):
+    def test_one_pca_fit_per_depth_slot(self, small_dataset, split, tmp_path):
         cfg = desk_config(angles=(0.0,))
         with mock.patch("dmmaction.pipeline.pca_fit", wraps=pca_fit) as fit:
             plan = train(small_dataset, split, cfg)
         # three plane streams share one (pose, window, angle) slot; the
         # appearance stream has its own input
-        assert len(plan.pca) == 4
         assert fit.call_count == 2
-        planes = [plan.pca[f"standing/dmm/{p}/w5/a0"] for p in ("xy", "yz", "xz")]
-        assert planes[0] is planes[1] is planes[2]
-        assert plan.pca["standing/rgb/r10"] is not planes[0]
+        save_plan(plan, tmp_path / "plan")
+        for p in (plan, load_plan(tmp_path / "plan")):
+            assert list(p.pca) == ["standing/dmm/w5/a0", "standing/rgb/r10"]
+            assert [s.slot for s in p.streams] == ["standing/dmm/w5/a0"] * 3 + ["standing/rgb/r10"]
+            assert len(p.svm) == 4
 
     def test_retrain_bit_identical_model_files(self, small_dataset, split, tmp_path):
         cfg_a = desk_config(angles=(0.0,), out_dir=str(tmp_path / "a"))
@@ -563,7 +564,7 @@ def _rigged_plan(dmm_scores, rgb_scores=None, labels=("bob", "slide")):
             labels=tuple(labels),
             regularization=1e-3,
         )
-    plan.pca["standing/dmm/xy/w5/a0"] = pca
+    plan.pca["standing/dmm/w5/a0"] = pca
     plan.svm["standing/dmm/xy/w5/a0"] = svm_for(dmm_scores)
     if rgb_scores is not None:
         plan.pca["standing/rgb/r10"] = pca
@@ -700,6 +701,47 @@ class TestPlanPersistence:
     def test_save_untrained_rejected(self, tmp_path):
         with pytest.raises(StateError):
             save_plan(build_streams(desk_config()), tmp_path / "plan")
+        assert not (tmp_path / "plan").exists()
+
+    def test_save_load_save_identical_directory(self, trained, tmp_path):
+        save_plan(trained, tmp_path / "a")
+        save_plan(load_plan(tmp_path / "a"), tmp_path / "b")
+        files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*"))
+        assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*"))
+        assert Path("streams/standing__dmm__w5__a30.models") in files
+        for f in files:
+            if (tmp_path / "a" / f).is_file():
+                assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes(), f
+
+    def test_resave_deletes_stale_model_files(self, tmp_path):
+        save_plan(_rigged_plan([0.7, 0.3], rgb_scores=[0.4, 0.6]), tmp_path / "plan")
+        (tmp_path / "plan" / "streams" / "notes.txt").write_text("kept")
+        save_plan(_rigged_plan([0.7, 0.3]), tmp_path / "plan")
+        assert sorted(p.name for p in (tmp_path / "plan" / "streams").iterdir()) == [
+            "notes.txt",
+            "standing__dmm__w5__a0.models",
+        ]
+        assert "standing/rgb/r10" not in load_plan(tmp_path / "plan").svm
+
+    def test_model_io_paths_cover_every_model_byte(self, trained, tmp_path):
+        """The benchmark's learn.models_bytes sums the sizes of the paths
+        save_models and load_models receive; they must cover streams/."""
+        sizes = {"save": [], "load": []}
+
+        def spy(kind, real):
+            def call(path, *args):
+                result = real(path, *args)
+                sizes[kind].append(Path(path).stat().st_size)
+                return result
+            return call
+
+        with mock.patch.object(pipeline, "save_models", spy("save", pipeline.save_models)):
+            save_plan(trained, tmp_path / "plan")
+        with mock.patch.object(pipeline, "load_models", spy("load", pipeline.load_models)):
+            load_plan(tmp_path / "plan")
+        total = sum(p.stat().st_size for p in (tmp_path / "plan" / "streams").iterdir())
+        assert sum(sizes["save"]) == sum(sizes["load"]) == total > 0
+        assert len(sizes["save"]) == len(sizes["load"]) == 3
 
     def test_load_missing_models_rejected(self, tmp_path):
         root = tmp_path / "plan"

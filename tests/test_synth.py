@@ -14,6 +14,7 @@ from dmmaction.geometry import (
 )
 from dmmaction.pipeline import read_manifest
 from dmmaction.videoio import read_depth_bin, read_rgb_sequence
+from conftest import run_python_in_c_locale
 
 
 def _tiny_spec(**overrides):
@@ -84,6 +85,19 @@ class TestManifest:
         keys = {(r.label, r.subject, r.camera) for r in records}
         assert ("slide", "s02", "c1") in keys
         assert all(r.pose == "standing" for r in records)
+
+    def test_written_as_utf8_under_c_locale(self, tmp_path):
+        # The pose names no file, so it may be any text; "\u00e5" keeps the
+        # command line ASCII.
+        code = (
+            "import sys; from dmmaction import SynthSpec, generate_synthetic_dataset; "
+            "generate_synthetic_dataset(sys.argv[1], SynthSpec(actions=('slide', 'bob'), "
+            "subjects=2, frames=6, width=32, height=24, pose_cycle=('st\\u00e5nding',)))"
+        )
+        done = run_python_in_c_locale("-c", code, str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        records = read_manifest(tmp_path / "manifest.tsv")
+        assert {r.pose for r in records} == {"st\u00e5nding"}
 
     def test_files_exist_and_parse(self, tmp_path):
         manifest = generate_synthetic_dataset(tmp_path, _tiny_spec(), seed=3)
