@@ -8,6 +8,7 @@ classify individual samples, and export rendered motion-map images.
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import sys
 from dataclasses import replace
@@ -244,6 +245,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
+    # Labels come from user files; a terminal that cannot show them gets
+    # escapes instead of an encoding error.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -119,6 +119,13 @@ class NetworkSpec:
     name: str
     input_shape: tuple[int, int, int, int]
     layers: tuple[Layer, ...]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every weight and bias array."""
+        return sum(
+            l.weights.nbytes + l.bias.nbytes for l in self.layers if isinstance(l, (Conv3d, Dense))
+        )
 
 
 # Elements per conv3d_forward scratch buffer (window copy, GEMM result,
@@ -314,16 +321,24 @@ def infer_shapes(net: NetworkSpec) -> list[tuple[str, tuple[int, ...]]]:
     return out
 
 
-def run_layers(x: np.ndarray, net: NetworkSpec) -> list[tuple[str, np.ndarray]]:
-    """Run the full stack, returning every intermediate activation."""
+def run_layers(x: np.ndarray, net: NetworkSpec) -> Iterator[tuple[str, np.ndarray]]:
+    """Check every layer against its input, then run the stack lazily.
+
+    The checks raise before any layer runs; the returned iterator yields
+    (layer name, activation) as each layer is computed, so a caller that
+    keeps only the latest activation holds one at a time.
+    """
     if x.shape != net.input_shape:
         raise ContractError(
             f"input: clip tensor shape {x.shape} does not match network "
             f"input {net.input_shape}"
         )
-    infer_shapes(net)  # every layer fits its input, checked before any runs
-    outputs = []
-    for layer in net.layers:
+    infer_shapes(net)
+    return _forward(x, net.layers)
+
+
+def _forward(x: np.ndarray, layers: Sequence[Layer]) -> Iterator[tuple[str, np.ndarray]]:
+    for layer in layers:
         if isinstance(layer, Conv3d):
             x = conv3d_forward(x, layer)
         elif isinstance(layer, MaxPool3d):
@@ -332,8 +347,7 @@ def run_layers(x: np.ndarray, net: NetworkSpec) -> list[tuple[str, np.ndarray]]:
             x = x.reshape(-1)
         else:
             x = np.tanh(layer.weights @ x + layer.bias)
-        outputs.append((layer.name, x))
-    return outputs
+        yield layer.name, x
 
 
 def clip_to_tensor(clip: Clip) -> np.ndarray:
@@ -345,7 +359,8 @@ def extract_features(clip: Clip, net: NetworkSpec, provenance: object = None) ->
     """Run the whole stack on a clip and return its last, dense layer's activations."""
     if not net.layers or not isinstance(net.layers[-1], Dense):
         raise ContractError(f"network {net.name} does not end at a fully-connected layer")
-    _, acts = run_layers(clip_to_tensor(clip), net)[-1]
+    for _, acts in run_layers(clip_to_tensor(clip), net):
+        pass
     return FeatureVector(values=acts, provenance=provenance)
 
 
@@ -372,13 +387,35 @@ def stream_rng(seed: int, stream_id: str) -> np.random.Generator:
 _C3D_GROUPS = ((64,), (128,), (256, 256), (512, 512), (512, 512))
 
 
+# Elements per _draw chunk: a float64 and a float32 buffer that stay in cache.
+DRAW_CHUNK_ELEMENTS = 2**15
+
+
+def _uniform_f32(rng: np.random.Generator, s: float, shape: tuple[int, ...]) -> np.ndarray:
+    """float64 array of uniform draws in [-s, s), each rounded to float32.
+
+    The bits equal rng.uniform(-s, s, shape).astype(float32).astype(float64):
+    uniform is -s + 2s * u over the same stream of doubles u, and the float32
+    round trip fixes the weights' bits.  It runs in place, chunk by chunk.
+    """
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    f32 = np.empty(min(flat.size, DRAW_CHUNK_ELEMENTS), dtype=np.float32)
+    for i in range(0, flat.size, DRAW_CHUNK_ELEMENTS):
+        part = flat[i : i + DRAW_CHUNK_ELEMENTS]
+        rng.random(out=part)
+        part *= 2 * s
+        part += -s
+        rounded = f32[: part.size]
+        np.copyto(rounded, part, casting="same_kind")
+        np.copyto(part, rounded)
+    return out
+
+
 def _draw(rng: np.random.Generator, out_dim: int, *in_shape: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights (out_dim, *in_shape) then bias, uniform in +-1/sqrt(fan-in)."""
     s = 1.0 / np.sqrt(np.prod(in_shape))
-    # The float32 rounding stays because it fixes the weights' bits.
-    w = rng.uniform(-s, s, (out_dim, *in_shape)).astype(np.float32).astype(np.float64)
-    b = rng.uniform(-s, s, out_dim).astype(np.float32).astype(np.float64)
-    return w, b
+    return _uniform_f32(rng, s, (out_dim, *in_shape)), _uniform_f32(rng, s, (out_dim,))
 
 
 def _build(

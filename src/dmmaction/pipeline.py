@@ -111,14 +111,21 @@ class TrainReport:
     warnings: tuple[str, ...] = ()
 
 
+# Bytes of network weights a plan keeps built: one 112x112 c3d network
+# (355 MiB in float64) or all 20 criterion-7 desk networks (43 MiB).
+NETWORK_CACHE_BYTES = 512 * 2**20
+
+
 @dataclass
 class StreamPlan:
     """All streams of a config plus their trained models.
 
     Network weights are a pure function of (cfg.seed, stream id), so they
-    are built on demand; only the small desk networks are kept cached,
-    the canonical stack is too large to hold one copy per stream.  pca is
-    keyed by Stream.slot, svm by stream id.
+    are built on demand.  A built network is kept while the networks kept
+    so far and it fit in NETWORK_CACHE_BYTES, and is never evicted; one
+    that does not fit is rebuilt, with the same weights, on each use.  A
+    canonical 112x112 stack takes 355 MiB, so a plan keeps at most one.
+    pca is keyed by Stream.slot, svm by stream id.
     """
 
     cfg: PipelineConfig
@@ -140,7 +147,8 @@ class StreamPlan:
         if cached is not None:
             return cached
         net = _build_network(self.cfg, self.stream(stream_id))
-        if self.cfg.network_preset == "desk":
+        kept = sum(n.nbytes for n in self._networks.values())
+        if kept + net.nbytes <= NETWORK_CACHE_BYTES:
             self._networks[stream_id] = net
         return net
 
@@ -910,5 +918,11 @@ def load_plan(plan_dir: str | Path) -> StreamPlan:
             plan.pca[key] = pca
             plan.svm.update(zip(members, svms))
     if not plan.svm:
+        strays = sorted((root / "streams").glob("*.models"))
+        if strays:
+            raise FormatError(
+                f"{strays[0].name} is not a model file of this config: the plan was "
+                "saved before model format 2 and must be retrained"
+            )
         raise StateError(f"no stream models found under {root}")
     return plan

@@ -119,7 +119,8 @@ def read_depth_bin(path: str | Path) -> DepthSequence:
 
     Raises:
         ParseError: the file is shorter than its header declares.
-        FormatError: the header declares a zero dimension.
+        FormatError: the header declares a zero dimension, or bytes follow
+            the declared payload.
     """
     data = Path(path).read_bytes()
     if len(data) < _DEPTH_HEADER.size:
@@ -137,6 +138,10 @@ def read_depth_bin(path: str | Path) -> DepthSequence:
     if len(data) < expected:
         raise ParseError(
             f"truncated file: expected {expected} bytes, got {len(data)}"
+        )
+    if len(data) > expected:
+        raise FormatError(
+            f"{len(data) - expected} bytes after the declared payload of {expected}"
         )
     raw = np.frombuffer(
         data, dtype="<u4", count=count * width * height, offset=_DEPTH_HEADER.size
@@ -201,6 +206,8 @@ def read_image(path: str | Path) -> np.ndarray:
         on maxval.
 
     Raises:
+        ParseError: a header field that is not ASCII decimal digits, or a
+            file shorter than its header declares.
         FormatError: maxval outside 1..65535, or a 16-bit (maxval > 255) P6.
     """
     data = Path(path).read_bytes()
@@ -210,10 +217,10 @@ def read_image(path: str | Path) -> np.ndarray:
     if magic not in (b"P5", b"P6"):
         raise FormatError(f"unsupported magic {magic!r}; expected P5 or P6")
     tokens, offset = _read_netpbm_tokens(data[2:], 3)
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise ParseError(f"non-numeric header field in {tokens}") from exc
+    # int() would also take a sign, underscores and non-ASCII digits.
+    if not all(t.isdigit() for t in tokens):
+        raise ParseError(f"header fields must be decimal digits, got {tokens}")
+    width, height, maxval = (int(t) for t in tokens)
     if width < 1 or height < 1:
         raise FormatError(f"invalid dimensions {width}x{height}")
     if not 1 <= maxval <= 65535:

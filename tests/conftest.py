@@ -44,15 +44,14 @@ def small_dataset(tmp_path_factory):
 
 def run_python_in_c_locale(*args: str) -> subprocess.CompletedProcess:
     """Run python with args under the C locale, without UTF-8 mode or locale
-    coercion, so that text written without an explicit encoding is ASCII.
-    stdio stays UTF-8: printing is the terminal's concern, files are ours."""
+    coercion, so that text written without an explicit encoding, stdout
+    included, is ASCII."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(
         os.environ,
         LC_ALL="C",
         PYTHONUTF8="0",
         PYTHONCOERCECLOCALE="0",
-        PYTHONIOENCODING="utf-8",
         PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
     )
     return subprocess.run(

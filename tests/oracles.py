@@ -157,3 +157,13 @@ def horn_schunck_oracle(a, b, iterations, smoothness):
         u = u_avg - fx * shared
         v = v_avg - fy * shared
     return u, v
+
+
+def draw_oracle(rng, out_dim, *in_shape):
+    """Weights (out_dim, *in_shape) then bias as the first network builders
+    drew them: uniform in +-1/sqrt(fan-in), rounded to float32, one whole
+    array per call."""
+    s = 1.0 / np.sqrt(np.prod(in_shape))
+    w = rng.uniform(-s, s, (out_dim, *in_shape)).astype(np.float32).astype(np.float64)
+    b = rng.uniform(-s, s, out_dim).astype(np.float32).astype(np.float64)
+    return w, b

@@ -89,6 +89,24 @@ class TestTrain:
         assert code == 2
 
 
+@pytest.fixture(scope="module")
+def umlaut_ws(ws, tmp_path_factory):
+    """A one-stream plan trained on ws's records with the label bob spelt b\u00f6b."""
+    root = tmp_path_factory.mktemp("umlaut")
+    rows = []
+    for rec in read_manifest(ws.manifest):
+        label = "b\u00f6b" if rec.label == "bob" else rec.label
+        rows.append(f"{rec.depth_path}\t-\t{label}\t{rec.subject}\t{rec.camera}\t{rec.pose}")
+    manifest = root / "manifest.tsv"
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = root / "small.cfg"
+    cfg.write_text(config_to_text(desk_config(planes=("xy",), angles=(0.0,), rgb_windows=())))
+    code, _ = _run(["train", "--manifest", str(manifest), "--out", str(root / "plan"),
+                    "--config", str(cfg)])
+    assert code == 0
+    return SimpleNamespace(manifest=manifest, plan=root / "plan")
+
+
 class TestEval:
     def test_csv_and_text_report(self, ws, tmp_path):
         csv_path = tmp_path / "report.csv"
@@ -102,25 +120,16 @@ class TestEval:
         assert lines[0].startswith("overall_accuracy,")
         assert any(line.startswith("n_test,4") for line in lines)
 
-    def test_csv_written_as_utf8_under_c_locale(self, ws, tmp_path):
-        rows = []
-        for rec in read_manifest(ws.manifest):
-            label = "b\u00f6b" if rec.label == "bob" else rec.label
-            rows.append(f"{rec.depth_path}\t-\t{label}\t{rec.subject}\t{rec.camera}\t{rec.pose}")
-        manifest = tmp_path / "manifest.tsv"
-        manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        cfg = tmp_path / "small.cfg"
-        cfg.write_text(config_to_text(desk_config(planes=("xy",), angles=(0.0,), rgb_windows=())))
-        code, _ = _run(["train", "--manifest", str(manifest), "--out", str(tmp_path / "plan"),
-                        "--config", str(cfg)])
-        assert code == 0
+    def test_csv_written_as_utf8_under_c_locale(self, umlaut_ws, tmp_path):
         csv_path = tmp_path / "report.csv"
         done = run_python_in_c_locale(
-            "-m", "dmmaction.cli", "eval", "--manifest", str(manifest),
-            "--plan", str(tmp_path / "plan"), "--out", str(csv_path),
+            "-m", "dmmaction.cli", "eval", "--manifest", str(umlaut_ws.manifest),
+            "--plan", str(umlaut_ws.plan), "--out", str(csv_path),
         )
         assert done.returncode == 0, done.stderr
         assert "truth\\prediction,b\u00f6b,slide" in csv_path.read_text(encoding="utf-8")
+        # stdout is ASCII here: the label it cannot encode comes out escaped
+        assert "b\\xf6b" in done.stdout
 
     def test_csv_optional(self, ws, tmp_path):
         code, out = _run(
@@ -132,6 +141,15 @@ class TestEval:
 
 
 class TestClassify:
+    def test_non_ascii_label_under_c_locale(self, umlaut_ws):
+        done = run_python_in_c_locale(
+            "-m", "dmmaction.cli", "classify", "--manifest", str(umlaut_ws.manifest),
+            "--plan", str(umlaut_ws.plan),
+        )
+        assert done.returncode == 0, done.stderr
+        labels = {line.split("\t")[1] for line in done.stdout.splitlines()}
+        assert labels <= {"b\\xf6b", "slide"} and "b\\xf6b" in labels
+
     def test_single_record_line(self, ws):
         code, out = _run(
             ["classify", "--manifest", str(ws.manifest), "--plan", str(ws.plan),

@@ -26,7 +26,7 @@ from dmmaction.neural import (
     run_layers,
     stream_rng,
 )
-from oracles import conv3d_oracle, conv3d_shift_oracle, maxpool3d_oracle
+from oracles import conv3d_oracle, conv3d_shift_oracle, draw_oracle, maxpool3d_oracle
 
 
 def _identity_layer():
@@ -245,7 +245,7 @@ class TestNetworks:
         inferred = infer_shapes(net)
         assert inferred[0] == ("input", net.input_shape)
         x = rng.random(net.input_shape)
-        executed = run_layers(x, net)
+        executed = list(run_layers(x, net))
         assert [n for n, _ in inferred[1:]] == [n for n, _ in executed]
         for (_, shape), (_, arr) in zip(inferred[1:], executed):
             assert shape == arr.shape
@@ -320,6 +320,29 @@ class TestNetworks:
             extract_features(Clip(frames), net)
         assert conv.call_count == 0
 
+    def test_run_layers_computes_one_layer_per_step(self, rng):
+        net = desk_network(stream_rng(7, "lazy"), clip_len=4, height=16, width=16)
+        x = rng.random(net.input_shape)
+        with mock.patch.object(neural, "conv3d_forward", wraps=conv3d_forward) as conv:
+            layers = run_layers(x, net)
+            assert conv.call_count == 0
+            name, acts = next(layers)
+            assert conv.call_count == 1
+            assert name == "conv1"
+            assert acts.shape == dict(infer_shapes(net))["conv1"]
+            assert [n for n, _ in layers] == [l.name for l in net.layers[1:]]
+        assert conv.call_count == 2
+
+    def test_run_layers_rejects_misfit_before_first_step(self, rng):
+        net = desk_network(stream_rng(7, "lazy-misfit"), clip_len=4, height=16, width=16)
+        misfit = Dense("fc_next", np.zeros((2, 5)), np.zeros(2))
+        net = NetworkSpec(net.name, net.input_shape, net.layers + (misfit,))
+        with mock.patch.object(neural, "conv3d_forward") as conv, pytest.raises(
+            ContractError, match="fc_next"
+        ):
+            run_layers(rng.random(net.input_shape), net)
+        assert conv.call_count == 0
+
     def test_extract_features_runs_whole_network_once(self, rng):
         # The traced run names its pool spans from this one call.
         net = desk_network(stream_rng(7, "spy"), clip_len=4, height=16, width=16)
@@ -364,6 +387,23 @@ class TestNetworks:
                 h.update(layer.weights.tobytes())
                 h.update(layer.bias.tobytes())
         assert h.hexdigest() == digest
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 9),
+        st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        st.sampled_from([7, 64, 1000]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_draw_matches_oracle_bytes(self, seed, out_dim, in_shape, chunk):
+        # Chunk sizes that rarely divide the weight count: the draws must
+        # not depend on where the chunks fall.
+        with mock.patch.object(neural, "DRAW_CHUNK_ELEMENTS", chunk):
+            w, b = neural._draw(np.random.default_rng(seed), out_dim, *in_shape)
+        ref_w, ref_b = draw_oracle(np.random.default_rng(seed), out_dim, *in_shape)
+        assert w.shape == ref_w.shape and w.dtype == ref_w.dtype == np.float64
+        assert w.tobytes() == ref_w.tobytes()
+        assert b.tobytes() == ref_b.tobytes()
 
     def test_different_stream_different_weights(self):
         a = desk_network(stream_rng(6, "s1"), clip_len=4, height=16, width=16)

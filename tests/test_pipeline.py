@@ -752,6 +752,68 @@ class TestPlanPersistence:
         with pytest.raises(StateError, match="no stream models"):
             load_plan(root)
 
+    def test_load_old_per_stream_layout_names_the_file(self, tmp_path):
+        # Before model format 2 a plan kept one file per stream, named after
+        # the stream id, plane included; no slot file of the config matches.
+        root = tmp_path / "plan"
+        (root / "streams").mkdir(parents=True)
+        from dmmaction.config import config_to_text
+        cfg = desk_config(planes=("xy",), angles=(0.0,), rgb_windows=())
+        (root / "config.txt").write_text(config_to_text(cfg))
+        (root / "labels.txt").write_text("bob\nslide\n")
+        (root / "streams" / "standing__dmm__xy__w5__a0.models").write_bytes(b"DMM1")
+        with pytest.raises(FormatError, match=r"standing__dmm__xy__w5__a0\.models.*retrained"):
+            load_plan(root)
+
+
+class TestNetworkCache:
+    def test_c3d_stream_built_once_for_train_and_evaluate(self, small_dataset):
+        # 32x32 is the smallest frame the five c3d pools leave 1x1 of, and
+        # 16 frames the shortest clip; each 20-frame record gives one clip.
+        cfg = desk_config(
+            planes=("xy",), angles=(0.0,), depth_windows=("all",), rgb_windows=(),
+            clip_len=16, network_preset="c3d", fc_units=8, pca_target=1,
+        )
+        per_class = {}
+        for i, rec in enumerate(small_dataset):
+            per_class.setdefault(rec.label, []).append(i)
+        train_idx = tuple(ids[0] for ids in per_class.values())
+        test_idx = tuple(ids[1] for ids in per_class.values())
+        split = resolve_split(small_dataset, "manual", train_indices=train_idx, test_indices=test_idx)
+        with mock.patch.object(pipeline, "c3d_network", wraps=pipeline.c3d_network) as build:
+            plan = train(small_dataset, split, cfg)
+            report = evaluate(small_dataset, split, plan)
+        assert build.call_count == 1
+        assert report.n_test == 2
+        assert list(plan.svm) == ["standing/dmm/xy/wall/a0"]
+
+    def test_over_budget_plan_rebuilds_with_identical_features(self, small_dataset, monkeypatch):
+        cfg = desk_config(angles=(0.0,))
+        cached = build_streams(cfg)
+        want = [extract_sample(rec, cfg, cached).features for rec in small_dataset[:2]]
+        assert len(cached._networks) == len(cached.streams)
+        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
+        uncached = build_streams(cfg)
+        with mock.patch.object(pipeline, "desk_network", wraps=pipeline.desk_network) as build:
+            got = [extract_sample(rec, cfg, uncached).features for rec in small_dataset[:2]]
+        assert uncached._networks == {}
+        # every stream's network is rebuilt for every sample
+        assert build.call_count == 2 * len(uncached.streams)
+        for a, b in zip(want, got):
+            assert list(a) == list(b)
+            for sid in a:
+                assert [f.values.tobytes() for f in a[sid]] == [f.values.tobytes() for f in b[sid]]
+                assert [f.provenance for f in a[sid]] == [f.provenance for f in b[sid]]
+
+    def test_cache_keeps_networks_while_they_fit(self, monkeypatch):
+        plan = build_streams(desk_config(angles=(0.0,)))
+        one = pipeline._build_network(plan.cfg, plan.streams[0]).nbytes
+        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 2 * one)
+        for s in plan.streams:
+            plan.network(s.id)
+        # two of the three equal depth networks fit; the appearance one is larger
+        assert list(plan._networks) == [s.id for s in plan.streams[:2]]
+
 
 class TestNonUtf8Text:
     def test_manifest(self, tmp_path):

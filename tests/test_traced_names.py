@@ -23,3 +23,30 @@ def _tracer_targets():
 @pytest.mark.parametrize("module, attr", _tracer_targets())
 def test_traced_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_evaluate_calls_classify_through_module_per_test_record(monkeypatch):
+    """The benchmark times `classify` by patching `dmmaction.pipeline.classify`
+    around `evaluate`; its latency percentiles come from those calls."""
+    from dmmaction import PipelineConfig, pipeline
+    from dmmaction.pipeline import ReportRow, SampleRecord, Split
+
+    records = [
+        SampleRecord(Path(f"d{i}.bin"), None, "ab"[i % 2], f"s{i}", "c0", "standing")
+        for i in range(6)
+    ]
+    split = Split("manual", (0, 1), (5, 2, 4), "manual")
+    plan = pipeline.build_streams(PipelineConfig())
+    plan.labels = ("a", "b")
+    plan.svm = {plan.streams[0].id: None}
+    seen = []
+
+    def classify(rec, p):
+        assert p is plan
+        seen.append(rec)
+        return rec.label, None, ReportRow(rec.label, rec.label, {})
+
+    monkeypatch.setattr(pipeline, "classify", classify)
+    report = pipeline.evaluate(records, split, plan)
+    assert seen == [records[i] for i in split.test_indices]
+    assert report.n_test == 3

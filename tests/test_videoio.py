@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmmaction import EmptyInputError, FormatError, ParseError
+from dmmaction import DmmActionError, EmptyInputError, FormatError, ParseError
 from dmmaction.dmm import render_grid
 from dmmaction.videoio import (
     DepthFrame,
@@ -70,6 +70,13 @@ class TestReadDepthBin:
         path.write_bytes(depth_container(3, 1, 1, [1, 2, 3]))
         seq = read_depth_bin(path)
         assert [f.timestamp_index for f in seq.frames] == [0, 1, 2]
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 4, b"junk"])
+    def test_bytes_after_payload_rejected(self, tmp_path, extra):
+        path = tmp_path / "d.bin"
+        path.write_bytes(depth_container(1, 2, 2, [1, 2, 3, 4]) + extra)
+        with pytest.raises(FormatError, match=f"{len(extra)} bytes after"):
+            read_depth_bin(path)
 
 
 class TestDepthRoundTrip:
@@ -199,6 +206,66 @@ class TestReadImageMaxval:
         size = 1 if maxval < 256 else 2
         path = _netpbm(tmp_path / "x.pgm", "P5", maxval, bytes(2 * size))
         assert read_image(path).dtype == dtype
+
+
+class TestReadImageHeaderDigits:
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5 1_0 1 255\n", b"P5 +2 1 255\n", b"P5 2 -1 255\n", b"P5 2 1 0x1\n",
+         b"P5 \xd9\xa2 1 255\n", b"P5 2 1 2.5e2\n"],
+    )
+    def test_non_digit_field_rejected(self, tmp_path, header):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(header + bytes(10))
+        with pytest.raises(ParseError, match="decimal digits"):
+            read_image(path)
+
+    def test_leading_zeros_accepted(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5 002 01 0255\n" + bytes([3, 4]))
+        assert read_image(path).tolist() == [[3, 4]]
+
+
+def _parses_or_raises_typed(reader, path, data):
+    path.write_bytes(data)
+    try:
+        reader(path)
+    except DmmActionError:
+        pass
+
+
+def _corruptions(valid: bytes):
+    """Arbitrary bytes, or a valid file with one byte replaced, dropped or added."""
+    edit = st.tuples(st.integers(0, len(valid)), st.integers(0, 255), st.sampled_from("sdi"))
+
+    def apply(e):
+        at, byte, kind = e
+        if kind == "s" and at < len(valid):
+            return valid[:at] + bytes([byte]) + valid[at + 1 :]
+        if kind == "d":
+            return valid[:at] + valid[at + 1 :]
+        return valid[:at] + bytes([byte]) + valid[at:]
+
+    return st.one_of(st.binary(max_size=64), edit.map(apply))
+
+
+_VALID_DEPTH = depth_container(2, 3, 2, list(range(12)))
+_VALID_PPM = b"P6\n# c\n2 1\n255\n" + bytes(range(6))
+_VALID_PGM = b"P5 2 1 65535\n" + bytes(range(4))
+
+
+class TestReadersNeverMisparse:
+    """Any bytes either parse or raise a DmmActionError."""
+
+    @given(_corruptions(_VALID_DEPTH))
+    @settings(max_examples=200, deadline=None)
+    def test_depth_bin(self, tmp_path_factory, data):
+        _parses_or_raises_typed(read_depth_bin, tmp_path_factory.mktemp("d") / "d.bin", data)
+
+    @given(st.one_of(_corruptions(_VALID_PPM), _corruptions(_VALID_PGM)))
+    @settings(max_examples=300, deadline=None)
+    def test_image(self, tmp_path_factory, data):
+        _parses_or_raises_typed(read_image, tmp_path_factory.mktemp("i") / "x.pnm", data)
 
 
 class TestWriteImage:
