@@ -187,17 +187,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = SynthSpec()
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--actions", default="slide,bob,arc")
-    p.add_argument("--subjects", type=int, default=6)
-    p.add_argument("--cameras", type=int, default=2)
-    p.add_argument("--frames", type=int, default=24)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--height", type=int, default=48)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--jitter", type=float, default=0.15)
+    p.add_argument("--actions", default=",".join(spec.actions))
+    p.add_argument("--subjects", type=int, default=spec.subjects)
+    p.add_argument("--cameras", type=int, default=spec.cameras)
+    p.add_argument("--frames", type=int, default=spec.frames)
+    p.add_argument("--width", type=int, default=spec.width)
+    p.add_argument("--height", type=int, default=spec.height)
+    p.add_argument("--noise", type=float, default=spec.noise)
+    p.add_argument("--jitter", type=float, default=spec.jitter)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("extract", help="extract per-stream features to .npz files")

@@ -2,8 +2,9 @@
 
 Config files are TOML-style flat text: one `key = value` per line, `#`
 comments, ints/floats/booleans/strings, and comma-separated lists in
-square brackets.  Window lists accept the token `all` for the
-whole-remaining-sequence window.
+square brackets.  A string field is read as written, never as a number or
+a boolean; `none` is the None token.  Window lists accept the token `all`
+for the whole-remaining-sequence window.
 """
 
 from __future__ import annotations
@@ -63,13 +64,18 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not self.poses:
             raise ConfigError("at least one pose is required")
+        for name in self.poses:
+            if not _text_safe(name):
+                raise ConfigError(f"pose {name!r} cannot be written to a config file")
+        if self.out_dir is not None and (not _text_safe(self.out_dir) or self.out_dir == "none"):
+            raise ConfigError(f"out_dir {self.out_dir!r} cannot be written to a config file")
         if not self.planes or any(p not in PLANES for p in self.planes):
             raise ConfigError(f"planes must be a non-empty subset of {PLANES}")
         if not self.angles:
             raise ConfigError("angle set must not be empty")
         for a in self.angles:
-            if not -180.0 <= a <= 180.0:
-                raise ConfigError(f"angle {a} outside [-180, 180]")
+            if not (_is_real(a) and -180.0 <= a <= 180.0):
+                raise ConfigError(f"angle {a!r} is not a number of degrees in [-180, 180]")
         if not self.depth_windows:
             raise ConfigError("depth window set must not be empty")
         for w in self.depth_windows:
@@ -98,8 +104,7 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is None and name in _OPTIONAL:
                 continue
-            finite = _is_real(value) and math.isfinite(value)
-            if not finite or value < 0 or (positive and value == 0):
+            if not _is_finite(value) or value < 0 or (positive and value == 0):
                 bound = "> 0" if positive else ">= 0"
                 raise ConfigError(f"{name} must be a finite number {bound}, got {value!r}")
         target = self.pca_target
@@ -153,6 +158,25 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _text_safe(name) -> bool:
+    """Whether config_to_text writes a name that parse_config_text reads back
+    unchanged: one line, no surrounding whitespace, and none of the comment,
+    list and quote characters.  NUL is refused too: names end up in paths."""
+    return (
+        isinstance(name, str)
+        and name.splitlines() == [name]
+        and name == name.strip()
+        and not any(c in name for c in "#,[]\"'\0")
+    )
+
+
 _LIST_FIELDS = {
     "poses": str,
     "planes": str,
@@ -186,7 +210,7 @@ def parse_window(token: str) -> Window:
         raise ConfigError(f"bad window {token!r}: expected an int or {ALL!r}") from None
 
 
-def _parse_value(key: str, text: str):
+def _parse_value(key: str, kind: str, text: str):
     text = text.strip()
     if key in _LIST_FIELDS:
         inner = text[1:-1] if text.startswith("[") and text.endswith("]") else text
@@ -197,10 +221,11 @@ def _parse_value(key: str, text: str):
         if caster is str:
             return tuple(t.strip("\"'") for t in items)
         return tuple(caster(t) for t in items)
-    value = _parse_scalar(text)
-    if value == "none":
-        return None
-    return value
+    if kind in ("str", "str | None"):
+        value = text.strip("\"'")
+    else:
+        value = _parse_scalar(text)
+    return None if value == "none" else value
 
 
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
@@ -209,7 +234,7 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
     Unknown keys are rejected rather than ignored so typos fail loudly.
     """
     base = base or PipelineConfig()
-    known = {f.name for f in fields(PipelineConfig)}
+    kinds = {f.name: f.type for f in fields(PipelineConfig)}
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -219,10 +244,10 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
-            updates[key] = _parse_value(key, value)
+            updates[key] = _parse_value(key, kinds[key], value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     try:

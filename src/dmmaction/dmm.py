@@ -67,6 +67,13 @@ def effective_window(n_maps: int, t: int, window: Window) -> int:
     return window
 
 
+def template_count(n_maps: int, window: Window) -> int:
+    """How many templates a window setting yields on an n_maps sequence."""
+    if window == ALL:
+        return max(0, n_maps - 2)
+    return max(0, n_maps - int(window))
+
+
 def _check_window(maps: Sequence[ProjectedMap], t: int, window: Window) -> int:
     if len(maps) < 2:
         raise ContractError(f"need at least 2 maps, got {len(maps)}")
@@ -115,14 +122,7 @@ def accumulate_dmm(
         DmmTemplate whose grid is sum(|maps[i+1] - maps[i]|) for
         i in [t, t + window).
     """
-    w = _check_window(maps, t, window)
-    acc = np.zeros_like(maps[0].grid, dtype=np.float64)
-    for i in range(t, t + w):
-        d = np.abs(maps[i + 1].grid - maps[i].grid)
-        if floor > 0.0:
-            d = np.where(d >= floor, d, 0.0)
-        acc += d
-    return DmmTemplate(maps[0].plane, window, angle, t, acc)
+    return _accumulate(maps, None, t, window, angle, floor)
 
 
 def accumulate_ramdmm(
@@ -139,26 +139,32 @@ def accumulate_ramdmm(
     k+1, so the term for pair (i, i+1) is |maps[i+1] - maps[i]| * weights[i].
     With unit weights this reduces exactly to accumulate_dmm.
     """
+    return _accumulate(maps, weights, t, window, angle, floor)
+
+
+def _accumulate(maps, weights, t, window, angle, floor) -> DmmTemplate:
+    """The one accumulation loop; weights=None accumulates unweighted."""
     w = _check_window(maps, t, window)
-    if len(weights) != len(maps) - 1:
-        raise ContractError(
-            f"got {len(weights)} weight maps for {len(maps)} frames; "
-            f"expected one per consecutive pair ({len(maps) - 1})"
-        )
     shape = maps[0].grid.shape
-    for i, g in enumerate(weights[t : t + w], start=t):
-        if not g.normalized:
-            raise ContractError(f"weight map {i} is not normalized")
-        if g.g.shape != shape:
+    if weights is not None:
+        if len(weights) != len(maps) - 1:
             raise ContractError(
-                f"weight map {i} shape {g.g.shape} does not match maps {shape}"
+                f"got {len(weights)} weight maps for {len(maps)} frames; "
+                f"expected one per consecutive pair ({len(maps) - 1})"
             )
+        for i, g in enumerate(weights[t : t + w], start=t):
+            if not g.normalized:
+                raise ContractError(f"weight map {i} is not normalized")
+            if g.g.shape != shape:
+                raise ContractError(
+                    f"weight map {i} shape {g.g.shape} does not match maps {shape}"
+                )
     acc = np.zeros(shape, dtype=np.float64)
     for i in range(t, t + w):
         d = np.abs(maps[i + 1].grid - maps[i].grid)
         if floor > 0.0:
             d = np.where(d >= floor, d, 0.0)
-        acc += d * weights[i].g
+        acc += d if weights is None else d * weights[i].g
     return DmmTemplate(maps[0].plane, window, angle, t, acc)
 
 

@@ -129,11 +129,20 @@ def depth_to_points(frame: DepthFrame, intrinsics: Intrinsics) -> PointCloud:
     return PointCloud(np.column_stack([x, y, z]))
 
 
-def rotate_points(cloud: PointCloud, spec: RotationSpec) -> PointCloud:
-    """Apply the composed rotation to every point about the camera origin."""
+def rotate_points(
+    cloud: PointCloud, spec: RotationSpec, pivot: np.ndarray | None = None
+) -> PointCloud:
+    """Apply the composed rotation to every point about pivot.
+
+    pivot defaults to the camera origin.  The identity rotation returns a
+    copy of the points, bit for bit, whatever the pivot.
+    """
     if spec.is_identity:
         return PointCloud(cloud.points.copy())
-    return PointCloud(cloud.points @ rotation_matrix(spec).T)
+    rot = rotation_matrix(spec).T
+    if pivot is None:
+        return PointCloud(cloud.points @ rot)
+    return PointCloud((cloud.points - pivot) @ rot + pivot)
 
 
 def fill_depth_holes(grid: np.ndarray) -> np.ndarray:
@@ -261,10 +270,8 @@ def synthesize_view(
 ) -> DepthSequence:
     """Render a depth sequence from a rotated virtual viewpoint.
 
-    Each frame is lifted to points, rotated about a shared pivot, and
-    reprojected with z-buffering and hole filling.  The identity rotation
-    short-circuits the pivot arithmetic so original nonzero pixels are
-    reproduced bit-exactly.
+    Each frame is lifted to points, rotated about a shared pivot (see
+    rotate_points), and reprojected with z-buffering and hole filling.
 
     Args:
         seq: source depth sequence.
@@ -272,20 +279,11 @@ def synthesize_view(
         intrinsics: shared by source and synthesized frames.
         pivot: rotation center; defaults to the sequence centroid.
     """
+    if pivot is None and not spec.is_identity:
+        pivot = sequence_centroid(seq, intrinsics)
     dims = (seq.width, seq.height)
     frames = []
-    if spec.is_identity:
-        for f in seq.frames:
-            cloud = depth_to_points(f, intrinsics)
-            frames.append(points_to_depth(cloud, intrinsics, dims, f.timestamp_index))
-        return DepthSequence(tuple(frames))
-    if pivot is None:
-        pivot = sequence_centroid(seq, intrinsics)
-    rot = rotation_matrix(spec)
     for f in seq.frames:
-        cloud = depth_to_points(f, intrinsics)
-        moved = (cloud.points - pivot) @ rot.T + pivot
-        frames.append(
-            points_to_depth(PointCloud(moved), intrinsics, dims, f.timestamp_index)
-        )
+        cloud = rotate_points(depth_to_points(f, intrinsics), spec, pivot)
+        frames.append(points_to_depth(cloud, intrinsics, dims, f.timestamp_index))
     return DepthSequence(tuple(frames))

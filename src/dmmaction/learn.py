@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, FormatError, ParseError, RankError
-from .neural import FeatureVector
 
 JACOBI_TOL = 1e-10
 _JACOBI_MAX_SWEEPS = 60
@@ -108,13 +107,13 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL) -> tuple[np.ndarray
     return a.diagonal().copy(), v
 
 
-def _as_matrix(samples: Sequence[FeatureVector] | np.ndarray) -> np.ndarray:
+def _as_matrix(samples: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     if isinstance(samples, np.ndarray):
         mat = np.asarray(samples, dtype=np.float64)
         if mat.ndim != 2:
             raise ContractError(f"sample matrix must be 2D, got shape {mat.shape}")
         return mat
-    rows = [np.asarray(getattr(s, "values", s), dtype=np.float64) for s in samples]
+    rows = [np.asarray(s, dtype=np.float64) for s in samples]
     if not rows:
         raise ContractError("no samples given")
     dim = len(rows[0])
@@ -127,7 +126,7 @@ def _as_matrix(samples: Sequence[FeatureVector] | np.ndarray) -> np.ndarray:
 
 
 def pca_fit(
-    samples: Sequence[FeatureVector] | np.ndarray,
+    samples: Sequence[np.ndarray] | np.ndarray,
     target: float | int = 0.95,
 ) -> PcaModel:
     """Fit PCA on the sample covariance.
@@ -193,9 +192,9 @@ def pca_fit(
     )
 
 
-def pca_project(model: PcaModel, v: FeatureVector | np.ndarray) -> np.ndarray:
+def pca_project(model: PcaModel, v: np.ndarray) -> np.ndarray:
     """Project one vector: (v - mean) @ components^T."""
-    vec = np.asarray(getattr(v, "values", v), dtype=np.float64)
+    vec = np.asarray(v, dtype=np.float64)
     if vec.shape != model.mean.shape:
         raise ContractError(
             f"vector length {vec.shape} does not match model dimension "
@@ -205,7 +204,7 @@ def pca_project(model: PcaModel, v: FeatureVector | np.ndarray) -> np.ndarray:
 
 
 def svm_train(
-    samples: Sequence[FeatureVector] | np.ndarray,
+    samples: Sequence[np.ndarray] | np.ndarray,
     labels: Sequence[str],
     regularization: float = 1e-3,
     epochs: int = 20,
@@ -253,8 +252,8 @@ def svm_train(
     return SvmModel(weights, biases, classes, regularization)
 
 
-def svm_margins(model: SvmModel, v: FeatureVector | np.ndarray) -> np.ndarray:
-    vec = np.asarray(getattr(v, "values", v), dtype=np.float64)
+def svm_margins(model: SvmModel, v: np.ndarray) -> np.ndarray:
+    vec = np.asarray(v, dtype=np.float64)
     if vec.shape != (model.dim,):
         raise ContractError(
             f"vector length {vec.shape} does not match model dimension {model.dim}"
@@ -262,7 +261,7 @@ def svm_margins(model: SvmModel, v: FeatureVector | np.ndarray) -> np.ndarray:
     return model.weights @ vec + model.biases
 
 
-def svm_score(model: SvmModel, v: FeatureVector | np.ndarray, normalize: bool = True) -> ScoreVector:
+def svm_score(model: SvmModel, v: np.ndarray, normalize: bool = True) -> ScoreVector:
     """Per-class scores: softmax-normalized margins by default, raw otherwise.
 
     Softmax is monotone, so the argmax always equals the raw-margin argmax.

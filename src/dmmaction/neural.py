@@ -58,6 +58,11 @@ class FeatureVector:
         return len(self.values)
 
 
+def _check_triple(name: str, what: str, values: Triple, low: int) -> None:
+    if len(values) != 3 or any(v < low for v in values):
+        raise ContractError(f"{name}: {what} must be three ints >= {low}, got {values}")
+
+
 @dataclass(frozen=True)
 class Conv3d:
     """3D convolution layer: weights (out, in, r, p, q), tanh activation."""
@@ -79,6 +84,8 @@ class Conv3d:
                 f"{self.name}: bias shape {self.bias.shape} does not match "
                 f"{self.weights.shape[0]} output maps"
             )
+        _check_triple(self.name, "stride", self.stride, 1)
+        _check_triple(self.name, "padding", self.padding, 0)
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,10 @@ class MaxPool3d:
     name: str
     kernel: Triple
     stride: Triple
+
+    def __post_init__(self) -> None:
+        _check_triple(self.name, "kernel", self.kernel, 1)
+        _check_triple(self.name, "stride", self.stride, 1)
 
 
 @dataclass(frozen=True)
@@ -137,10 +148,6 @@ CONV_GEMM_TILE = 16
 CONV_GEMM_MIN_MACS = 2**20
 
 
-def _out_len(size: int, kernel: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - kernel) // stride + 1
-
-
 def _chunk_frames(out_maps: int, in_maps: int, depth: int, frame: int) -> int:
     """Output frames per conv3d_forward chunk, for `frame` = height * width.
 
@@ -171,28 +178,12 @@ def conv3d_forward(x: np.ndarray, layer: Conv3d) -> np.ndarray:
     The work runs over chunks of output depth (see _chunk_frames) so that
     its buffers stay cache-sized instead of output-sized.
     """
-    j_maps, m_maps, kr, kp, kq = layer.weights.shape
-    if x.ndim != 4:
-        raise ContractError(f"{layer.name}: input must be 4D, got shape {x.shape}")
-    if x.shape[0] != m_maps:
-        raise ContractError(
-            f"{layer.name}: input has {x.shape[0]} channels, layer expects {m_maps}"
-        )
+    j_maps, od, oh, ow = _layer_output_shape(x.shape, layer)
+    m_maps, kr, kp, kq = layer.weights.shape[1:]
     pr, pp, pq = layer.padding
-    if any(p < 0 for p in layer.padding) or any(s < 1 for s in layer.stride):
-        raise ContractError(f"{layer.name}: invalid stride/padding")
     if pr or pp or pq:
         x = np.pad(x, ((0, 0), (pr, pr), (pp, pp), (pq, pq)))
-    _, d, h, w = x.shape
-    if d < kr or h < kp or w < kq:
-        raise ContractError(
-            f"{layer.name}: padded input {d}x{h}x{w} smaller than "
-            f"kernel {kr}x{kp}x{kq}"
-        )
     sr, sh, sw = layer.stride
-    od = (d - kr) // sr + 1
-    oh = (h - kp) // sh + 1
-    ow = (w - kq) // sw + 1
     n = oh * ow
     frames = _chunk_frames(j_maps, m_maps, od, n)
     # Three scratch buffers serve every chunk and offset; per-chunk views are
@@ -242,19 +233,10 @@ def conv3d_forward(x: np.ndarray, layer: Conv3d) -> np.ndarray:
 
 def maxpool3d(x: np.ndarray, kernel: Triple, stride: Triple) -> np.ndarray:
     """Per-channel windowed maximum."""
-    if x.ndim != 4:
-        raise ContractError(f"pool input must be 4D, got shape {x.shape}")
+    c, od, oh, ow = _layer_output_shape(x.shape, MaxPool3d("pool", kernel, stride))
     kr, kp, kq = kernel
     sr, sh, sw = stride
-    _, d, h, w = x.shape
-    if d < kr or h < kp or w < kq:
-        raise ContractError(
-            f"pool input {d}x{h}x{w} smaller than kernel {kr}x{kp}x{kq}"
-        )
-    od = (d - kr) // sr + 1
-    oh = (h - kp) // sh + 1
-    ow = (w - kq) // sw + 1
-    out = np.full((x.shape[0], od, oh, ow), -np.inf)
+    out = np.full((c, od, oh, ow), -np.inf)
     for r in range(kr):
         for p in range(kp):
             for q in range(kq):
@@ -269,35 +251,27 @@ def maxpool3d(x: np.ndarray, kernel: Triple, stride: Triple) -> np.ndarray:
 
 
 def _layer_output_shape(shape: tuple[int, ...], layer: Layer) -> tuple[int, ...]:
-    if isinstance(layer, Conv3d):
-        j, m, kr, kp, kq = layer.weights.shape
-        c, d, h, w = shape
-        if c != m:
+    """A layer's output shape for an input shape; raises if the input does not fit."""
+    if isinstance(layer, (Conv3d, MaxPool3d)):
+        if len(shape) != 4:
+            raise ContractError(f"{layer.name}: input must be 4D, got shape {shape}")
+        c, *size = shape
+        if isinstance(layer, Conv3d):
+            maps, m, *kernel = layer.weights.shape
+            padding = layer.padding
+            if c != m:
+                raise ContractError(
+                    f"{layer.name}: input has {c} channels, layer expects {m}"
+                )
+        else:
+            maps, kernel, padding = c, layer.kernel, (0, 0, 0)
+        dims = [(n + 2 * p - k) // s + 1 for n, k, s, p in zip(size, kernel, layer.stride, padding)]
+        if min(dims) < 1:
             raise ContractError(
-                f"{layer.name}: input has {c} channels, layer expects {m}"
+                f"{layer.name}: input {'x'.join(map(str, size))} too small for "
+                f"kernel {'x'.join(map(str, kernel))}"
             )
-        dims = []
-        for size, k, s, p in zip((d, h, w), (kr, kp, kq), layer.stride, layer.padding):
-            o = _out_len(size, k, s, p)
-            if o < 1:
-                raise ContractError(
-                    f"{layer.name}: input {d}x{h}x{w} too small for "
-                    f"kernel {kr}x{kp}x{kq}"
-                )
-            dims.append(o)
-        return (j, *dims)
-    if isinstance(layer, MaxPool3d):
-        c, d, h, w = shape
-        dims = []
-        for size, k, s in zip((d, h, w), layer.kernel, layer.stride):
-            o = _out_len(size, k, s, 0)
-            if o < 1:
-                raise ContractError(
-                    f"{layer.name}: input {d}x{h}x{w} too small for pool "
-                    f"kernel {layer.kernel}"
-                )
-            dims.append(o)
-        return (c, *dims)
+        return (maps, *dims)
     if isinstance(layer, Flatten):
         return (int(np.prod(shape)),)
     if isinstance(layer, Dense):

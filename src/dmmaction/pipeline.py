@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dmm as dmm_mod
 from .config import PipelineConfig, config_to_text, load_config
-from .dmm import ALL, Window, render_grid, stack_clip
+from .dmm import Window, render_grid, stack_clip, template_count
 from .errors import (
     ContractError,
     EmptyInputError,
@@ -245,6 +245,8 @@ def read_manifest(path: str | Path) -> list[SampleRecord]:
             )
         depth, rgb, label, subject, camera, pose = parts[:6]
         crop = parts[6] if len(parts) == 7 else "-"
+        if any("\0" in p for p in (depth, rgb, crop)):
+            raise FormatError(f"line {lineno}: a path field holds a NUL byte")
         records.append(
             SampleRecord(
                 depth_path=root / depth,
@@ -305,13 +307,6 @@ class ExtractResult:
 
     features: dict[str, list[FeatureVector] | None]
     warnings: tuple[str, ...] = ()
-
-
-def template_count(n_maps: int, window: Window) -> int:
-    """How many templates a window setting yields on an n_maps sequence."""
-    if window == ALL:
-        return max(0, n_maps - 2)
-    return max(0, n_maps - int(window))
 
 
 def _flow_weights(
@@ -677,8 +672,8 @@ def train(
             continue
         key = s.slot
         if key not in plan.pca:
-            plan.pca[key] = pca_fit(feats, cfg.pca_target)
-            projected[key] = np.stack([pca_project(plan.pca[key], f) for f in feats])
+            plan.pca[key] = pca_fit([f.values for f in feats], cfg.pca_target)
+            projected[key] = np.stack([pca_project(plan.pca[key], f.values) for f in feats])
         svm = svm_train(
             projected[key],
             stream_labels,
@@ -743,7 +738,7 @@ def classify(
         if not feats or s.id not in plan.svm:
             continue
         if s.slot not in projected:
-            projected[s.slot] = [pca_project(plan.pca[s.slot], f) for f in feats]
+            projected[s.slot] = [pca_project(plan.pca[s.slot], f.values) for f in feats]
         clip_scores = [
             svm_score(plan.svm[s.id], x, normalize=normalize) for x in projected[s.slot]
         ]

@@ -170,11 +170,8 @@ def _sequence_frames(
     depth_frames, rgb_frames = [], []
     for t in range(spec.frames):
         moved = base + _motion_offset(action, t, spec.frames, jitter)
-        if not cam_rot.is_identity:
-            moved = rotate_points(PointCloud(moved - center), cam_rot).points + center
-        frame = points_to_depth(
-            PointCloud(moved), intr, (spec.width, spec.height), timestamp_index=t
-        )
+        cloud = rotate_points(PointCloud(moved), cam_rot, pivot=center)
+        frame = points_to_depth(cloud, intr, (spec.width, spec.height), timestamp_index=t)
         grid = np.rint(frame.depth)
         if spec.noise > 0:
             bump = noise_rng.integers(
@@ -184,7 +181,7 @@ def _sequence_frames(
         depth_frames.append(
             DepthFrame(spec.width, spec.height, grid, timestamp_index=t)
         )
-        rgb = _render_rgb(moved, base, intr, (spec.width, spec.height), colors, backdrop)
+        rgb = _render_rgb(cloud.points, base, intr, (spec.width, spec.height), colors, backdrop)
         if spec.noise > 0:
             speckle = noise_rng.integers(
                 -int(spec.noise), int(spec.noise) + 1, size=rgb.shape

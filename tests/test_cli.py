@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dmmaction import dmm, extract_sample, read_manifest
+from dmmaction import SynthSpec, dmm, extract_sample, generate_synthetic_dataset, read_manifest
 from dmmaction.cli import main
 from dmmaction.config import config_to_text
 from dmmaction.videoio import read_image
@@ -63,6 +63,20 @@ class TestSynth:
         printed = Path(out.strip())
         assert printed == tmp_path / "d" / "manifest.tsv"
         assert len(read_manifest(printed)) == 4
+
+    def test_defaults_are_synth_spec_defaults(self, tmp_path):
+        code, _ = _run(["synth", "--out", str(tmp_path / "cli")])
+        assert code == 0
+        generate_synthetic_dataset(tmp_path / "lib", SynthSpec(), seed=0)
+        cli = sorted(p.relative_to(tmp_path / "cli") for p in (tmp_path / "cli").rglob("*"))
+        lib = sorted(p.relative_to(tmp_path / "lib") for p in (tmp_path / "lib").rglob("*"))
+        assert cli == lib
+        assert Path("manifest.tsv") in cli
+        for rel in cli:
+            a, b = tmp_path / "cli" / rel, tmp_path / "lib" / rel
+            assert a.is_file() == b.is_file()
+            if a.is_file():
+                assert a.read_bytes() == b.read_bytes(), rel
 
     def test_single_action_exits_nonzero(self, tmp_path):
         code, _ = _run(

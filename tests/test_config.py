@@ -1,9 +1,19 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmmaction import ALL, ConfigError, ParseError, PipelineConfig, load_config
+from dmmaction import (
+    ALL,
+    ConfigError,
+    DmmActionError,
+    ParseError,
+    PipelineConfig,
+    load_config,
+)
 from dmmaction.config import config_to_text, parse_config_text
+from dmmaction.geometry import PLANES
 
 
 class TestDefaults:
@@ -205,3 +215,116 @@ class TestRoundTrip:
         path = tmp_path / "cfg.txt"
         path.write_text(config_to_text(cfg))
         assert load_config(path) == cfg
+
+
+# Names the text format carries: one line, no surrounding whitespace, none
+# of the comment, list or quote characters, and no NUL.
+_NAMES = st.text(
+    st.characters(blacklist_characters="#,[]\"'\0", blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=10,
+).filter(lambda s: s == s.strip() and s.splitlines() == [s])
+
+
+@st.composite
+def _valid_configs(draw):
+    planes = draw(st.permutations(PLANES))
+    return PipelineConfig(
+        poses=tuple(draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True))),
+        planes=tuple(planes[: draw(st.integers(1, 3))]),
+        angles=tuple(draw(st.lists(st.floats(-180, 180), min_size=1, max_size=4, unique=True))),
+        depth_windows=tuple(
+            draw(st.lists(st.just(ALL) | st.integers(2, 60), min_size=1, max_size=3, unique=True))
+        ),
+        rgb_windows=tuple(draw(st.lists(st.integers(2, 60), max_size=3, unique=True))),
+        clip_len=draw(st.integers(1, 64)),
+        render_size=(draw(st.integers(8, 256)), draw(st.integers(8, 256))),
+        focal_px=draw(st.none() | st.floats(1e-3, 1e6)),
+        depth_bin_mm=draw(st.floats(1e-3, 1e3) | st.integers(1, 100)),
+        depth_bin_count=draw(st.integers(1, 2048)),
+        flow_iterations=draw(st.integers(0, 500)),
+        flow_smoothness=draw(st.floats(1e-6, 10)),
+        flow_normalization=draw(st.sampled_from(("pair", "global"))),
+        noise_floor=draw(st.floats(0, 100)),
+        network_preset=draw(st.sampled_from(("c3d", "desk"))),
+        desk_conv_maps=(draw(st.integers(1, 64)), draw(st.integers(1, 64))),
+        fc_units=draw(st.none() | st.integers(1, 8192)),
+        pca_target=draw(st.integers(1, 50) | st.floats(0, 1, exclude_min=True)),
+        svm_regularization=draw(st.floats(1e-9, 10)),
+        svm_epochs=draw(st.integers(1, 1000)),
+        score_mode=draw(st.sampled_from(("softmax", "raw"))),
+        depth_as_rgb=draw(st.booleans()),
+        bypass_view_synthesis=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**64)),
+        out_dir=draw(st.none() | _NAMES.filter(lambda s: s != "none")),
+    )
+
+
+_KEYS = [f.name for f in dataclasses.fields(PipelineConfig)]
+
+
+class TestConfigTextNeverMisparsed:
+    """A saved plan reloads its own config: what config_to_text writes,
+    parse_config_text reads back, and any other text raises a typed error."""
+
+    @given(_valid_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, cfg):
+        assert parse_config_text(config_to_text(cfg)) == cfg
+
+    @given(
+        st.lists(
+            st.text()
+            | st.builds("{} = {}".format, st.sampled_from(_KEYS), st.text())
+            | st.builds("{} = [{}]".format, st.sampled_from(_KEYS), st.text()),
+            max_size=4,
+        ).map("\n".join)
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_any_text_parses_or_raises_typed(self, text):
+        try:
+            parse_config_text(text)
+        except DmmActionError:
+            pass
+
+    @pytest.mark.parametrize(
+        "line, field, value",
+        [
+            ("out_dir = 2024", "out_dir", "2024"),
+            ("out_dir = true", "out_dir", "true"),
+            ("out_dir = 1.5e3", "out_dir", "1.5e3"),
+            ("network_preset = desk", "network_preset", "desk"),
+            ("poses = [2024, true]", "poses", ("2024", "true")),
+        ],
+    )
+    def test_string_fields_read_literally(self, line, field, value):
+        assert getattr(parse_config_text(line + "\n"), field) == value
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("poses", ("a#b",)),
+            ("poses", ("a,b",)),
+            ("poses", ("[a",)),
+            ("poses", ("a]",)),
+            ("poses", ('"a"',)),
+            ("poses", ("it's",)),
+            ("poses", (" a",)),
+            ("poses", ("a\n",)),
+            ("poses", ("a\x85b",)),
+            ("poses", ("",)),
+            ("poses", (5,)),
+            ("out_dir", "runs#1"),
+            ("out_dir", "runs\x00"),
+            ("out_dir", "runs "),
+            ("out_dir", "none"),
+            ("out_dir", 5),
+            ("angles", ("a",)),
+            ("angles", (None,)),
+            ("depth_bin_mm", 10**400),
+            ("focal_px", 10**400),
+        ],
+    )
+    def test_values_the_text_cannot_carry_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(PipelineConfig(), **{field: value})

@@ -21,7 +21,6 @@ from dmmaction.learn import (
     svm_score,
     svm_train,
 )
-from dmmaction.neural import FeatureVector
 
 
 def _blobs(n_per=50, margin=2.0, seed=7, scale=1.0):
@@ -137,12 +136,6 @@ class TestPcaProject:
         model = pca_fit(x, target=1.0)
         with pytest.raises(ContractError):
             pca_project(model, np.zeros(5))
-
-    def test_accepts_feature_vector(self, rng):
-        x = rng.normal(size=(10, 4))
-        model = pca_fit(x, target=1.0)
-        out = pca_project(model, FeatureVector(x[0]))
-        assert out.shape == (model.k,)
 
 
 class TestSvmTrain:

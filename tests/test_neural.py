@@ -225,6 +225,38 @@ class TestMaxPool3d:
         assert np.array_equal(out, maxpool3d_oracle(x, kernel, stride))
 
 
+class TestBadLayerSettings:
+    """A zero kernel or stride, or a negative padding, raises ContractError
+    before any layer runs, with the layer rule that infer_shapes uses."""
+
+    @pytest.mark.parametrize(
+        "kernel, stride, what",
+        [((0, 2, 2), (1, 1, 1), "kernel"), ((2, 2, 2), (1, 0, 1), "stride")],
+    )
+    def test_direct_pool_call_rejected(self, kernel, stride, what):
+        with pytest.raises(ContractError, match=what):
+            maxpool3d(np.ones((1, 4, 4, 4)), kernel, stride)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Conv3d("c", np.ones((1, 1, 1, 1, 1)), np.zeros(1), stride=(0, 1, 1)),
+            lambda: Conv3d("c", np.ones((1, 1, 1, 1, 1)), np.zeros(1), padding=(0, -1, 0)),
+            lambda: neural.MaxPool3d("p", (2, 2, 2), (2, 0, 2)),
+            lambda: neural.MaxPool3d("p", (2, 2, 0), (1, 1, 1)),
+        ],
+        ids=["conv-stride", "conv-padding", "pool-stride", "pool-kernel"],
+    )
+    def test_network_layer_rejected_before_any_layer_runs(self, make):
+        x = np.ones((1, 4, 4, 4))
+        with mock.patch.object(neural, "conv3d_forward") as conv, mock.patch.object(
+            neural, "maxpool3d"
+        ) as pool, pytest.raises(ContractError):
+            layers = run_layers(x, NetworkSpec("n", x.shape, (make(),)))
+            next(layers)
+        assert conv.call_count == pool.call_count == 0
+
+
 class TestNetworks:
     def test_c3d_stack_shapes(self):
         net = c3d_network(stream_rng(0, "shape-check"))

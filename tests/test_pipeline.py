@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dmmaction import (
     ContractError,
+    DmmActionError,
     FormatError,
     ParseError,
     PipelineConfig,
@@ -28,7 +29,7 @@ from dmmaction import (
     train,
 )
 from dmmaction import dmm, pipeline
-from dmmaction.dmm import Clip, render_grid, stack_clip
+from dmmaction.dmm import Clip, render_grid, stack_clip, template_count
 from dmmaction.geometry import ProjectedMap, synthesize_view
 from dmmaction.learn import PcaModel, SvmModel, pca_fit
 from dmmaction.motion import estimate_flow
@@ -40,7 +41,6 @@ from dmmaction.pipeline import (
     _combine_planes,
     _flow_weights,
     _resize_rgb,
-    template_count,
 )
 from dmmaction.videoio import DepthSequence, read_depth_bin, read_rgb_sequence, write_depth_bin
 from conftest import desk_config
@@ -764,6 +764,58 @@ class TestPlanPersistence:
         (root / "streams" / "standing__dmm__xy__w5__a0.models").write_bytes(b"DMM1")
         with pytest.raises(FormatError, match=r"standing__dmm__xy__w5__a0\.models.*retrained"):
             load_plan(root)
+
+
+# Manifest fields, with the characters that delimit or end one made common.
+_MANIFEST_TEXT = st.text(
+    st.sampled_from("-\0\t\r /") | st.characters(blacklist_categories=("Cs",)), max_size=8
+)
+
+
+class TestTextReadersNeverMisparse:
+    """Any text given to read_manifest, or to load_plan as labels.txt, either
+    parses or raises a DmmActionError."""
+
+    @pytest.fixture(scope="class")
+    def plan_dir(self, tmp_path_factory):
+        return save_plan(_rigged_plan([0.7, 0.3]), tmp_path_factory.mktemp("plan"))
+
+    @given(
+        st.text()
+        | st.lists(
+            st.lists(_MANIFEST_TEXT, min_size=5, max_size=8).map("\t".join), max_size=4
+        ).map("\n".join)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_manifest(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("m") / "manifest.tsv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            records = read_manifest(path)
+        except DmmActionError:
+            return
+        for rec in records:
+            for p in (rec.depth_path, rec.rgb_path, rec.crop_path):
+                assert "\0" not in str(p)
+
+    @given(st.text() | st.lists(st.sampled_from(["bob", "slide", ""]) | st.text()).map("\n".join))
+    @settings(max_examples=200, deadline=None)
+    def test_plan_labels(self, plan_dir, text):
+        (plan_dir / "labels.txt").write_text(text, encoding="utf-8")
+        try:
+            plan = load_plan(plan_dir)
+        except DmmActionError:
+            return
+        assert plan.labels == ("bob", "slide")
+
+    @pytest.mark.parametrize("field", [0, 1, 6])
+    def test_manifest_path_with_nul_names_the_line(self, tmp_path, field):
+        row = ["d.bin", "rgb", "slide", "s0", "c0", "standing", "crop.txt"]
+        row[field] = row[field][:1] + "\0" + row[field][1:]
+        path = tmp_path / "manifest.tsv"
+        path.write_text("d.bin\t-\tslide\ts0\tc0\tstanding\n" + "\t".join(row) + "\n")
+        with pytest.raises(FormatError, match="line 2.*NUL"):
+            read_manifest(path)
 
 
 class TestNetworkCache:

@@ -4,6 +4,7 @@ untraced.  This checks every name it wraps still resolves to a callable."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,34 @@ def test_evaluate_calls_classify_through_module_per_test_record(monkeypatch):
     report = pipeline.evaluate(records, split, plan)
     assert seen == [records[i] for i in split.test_indices]
     assert report.n_test == 3
+
+
+# Leading parameters the tracer's counters and wrappers read, by position or
+# by keyword (perfbench/spans.py): (module, function, names).
+_READ_PARAMETERS = [
+    ("dmmaction.dmm", "accumulate_ramdmm", ("maps", "weights", "t", "window")),
+    ("dmmaction.motion", "estimate_flow", ("a", "b", "iterations")),
+    ("dmmaction.geometry", "synthesize_view", ("seq",)),
+    ("dmmaction.neural", "conv3d_forward", ("x", "layer")),
+    ("dmmaction.neural", "maxpool3d", ("x", "kernel", "stride")),
+    ("dmmaction.neural", "run_layers", ("x", "net")),
+    ("dmmaction.learn", "pca_fit", ("samples",)),
+    ("dmmaction.learn", "save_models", ("path",)),
+    ("dmmaction.learn", "load_models", ("path",)),
+]
+
+
+@pytest.mark.parametrize(
+    "module, attr, names", _READ_PARAMETERS, ids=[attr for _, attr, _ in _READ_PARAMETERS]
+)
+def test_traced_arguments_keep_their_place(module, attr, names):
+    params = list(inspect.signature(getattr(importlib.import_module(module), attr)).parameters)
+    assert tuple(params[: len(names)]) == names
+
+
+@pytest.mark.parametrize("attr", ["desk_network", "c3d_network"])
+def test_network_presets_take_name_keyword(attr):
+    """The build counter reads the stream name from the `name` keyword."""
+    preset = getattr(importlib.import_module("dmmaction.neural"), attr)
+    param = inspect.signature(preset).parameters["name"]
+    assert param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
