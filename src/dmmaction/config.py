@@ -67,6 +67,9 @@ class PipelineConfig:
         for name in self.poses:
             if not _text_safe(name):
                 raise ConfigError(f"pose {name!r} cannot be written to a config file")
+            # Model file names map '/' to '__': poses a/b and a__b would share files.
+            if "/" in name:
+                raise ConfigError(f"pose {name!r} holds '/', which separates stream id fields")
         if self.out_dir is not None and (not _text_safe(self.out_dir) or self.out_dir == "none"):
             raise ConfigError(f"out_dir {self.out_dir!r} cannot be written to a config file")
         if not self.planes or any(p not in PLANES for p in self.planes):

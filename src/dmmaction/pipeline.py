@@ -6,15 +6,19 @@ bank; the plane streams of one slot share a PCA basis.  The orchestrator
 runs samples through every stream of their pose bank and fuses per-stream
 scores by averaging, depth streams first, then depth with appearance.
 
-Everything here is sequential and deterministic: stream weights derive
-from (seed, stream id), so a plan rebuilds bit-identically from its
-saved config, and per-stream state is only ever touched by one pass at
-a time.  Report aggregation is a single ordered reduction.
+Everything here is deterministic: stream weights derive from (seed,
+stream id), so a plan rebuilds bit-identically from its saved config.
+train may extract its records in forked worker processes (see
+_pool_size), but it reduces their results in split order, so its plan
+is byte-identical to a serial run's; everything else, evaluate included,
+runs in the calling process, one pass at a time.  Report aggregation is
+a single ordered reduction.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
@@ -490,6 +494,11 @@ def extract_sample(
     return ExtractResult(features=features, warnings=tuple(warnings))
 
 
+# train pools extraction only while pipeline.extract_sample is still this
+# function: a replacement (a test spy, a tracer) must see every call.
+_EXTRACT_SAMPLE = extract_sample
+
+
 def _appearance_frames(rec, cfg, depth_seq, warnings) -> list[np.ndarray] | None:
     """RGB frames resized to the render size, or jet-rendered depth."""
     if cfg.depth_as_rgb:
@@ -615,6 +624,72 @@ def _check_disjoint(records, protocol, train, test):
 # Training
 
 
+def _pool_size(plan: StreamPlan, recs: list[SampleRecord]) -> int:
+    """Worker processes to extract recs with; below 2 means serially, here.
+
+    Workers are forked, so they share the parent's cached networks and
+    build none.  This builds the networks of the records' pose banks,
+    stopping as soon as one is not kept in the cache or the kept bytes
+    leave room for fewer than 2 workers: at most one per core, one per
+    record, and one per copy of those bytes in NETWORK_CACHE_BYTES.
+    """
+    if extract_sample is not _EXTRACT_SAMPLE or not hasattr(os, "sched_getaffinity"):
+        return 1
+    workers = min(len(os.sched_getaffinity(0)), len(recs))
+    poses = {r.pose for r in recs}
+    cached = 0
+    for s in plan.streams:
+        if workers < 2:
+            break
+        if s.pose in poses:
+            net = plan.network(s.id)
+            if s.id not in plan._networks:
+                return 1
+            cached += net.nbytes
+            workers = min(workers, NETWORK_CACHE_BYTES // cached)
+    return workers
+
+
+# (cfg, plan) of the train call that forked this worker process.
+_worker_args: tuple[PipelineConfig, StreamPlan] | None = None
+
+
+def _init_worker(cfg: PipelineConfig, plan: StreamPlan) -> None:
+    global _worker_args
+    _worker_args = (cfg, plan)
+
+
+def _extract_in_worker(rec: SampleRecord) -> ExtractResult:
+    return extract_sample(rec, *_worker_args)
+
+
+def _extract_all(
+    recs: list[SampleRecord], cfg: PipelineConfig, plan: StreamPlan
+) -> list[ExtractResult]:
+    """extract_sample of each record, in order, in a fork pool when _pool_size
+    allows and the platform can fork.
+
+    The pool lives for this call only; (cfg, plan) reach the workers by
+    fork, not by pickling.
+    """
+    workers = _pool_size(plan, recs)
+    if workers >= 2:
+        # Imported here, so that a process that never trains (such as a CLI
+        # classify) does not pay the ~10 ms import.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(cfg, plan),
+            ) as pool:
+                return list(pool.map(_extract_in_worker, recs))
+    return [extract_sample(rec, cfg, plan) for rec in recs]
+
+
 def train(
     records: list[SampleRecord], split: Split, cfg: PipelineConfig
 ) -> StreamPlan:
@@ -635,6 +710,11 @@ def train(
     labels = tuple(sorted({r.label for r in records}))
     if len(labels) < 2:
         raise ContractError(f"need at least 2 classes, got {labels}")
+    for label in labels:
+        if "".join(label.splitlines()) != label:
+            raise ContractError(
+                f"label {label!r} holds a line break, which labels.txt cannot carry"
+            )
     train_labels = {records[i].label for i in split.train_indices}
     missing = [lab for lab in labels if lab not in train_labels]
     if missing:
@@ -644,9 +724,8 @@ def train(
     per_stream_feats: dict[str, list[FeatureVector]] = {s.id: [] for s in plan.streams}
     per_stream_labels: dict[str, list[str]] = {s.id: [] for s in plan.streams}
     warnings: list[str] = []
-    for i in split.train_indices:
-        rec = records[i]
-        result = extract_sample(rec, cfg, plan)
+    train_records = [records[i] for i in split.train_indices]
+    for rec, result in zip(train_records, _extract_all(train_records, cfg, plan)):
         warnings.extend(result.warnings)
         for sid, feats in result.features.items():
             if not feats:

@@ -39,6 +39,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             dataclasses.replace(PipelineConfig(), poses=())
 
+    def test_slash_in_pose_rejected(self):
+        # '/' separates stream id fields and maps to '__' in model file
+        # names, so poses a/b and a__b would write one model file.
+        with pytest.raises(ConfigError, match=r"pose 'a/b' holds '/'"):
+            dataclasses.replace(PipelineConfig(), poses=("standing", "a/b"))
+        with pytest.raises(ConfigError, match=r"pose 'a/b' holds '/'"):
+            parse_config_text("poses = [standing, a/b]\n")
+
+    def test_double_underscore_pose_accepted(self):
+        cfg = dataclasses.replace(PipelineConfig(), poses=("standing", "a__b"))
+        assert cfg.poses == ("standing", "a__b")
+        assert parse_config_text("poses = [standing, a__b]\n").poses == ("standing", "a__b")
+
     def test_unknown_plane_rejected(self):
         with pytest.raises(ConfigError):
             dataclasses.replace(PipelineConfig(), planes=("xy", "uv"))
@@ -225,12 +238,15 @@ _NAMES = st.text(
     max_size=10,
 ).filter(lambda s: s == s.strip() and s.splitlines() == [s])
 
+# Pose names also hold no '/', which separates stream id fields.
+_POSE_NAMES = _NAMES.filter(lambda s: "/" not in s)
+
 
 @st.composite
 def _valid_configs(draw):
     planes = draw(st.permutations(PLANES))
     return PipelineConfig(
-        poses=tuple(draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True))),
+        poses=tuple(draw(st.lists(_POSE_NAMES, min_size=1, max_size=3, unique=True))),
         planes=tuple(planes[: draw(st.integers(1, 3))]),
         angles=tuple(draw(st.lists(st.floats(-180, 180), min_size=1, max_size=4, unique=True))),
         depth_windows=tuple(

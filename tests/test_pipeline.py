@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -498,6 +501,22 @@ class TestTrain:
             train(records, s, desk_config())
         assert extract.call_count == 0
 
+    @pytest.mark.parametrize("line_break", ["\n", "\r", "\x85", "\u2028"])
+    def test_label_with_line_break_rejected_before_extracting(
+        self, small_dataset, split, line_break
+    ):
+        # labels.txt is split with str.splitlines, so it cannot carry such a label.
+        label = f"sl{line_break}ide"
+        records = [
+            dataclasses.replace(r, label=label) if r.label == "slide" else r
+            for r in small_dataset
+        ]
+        with mock.patch(
+            "dmmaction.pipeline.extract_sample", wraps=extract_sample
+        ) as extract, pytest.raises(ContractError, match=re.escape(repr(label))):
+            train(records, split, desk_config())
+        assert extract.call_count == 0
+
     def test_stream_missing_a_class_is_skipped(self, tmp_path):
         spec = SynthSpec(actions=("slide", "bob", "arc"), subjects=2, cameras=1, frames=20)
         records = read_manifest(generate_synthetic_dataset(tmp_path, spec, seed=1))
@@ -865,6 +884,129 @@ class TestNetworkCache:
             plan.network(s.id)
         # two of the three equal depth networks fit; the appearance one is larger
         assert list(plan._networks) == [s.id for s in plan.streams[:2]]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the child processes forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _pool_workers(n_records):
+    """Children a pooled train of a small desk plan forks: one per core and record."""
+    cores = len(os.sched_getaffinity(0))
+    return min(cores, n_records) if cores >= 2 else 0
+
+
+def _plan_bytes(plan):
+    """Every fitted array, per-stream accuracy and warning of a trained plan, in order."""
+    report = plan.train_report
+    return (
+        [
+            (key, p.mean.tobytes(), p.components.tobytes(), p.variance_fractions.tobytes())
+            for key, p in plan.pca.items()
+        ],
+        [
+            (sid, m.weights.tobytes(), m.biases.tobytes(), m.labels, m.regularization)
+            for sid, m in plan.svm.items()
+        ],
+        list(report.per_stream.items()),
+        report.warnings,
+        report.n_train,
+    )
+
+
+class TestTrainPool:
+    """train extracts its records in a fork pool when the cached networks
+    leave room for 2 or more workers; the plan is byte-identical to a
+    serial run's.  A zero NETWORK_CACHE_BYTES keeps no network, which
+    forces the serial path."""
+
+    # 20-frame records give window-5 too few templates for clips of 16, and
+    # too few RGB frames for r30: every record adds warnings.
+    CFG = dict(angles=(0.0,), depth_windows=(5, "all"), rgb_windows=(10, 30), clip_len=16)
+
+    @pytest.mark.parametrize("cpus", [None, 8])
+    def test_pooled_plan_equals_serial_plan(
+        self, small_dataset, split, forks, monkeypatch, cpus
+    ):
+        n = len(split.train_indices)
+        if cpus is not None:  # more workers than cores: results arrive out of order
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pooled = train(small_dataset, split, desk_config(**self.CFG))
+        assert len(forks) == _pool_workers(n)
+        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
+        serial = train(small_dataset, split, desk_config(**self.CFG))
+        assert len(forks) == _pool_workers(n)
+        assert _plan_bytes(pooled) == _plan_bytes(serial)
+        assert pooled.train_report.per_stream
+        # warnings name the records in split order
+        warned = [w.split(": ")[0] for w in pooled.train_report.warnings]
+        records = [str(small_dataset[i].depth_path) for i in split.train_indices]
+        assert [w for w in dict.fromkeys(warned) if not w.startswith("stream ")] == records
+
+    def test_no_child_outlives_train(self, small_dataset, split, forks):
+        train(small_dataset, split, desk_config(angles=(0.0,)))
+        assert len(forks) == _pool_workers(len(split.train_indices))
+        assert multiprocessing.active_children() == []
+        for pid in forks:
+            with pytest.raises(ChildProcessError):  # already reaped
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_malformed_depth_file_raises_the_serial_error(
+        self, small_dataset, split, forks, monkeypatch, tmp_path
+    ):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\x02\x00\x00\x00\x04\x00")  # a truncated header
+        records = list(small_dataset)
+        i = split.train_indices[1]
+        records[i] = dataclasses.replace(records[i], depth_path=bad)
+        errors = []
+        for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
+            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
+            with pytest.raises(DmmActionError) as info:
+                train(records, split, desk_config(angles=(0.0,)))
+            errors.append((type(info.value), str(info.value)))
+        assert len(forks) == _pool_workers(len(split.train_indices))
+        assert errors[0] == errors[1]
+        assert errors[0][0] is ParseError
+
+    def test_replaced_extract_sample_sees_every_call_in_process(
+        self, small_dataset, split, forks
+    ):
+        with mock.patch(
+            "dmmaction.pipeline.extract_sample", wraps=extract_sample
+        ) as extract:
+            train(small_dataset, split, desk_config(angles=(0.0,)))
+        assert [c.args[0] for c in extract.call_args_list] == [
+            small_dataset[i] for i in split.train_indices
+        ]
+        assert forks == []
+
+    @pytest.mark.parametrize("spare", [-1, 0])
+    def test_pool_needs_room_for_two_copies_of_the_networks(
+        self, small_dataset, split, forks, monkeypatch, spare
+    ):
+        cfg = desk_config(angles=(0.0,))
+        plan = build_streams(cfg)
+        bank = sum(pipeline._build_network(cfg, s).nbytes for s in plan.streams)
+        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 2 * bank + spare)
+        with mock.patch.object(pipeline, "desk_network", wraps=pipeline.desk_network) as build:
+            plan = train(small_dataset, split, cfg)
+        # every network fits once: each is built once, in this process, and kept
+        assert build.call_count == len(plan.streams)
+        assert list(plan._networks) == [s.id for s in plan.streams]
+        assert len(forks) == (0 if spare < 0 else _pool_workers(len(split.train_indices)))
 
 
 class TestNonUtf8Text:

@@ -12,10 +12,15 @@ import pytest
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _tracer_targets():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def _tracer_targets():
+    spans = _load_spans()
     named = [(module, attr) for module, attr, _span, _count in spans.TARGETS]
     layers = [("dmmaction.neural", n) for n in ("conv3d_forward", "maxpool3d", "run_layers")]
     return named + layers
@@ -51,6 +56,25 @@ def test_evaluate_calls_classify_through_module_per_test_record(monkeypatch):
     report = pipeline.evaluate(records, split, plan)
     assert seen == [records[i] for i in split.test_indices]
     assert report.n_test == 3
+
+
+def test_tracer_sees_every_training_extraction(small_dataset):
+    """train pools extraction only while `pipeline.extract_sample` is its own;
+    under the tracer it extracts in this process, so every record's spans,
+    and the counters under them, are recorded."""
+    from dmmaction import pipeline, resolve_split
+    from conftest import desk_config
+
+    spans = _load_spans()
+    split = resolve_split(small_dataset, "cross-subject")
+    ids = [spans._sample_id(small_dataset[i]) for i in split.train_indices]
+    with spans.Tracer() as tracer:
+        pipeline.train(small_dataset, split, desk_config(angles=(0.0,)))
+    assert tracer.missing == []
+    extracts = [s[spans.SAMPLE] for s in tracer.spans if s[spans.NAME] == "pipeline.extract"]
+    assert extracts == ids
+    flows = [s[spans.SAMPLE] for s in tracer.spans if s[spans.NAME] == "motion.flow"]
+    assert sorted(set(flows)) == sorted(ids)
 
 
 # Leading parameters the tracer's counters and wrappers read, by position or
