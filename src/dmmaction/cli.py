@@ -115,11 +115,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     for i, rec in enumerate(records):
         result = extract_sample(rec, cfg, plan)
         arrays = {}
-        for sid, feats in result.features.items():
+        for slot, feats in result.features.items():
             if feats is None:
                 continue
             for j, f in enumerate(feats):
-                arrays[f"{sid}|{j}"] = f.values
+                arrays[f"{slot}|{j}"] = f
         np.savez(out / f"sample_{i:04d}.npz", **arrays)
         for w in result.warnings:
             log.warning("%s", w)
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jitter", type=float, default=spec.jitter)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("extract", help="extract per-stream features to .npz files")
+    p = sub.add_parser("extract", help="extract per-slot clip features to .npz files")
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     _add_common(p)

@@ -91,6 +91,12 @@ class PipelineConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} must not repeat a value, got {values!r}")
+        # Stream ids name an angle by its :g text, so two angles must not share one.
+        angle_ids = [f"{a:g}" for a in self.angles]
+        if len(set(angle_ids)) != len(angle_ids):
+            raise ConfigError(
+                f"angles {self.angles!r} collide in stream ids, which name them {angle_ids!r}"
+            )
         for name, low in _INT_MINIMUM.items():
             value = getattr(self, name)
             if not (value is None and name in _OPTIONAL) and not (_is_int(value) and value >= low):

@@ -1,8 +1,9 @@
 """Depth-motion-map accumulation and rendering into fixed-size network inputs.
 
 A template accumulates absolute frame-to-frame differences of one
-Cartesian projection over a time window; the region-adaptive variant
-weights each difference by its normalized motion magnitude.  Windows are
+Cartesian projection over a time window, each weighted by its normalized
+motion magnitude (region-adaptive); unit weights give the plain depth
+motion map.  Windows are
 counted in difference terms: a window w starting at t consumes maps
 t .. t+w, so t + w must not exceed the last map index.  The ALL window
 means every remaining difference from t to the end of the sequence.
@@ -101,30 +102,6 @@ def _check_window(maps: Sequence[ProjectedMap], t: int, window: Window) -> int:
     return w
 
 
-def accumulate_dmm(
-    maps: Sequence[ProjectedMap],
-    t: int,
-    window: Window,
-    angle: float = 0.0,
-    floor: float = 0.0,
-) -> DmmTemplate:
-    """Accumulate absolute consecutive differences over one window.
-
-    Args:
-        maps: ordered projections of one plane, identical shapes.
-        t: start index of the window.
-        window: difference count, or ALL for everything from t onward.
-        angle: view tag copied onto the template.
-        floor: optional noise floor; per-pixel differences below it are
-            dropped before accumulation (default 0 applies no threshold).
-
-    Returns:
-        DmmTemplate whose grid is sum(|maps[i+1] - maps[i]|) for
-        i in [t, t + window).
-    """
-    return _accumulate(maps, None, t, window, angle, floor)
-
-
 def accumulate_ramdmm(
     maps: Sequence[ProjectedMap],
     weights: Sequence[MagnitudeMap],
@@ -133,38 +110,43 @@ def accumulate_ramdmm(
     angle: float = 0.0,
     floor: float = 0.0,
 ) -> DmmTemplate:
-    """Accumulate differences weighted by normalized motion magnitude.
+    """Accumulate absolute consecutive differences weighted by motion magnitude.
 
-    weights[k] is the normalized magnitude of the flow between maps k and
-    k+1, so the term for pair (i, i+1) is |maps[i+1] - maps[i]| * weights[i].
-    With unit weights this reduces exactly to accumulate_dmm.
+    Args:
+        maps: ordered projections of one plane, identical shapes.
+        weights: weights[k] is the normalized magnitude of the flow between
+            maps k and k+1, one per consecutive pair.
+        t: start index of the window.
+        window: difference count, or ALL for everything from t onward.
+        angle: view tag copied onto the template.
+        floor: optional noise floor; per-pixel differences below it are
+            dropped before weighting (default 0 applies no threshold).
+
+    Returns:
+        DmmTemplate whose grid is sum(|maps[i+1] - maps[i]| * weights[i])
+        for i in [t, t + window).  Unit weights give the unweighted map
+        exactly.
     """
-    return _accumulate(maps, weights, t, window, angle, floor)
-
-
-def _accumulate(maps, weights, t, window, angle, floor) -> DmmTemplate:
-    """The one accumulation loop; weights=None accumulates unweighted."""
     w = _check_window(maps, t, window)
     shape = maps[0].grid.shape
-    if weights is not None:
-        if len(weights) != len(maps) - 1:
+    if len(weights) != len(maps) - 1:
+        raise ContractError(
+            f"got {len(weights)} weight maps for {len(maps)} frames; "
+            f"expected one per consecutive pair ({len(maps) - 1})"
+        )
+    for i, g in enumerate(weights[t : t + w], start=t):
+        if not g.normalized:
+            raise ContractError(f"weight map {i} is not normalized")
+        if g.g.shape != shape:
             raise ContractError(
-                f"got {len(weights)} weight maps for {len(maps)} frames; "
-                f"expected one per consecutive pair ({len(maps) - 1})"
+                f"weight map {i} shape {g.g.shape} does not match maps {shape}"
             )
-        for i, g in enumerate(weights[t : t + w], start=t):
-            if not g.normalized:
-                raise ContractError(f"weight map {i} is not normalized")
-            if g.g.shape != shape:
-                raise ContractError(
-                    f"weight map {i} shape {g.g.shape} does not match maps {shape}"
-                )
     acc = np.zeros(shape, dtype=np.float64)
     for i in range(t, t + w):
         d = np.abs(maps[i + 1].grid - maps[i].grid)
         if floor > 0.0:
             d = np.where(d >= floor, d, 0.0)
-        acc += d if weights is None else d * weights[i].g
+        acc += d * weights[i].g
     return DmmTemplate(maps[0].plane, window, angle, t, acc)
 
 

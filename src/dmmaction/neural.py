@@ -34,30 +34,6 @@ from .errors import ContractError
 Triple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Identifies the stream and clip a feature vector came from."""
-
-    pose: str | None = None
-    kind: str | None = None  # "dmm" | "rgb"
-    plane: str | None = None
-    window: object = None  # int, "all", or None
-    angle: float | None = None
-    clip_end: int | None = None
-
-    def without_plane(self) -> "Provenance":
-        return replace(self, plane=None)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray = field(repr=False)
-    provenance: object = None
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _check_triple(name: str, what: str, values: Triple, low: int) -> None:
     if len(values) != 3 or any(v < low for v in values):
         raise ContractError(f"{name}: {what} must be three ints >= {low}, got {values}")
@@ -329,26 +305,13 @@ def clip_to_tensor(clip: Clip) -> np.ndarray:
     return np.ascontiguousarray(clip.frames.transpose(3, 0, 1, 2)).astype(np.float64) / 255.0
 
 
-def extract_features(clip: Clip, net: NetworkSpec, provenance: object = None) -> FeatureVector:
+def extract_features(clip: Clip, net: NetworkSpec) -> np.ndarray:
     """Run the whole stack on a clip and return its last, dense layer's activations."""
     if not net.layers or not isinstance(net.layers[-1], Dense):
         raise ContractError(f"network {net.name} does not end at a fully-connected layer")
     for _, acts in run_layers(clip_to_tensor(clip), net):
         pass
-    return FeatureVector(values=acts, provenance=provenance)
-
-
-def concat_views(*views: FeatureVector) -> FeatureVector:
-    """Concatenate the plane features of one (window, angle, clip) slot, in order."""
-    tags = [_plane_free(f.provenance) for f in views]
-    if any(t != tags[0] for t in tags):
-        raise ContractError(f"provenance mismatch across views: {tags}")
-    values = np.concatenate([f.values for f in views])
-    return FeatureVector(values=values, provenance=tags[0])
-
-
-def _plane_free(p: object) -> object:
-    return p.without_plane() if isinstance(p, Provenance) else p
+    return acts
 
 
 def stream_rng(seed: int, stream_id: str) -> np.random.Generator:

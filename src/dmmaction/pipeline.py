@@ -2,7 +2,8 @@
 
 A stream is one (pose, plane, window, angle) depth pipeline or one
 (pose, rgb window) appearance pipeline, each owning a network and an SVM
-bank; the plane streams of one slot share a PCA basis.  The orchestrator
+bank; the plane streams of one slot share its features and PCA basis,
+which are extracted and kept once per slot.  The orchestrator
 runs samples through every stream of their pose bank and fuses per-stream
 scores by averaging, depth streams first, then depth with appearance.
 
@@ -21,7 +22,7 @@ import logging
 import os
 import zlib
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,16 +60,7 @@ from .learn import (
     svm_train,
 )
 from .motion import MagnitudeMap, estimate_flow, flow_magnitude, normalize_magnitude
-from .neural import (
-    FeatureVector,
-    NetworkSpec,
-    Provenance,
-    c3d_network,
-    concat_views,
-    desk_network,
-    extract_features,
-    stream_rng,
-)
+from .neural import NetworkSpec, c3d_network, desk_network, extract_features, stream_rng
 from .videoio import DepthFrame, DepthSequence, read_depth_bin, read_rgb_sequence, read_text
 
 log = logging.getLogger(__name__)
@@ -95,7 +87,11 @@ class Stream:
         """Key of the features this stream shares with others: its id without the plane."""
         if self.kind == "rgb":
             return self.id
-        return f"{self.pose}/dmm/w{self.window}/a{self.angle:g}"
+        return _dmm_slot_id(self.pose, self.window, self.angle)
+
+
+def _dmm_slot_id(pose: str, window: Window, angle: float) -> str:
+    return f"{pose}/dmm/w{window}/a{angle:g}"
 
 
 def _dmm_stream_id(pose: str, plane: str, window: Window, angle: float) -> str:
@@ -301,15 +297,17 @@ def _apply_crop(seq: DepthSequence, crop_path: Path) -> DepthSequence:
 
 @dataclass
 class ExtractResult:
-    """Per-stream clip features for one sample.
+    """Per-slot clip features for one sample.
 
-    features maps stream id to a list of feature vectors (one per clip),
-    an empty list when the sequence was too short for that stream, or
-    None when the stream needs RGB input the sample does not have.  Only
-    the streams of the sample's pose bank appear.
+    features maps Stream.slot to a list of float64 feature arrays (one per
+    clip), an empty list when the sequence was too short for that slot, or
+    None when the slot needs RGB input the sample does not have.  A depth
+    slot's arrays are its planes' features concatenated in cfg.planes
+    order; an appearance slot is its stream's id.  Only the slots of the
+    sample's pose bank appear.
     """
 
-    features: dict[str, list[FeatureVector] | None]
+    features: dict[str, list[np.ndarray] | None]
     warnings: tuple[str, ...] = ()
 
 
@@ -393,20 +391,12 @@ def _resize_rgb(pixels: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     return np.clip(np.rint(resized), 0, 255).astype(np.uint8)
 
 
-def _clip_features(
-    frames: list[np.ndarray], lam: int, net: NetworkSpec, prov: Provenance
-) -> list[FeatureVector]:
+def _clip_features(frames: list[np.ndarray], lam: int, net: NetworkSpec) -> list[np.ndarray]:
     """Features of the stride-lam clips of frames, ending at lam-1, 2*lam-1, ..."""
     return [
-        extract_features(stack_clip(frames, end, lam), net, replace(prov, clip_end=end))
+        extract_features(stack_clip(frames, end, lam), net)
         for end in range(lam - 1, len(frames), lam)
     ]
-
-
-def _combine_planes(per_plane: dict[str, list[FeatureVector]], planes) -> list[FeatureVector]:
-    """Concatenate per-plane features clip by clip into one view vector."""
-    clips = zip(*(per_plane[p] for p in planes), strict=True)
-    return [concat_views(*feats) for feats in clips]
 
 
 def extract_sample(
@@ -427,8 +417,8 @@ def extract_sample(
         plan: optional plan whose cached networks should be reused.
 
     Returns:
-        ExtractResult keyed by stream id; streams the sequence is too
-        short for get an empty list and a warning, appearance streams
+        ExtractResult keyed by Stream.slot; slots the sequence is too
+        short for get an empty list and a warning, appearance slots
         without RGB input get None.
     """
     if rec.pose not in cfg.poses:
@@ -438,7 +428,7 @@ def extract_sample(
     plan = plan if plan is not None else build_streams(cfg)
     bank = [s for s in plan.streams if s.pose == rec.pose]
     warnings: list[str] = []
-    features: dict[str, list[FeatureVector] | None] = {}
+    features: dict[str, list[np.ndarray] | None] = {}
 
     depth_seq = read_depth_bin(rec.depth_path)
     if rec.crop_path is not None:
@@ -454,43 +444,39 @@ def extract_sample(
         sequences = plane_sequences(depth_seq, cfg, angles, cfg.planes)
     for window in cfg.depth_windows:
         for alpha in angles:
-            sids = {p: _dmm_stream_id(rec.pose, p, window, alpha) for p in cfg.planes}
+            slot = _dmm_slot_id(rec.pose, window, alpha)
             n_templates = template_count(n, window)
             if n_templates < cfg.clip_len:
                 warnings.append(
                     f"{rec.depth_path}: {n} frames give {n_templates} templates "
                     f"for window {window}, need {cfg.clip_len}; skipping"
                 )
-                for sid in sids.values():
-                    features[sid] = []
+                features[slot] = []
                 continue
             # The clips tile only the first k * clip_len templates.
             covered = range(n_templates // cfg.clip_len * cfg.clip_len)
-            per_plane: dict[str, list[FeatureVector]] = {}
+            per_plane = []
             for p in cfg.planes:
                 maps, weights = sequences[(alpha, p)]
                 rendered = render_templates(maps, weights, window, alpha, cfg, covered)
-                prov = Provenance(pose=rec.pose, kind="dmm", plane=p, window=window, angle=alpha)
-                per_plane[p] = _clip_features(rendered, cfg.clip_len, plan.network(sids[p]), prov)
-            combined = _combine_planes(per_plane, cfg.planes)
-            for sid in sids.values():
-                features[sid] = combined
+                net = plan.network(_dmm_stream_id(rec.pose, p, window, alpha))
+                per_plane.append(_clip_features(rendered, cfg.clip_len, net))
+            features[slot] = [np.concatenate(c) for c in zip(*per_plane, strict=True)]
 
     if rgb_streams:
         rgb_frames = _appearance_frames(rec, cfg, depth_seq, warnings)
         for s in rgb_streams:
             if rgb_frames is None:
-                features[s.id] = None
+                features[s.slot] = None
                 continue
             if len(rgb_frames) < s.rgb_len:
                 warnings.append(
                     f"{rec.depth_path}: {len(rgb_frames)} appearance frames, "
                     f"need {s.rgb_len}; skipping {s.id}"
                 )
-                features[s.id] = []
+                features[s.slot] = []
                 continue
-            prov = Provenance(pose=rec.pose, kind="rgb", window=s.rgb_len)
-            features[s.id] = _clip_features(rgb_frames, s.rgb_len, plan.network(s.id), prov)
+            features[s.slot] = _clip_features(rgb_frames, s.rgb_len, plan.network(s.id))
     return ExtractResult(features=features, warnings=tuple(warnings))
 
 
@@ -721,38 +707,38 @@ def train(
         raise ProtocolError(f"classes {missing} absent from the training split")
     plan.labels = labels
 
-    per_stream_feats: dict[str, list[FeatureVector]] = {s.id: [] for s in plan.streams}
-    per_stream_labels: dict[str, list[str]] = {s.id: [] for s in plan.streams}
+    per_slot_feats: dict[str, list[np.ndarray]] = {s.slot: [] for s in plan.streams}
+    per_slot_labels: dict[str, list[str]] = {s.slot: [] for s in plan.streams}
     warnings: list[str] = []
     train_records = [records[i] for i in split.train_indices]
     for rec, result in zip(train_records, _extract_all(train_records, cfg, plan)):
         warnings.extend(result.warnings)
-        for sid, feats in result.features.items():
+        for slot, feats in result.features.items():
             if not feats:
                 continue
-            per_stream_feats[sid].extend(feats)
-            per_stream_labels[sid].extend([rec.label] * len(feats))
+            per_slot_feats[slot].extend(feats)
+            per_slot_labels[slot].extend([rec.label] * len(feats))
 
     report = TrainReport(n_train=len(split.train_indices))
     train_poses = {records[i].pose for i in split.train_indices}
     projected: dict[str, np.ndarray] = {}
     for s in plan.streams:
-        feats = per_stream_feats[s.id]
+        key = s.slot
+        feats = per_slot_feats[key]
         if len(feats) < 2:
             if s.pose in train_poses:
                 warnings.append(f"stream {s.id}: {len(feats)} training clips, skipped")
             continue
-        stream_labels = per_stream_labels[s.id]
+        stream_labels = per_slot_labels[key]
         # classify reads every stream's scores in plan.labels order, so a
         # stream's SVM must know every class.
         absent = sorted(set(labels) - set(stream_labels))
         if absent:
             warnings.append(f"stream {s.id}: no training clips of classes {absent}, skipped")
             continue
-        key = s.slot
         if key not in plan.pca:
-            plan.pca[key] = pca_fit([f.values for f in feats], cfg.pca_target)
-            projected[key] = np.stack([pca_project(plan.pca[key], f.values) for f in feats])
+            plan.pca[key] = pca_fit(feats, cfg.pca_target)
+            projected[key] = np.stack([pca_project(plan.pca[key], f) for f in feats])
         svm = svm_train(
             projected[key],
             stream_labels,
@@ -813,11 +799,11 @@ def classify(
     for s in plan.streams:
         if s.pose != rec.pose:
             continue
-        feats = result.features.get(s.id)
+        feats = result.features.get(s.slot)
         if not feats or s.id not in plan.svm:
             continue
         if s.slot not in projected:
-            projected[s.slot] = [pca_project(plan.pca[s.slot], f.values) for f in feats]
+            projected[s.slot] = [pca_project(plan.pca[s.slot], f) for f in feats]
         clip_scores = [
             svm_score(plan.svm[s.id], x, normalize=normalize) for x in projected[s.slot]
         ]

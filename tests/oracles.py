@@ -167,3 +167,24 @@ def draw_oracle(rng, out_dim, *in_shape):
     w = rng.uniform(-s, s, (out_dim, *in_shape)).astype(np.float32).astype(np.float64)
     b = rng.uniform(-s, s, out_dim).astype(np.float32).astype(np.float64)
     return w, b
+
+
+def dmm_oracle(grids, t, window, floor=0.0):
+    """Unweighted depth motion map, pixel by pixel from the defining sum.
+
+    out(y, x) = sum over i in [t, t + w) of |g[i+1](y, x) - g[i](y, x)|,
+    counting a difference only when it is >= floor, added in order of i
+    to 0.0.  window "all" means w = len(grids) - 1 - t.
+    """
+    w = len(grids) - 1 - t if window == "all" else window
+    height, width = grids[0].shape
+    out = np.zeros((height, width))
+    for y in range(height):
+        for x in range(width):
+            acc = 0.0
+            for i in range(t, t + w):
+                d = abs(float(grids[i + 1][y, x]) - float(grids[i][y, x]))
+                if d >= floor:
+                    acc += d
+            out[y, x] = acc
+    return out

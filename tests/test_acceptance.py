@@ -23,7 +23,7 @@ from dmmaction import (
     resolve_split,
     train,
 )
-from dmmaction.dmm import accumulate_dmm, accumulate_ramdmm
+from dmmaction.dmm import accumulate_ramdmm
 from dmmaction.geometry import (
     Intrinsics,
     PointCloud,
@@ -53,7 +53,7 @@ from dmmaction.neural import (
     stream_rng,
 )
 from dmmaction.videoio import DepthFrame
-from oracles import conv3d_oracle, maxpool3d_oracle
+from oracles import conv3d_oracle, dmm_oracle, maxpool3d_oracle
 from conftest import desk_config
 
 ANGLE_SET = PipelineConfig().angles
@@ -88,9 +88,11 @@ def test_criterion_1_stream_topology():
 def test_criterion_2_motion_map_algebra():
     with criterion(2, "motion map algebra", 10.0) as info:
         rng = np.random.default_rng(202)
+        # Unit weights give the unweighted map exactly (d * 1.0 == d).
         static = [ProjectedMap("xy", np.full((5, 6), 7.0)) for _ in range(6)]
-        assert np.array_equal(accumulate_dmm(static, 0, ALL).grid, np.zeros((5, 6)))
-        assert np.array_equal(accumulate_dmm(static, 1, 3).grid, np.zeros((5, 6)))
+        ones = [MagnitudeMap(np.ones((5, 6)), normalized=True) for _ in range(5)]
+        assert np.array_equal(accumulate_ramdmm(static, ones, 0, ALL).grid, np.zeros((5, 6)))
+        assert np.array_equal(accumulate_ramdmm(static, ones, 1, 3).grid, np.zeros((5, 6)))
 
         cases = 0
         for _ in range(1000):
@@ -102,8 +104,12 @@ def test_criterion_2_motion_map_algebra():
             t = int(rng.integers(0, n - 4))
             w = int(rng.integers(4, n - t))
             cut = int(rng.integers(2, w - 1))
-            whole = accumulate_dmm(maps, t, w).grid
-            split = accumulate_dmm(maps, t, cut).grid + accumulate_dmm(maps, t + cut, w - cut).grid
+            ones = [MagnitudeMap(np.ones((6, 7)), normalized=True) for _ in range(n - 1)]
+            whole = accumulate_ramdmm(maps, ones, t, w).grid
+            split = (
+                accumulate_ramdmm(maps, ones, t, cut).grid
+                + accumulate_ramdmm(maps, ones, t + cut, w - cut).grid
+            )
             assert np.array_equal(whole, split)
             cases += 1
 
@@ -114,7 +120,7 @@ def test_criterion_2_motion_map_algebra():
             normalize_magnitude(MagnitudeMap(rng.uniform(0.0, 5.0, (6, 7))))
             for _ in range(6)
         ]
-        plain = accumulate_dmm(maps, 0, ALL).grid
+        plain = dmm_oracle(frames, 0, ALL)
         assert np.array_equal(accumulate_ramdmm(maps, unit, 0, ALL).grid, plain)
         assert np.all(accumulate_ramdmm(maps, rand, 0, ALL).grid <= plain)
         info["detail"] = f"partitions={cases}"

@@ -199,13 +199,19 @@ class TestExtract:
         assert code == 0
         files = sorted(out.glob("*.npz"))
         assert [f.name for f in files] == ["sample_0000.npz"]
+        # One array per slot clip: the three plane streams of a depth slot
+        # share one concatenated vector, stored once.
+        want = extract_sample(read_manifest(mini)[0], desk_config()).features
         with np.load(files[0]) as npz:
-            sids = {key.rsplit("|", 1)[0] for key in npz.files}
-            assert len(sids) == 7
-            assert "standing/rgb/r10" in sids
-            for key in npz.files:
-                want = (64,) if "/rgb/" in key else (192,)
-                assert npz[key].shape == want
+            assert list(want) == ["standing/dmm/w5/a0", "standing/dmm/w5/a30", "standing/rgb/r10"]
+            keys = [f"{slot}|{j}" for slot, feats in want.items() for j in range(len(feats))]
+            assert npz.files == keys
+            for slot, feats in want.items():
+                for j, f in enumerate(feats):
+                    got = npz[f"{slot}|{j}"]
+                    assert got.dtype == np.float64
+                    assert got.shape == ((64,) if "/rgb/" in slot else (192,))
+                    assert got.tobytes() == f.tobytes()
 
 
 class TestRenderDmm:
@@ -291,6 +297,20 @@ class TestBadArguments:
         assert errors[0].exc_info is None
         assert "\n" not in errors[0].getMessage()
         assert not (tmp_path / "o.ppm").exists()
+
+
+class TestCollidingAngles:
+    def test_angles_sharing_a_stream_id_rejected(self, ws, tmp_path, caplog):
+        out = tmp_path / "feats"
+        with caplog.at_level(logging.ERROR):
+            code, printed = _run(
+                ["extract", "--manifest", str(ws.manifest), "--out", str(out),
+                 "--config", str(ws.cfg), "--angles", "15,15.000001"]
+            )
+        assert code == 2
+        assert printed == ""
+        assert "collide in stream ids" in caplog.text
+        assert not out.exists()
 
 
 class TestParser:

@@ -10,6 +10,7 @@ from dmmaction import (
     DmmActionError,
     ParseError,
     PipelineConfig,
+    build_streams,
     load_config,
 )
 from dmmaction.config import config_to_text, parse_config_text
@@ -51,6 +52,23 @@ class TestValidation:
         cfg = dataclasses.replace(PipelineConfig(), poses=("standing", "a__b"))
         assert cfg.poses == ("standing", "a__b")
         assert parse_config_text("poses = [standing, a__b]\n").poses == ("standing", "a__b")
+
+    def test_angles_sharing_a_stream_id_rejected(self):
+        # Stream ids name an angle by its :g text, and 15.0 and 15.000001
+        # both read "15": one stream would overwrite the other's models.
+        with pytest.raises(ConfigError, match="collide in stream ids"):
+            PipelineConfig(
+                angles=(15.0, 15.000001), network_preset="desk",
+                poses=("standing",), rgb_windows=(),
+            )
+        with pytest.raises(ConfigError, match="collide in stream ids"):
+            parse_config_text("angles = [15, 15.000001]\n")
+
+    def test_angles_with_distinct_stream_ids_accepted(self):
+        cfg = dataclasses.replace(PipelineConfig(), angles=(15.0, 15.0001))
+        ids = [s.id for s in build_streams(cfg).streams]
+        assert len(set(ids)) == len(ids)
+        assert any(i.endswith("/a15.0001") for i in ids)
 
     def test_unknown_plane_rejected(self):
         with pytest.raises(ConfigError):
@@ -242,13 +260,20 @@ _NAMES = st.text(
 _POSE_NAMES = _NAMES.filter(lambda s: "/" not in s)
 
 
+# Angles are unique by the :g text that names them in stream ids.
+def _angle_id(a):
+    return f"{a:g}"
+
+
 @st.composite
 def _valid_configs(draw):
     planes = draw(st.permutations(PLANES))
     return PipelineConfig(
         poses=tuple(draw(st.lists(_POSE_NAMES, min_size=1, max_size=3, unique=True))),
         planes=tuple(planes[: draw(st.integers(1, 3))]),
-        angles=tuple(draw(st.lists(st.floats(-180, 180), min_size=1, max_size=4, unique=True))),
+        angles=tuple(
+            draw(st.lists(st.floats(-180, 180), min_size=1, max_size=4, unique_by=_angle_id))
+        ),
         depth_windows=tuple(
             draw(st.lists(st.just(ALL) | st.integers(2, 60), min_size=1, max_size=3, unique=True))
         ),

@@ -7,7 +7,6 @@ from dmmaction import ALL, ContractError
 from dmmaction.dmm import (
     Clip,
     DmmTemplate,
-    accumulate_dmm,
     accumulate_ramdmm,
     jet_rgb,
     render_grid,
@@ -16,6 +15,7 @@ from dmmaction.dmm import (
 )
 from dmmaction.geometry import ProjectedMap
 from dmmaction.motion import MagnitudeMap
+from oracles import dmm_oracle
 
 
 def _maps(values, plane="xy"):
@@ -26,10 +26,16 @@ def _unit_weights(n, shape):
     return [MagnitudeMap(np.ones(shape), normalized=True) for _ in range(n)]
 
 
+def _dmm(maps, t, window, floor=0.0):
+    """The unweighted map: accumulate_ramdmm with unit weights (d * 1.0 == d)."""
+    weights = _unit_weights(len(maps) - 1, maps[0].grid.shape)
+    return accumulate_ramdmm(maps, weights, t=t, window=window, floor=floor)
+
+
 class TestAccumulateDmm:
     def test_scalar_example(self):
         maps = _maps([[[0.0]], [[3.0]], [[5.0]]])
-        tpl = accumulate_dmm(maps, t=0, window=2)
+        tpl = _dmm(maps, t=0, window=2)
         assert tpl.grid[0, 0] == 5.0
         assert tpl.plane == "xy"
         assert tpl.start == 0
@@ -38,24 +44,24 @@ class TestAccumulateDmm:
     def test_constant_sequence_is_zero(self, rng):
         grid = rng.random((4, 5)) * 100.0
         maps = _maps([grid] * 6)
-        tpl = accumulate_dmm(maps, t=0, window=ALL)
+        tpl = _dmm(maps, t=0, window=ALL)
         assert np.all(tpl.grid == 0.0)
 
     def test_all_window_spans_remaining(self):
         maps = _maps([[[0.0]], [[1.0]], [[4.0]], [[9.0]]])
-        tpl = accumulate_dmm(maps, t=0, window=ALL)
+        tpl = _dmm(maps, t=0, window=ALL)
         assert tpl.grid[0, 0] == 9.0
         assert tpl.window == ALL
 
     def test_window_exceeding_sequence_rejected(self):
         maps = _maps([[[0.0]], [[1.0]], [[2.0]]])
         with pytest.raises(ContractError, match="3 maps"):
-            accumulate_dmm(maps, t=0, window=5)
+            _dmm(maps, t=0, window=5)
 
     def test_single_difference_window_rejected(self):
         maps = _maps([[[0.0]], [[1.0]], [[2.0]]])
         with pytest.raises(ContractError):
-            accumulate_dmm(maps, t=0, window=1)
+            _dmm(maps, t=0, window=1)
 
     @given(st.integers(0, 400), st.integers(2, 4), st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
@@ -64,15 +70,15 @@ class TestAccumulateDmm:
         local = np.random.default_rng(seed)
         frames = local.integers(0, 50, size=(a + b + 1, 3, 4)).astype(np.float64)
         maps = _maps(list(frames))
-        left = accumulate_dmm(maps, t=0, window=a).grid
-        right = accumulate_dmm(maps, t=a, window=b).grid
-        whole = accumulate_dmm(maps, t=0, window=a + b).grid
+        left = _dmm(maps, t=0, window=a).grid
+        right = _dmm(maps, t=a, window=b).grid
+        whole = _dmm(maps, t=0, window=a + b).grid
         assert np.array_equal(left + right, whole)
 
     def test_noise_floor_drops_small_differences(self):
         maps = _maps([[[0.0]], [[0.5]], [[4.5]]])
-        plain = accumulate_dmm(maps, t=0, window=2)
-        floored = accumulate_dmm(maps, t=0, window=2, floor=1.0)
+        plain = _dmm(maps, t=0, window=2)
+        floored = _dmm(maps, t=0, window=2, floor=1.0)
         assert plain.grid[0, 0] == 4.5
         assert floored.grid[0, 0] == 4.0
 
@@ -83,7 +89,23 @@ class TestAccumulateDmm:
             ProjectedMap("xy", np.zeros((2, 2))),
         ]
         with pytest.raises(ContractError):
-            accumulate_dmm(maps, t=0, window=2)
+            _dmm(maps, t=0, window=2)
+
+
+    @given(
+        st.integers(0, 400),
+        st.integers(3, 9),
+        st.sampled_from([0.0, 5.0, 20.0]),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_unit_weights_match_oracle(self, seed, n, floor, data):
+        frames = np.random.default_rng(seed).random((n, 3, 4)) * 40.0
+        maps = _maps(list(frames))
+        t = data.draw(st.integers(0, n - 3))
+        window = data.draw(st.sampled_from([ALL, *range(2, n - t)]))
+        got = _dmm(maps, t, window, floor=floor).grid
+        assert got.tobytes() == dmm_oracle(frames, t, window, floor=floor).tobytes()
 
 
 class TestAccumulateRamdmm:
@@ -101,8 +123,7 @@ class TestAccumulateRamdmm:
         maps = _maps(list(frames))
         weights = _unit_weights(4, (4, 4))
         weighted = accumulate_ramdmm(maps, weights, t=0, window=4)
-        plain = accumulate_dmm(maps, t=0, window=4)
-        assert np.array_equal(weighted.grid, plain.grid)
+        assert weighted.grid.tobytes() == dmm_oracle(frames, 0, 4).tobytes()
 
     def test_zero_weights_give_zero(self, rng):
         frames = rng.random((4, 3, 3)) * 50.0
@@ -118,8 +139,8 @@ class TestAccumulateRamdmm:
             MagnitudeMap(rng.random((4, 5)), normalized=True) for _ in range(5)
         ]
         weighted = accumulate_ramdmm(maps, weights, t=0, window=ALL)
-        plain = accumulate_dmm(maps, t=0, window=ALL)
-        assert np.all(weighted.grid <= plain.grid + 1e-12)
+        plain = dmm_oracle(frames, 0, ALL)
+        assert np.all(weighted.grid <= plain + 1e-12)
 
     def test_misaligned_weights_rejected(self):
         maps = _maps([[[0.0]], [[1.0]], [[2.0]]])

@@ -11,13 +11,10 @@ from dmmaction.dmm import Clip
 from dmmaction.neural import (
     Conv3d,
     Dense,
-    FeatureVector,
     Flatten,
     NetworkSpec,
-    Provenance,
     c3d_network,
     clip_to_tensor,
-    concat_views,
     conv3d_forward,
     desk_network,
     extract_features,
@@ -293,14 +290,14 @@ class TestNetworks:
         frames = (rng.random((4, 16, 16, 3)) * 255).astype(np.uint8)
         a = extract_features(Clip(frames.copy()), net)
         b = extract_features(Clip(frames.copy()), net)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_frame_permutation_changes_features(self, rng):
         net = desk_network(stream_rng(4, "time"), clip_len=4, height=16, width=16)
         frames = (rng.random((4, 16, 16, 3)) * 255).astype(np.uint8)
         fwd = extract_features(Clip(frames), net)
         rev = extract_features(Clip(frames[::-1].copy()), net)
-        assert not np.array_equal(fwd.values, rev.values)
+        assert not np.array_equal(fwd, rev)
 
     def test_wrong_clip_shape_names_layer(self, rng):
         net = desk_network(stream_rng(5, "shape"), clip_len=4, height=16, width=16)
@@ -327,7 +324,8 @@ class TestNetworks:
         first_dense = next(l.name for l in net.layers if isinstance(l, Dense))
         full = dict(run_layers(clip_to_tensor(Clip(frames)), net))
         feats = extract_features(Clip(frames), net)
-        assert feats.values.tobytes() == full[first_dense].tobytes()
+        assert isinstance(feats, np.ndarray) and feats.dtype == np.float64
+        assert feats.tobytes() == full[first_dense].tobytes()
 
     def test_layers_after_first_dense_never_run(self, rng):
         net = desk_network(stream_rng(7, "fc-tail"), clip_len=4, height=16, width=16, fc_units=8)
@@ -441,52 +439,6 @@ class TestNetworks:
         a = desk_network(stream_rng(6, "s1"), clip_len=4, height=16, width=16)
         b = desk_network(stream_rng(6, "s2"), clip_len=4, height=16, width=16)
         assert not np.array_equal(a.layers[0].weights, b.layers[0].weights)
-
-
-class TestConcatViews:
-    def _fv(self, values, plane):
-        prov = Provenance(pose="standing", kind="dmm", plane=plane, window=5, angle=0.0, clip_end=7)
-        return FeatureVector(np.asarray(values, dtype=np.float64), prov)
-
-    def test_small_example(self):
-        out = concat_views(self._fv([1, 2], "xy"), self._fv([3], "yz"), self._fv([4, 5], "xz"))
-        assert list(out.values) == [1, 2, 3, 4, 5]
-
-    def test_empty_vectors(self):
-        out = concat_views(self._fv([], "xy"), self._fv([], "yz"), self._fv([], "xz"))
-        assert len(out) == 0
-
-    def test_c3d_scale_lengths(self):
-        out = concat_views(
-            self._fv(np.zeros(4096), "xy"),
-            self._fv(np.zeros(4096), "yz"),
-            self._fv(np.zeros(4096), "xz"),
-        )
-        assert len(out) == 12288
-
-    def test_provenance_mismatch_rejected(self):
-        a = self._fv([1.0], "xy")
-        bad = FeatureVector(
-            np.array([2.0]),
-            Provenance(pose="standing", kind="dmm", plane="yz", window=10, angle=0.0, clip_end=7),
-        )
-        with pytest.raises(ContractError):
-            concat_views(a, bad, self._fv([3.0], "xz"))
-
-    def test_any_number_of_views(self):
-        out = concat_views(self._fv([1, 2], "xy"), self._fv([3], "xz"))
-        assert list(out.values) == [1, 2, 3]
-        assert out.provenance.plane is None
-        with pytest.raises(ContractError):
-            concat_views(
-                self._fv([1.0], "xy"),
-                FeatureVector(np.array([2.0]), Provenance(pose="sitting", plane="xz")),
-            )
-
-    def test_result_provenance_drops_plane(self):
-        out = concat_views(self._fv([1], "xy"), self._fv([2], "yz"), self._fv([3], "xz"))
-        assert out.provenance.plane is None
-        assert out.provenance.window == 5
 
 
 class TestNetworkSpecValidation:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import multiprocessing
 import os
@@ -36,12 +37,11 @@ from dmmaction.dmm import Clip, render_grid, stack_clip, template_count
 from dmmaction.geometry import ProjectedMap, synthesize_view
 from dmmaction.learn import PcaModel, SvmModel, pca_fit
 from dmmaction.motion import estimate_flow
-from dmmaction.neural import FeatureVector, Provenance, extract_features
+from dmmaction.neural import extract_features
 from dmmaction.pipeline import (
     SampleRecord,
     Split,
     StreamPlan,
-    _combine_planes,
     _flow_weights,
     _resize_rgb,
 )
@@ -194,32 +194,6 @@ class TestFlowWeights:
             _flow_weights(maps, cfg)
 
 
-class TestCombinePlanes:
-    def _fv(self, value, plane, clip_end=7, window=5):
-        prov = Provenance(
-            pose="standing", kind="dmm", plane=plane, window=window, angle=0.0, clip_end=clip_end
-        )
-        return FeatureVector(np.array([value]), prov)
-
-    @pytest.mark.parametrize("planes", [("xy", "yz", "xz"), ("xz", "xy"), ("yz",)])
-    def test_concatenates_in_plane_order_without_plane(self, planes):
-        per_plane = {p: [self._fv(i, p, 7), self._fv(10 + i, p, 15)] for i, p in enumerate(planes)}
-        combined = _combine_planes(per_plane, planes)
-        assert [list(f.values) for f in combined] == [
-            list(range(len(planes))),
-            list(range(10, 10 + len(planes))),
-        ]
-        assert [f.provenance.clip_end for f in combined] == [7, 15]
-        assert all(f.provenance.plane is None for f in combined)
-
-    @pytest.mark.parametrize("planes", [("xy", "yz", "xz"), ("xz", "xy")])
-    def test_provenance_mismatch_rejected(self, planes):
-        per_plane = {p: [self._fv(0, p)] for p in planes}
-        per_plane[planes[-1]] = [self._fv(0, planes[-1], window=10)]
-        with pytest.raises(ContractError, match="provenance mismatch"):
-            _combine_planes(per_plane, planes)
-
-
 class TestExtractSample:
     def test_determinism(self, small_dataset):
         cfg = desk_config(angles=(0.0,))
@@ -232,7 +206,7 @@ class TestExtractSample:
             assert (fa is None) == (fb is None)
             if fa:
                 for va, vb in zip(fa, fb):
-                    assert np.array_equal(va.values, vb.values)
+                    assert np.array_equal(va, vb)
 
     def test_unconfigured_pose_rejected(self, small_dataset):
         cfg = desk_config(poses=("sitting",))
@@ -268,7 +242,7 @@ class TestExtractSample:
         ) as render:
             result = extract_sample(small_dataset[0], cfg)
         assert render.call_count == 3 * (8 + 16)
-        assert [len(result.features[f"standing/dmm/xy/w{w}/a0"]) for w in (5, "all")] == [1, 2]
+        assert [len(result.features[f"standing/dmm/w{w}/a0"]) for w in (5, "all")] == [1, 2]
 
     @pytest.mark.parametrize("depth_as_rgb", [False, True])
     def test_appearance_clips_tile_by_window(self, small_dataset, depth_as_rgb):
@@ -286,14 +260,12 @@ class TestExtractSample:
         for lam, ends in ((6, [5, 11, 17]), (10, [9, 19])):
             sid = f"standing/rgb/r{lam}"
             got = result.features[sid]
-            assert [f.provenance.clip_end for f in got] == ends
+            assert len(got) == len(ends)
             for f, end in zip(got, ends):
                 clip = Clip(np.stack(frames[end - lam + 1 : end + 1]))
                 want = extract_features(clip, plan.network(sid))
-                assert f.values.tobytes() == want.values.tobytes()
-                assert f.provenance == Provenance(
-                    pose="standing", kind="rgb", window=lam, clip_end=end
-                )
+                assert f.dtype == np.float64
+                assert f.tobytes() == want.tobytes()
 
     def test_missing_rgb_marks_stream_absent(self, small_dataset):
         cfg = desk_config(angles=(0.0,))
@@ -314,22 +286,56 @@ class TestExtractSample:
         rec = small_dataset[1]
         a = extract_sample(rec, cfg)
         b = extract_sample(rec, bypass)
-        for plane in ("xy", "yz", "xz"):
-            sid = f"standing/dmm/{plane}/w5/a0"
-            for va, vb in zip(a.features[sid], b.features[sid]):
-                assert np.array_equal(va.values, vb.values)
+        got, want = a.features["standing/dmm/w5/a0"], b.features["standing/dmm/w5/a0"]
+        assert len(got) == len(want) >= 1
+        for va, vb in zip(got, want):
+            assert np.array_equal(va, vb)
 
-    def test_provenance_routing(self, small_dataset):
-        cfg = desk_config(angles=(0.0,), poses=("sitting", "standing"))
-        result = extract_sample(small_dataset[0], cfg)
-        assert all(sid.startswith("standing/") for sid in result.features)
-        for sid, feats in result.features.items():
-            if not feats:
-                continue
-            for f in feats:
-                assert f.provenance.pose == "standing"
-                assert f.provenance.kind == ("rgb" if "/rgb/" in sid else "dmm")
-                assert f.provenance.clip_end is not None
+    def test_only_the_record_pose_bank_appears(self, small_dataset):
+        cfg = desk_config(poses=("sitting", "standing"))
+        plan = build_streams(cfg)
+        result = extract_sample(small_dataset[0], cfg, plan)
+        bank = [s for s in plan.streams if s.pose == "standing"]
+        assert list(result.features) == list(dict.fromkeys(s.slot for s in bank))
+        assert all(result.features.values())
+        assert sorted(plan._networks) == sorted(s.id for s in bank)
+
+    @pytest.mark.parametrize("planes", [("xy", "yz", "xz"), ("xz", "xy"), ("yz",)])
+    def test_slot_features_concatenate_plane_outputs_in_plane_order(
+        self, small_dataset, planes
+    ):
+        # 20 frames give 15 window-5 and 18 whole-sequence templates, so
+        # clips of 8 end at 7, and at 7 and 15.
+        cfg = desk_config(
+            planes=planes, angles=(0.0, 30.0), depth_windows=(5, "all"), rgb_windows=()
+        )
+        plan = build_streams(cfg)
+        clips = {}  # stream id -> the clips its network ran on, in order
+
+        def record(clip, net):
+            clips.setdefault(net.name, []).append(clip)
+            return extract_features(clip, net)
+
+        with mock.patch.object(pipeline, "extract_features", record), mock.patch.object(
+            pipeline, "stack_clip", wraps=stack_clip
+        ) as stack:
+            result = extract_sample(small_dataset[0], cfg, plan)
+        ends = {5: [7], "all": [7, 15]}
+        slots = [(w, a) for w in (5, "all") for a in ("0", "30")]
+        assert list(result.features) == [f"standing/dmm/w{w}/a{a}" for w, a in slots]
+        assert [c.args[1:] for c in stack.call_args_list] == [
+            (end, cfg.clip_len) for w, _ in slots for _ in planes for end in ends[w]
+        ]
+        for w, a in slots:
+            got = result.features[f"standing/dmm/w{w}/a{a}"]
+            sids = [f"standing/dmm/{p}/w{w}/a{a}" for p in planes]
+            assert len(got) == len(ends[w])
+            assert [len(clips[sid]) for sid in sids] == [len(ends[w])] * len(planes)
+            for j, vector in enumerate(got):
+                want = [extract_features(clips[sid][j], plan.network(sid)) for sid in sids]
+                assert vector.dtype == np.float64
+                assert vector.shape == (len(planes) * cfg.fc_units_effective,)
+                assert vector.tobytes() == np.concatenate(want).tobytes()
 
     def test_static_scene_features_equal_zero_template_network_output(self, tmp_path):
         cfg = desk_config(angles=(0.0,))
@@ -347,12 +353,12 @@ class TestExtractSample:
             sid = f"standing/dmm/{plane}/w5/a0"
             frame = render_grid(np.zeros(plane_shapes[plane]), cfg.render_size)
             clip = stack_clip([frame] * cfg.clip_len, cfg.clip_len - 1, cfg.clip_len)
-            segments.append(extract_features(clip, plan.network(sid)).values)
+            segments.append(extract_features(clip, plan.network(sid)))
         expected = np.concatenate(segments)
-        got = result.features["standing/dmm/xy/w5/a0"]
+        got = result.features["standing/dmm/w5/a0"]
         assert len(got) >= 1
         for f in got:
-            assert np.array_equal(f.values, expected)
+            assert np.array_equal(f, expected)
 
 
 class TestSplits:
@@ -691,6 +697,46 @@ class TestEvaluate:
         assert "overall accuracy" in text
 
 
+# Report bytes and model files of train + evaluate on small_dataset with
+# desk_config(), cross-subject.  A refactor must leave them unchanged; a
+# change that moves them must say so and record the new values here.
+_GOLDEN_CSV = (
+    "overall_accuracy,1.000000\n"
+    "n_test,4\n"
+    "split,cross-subject: train=s00;s02 test=s01;s03\n"
+    "truth\\prediction,bob,slide\n"
+    "bob,100.000000,0.000000\n"
+    "slide,0.000000,100.000000\n"
+    "per_class_accuracy,bob,1.000000\n"
+    "per_class_accuracy,slide,1.000000\n"
+    "stream_accuracy,standing/dmm/xy/w5/a0,1.000000\n"
+    "stream_accuracy,standing/dmm/xy/w5/a30,1.000000\n"
+    "stream_accuracy,standing/dmm/xz/w5/a0,1.000000\n"
+    "stream_accuracy,standing/dmm/xz/w5/a30,1.000000\n"
+    "stream_accuracy,standing/dmm/yz/w5/a0,1.000000\n"
+    "stream_accuracy,standing/dmm/yz/w5/a30,1.000000\n"
+    "stream_accuracy,standing/rgb/r10,1.000000\n"
+)
+_GOLDEN_MODELS_SHA256 = {
+    "standing__dmm__w5__a0.models": "36b5adab958a9dcb97139f7d888a8abb85f91d42bfcc9ec952dfa76a8e1b7e4a",
+    "standing__dmm__w5__a30.models": "f511599c277d1d15a5253752d7d1f9aca4da30432cd69b087026758a07a7e5ba",
+    "standing__rgb__r10.models": "c06ed4cdb8844a2757811f275800dc7df46ee1c1ee5e2581b52ed4a7305731e7",
+}
+
+
+class TestGoldenReport:
+    def test_report_csv_bytes(self, small_dataset, split, trained):
+        assert evaluate(small_dataset, split, trained).to_csv() == _GOLDEN_CSV
+
+    def test_model_file_sha256(self, trained, tmp_path):
+        streams = save_plan(trained, tmp_path / "plan") / "streams"
+        got = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(streams.glob("*.models"))
+        }
+        assert got == _GOLDEN_MODELS_SHA256
+
+
 class TestPlanPersistence:
     def test_save_load_round_trip_preserves_report(
         self, small_dataset, split, trained, tmp_path
@@ -872,9 +918,8 @@ class TestNetworkCache:
         assert build.call_count == 2 * len(uncached.streams)
         for a, b in zip(want, got):
             assert list(a) == list(b)
-            for sid in a:
-                assert [f.values.tobytes() for f in a[sid]] == [f.values.tobytes() for f in b[sid]]
-                assert [f.provenance for f in a[sid]] == [f.provenance for f in b[sid]]
+            for slot in a:
+                assert [f.tobytes() for f in a[slot]] == [f.tobytes() for f in b[slot]]
 
     def test_cache_keeps_networks_while_they_fit(self, monkeypatch):
         plan = build_streams(desk_config(angles=(0.0,)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmmaction import ContractError, SynthSpec, generate_synthetic_dataset
-from dmmaction.dmm import accumulate_dmm
+from dmmaction.dmm import accumulate_ramdmm
 from dmmaction.geometry import (
     Intrinsics,
     ProjectedMap,
@@ -12,9 +12,15 @@ from dmmaction.geometry import (
     sequence_centroid,
     synthesize_view,
 )
+from dmmaction.motion import MagnitudeMap
 from dmmaction.pipeline import read_manifest
 from dmmaction.videoio import read_depth_bin, read_rgb_sequence
 from conftest import run_python_in_c_locale
+
+
+def _unit_weights(maps):
+    """Unit flow weights, under which accumulate_ramdmm gives the unweighted map."""
+    return [MagnitudeMap(np.ones(maps[0].grid.shape), normalized=True) for _ in maps[1:]]
 
 
 def _tiny_spec(**overrides):
@@ -117,7 +123,7 @@ class TestMotionSignatures:
         rec = next(r for r in read_manifest(manifest) if r.label == "static")
         seq = read_depth_bin(rec.depth_path)
         maps = [ProjectedMap("xy", f.depth) for f in seq.frames]
-        tpl = accumulate_dmm(maps, t=0, window=len(maps) - 1)
+        tpl = accumulate_ramdmm(maps, _unit_weights(maps), t=0, window=len(maps) - 1)
         assert np.all(tpl.grid == 0.0)
 
     def test_moving_action_yields_nonzero_templates(self, tmp_path):
@@ -125,7 +131,7 @@ class TestMotionSignatures:
         rec = next(r for r in read_manifest(manifest) if r.label == "slide")
         seq = read_depth_bin(rec.depth_path)
         maps = [ProjectedMap("xy", f.depth) for f in seq.frames]
-        tpl = accumulate_dmm(maps, t=0, window=len(maps) - 1)
+        tpl = accumulate_ramdmm(maps, _unit_weights(maps), t=0, window=len(maps) - 1)
         assert np.count_nonzero(tpl.grid) > 0
 
     def test_subject_jitter_varies_sequences(self, tmp_path):
