@@ -9,21 +9,26 @@ scores by averaging, depth streams first, then depth with appearance.
 
 Everything here is deterministic: stream weights derive from (seed,
 stream id), so a plan rebuilds bit-identically from its saved config.
-train may extract its records in forked worker processes (see
-_pool_size), but it reduces their results in split order, so its plan
-is byte-identical to a serial run's; everything else, evaluate included,
-runs in the calling process, one pass at a time.  Report aggregation is
-a single ordered reduction.
+Two calls may use forked worker processes (see _pool_size): train
+extracts its records in a pool, and evaluate opens a pool for its loop in
+which each sample's (angle, plane) and appearance units run.  Both join
+the results in a fixed order (records in split order, a slot's planes in
+cfg.planes order), so plans, features, warnings and reports are
+byte-identical to a serial run's.  Everything else, a standalone
+classify included, runs in the calling process.  Report aggregation is a
+single ordered reduction.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import zlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -62,6 +67,9 @@ from .learn import (
 from .motion import MagnitudeMap, estimate_flow, flow_magnitude, normalize_magnitude
 from .neural import NetworkSpec, c3d_network, desk_network, extract_features, stream_rng
 from .videoio import DepthFrame, DepthSequence, read_depth_bin, read_rgb_sequence, read_text
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 log = logging.getLogger(__name__)
 
@@ -125,7 +133,8 @@ class StreamPlan:
     so far and it fit in NETWORK_CACHE_BYTES, and is never evicted; one
     that does not fit is rebuilt, with the same weights, on each use.  A
     canonical 112x112 stack takes 355 MiB, so a plan keeps at most one.
-    pca is keyed by Stream.slot, svm by stream id.
+    pca is keyed by Stream.slot, svm by stream id.  _pool is the fork pool
+    evaluate opens for its loop, None outside it.
     """
 
     cfg: PipelineConfig
@@ -135,6 +144,7 @@ class StreamPlan:
     svm: dict[str, SvmModel] = field(default_factory=dict)
     train_report: TrainReport | None = None
     _networks: dict[str, NetworkSpec] = field(default_factory=dict, repr=False)
+    _pool: Executor | None = field(default=None, repr=False)
 
     def stream(self, stream_id: str) -> Stream:
         for s in self.streams:
@@ -336,20 +346,18 @@ def _flow_weights(
     return [MagnitudeMap(g, normalized=True) for g in raw / peak]
 
 
-def plane_sequences(
-    seq: DepthSequence, cfg: PipelineConfig, angles: Iterable[float], planes: Iterable[str]
-) -> dict[tuple[float, str], tuple[list[ProjectedMap], list[MagnitudeMap]]]:
-    """Projected maps and their flow weights for every (angle, plane).
+def _views(
+    seq: DepthSequence, cfg: PipelineConfig, angles: Iterable[float]
+) -> Iterator[tuple[float, list[tuple[ProjectedMap, ...]]]]:
+    """Each view angle with its frames' three projections, one angle at a time.
 
     Each view angle is synthesized about the sequence centroid (the
     original frames stand in for angle 0, and for every angle when
-    cfg.bypass_view_synthesis is set), projected onto the three planes,
-    and flow is estimated only for the planes asked for.
+    cfg.bypass_view_synthesis is set) and projected onto the three planes.
     """
     intr = Intrinsics.default_for(seq.width, seq.height, cfg.focal_px)
     bins = BinParams(cfg.depth_bin_mm, cfg.depth_bin_count)
     pivot = None
-    out = {}
     for alpha in angles:
         if alpha == 0.0 or cfg.bypass_view_synthesis:
             view = seq
@@ -357,9 +365,25 @@ def plane_sequences(
             if pivot is None:
                 pivot = sequence_centroid(seq, intr)
             view = synthesize_view(seq, RotationSpec(alpha), intr, pivot=pivot)
-        projected = [project_cartesian(f, bins) for f in view.frames]
+        yield alpha, [project_cartesian(f, bins) for f in view.frames]
+
+
+def _plane_maps(projected: list[tuple[ProjectedMap, ...]], plane: str) -> list[ProjectedMap]:
+    return [per_frame[PLANES.index(plane)] for per_frame in projected]
+
+
+def plane_sequences(
+    seq: DepthSequence, cfg: PipelineConfig, angles: Iterable[float], planes: Iterable[str]
+) -> dict[tuple[float, str], tuple[list[ProjectedMap], list[MagnitudeMap]]]:
+    """Projected maps and their flow weights for every (angle, plane).
+
+    The views are made as in extract_sample, and flow is estimated only
+    for the planes asked for.
+    """
+    out = {}
+    for alpha, projected in _views(seq, cfg, angles):
         for p in planes:
-            maps = [per_frame[PLANES.index(p)] for per_frame in projected]
+            maps = _plane_maps(projected, p)
             out[(alpha, p)] = (maps, _flow_weights(maps, cfg))
     return out
 
@@ -399,6 +423,46 @@ def _clip_features(frames: list[np.ndarray], lam: int, net: NetworkSpec) -> list
     ]
 
 
+def _plane_features(
+    cfg: PipelineConfig,
+    plan: StreamPlan,
+    pose: str,
+    angle: float,
+    plane: str,
+    maps: list[ProjectedMap],
+    windows: list[Window],
+) -> list[list[np.ndarray]]:
+    """One (angle, plane) unit: the flow weights of maps, then for each
+    window the clip features of its rendered templates on that stream's
+    network."""
+    weights = _flow_weights(maps, cfg)
+    per_window = []
+    for window in windows:
+        # The clips tile only the first k * clip_len templates.
+        covered = range(template_count(len(maps), window) // cfg.clip_len * cfg.clip_len)
+        rendered = render_templates(maps, weights, window, angle, cfg, covered)
+        net = plan.network(_dmm_stream_id(pose, plane, window, angle))
+        per_window.append(_clip_features(rendered, cfg.clip_len, net))
+    return per_window
+
+
+def _appearance_features(
+    cfg: PipelineConfig, plan: StreamPlan, stream_id: str, rgb_len: int, frames: list[np.ndarray]
+) -> list[np.ndarray]:
+    """One appearance unit: the clip features of one RGB window."""
+    return _clip_features(frames, rgb_len, plan.network(stream_id))
+
+
+def _run_units(cfg: PipelineConfig, plan: StreamPlan, unit, args: Iterable[tuple]):
+    """unit(cfg, plan, *a) for each a in args, in order: a plain map here,
+    or, while evaluate's pool is open, submitted to its workers (which
+    hold evaluate's cfg and plan) and returned as a lazy iterator, so the
+    caller can submit more units before it joins these."""
+    if plan._pool is None:
+        return [unit(cfg, plan, *a) for a in args]
+    return plan._pool.map(_unit_in_worker, itertools.repeat(unit), args)
+
+
 def extract_sample(
     rec: SampleRecord, cfg: PipelineConfig, plan: StreamPlan | None = None
 ) -> ExtractResult:
@@ -410,6 +474,12 @@ def extract_sample(
     over each window setting, render, stack clips, extract and
     concatenate per-plane features.  Appearance side: tile the RGB (or
     jet-rendered depth) frames into window-length clips and extract.
+
+    Reading, cropping, view synthesis and projection run here; the rest
+    runs as units, one per (angle, plane) and one per appearance stream,
+    in this process or, while it is open, in evaluate's fork pool.  They
+    are joined in a fixed order, so the result does not depend on where
+    they ran.
 
     Args:
         rec: manifest record; its pose must be one of cfg.poses.
@@ -428,60 +498,67 @@ def extract_sample(
     plan = plan if plan is not None else build_streams(cfg)
     bank = [s for s in plan.streams if s.pose == rec.pose]
     warnings: list[str] = []
-    features: dict[str, list[np.ndarray] | None] = {}
 
     depth_seq = read_depth_bin(rec.depth_path)
     if rec.crop_path is not None:
         depth_seq = _apply_crop(depth_seq, rec.crop_path)
     n = len(depth_seq.frames)
 
-    dmm_streams = [s for s in bank if s.kind == "dmm"]
+    angles = sorted({s.angle for s in bank if s.kind == "dmm"})
     rgb_streams = [s for s in bank if s.kind == "rgb"]
 
-    angles = sorted({s.angle for s in dmm_streams})
-    sequences = {}
-    if any(template_count(n, w) >= cfg.clip_len for w in cfg.depth_windows):
-        sequences = plane_sequences(depth_seq, cfg, angles, cfg.planes)
+    windows = []  # the depth windows with at least one clip
     for window in cfg.depth_windows:
-        for alpha in angles:
-            slot = _dmm_slot_id(rec.pose, window, alpha)
-            n_templates = template_count(n, window)
-            if n_templates < cfg.clip_len:
-                warnings.append(
-                    f"{rec.depth_path}: {n} frames give {n_templates} templates "
-                    f"for window {window}, need {cfg.clip_len}; skipping"
-                )
-                features[slot] = []
-                continue
-            # The clips tile only the first k * clip_len templates.
-            covered = range(n_templates // cfg.clip_len * cfg.clip_len)
-            per_plane = []
-            for p in cfg.planes:
-                maps, weights = sequences[(alpha, p)]
-                rendered = render_templates(maps, weights, window, alpha, cfg, covered)
-                net = plan.network(_dmm_stream_id(rec.pose, p, window, alpha))
-                per_plane.append(_clip_features(rendered, cfg.clip_len, net))
-            features[slot] = [np.concatenate(c) for c in zip(*per_plane, strict=True)]
+        n_templates = template_count(n, window)
+        if n_templates >= cfg.clip_len:
+            windows.append(window)
+            continue
+        skip = (
+            f"{rec.depth_path}: {n} frames give {n_templates} templates "
+            f"for window {window}, need {cfg.clip_len}; skipping"
+        )
+        warnings.extend([skip] * len(angles))  # one per (window, angle) slot
+    # Lazy, so that each angle's units go out as soon as its view is projected.
+    plane_units = (
+        (rec.pose, alpha, p, _plane_maps(projected, p), windows)
+        for alpha, projected in _views(depth_seq, cfg, angles if windows else [])
+        for p in cfg.planes
+    )
+    depth = _run_units(cfg, plan, _plane_features, plane_units)
 
+    features: dict[str, list[np.ndarray] | None] = {
+        _dmm_slot_id(rec.pose, w, a): [] for w in cfg.depth_windows for a in angles
+    }
+    appearance = []  # _appearance_features arguments
     if rgb_streams:
         rgb_frames = _appearance_frames(rec, cfg, depth_seq, warnings)
         for s in rgb_streams:
+            features[s.slot] = None if rgb_frames is None else []
             if rgb_frames is None:
-                features[s.slot] = None
                 continue
             if len(rgb_frames) < s.rgb_len:
                 warnings.append(
                     f"{rec.depth_path}: {len(rgb_frames)} appearance frames, "
                     f"need {s.rgb_len}; skipping {s.id}"
                 )
-                features[s.slot] = []
                 continue
-            features[s.slot] = _clip_features(rgb_frames, s.rgb_len, plan.network(s.id))
+            appearance.append((s.id, s.rgb_len, rgb_frames))
+    rgb = _run_units(cfg, plan, _appearance_features, appearance)
+
+    per_unit = dict(zip(itertools.product(angles, cfg.planes), depth))
+    for j, window in enumerate(windows):
+        for alpha in angles:
+            per_plane = [per_unit[(alpha, p)][j] for p in cfg.planes]
+            features[_dmm_slot_id(rec.pose, window, alpha)] = [
+                np.concatenate(c) for c in zip(*per_plane, strict=True)
+            ]
+    features.update(zip((sid for sid, _, _ in appearance), rgb))
     return ExtractResult(features=features, warnings=tuple(warnings))
 
 
-# train pools extraction only while pipeline.extract_sample is still this
-# function: a replacement (a test spy, a tracer) must see every call.
+# train and evaluate pool only while pipeline.extract_sample is still this
+# function: a replacement (a test spy, a tracer) must see every call, and
+# every unit run in this process.
 _EXTRACT_SAMPLE = extract_sample
 
 
@@ -556,9 +633,7 @@ def resolve_split(
         train, test = tuple(train_indices), tuple(test_indices)
         if set(train) & set(test):
             raise ProtocolError("train and test indices overlap")
-        bad = [i for i in train + test if not 0 <= i < n]
-        if bad:
-            raise ProtocolError(f"indices {bad} outside the {n}-record dataset")
+        _check_indices(n, train + test)
         desc = f"manual: {len(train)} train / {len(test)} test"
     elif protocol in _HELD_OUT:
         attr, default = _HELD_OUT[protocol]
@@ -610,19 +685,19 @@ def _check_disjoint(records, protocol, train, test):
 # Training
 
 
-def _pool_size(plan: StreamPlan, recs: list[SampleRecord]) -> int:
-    """Worker processes to extract recs with; below 2 means serially, here.
+def _pool_size(plan: StreamPlan, poses: set[str], items: int) -> int:
+    """Worker processes for a pool over items work items of the pose banks
+    of poses; below 2 means serially, here.
 
     Workers are forked, so they share the parent's cached networks and
-    build none.  This builds the networks of the records' pose banks,
-    stopping as soon as one is not kept in the cache or the kept bytes
-    leave room for fewer than 2 workers: at most one per core, one per
-    record, and one per copy of those bytes in NETWORK_CACHE_BYTES.
+    build none.  This builds the networks of those pose banks, stopping
+    as soon as one is not kept in the cache or the kept bytes leave room
+    for fewer than 2 workers: at most one per core, one per work item,
+    and one per copy of those bytes in NETWORK_CACHE_BYTES.
     """
     if extract_sample is not _EXTRACT_SAMPLE or not hasattr(os, "sched_getaffinity"):
         return 1
-    workers = min(len(os.sched_getaffinity(0)), len(recs))
-    poses = {r.pose for r in recs}
+    workers = min(len(os.sched_getaffinity(0)), items)
     cached = 0
     for s in plan.streams:
         if workers < 2:
@@ -636,7 +711,7 @@ def _pool_size(plan: StreamPlan, recs: list[SampleRecord]) -> int:
     return workers
 
 
-# (cfg, plan) of the train call that forked this worker process.
+# (plan.cfg, plan) of the train or evaluate call that forked this worker.
 _worker_args: tuple[PipelineConfig, StreamPlan] | None = None
 
 
@@ -649,31 +724,47 @@ def _extract_in_worker(rec: SampleRecord) -> ExtractResult:
     return extract_sample(rec, *_worker_args)
 
 
+def _unit_in_worker(unit, args: tuple):
+    return unit(*_worker_args, *args)
+
+
+def _fork_pool(plan: StreamPlan, poses: set[str], items: int) -> Executor | None:
+    """A pool of _pool_size workers that get (plan.cfg, plan) by fork, not by
+    pickling; None, to run serially, below 2 workers or without fork."""
+    workers = _pool_size(plan, poses, items)
+    if workers < 2:
+        return None
+    # Imported here, so that a process that never pools (such as a CLI
+    # classify) does not pay the ~10 ms import.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(plan.cfg, plan),
+    )
+
+
 def _extract_all(
     recs: list[SampleRecord], cfg: PipelineConfig, plan: StreamPlan
 ) -> list[ExtractResult]:
-    """extract_sample of each record, in order, in a fork pool when _pool_size
-    allows and the platform can fork.
+    """extract_sample of each record, in order, in a fork pool that lives
+    for this call when _fork_pool gives one; cfg must be plan.cfg."""
+    pool = _fork_pool(plan, {r.pose for r in recs}, len(recs))
+    if pool is None:
+        return [extract_sample(rec, cfg, plan) for rec in recs]
+    with pool:
+        return list(pool.map(_extract_in_worker, recs))
 
-    The pool lives for this call only; (cfg, plan) reach the workers by
-    fork, not by pickling.
-    """
-    workers = _pool_size(plan, recs)
-    if workers >= 2:
-        # Imported here, so that a process that never trains (such as a CLI
-        # classify) does not pay the ~10 ms import.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(cfg, plan),
-            ) as pool:
-                return list(pool.map(_extract_in_worker, recs))
-    return [extract_sample(rec, cfg, plan) for rec in recs]
+def _check_indices(n: int, indices: Iterable[int]) -> None:
+    bad = [i for i in indices if not 0 <= i < n]
+    if bad:
+        raise ProtocolError(f"indices {bad} outside the {n}-record dataset")
 
 
 def train(
@@ -692,6 +783,7 @@ def train(
         training accuracy and skip warnings.
     """
     plan = build_streams(cfg)
+    _check_indices(len(records), split.train_indices + split.test_indices)
     _check_disjoint(records, split.protocol, split.train_indices, split.test_indices)
     labels = tuple(sorted({r.label for r in records}))
     if len(labels) < 2:
@@ -784,6 +876,10 @@ def classify(
     scores into another, and the final vector is the mean of the two
     (depth alone when no appearance stream produced a score).  The label
     is the argmax, ties broken toward the lowest class index.
+
+    Called on its own, classify runs every unit of the sample in this
+    process: a pool forked for one sample costs more than it saves.
+    Inside evaluate, the sample's units run in evaluate's pool.
     """
     cfg = plan.cfg
     if plan.labels is None or not plan.trained_for(rec.pose):
@@ -880,25 +976,41 @@ class EvalReport:
 def evaluate(
     records: list[SampleRecord], split: Split, plan: StreamPlan
 ) -> EvalReport:
-    """Classify the test side of a split and tabulate the results."""
+    """Classify the test side of a split and tabulate the results.
+
+    Every index and test label is checked before anything is classified.
+    Each test record, in split order, gets one classify call made here,
+    whose units run in a fork pool (see _fork_pool) of at most one worker
+    per unit of a sample; the pool is open for this loop only.
+    """
     if not plan.trained:
         raise StateError("plan is untrained; run train first")
     if not split.test_indices:
         raise ProtocolError("split has an empty test side")
+    _check_indices(len(records), split.train_indices + split.test_indices)
     labels = plan.labels
     index = {lab: i for i, lab in enumerate(labels)}
+    test_records = [records[i] for i in split.test_indices]
+    for rec in test_records:
+        if rec.label not in index:
+            raise ProtocolError(f"test label {rec.label!r} was not in the training set")
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
     stream_hits: dict[str, int] = {}
     stream_totals: dict[str, int] = {}
-    for i in split.test_indices:
-        rec = records[i]
-        if rec.label not in index:
-            raise ProtocolError(f"test label {rec.label!r} was not in the training set")
-        _, _, row = classify(rec, plan)
-        counts[index[row.truth], index[row.predicted]] += 1
-        for sid, pred in row.stream_predictions.items():
-            stream_totals[sid] = stream_totals.get(sid, 0) + 1
-            stream_hits[sid] = stream_hits.get(sid, 0) + (pred == row.truth)
+    cfg = plan.cfg
+    units = len(cfg.angles) * len(cfg.planes) + len(cfg.rgb_windows)
+    plan._pool = _fork_pool(plan, {r.pose for r in test_records}, units)
+    try:
+        for rec in test_records:
+            _, _, row = classify(rec, plan)
+            counts[index[row.truth], index[row.predicted]] += 1
+            for sid, pred in row.stream_predictions.items():
+                stream_totals[sid] = stream_totals.get(sid, 0) + 1
+                stream_hits[sid] = stream_hits.get(sid, 0) + (pred == row.truth)
+    finally:
+        pool, plan._pool = plan._pool, None
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     row_sums = counts.sum(axis=1)
     confusion = np.zeros_like(counts, dtype=np.float64)
     nonzero = row_sums > 0

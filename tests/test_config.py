@@ -260,9 +260,10 @@ _NAMES = st.text(
 _POSE_NAMES = _NAMES.filter(lambda s: "/" not in s)
 
 
-# Angles are unique by the :g text that names them in stream ids.
+# Angles are unique by value and by the :g text that names them in stream ids.
+# Adding 0.0 turns -0.0 into 0.0, which equals it as a value but prints "-0".
 def _angle_id(a):
-    return f"{a:g}"
+    return f"{a + 0.0:g}"
 
 
 @st.composite

@@ -323,8 +323,10 @@ class TestExtractSample:
         ends = {5: [7], "all": [7, 15]}
         slots = [(w, a) for w in (5, "all") for a in ("0", "30")]
         assert list(result.features) == [f"standing/dmm/w{w}/a{a}" for w, a in slots]
+        # one (angle, plane) unit at a time, each over every window
         assert [c.args[1:] for c in stack.call_args_list] == [
-            (end, cfg.clip_len) for w, _ in slots for _ in planes for end in ends[w]
+            (end, cfg.clip_len) for _ in ("0", "30") for _ in planes for w in (5, "all")
+            for end in ends[w]
         ]
         for w, a in slots:
             got = result.features[f"standing/dmm/w{w}/a{a}"]
@@ -497,6 +499,21 @@ class TestTrain:
         )
         with pytest.raises(ProtocolError, match="absent"):
             train(small_dataset, s, desk_config())
+
+    @pytest.mark.parametrize(
+        "records, train_idx, test_idx, bad",
+        [(3, (0, 1, 4), (2, 5), "[4, 5]"), (8, (0, -1), (1,), "[-1]")],
+    )
+    def test_split_index_outside_records_rejected_before_extracting(
+        self, small_dataset, records, train_idx, test_idx, bad
+    ):
+        s = Split("manual", train_idx, test_idx, "manual")
+        with mock.patch("dmmaction.pipeline.extract_sample", wraps=extract_sample) as extract:
+            with pytest.raises(
+                ProtocolError, match=re.escape(f"indices {bad} outside the {records}-record")
+            ):
+                train(small_dataset[:records], s, desk_config(angles=(0.0,)))
+        assert extract.call_count == 0
 
     def test_one_label_set_rejected_before_extracting(self, small_dataset):
         records = [r for r in small_dataset if r.label == "slide"]
@@ -675,6 +692,29 @@ class TestEvaluate:
         s = Split("manual", (0, 1), (len(records) - 1,), "stranger")
         with pytest.raises(ProtocolError, match="not in the training set"):
             evaluate(records, s, trained)
+
+    def test_unknown_test_label_rejected_before_classifying(self, small_dataset, trained):
+        stranger = dataclasses.replace(small_dataset[0], label="arc")
+        records = list(small_dataset) + [stranger]
+        s = Split("manual", (0, 1), (2, 3, len(records) - 1), "stranger last")
+        with mock.patch("dmmaction.pipeline.extract_sample", wraps=extract_sample) as extract:
+            with pytest.raises(
+                ProtocolError, match="^test label 'arc' was not in the training set$"
+            ):
+                evaluate(records, s, trained)
+        assert extract.call_count == 0
+
+    @pytest.mark.parametrize("n, test_idx, bad", [(3, (2, 5, 1), "[5]"), (8, (-1, 3), "[-1]")])
+    def test_split_index_outside_records_rejected_before_pooling(
+        self, small_dataset, trained, n, test_idx, bad
+    ):
+        s = Split("manual", (0,), test_idx, "manual")
+        with mock.patch.object(pipeline, "_fork_pool", wraps=pipeline._fork_pool) as pool:
+            with pytest.raises(
+                ProtocolError, match=re.escape(f"indices {bad} outside the {n}-record dataset")
+            ):
+                evaluate(small_dataset[:n], s, trained)
+        assert pool.call_count == 0
 
     def test_report_determinism(self, small_dataset, split, trained):
         a = evaluate(small_dataset, split, trained)
@@ -947,10 +987,23 @@ def forks(monkeypatch):
     return pids
 
 
-def _pool_workers(n_records):
-    """Children a pooled train of a small desk plan forks: one per core and record."""
+def _pool_workers(n_items):
+    """Children a pool over a small desk plan forks: one per core and work
+    item (a record for train, a unit of one sample for evaluate)."""
     cores = len(os.sched_getaffinity(0))
-    return min(cores, n_records) if cores >= 2 else 0
+    return min(cores, n_items) if cores >= 2 else 0
+
+
+def _units(cfg):
+    """Units of one sample: one per (angle, plane), one per RGB window."""
+    return len(cfg.angles) * len(cfg.planes) + len(cfg.rgb_windows)
+
+
+def _assert_reaped(pids):
+    assert multiprocessing.active_children() == []
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(pid, os.WNOHANG)
 
 
 def _plan_bytes(plan):
@@ -1003,10 +1056,7 @@ class TestTrainPool:
     def test_no_child_outlives_train(self, small_dataset, split, forks):
         train(small_dataset, split, desk_config(angles=(0.0,)))
         assert len(forks) == _pool_workers(len(split.train_indices))
-        assert multiprocessing.active_children() == []
-        for pid in forks:
-            with pytest.raises(ChildProcessError):  # already reaped
-                os.waitpid(pid, os.WNOHANG)
+        _assert_reaped(forks)
 
     def test_malformed_depth_file_raises_the_serial_error(
         self, small_dataset, split, forks, monkeypatch, tmp_path
@@ -1052,6 +1102,81 @@ class TestTrainPool:
         assert build.call_count == len(plan.streams)
         assert list(plan._networks) == [s.id for s in plan.streams]
         assert len(forks) == (0 if spare < 0 else _pool_workers(len(split.train_indices)))
+
+
+class TestEvaluatePool:
+    """evaluate runs each sample's (angle, plane) and appearance units in a
+    fork pool that is open for its loop; the report is byte-identical to a
+    serial run's.  A zero NETWORK_CACHE_BYTES leaves no room for a worker's
+    copy of the cached networks, which forces the serial path."""
+
+    @pytest.mark.parametrize("cpus", [None, 8])
+    def test_pooled_report_equals_serial_report(
+        self, small_dataset, split, trained, forks, monkeypatch, cpus
+    ):
+        if cpus is not None:  # more workers than cores: units finish out of order
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pooled = evaluate(small_dataset, split, trained).to_csv()
+        assert len(forks) == _pool_workers(_units(trained.cfg))
+        _assert_reaped(forks)
+        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
+        serial = evaluate(small_dataset, split, trained).to_csv()
+        assert len(forks) == _pool_workers(_units(trained.cfg))
+        assert pooled == serial == _GOLDEN_CSV
+
+    def test_error_in_a_unit_raises_the_serial_error_and_leaves_no_child(
+        self, small_dataset, split, trained, forks, monkeypatch
+    ):
+        # render_templates fails on the (0, xy) unit of the second test record;
+        # the forked workers inherit the patch.
+        rec = small_dataset[split.test_indices[1]]
+        seq = read_depth_bin(rec.depth_path)
+        if rec.crop_path is not None:
+            seq = pipeline._apply_crop(seq, rec.crop_path)
+        (maps, _), = pipeline.plane_sequences(seq, trained.cfg, [0.0], ["xy"]).values()
+        mark = maps[0].grid.tobytes()
+        real = pipeline.render_templates
+
+        def render(maps, weights, window, angle, cfg, starts):
+            if maps[0].grid.tobytes() == mark:
+                raise ContractError(f"cannot render window {window} at angle {angle:g}")
+            return real(maps, weights, window, angle, cfg, starts)
+
+        monkeypatch.setattr(pipeline, "render_templates", render)
+        errors = []
+        for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
+            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
+            with pytest.raises(DmmActionError) as info:
+                evaluate(small_dataset, split, trained)
+            errors.append((type(info.value), str(info.value)))
+            assert trained._pool is None
+            _assert_reaped(forks)
+        assert len(forks) == _pool_workers(_units(trained.cfg))
+        assert errors[0] == errors[1] == (ContractError, "cannot render window 5 at angle 0")
+
+    def test_standalone_classify_forks_nothing(self, small_dataset, split, trained, forks):
+        classify(small_dataset[split.test_indices[0]], trained)
+        assert forks == []
+
+    def test_one_unit_per_sample_forks_nothing(self, small_dataset, split, forks):
+        plan = train(small_dataset, split, desk_config(angles=(0.0,), planes=("xy",), rgb_windows=()))
+        forks.clear()
+        report = evaluate(small_dataset, split, plan)
+        assert report.n_test == len(split.test_indices)
+        assert forks == []
+
+    def test_replaced_extract_sample_sees_every_record_in_process(
+        self, small_dataset, split, trained, forks
+    ):
+        with mock.patch(
+            "dmmaction.pipeline.extract_sample", wraps=extract_sample
+        ) as extract:
+            report = evaluate(small_dataset, split, trained)
+        assert [c.args[0] for c in extract.call_args_list] == [
+            small_dataset[i] for i in split.test_indices
+        ]
+        assert forks == []
+        assert report.to_csv() == _GOLDEN_CSV
 
 
 class TestNonUtf8Text:

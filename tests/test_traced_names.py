@@ -77,6 +77,26 @@ def test_tracer_sees_every_training_extraction(small_dataset):
     assert sorted(set(flows)) == sorted(ids)
 
 
+def test_tracer_sees_every_evaluated_unit_in_process(small_dataset):
+    """evaluate pools units only while `pipeline.extract_sample` is its own;
+    under the tracer every (angle, plane) unit of each test record runs in
+    this process, so its flow span is recorded, in split order."""
+    from dmmaction import pipeline, resolve_split
+    from conftest import desk_config
+
+    spans = _load_spans()
+    cfg = desk_config()
+    split = resolve_split(small_dataset, "cross-subject")
+    plan = pipeline.train(small_dataset, split, cfg)
+    ids = [spans._sample_id(small_dataset[i]) for i in split.test_indices]
+    with spans.Tracer() as tracer:
+        pipeline.evaluate(small_dataset, split, plan)
+    assert tracer.missing == []
+    flows = [s[spans.SAMPLE] for s in tracer.spans if s[spans.NAME] == "motion.flow"]
+    assert len(set(ids)) == len(ids)
+    assert flows == [i for i in ids for _ in range(len(cfg.angles) * len(cfg.planes))]
+
+
 # Leading parameters the tracer's counters and wrappers read, by position or
 # by keyword (perfbench/spans.py): (module, function, names).
 _READ_PARAMETERS = [
