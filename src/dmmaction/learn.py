@@ -338,7 +338,8 @@ def save_models(path: str | Path, pca: PcaModel, svms: Sequence[SvmModel]) -> No
 
 
 class _Reader:
-    """Cursor over a model file that raises ParseError on short input."""
+    """Cursor over a model file that raises ParseError on short input and
+    FormatError on a non-finite array value."""
 
     def __init__(self, data: bytes) -> None:
         self.data = data
@@ -354,9 +355,11 @@ class _Reader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def array(self) -> np.ndarray:
+    def array(self, name: str) -> np.ndarray:
         rows, cols = self.unpack("<II")
         flat = np.frombuffer(self.take(4 * rows * cols), dtype="<f4")
+        if not np.isfinite(flat).all():
+            raise FormatError(f"{name} holds a NaN or an infinity")
         return flat.reshape(rows, cols).astype(np.float64)
 
 
@@ -375,7 +378,9 @@ def load_models(path: str | Path) -> tuple[PcaModel, list[SvmModel]]:
         raise ParseError(f"a label is not UTF-8: {exc}") from None
     (n_svms,) = reader.unpack("<I")
     regs = reader.unpack(f"<{n_svms}d")
-    mean, comps, fracs, *rest = [reader.array() for _ in range(3 + 2 * n_svms)]
+    names = ["pca mean", "pca components", "pca variance fractions"]
+    names += [f"svm {i} {part}" for i in range(n_svms) for part in ("weights", "biases")]
+    mean, comps, fracs, *rest = [reader.array(name) for name in names]
     if reader.offset != len(reader.data):
         raise FormatError(f"{len(reader.data) - reader.offset} bytes after the last array")
     pca = PcaModel(mean.ravel(), comps, fracs.ravel())

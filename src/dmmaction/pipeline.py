@@ -9,14 +9,14 @@ scores by averaging, depth streams first, then depth with appearance.
 
 Everything here is deterministic: stream weights derive from (seed,
 stream id), so a plan rebuilds bit-identically from its saved config.
-Two calls may use forked worker processes (see _pool_size): train
-extracts its records in a pool, and evaluate opens a pool for its loop in
-which each sample's (angle, plane) and appearance units run.  Both join
-the results in a fixed order (records in split order, a slot's planes in
-cfg.planes order), so plans, features, warnings and reports are
-byte-identical to a serial run's.  Everything else, a standalone
-classify included, runs in the calling process.  Report aggregation is a
-single ordered reduction.
+train and evaluate each open one fork pool for their loop (see
+_unit_pool).  The loop still extracts every record in the calling
+process, in split order, and only the units of each sample, one per
+(angle, plane) and one per appearance stream, run in the workers.  A
+sample's units are joined in a fixed order (a slot's planes in cfg.planes
+order), so plans, features, warnings and reports are byte-identical to a
+serial run's.  A standalone classify runs wholly in the calling process.
+Report aggregation is a single ordered reduction.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import logging
 import os
 import zlib
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -134,7 +135,7 @@ class StreamPlan:
     that does not fit is rebuilt, with the same weights, on each use.  A
     canonical 112x112 stack takes 355 MiB, so a plan keeps at most one.
     pca is keyed by Stream.slot, svm by stream id.  _pool is the fork pool
-    evaluate opens for its loop, None outside it.
+    that train or evaluate opens for its loop (_unit_pool), None outside it.
     """
 
     cfg: PipelineConfig
@@ -455,9 +456,9 @@ def _appearance_features(
 
 def _run_units(cfg: PipelineConfig, plan: StreamPlan, unit, args: Iterable[tuple]):
     """unit(cfg, plan, *a) for each a in args, in order: a plain map here,
-    or, while evaluate's pool is open, submitted to its workers (which
-    hold evaluate's cfg and plan) and returned as a lazy iterator, so the
-    caller can submit more units before it joins these."""
+    or, while plan._pool is open, submitted to its workers (which hold the
+    cfg and plan they were forked with) and returned as a lazy iterator,
+    so the caller can submit more units before it joins these."""
     if plan._pool is None:
         return [unit(cfg, plan, *a) for a in args]
     return plan._pool.map(_unit_in_worker, itertools.repeat(unit), args)
@@ -477,9 +478,9 @@ def extract_sample(
 
     Reading, cropping, view synthesis and projection run here; the rest
     runs as units, one per (angle, plane) and one per appearance stream,
-    in this process or, while it is open, in evaluate's fork pool.  They
-    are joined in a fixed order, so the result does not depend on where
-    they ran.
+    in this process or, while it is open, in the fork pool of train or
+    evaluate.  They are joined in a fixed order, so the result does not
+    depend on where they ran.
 
     Args:
         rec: manifest record; its pose must be one of cfg.poses.
@@ -609,6 +610,15 @@ _HELD_OUT = {
     "cross-view": ("camera", slice(None, 1)),
 }
 
+# The resolve_split arguments each protocol reads; any other one is rejected.
+_READS = {
+    "cross-subject": ("train_subjects",),
+    "cross-view": ("train_cameras",),
+    "one-third": (),
+    "two-thirds": (),
+    "manual": ("train_indices", "test_indices"),
+}
+
 
 def resolve_split(
     records: list[SampleRecord],
@@ -624,8 +634,20 @@ def resolve_split(
     the sorted subject list test); cross-view holds out whole cameras
     (default: all but the first camera test); one-third and two-thirds
     put the first one or two repetitions of each (label, subject,
-    camera) group in train; manual takes explicit index lists.
+    camera) group in train; manual takes explicit index lists.  An
+    argument the protocol does not read is rejected, not ignored.
     """
+    if protocol not in _READS:
+        raise ProtocolError(f"unknown split protocol {protocol!r}")
+    given = dict(
+        train_subjects=train_subjects,
+        train_cameras=train_cameras,
+        train_indices=train_indices,
+        test_indices=test_indices,
+    )
+    unread = [k for k, v in given.items() if v is not None and k not in _READS[protocol]]
+    if unread:
+        raise ProtocolError(f"the {protocol} protocol does not use {', '.join(unread)}")
     n = len(records)
     if protocol == "manual":
         if train_indices is None or test_indices is None:
@@ -653,7 +675,7 @@ def resolve_split(
             + " test="
             + ";".join(v for v in values if v not in chosen)
         )
-    elif protocol in ("one-third", "two-thirds"):
+    else:
         reps = _repetition_index(records)
         keep = 1 if protocol == "one-third" else 2
         train = tuple(i for i in range(n) if reps[i] < keep)
@@ -664,8 +686,6 @@ def resolve_split(
                 "records need more repetitions per (label, subject, camera)"
             )
         desc = f"{protocol}: first {keep} repetition(s) per group train"
-    else:
-        raise ProtocolError(f"unknown split protocol {protocol!r}")
     _check_disjoint(records, protocol, train, test)
     return Split(protocol, train, test, desc)
 
@@ -685,19 +705,22 @@ def _check_disjoint(records, protocol, train, test):
 # Training
 
 
-def _pool_size(plan: StreamPlan, poses: set[str], items: int) -> int:
-    """Worker processes for a pool over items work items of the pose banks
-    of poses; below 2 means serially, here.
+def _pool_size(plan: StreamPlan, poses: set[str]) -> int:
+    """Worker processes for a pool over the units, one per (angle, plane)
+    and one per appearance stream, of samples of the pose banks of poses;
+    below 2 means serially, here.
 
     Workers are forked, so they share the parent's cached networks and
     build none.  This builds the networks of those pose banks, stopping
     as soon as one is not kept in the cache or the kept bytes leave room
-    for fewer than 2 workers: at most one per core, one per work item,
-    and one per copy of those bytes in NETWORK_CACHE_BYTES.
+    for fewer than 2 workers: at most one per core, one per unit of a
+    sample, and one per copy of those bytes in NETWORK_CACHE_BYTES.
     """
     if extract_sample is not _EXTRACT_SAMPLE or not hasattr(os, "sched_getaffinity"):
         return 1
-    workers = min(len(os.sched_getaffinity(0)), items)
+    cfg = plan.cfg
+    units = len(cfg.angles) * len(cfg.planes) + len(cfg.rgb_windows)
+    workers = min(len(os.sched_getaffinity(0)), units)
     cached = 0
     for s in plan.streams:
         if workers < 2:
@@ -720,45 +743,36 @@ def _init_worker(cfg: PipelineConfig, plan: StreamPlan) -> None:
     _worker_args = (cfg, plan)
 
 
-def _extract_in_worker(rec: SampleRecord) -> ExtractResult:
-    return extract_sample(rec, *_worker_args)
-
-
 def _unit_in_worker(unit, args: tuple):
     return unit(*_worker_args, *args)
 
 
-def _fork_pool(plan: StreamPlan, poses: set[str], items: int) -> Executor | None:
-    """A pool of _pool_size workers that get (plan.cfg, plan) by fork, not by
-    pickling; None, to run serially, below 2 workers or without fork."""
-    workers = _pool_size(plan, poses, items)
-    if workers < 2:
-        return None
-    # Imported here, so that a process that never pools (such as a CLI
-    # classify) does not pay the ~10 ms import.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+@contextmanager
+def _unit_pool(plan: StreamPlan, poses: set[str]) -> Iterator[None]:
+    """Keep plan._pool open for the with block: _pool_size workers that get
+    (plan.cfg, plan) by fork, not by pickling.  Below 2 workers or without
+    fork, plan._pool stays None and every unit runs here.  On exit, also
+    after an error, plan._pool is cleared and the pool shut down."""
+    workers = _pool_size(plan, poses)
+    if workers >= 2:
+        # Imported here, so that a process that never pools (such as a CLI
+        # classify) does not pay the ~10 ms import.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(plan.cfg, plan),
-    )
-
-
-def _extract_all(
-    recs: list[SampleRecord], cfg: PipelineConfig, plan: StreamPlan
-) -> list[ExtractResult]:
-    """extract_sample of each record, in order, in a fork pool that lives
-    for this call when _fork_pool gives one; cfg must be plan.cfg."""
-    pool = _fork_pool(plan, {r.pose for r in recs}, len(recs))
-    if pool is None:
-        return [extract_sample(rec, cfg, plan) for rec in recs]
-    with pool:
-        return list(pool.map(_extract_in_worker, recs))
+        if "fork" in multiprocessing.get_all_start_methods():
+            plan._pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(plan.cfg, plan),
+            )
+    try:
+        yield
+    finally:
+        pool, plan._pool = plan._pool, None
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _check_indices(n: int, indices: Iterable[int]) -> None:
@@ -771,6 +785,10 @@ def train(
     records: list[SampleRecord], split: Split, cfg: PipelineConfig
 ) -> StreamPlan:
     """Fit every stream's PCA + SVM on the training side of a split.
+
+    Each training record, in split order, gets one extract_sample call
+    made here, whose units run in a fork pool open for this loop only
+    (see _unit_pool).
 
     Args:
         records: full dataset.
@@ -803,13 +821,15 @@ def train(
     per_slot_labels: dict[str, list[str]] = {s.slot: [] for s in plan.streams}
     warnings: list[str] = []
     train_records = [records[i] for i in split.train_indices]
-    for rec, result in zip(train_records, _extract_all(train_records, cfg, plan)):
-        warnings.extend(result.warnings)
-        for slot, feats in result.features.items():
-            if not feats:
-                continue
-            per_slot_feats[slot].extend(feats)
-            per_slot_labels[slot].extend([rec.label] * len(feats))
+    with _unit_pool(plan, {r.pose for r in train_records}):
+        for rec in train_records:
+            result = extract_sample(rec, cfg, plan)
+            warnings.extend(result.warnings)
+            for slot, feats in result.features.items():
+                if not feats:
+                    continue
+                per_slot_feats[slot].extend(feats)
+                per_slot_labels[slot].extend([rec.label] * len(feats))
 
     report = TrainReport(n_train=len(split.train_indices))
     train_poses = {records[i].pose for i in split.train_indices}
@@ -980,8 +1000,8 @@ def evaluate(
 
     Every index and test label is checked before anything is classified.
     Each test record, in split order, gets one classify call made here,
-    whose units run in a fork pool (see _fork_pool) of at most one worker
-    per unit of a sample; the pool is open for this loop only.
+    whose units run in a fork pool (see _unit_pool) that is open for this
+    loop only.
     """
     if not plan.trained:
         raise StateError("plan is untrained; run train first")
@@ -997,20 +1017,13 @@ def evaluate(
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
     stream_hits: dict[str, int] = {}
     stream_totals: dict[str, int] = {}
-    cfg = plan.cfg
-    units = len(cfg.angles) * len(cfg.planes) + len(cfg.rgb_windows)
-    plan._pool = _fork_pool(plan, {r.pose for r in test_records}, units)
-    try:
+    with _unit_pool(plan, {r.pose for r in test_records}):
         for rec in test_records:
             _, _, row = classify(rec, plan)
             counts[index[row.truth], index[row.predicted]] += 1
             for sid, pred in row.stream_predictions.items():
                 stream_totals[sid] = stream_totals.get(sid, 0) + 1
                 stream_hits[sid] = stream_hits.get(sid, 0) + (pred == row.truth)
-    finally:
-        pool, plan._pool = plan._pool, None
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     row_sums = counts.sum(axis=1)
     confusion = np.zeros_like(counts, dtype=np.float64)
     nonzero = row_sums > 0

@@ -102,6 +102,35 @@ class TestTrain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "split, flag",
+        [
+            ("cross-subject", "--train-cameras"),
+            ("cross-view", "--train-subjects"),
+            ("one-third", "--train-subjects"),
+            ("two-thirds", "--train-cameras"),
+        ],
+    )
+    def test_flag_the_split_does_not_use_exits_two_with_one_error_line(
+        self, ws, tmp_path, caplog, command, split, flag
+    ):
+        if command == "train":
+            where = ["--out", str(tmp_path / "plan"), "--config", str(ws.cfg)]
+        else:
+            where = ["--plan", str(ws.plan)]
+        with caplog.at_level(logging.ERROR):
+            code, out = _run(
+                [command, "--manifest", str(ws.manifest), *where, "--split", split, flag, "s00"]
+            )
+        assert code == 2
+        assert out == ""
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in errors] == [
+            f"the {split} protocol does not use {flag[2:].replace('-', '_')}"
+        ]
+        assert not (tmp_path / "plan").exists()
+
 
 @pytest.fixture(scope="module")
 def umlaut_ws(ws, tmp_path_factory):

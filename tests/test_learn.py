@@ -402,9 +402,26 @@ class TestModelFile:
             pca2, svms2 = load_models(path)
         except DmmActionError:
             return
+        loaded = [pca2.mean, pca2.components, pca2.variance_fractions]
+        loaded += [a for svm in svms2 for a in (svm.weights, svm.biases)]
+        assert all(np.isfinite(a).all() for a in loaded)
         v = np.zeros(len(pca2.mean))
         for svm in svms2:
             svm_margins(svm, pca_project(pca2, v))
+
+    @pytest.mark.parametrize(
+        "array, value", [("svm 1 biases", np.nan), ("pca mean", np.inf), ("pca mean", -np.inf)]
+    )
+    def test_non_finite_value_rejected(self, tmp_path, array, value):
+        pca, svms = self._models(seed=10)
+        if array == "pca mean":
+            pca = dataclasses.replace(pca, mean=np.concatenate([[value], pca.mean[1:]]))
+        else:
+            svms[1] = dataclasses.replace(svms[1], biases=np.append(svms[1].biases[:-1], value))
+        path = tmp_path / "m.models"
+        save_models(path, pca, svms)
+        with pytest.raises(FormatError, match=f"^{array} holds a NaN or an infinity$"):
+            load_models(path)
 
     def test_loaded_model_scores_match_file_precision(self, tmp_path):
         pca, svms = self._models(seed=9)

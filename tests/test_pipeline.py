@@ -428,6 +428,33 @@ class TestSplits:
         ):
             train(records, leaky, desk_config())
 
+    @pytest.mark.parametrize(
+        "protocol, kwargs, unused",
+        [
+            ("cross-subject", dict(train_cameras=("c0",)), "train_cameras"),
+            ("cross-subject", dict(train_indices=(0,), test_indices=(1,)),
+             "train_indices, test_indices"),
+            ("cross-view", dict(train_subjects=("s00",)), "train_subjects"),
+            ("cross-view", dict(train_cameras=("c0",), test_indices=(1,)), "test_indices"),
+            ("one-third", dict(train_subjects=("s00",)), "train_subjects"),
+            ("one-third", dict(train_cameras=("c0",)), "train_cameras"),
+            ("two-thirds", dict(train_subjects=("s00",), train_cameras=("c0",)),
+             "train_subjects, train_cameras"),
+            ("two-thirds", dict(train_indices=(0,)), "train_indices"),
+            ("manual", dict(train_indices=(0,), test_indices=(1,), train_subjects=("s00",)),
+             "train_subjects"),
+            ("manual", dict(train_indices=(0,), test_indices=(1,), train_cameras=("c0",)),
+             "train_cameras"),
+        ],
+    )
+    def test_argument_the_protocol_does_not_use_rejected(
+        self, small_dataset, protocol, kwargs, unused
+    ):
+        with pytest.raises(
+            ProtocolError, match=rf"^the {protocol} protocol does not use {unused}$"
+        ):
+            resolve_split(small_dataset, protocol, **kwargs)
+
     def test_repetition_splits(self, small_dataset):
         tripled = [r for r in small_dataset for _ in range(3)]
         one = resolve_split(tripled, "one-third")
@@ -709,7 +736,7 @@ class TestEvaluate:
         self, small_dataset, trained, n, test_idx, bad
     ):
         s = Split("manual", (0,), test_idx, "manual")
-        with mock.patch.object(pipeline, "_fork_pool", wraps=pipeline._fork_pool) as pool:
+        with mock.patch.object(pipeline, "_unit_pool", wraps=pipeline._unit_pool) as pool:
             with pytest.raises(
                 ProtocolError, match=re.escape(f"indices {bad} outside the {n}-record dataset")
             ):
@@ -988,8 +1015,7 @@ def forks(monkeypatch):
 
 
 def _pool_workers(n_items):
-    """Children a pool over a small desk plan forks: one per core and work
-    item (a record for train, a unit of one sample for evaluate)."""
+    """Children a pool over a small desk plan forks: one per core and unit of a sample."""
     cores = len(os.sched_getaffinity(0))
     return min(cores, n_items) if cores >= 2 else 0
 
@@ -997,6 +1023,24 @@ def _pool_workers(n_items):
 def _units(cfg):
     """Units of one sample: one per (angle, plane), one per RGB window."""
     return len(cfg.angles) * len(cfg.planes) + len(cfg.rgb_windows)
+
+
+def _fail_render_on(monkeypatch, rec, cfg):
+    """Make render_templates raise on the (0, xy) unit of rec; forked
+    workers inherit the patch."""
+    seq = read_depth_bin(rec.depth_path)
+    if rec.crop_path is not None:
+        seq = pipeline._apply_crop(seq, rec.crop_path)
+    (maps, _), = pipeline.plane_sequences(seq, cfg, [0.0], ["xy"]).values()
+    mark = maps[0].grid.tobytes()
+    real = pipeline.render_templates
+
+    def render(maps, weights, window, angle, cfg, starts):
+        if maps[0].grid.tobytes() == mark:
+            raise ContractError(f"cannot render window {window} at angle {angle:g}")
+        return real(maps, weights, window, angle, cfg, starts)
+
+    monkeypatch.setattr(pipeline, "render_templates", render)
 
 
 def _assert_reaped(pids):
@@ -1025,10 +1069,10 @@ def _plan_bytes(plan):
 
 
 class TestTrainPool:
-    """train extracts its records in a fork pool when the cached networks
-    leave room for 2 or more workers; the plan is byte-identical to a
-    serial run's.  A zero NETWORK_CACHE_BYTES keeps no network, which
-    forces the serial path."""
+    """train runs each record's (angle, plane) and appearance units in a
+    fork pool when the cached networks leave room for 2 or more workers;
+    the plan is byte-identical to a serial run's.  A zero
+    NETWORK_CACHE_BYTES keeps no network, which forces the serial path."""
 
     # 20-frame records give window-5 too few templates for clips of 16, and
     # too few RGB frames for r30: every record adds warnings.
@@ -1038,14 +1082,14 @@ class TestTrainPool:
     def test_pooled_plan_equals_serial_plan(
         self, small_dataset, split, forks, monkeypatch, cpus
     ):
-        n = len(split.train_indices)
+        cfg = desk_config(**self.CFG)
         if cpus is not None:  # more workers than cores: results arrive out of order
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        pooled = train(small_dataset, split, desk_config(**self.CFG))
-        assert len(forks) == _pool_workers(n)
+        pooled = train(small_dataset, split, cfg)
+        assert len(forks) == _pool_workers(_units(cfg))
         monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
-        serial = train(small_dataset, split, desk_config(**self.CFG))
-        assert len(forks) == _pool_workers(n)
+        serial = train(small_dataset, split, cfg)
+        assert len(forks) == _pool_workers(_units(cfg))
         assert _plan_bytes(pooled) == _plan_bytes(serial)
         assert pooled.train_report.per_stream
         # warnings name the records in split order
@@ -1054,8 +1098,9 @@ class TestTrainPool:
         assert [w for w in dict.fromkeys(warned) if not w.startswith("stream ")] == records
 
     def test_no_child_outlives_train(self, small_dataset, split, forks):
-        train(small_dataset, split, desk_config(angles=(0.0,)))
-        assert len(forks) == _pool_workers(len(split.train_indices))
+        cfg = desk_config(angles=(0.0,))
+        train(small_dataset, split, cfg)
+        assert len(forks) == _pool_workers(_units(cfg))
         _assert_reaped(forks)
 
     def test_malformed_depth_file_raises_the_serial_error(
@@ -1066,15 +1111,31 @@ class TestTrainPool:
         records = list(small_dataset)
         i = split.train_indices[1]
         records[i] = dataclasses.replace(records[i], depth_path=bad)
+        cfg = desk_config(angles=(0.0,))
         errors = []
         for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
             monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
             with pytest.raises(DmmActionError) as info:
-                train(records, split, desk_config(angles=(0.0,)))
+                train(records, split, cfg)
             errors.append((type(info.value), str(info.value)))
-        assert len(forks) == _pool_workers(len(split.train_indices))
+        assert len(forks) == _pool_workers(_units(cfg))
         assert errors[0] == errors[1]
         assert errors[0][0] is ParseError
+
+    def test_error_in_a_unit_raises_the_serial_error_and_leaves_no_child(
+        self, small_dataset, split, forks, monkeypatch
+    ):
+        cfg = desk_config()
+        _fail_render_on(monkeypatch, small_dataset[split.train_indices[1]], cfg)
+        errors = []
+        for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
+            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
+            with pytest.raises(DmmActionError) as info:
+                train(small_dataset, split, cfg)
+            errors.append((type(info.value), str(info.value)))
+            _assert_reaped(forks)
+        assert len(forks) == _pool_workers(_units(cfg))
+        assert errors[0] == errors[1] == (ContractError, "cannot render window 5 at angle 0")
 
     def test_replaced_extract_sample_sees_every_call_in_process(
         self, small_dataset, split, forks
@@ -1101,7 +1162,7 @@ class TestTrainPool:
         # every network fits once: each is built once, in this process, and kept
         assert build.call_count == len(plan.streams)
         assert list(plan._networks) == [s.id for s in plan.streams]
-        assert len(forks) == (0 if spare < 0 else _pool_workers(len(split.train_indices)))
+        assert len(forks) == (0 if spare < 0 else _pool_workers(_units(cfg)))
 
 
 class TestEvaluatePool:
@@ -1127,22 +1188,7 @@ class TestEvaluatePool:
     def test_error_in_a_unit_raises_the_serial_error_and_leaves_no_child(
         self, small_dataset, split, trained, forks, monkeypatch
     ):
-        # render_templates fails on the (0, xy) unit of the second test record;
-        # the forked workers inherit the patch.
-        rec = small_dataset[split.test_indices[1]]
-        seq = read_depth_bin(rec.depth_path)
-        if rec.crop_path is not None:
-            seq = pipeline._apply_crop(seq, rec.crop_path)
-        (maps, _), = pipeline.plane_sequences(seq, trained.cfg, [0.0], ["xy"]).values()
-        mark = maps[0].grid.tobytes()
-        real = pipeline.render_templates
-
-        def render(maps, weights, window, angle, cfg, starts):
-            if maps[0].grid.tobytes() == mark:
-                raise ContractError(f"cannot render window {window} at angle {angle:g}")
-            return real(maps, weights, window, angle, cfg, starts)
-
-        monkeypatch.setattr(pipeline, "render_templates", render)
+        _fail_render_on(monkeypatch, small_dataset[split.test_indices[1]], trained.cfg)
         errors = []
         for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
             monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
