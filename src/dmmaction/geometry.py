@@ -167,12 +167,16 @@ def fill_depth_holes(grid: np.ndarray) -> np.ndarray:
     fill_mask = (grid == 0) & (support >= 5)
     if not np.any(fill_mask):
         return grid.copy()
-    # Restrict the median to masked pixels; >= 5 nonzero neighbors there,
-    # so no all-NaN columns arise.
+    # The median of each hole's nonzero neighbors, taken as np.ma.median
+    # takes it: sort with the zeros as NaN, which sort last, then halve the
+    # sum of the middle pair (the middle value twice when k is odd).
     cols = neighbors[:, fill_mask]
-    med = np.nanmedian(np.where(cols == 0, np.nan, cols), axis=0)
+    cols[cols == 0] = np.nan
+    cols.sort(axis=0)
+    k = support[fill_mask]
+    at = np.arange(k.size)
     out = grid.copy()
-    out[fill_mask] = med
+    out[fill_mask] = (cols[(k - 1) // 2, at] + cols[k // 2, at]) / 2
     return out
 
 

@@ -13,6 +13,11 @@ without it the temporal axis of a 16-frame clip collapses below kernel
 size before the fifth conv layer, so the published layer list is only
 realizable with same-padding.
 
+Weights and biases are stored float32, the precision they are drawn at
+(C3D's reference weights are float32 too), and computed float64: each
+layer upcasts them, exactly, right before its GEMMs, so a network holds
+half the bytes and every activation keeps its float64 bits.
+
 Each convolution is one BLAS GEMM per kernel offset, added in a fixed
 order.  It runs over chunks of output depth with three scratch buffers
 reused across chunks and offsets, so memory beyond the output stays
@@ -167,13 +172,17 @@ def conv3d_forward(x: np.ndarray, layer: Conv3d) -> np.ndarray:
     window_buf = np.empty(m_maps * frames * n)
     gemm_buf = np.empty(j_maps * frames * n)
     acc_buf = np.empty(j_maps * frames * n)
-    # np.dot copies each strided (j, m) weight matrix before its GEMM; when
-    # several chunks would repeat that copy, one contiguous copy up front
-    # gives the same bits.  A single output map is a vector that BLAS reads
-    # in place, stride and all, so it always stays a view.
+    # BLAS must get the float64 upcast in the layout it gets float64
+    # weights in, or a bit may change.  np.dot copies a strided (j, m)
+    # matrix C-contiguous before its GEMM, so the upcast is that copy: made
+    # once for all offsets when several chunks would repeat it, else per
+    # offset in the loop.  A single output map is a vector that BLAS reads
+    # in place, stride and all, so it is upcast in its original layout.
     weights = layer.weights.transpose(2, 3, 4, 0, 1)
-    if j_maps > 1 and frames < od:
-        weights = np.ascontiguousarray(weights)
+    if j_maps == 1:
+        weights = weights.astype(np.float64, copy=False)
+    elif frames < od:
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
     bias = layer.bias[:, None]
     out = np.empty((j_maps, od, oh, ow))
     for z0 in range(0, od, frames):
@@ -195,11 +204,10 @@ def conv3d_forward(x: np.ndarray, layer: Conv3d) -> np.ndarray:
                             q : q + sw * (ow - 1) + 1 : sw,
                         ],
                     )
-                    np.dot(
-                        weights[r, p, q],
-                        window.reshape(m_maps, k * n),
-                        out=gemm,
-                    )
+                    w = weights[r, p, q]
+                    if j_maps > 1:
+                        w = np.ascontiguousarray(w, dtype=np.float64)
+                    np.dot(w, window.reshape(m_maps, k * n), out=gemm)
                     acc += gemm
         acc += bias
         np.tanh(acc, out=acc)
@@ -296,7 +304,7 @@ def _forward(x: np.ndarray, layers: Sequence[Layer]) -> Iterator[tuple[str, np.n
         elif isinstance(layer, Flatten):
             x = x.reshape(-1)
         else:
-            x = np.tanh(layer.weights @ x + layer.bias)
+            x = np.tanh(layer.weights.astype(np.float64, copy=False) @ x + layer.bias)
         yield layer.name, x
 
 
@@ -324,39 +332,48 @@ def stream_rng(seed: int, stream_id: str) -> np.random.Generator:
 _C3D_GROUPS = ((64,), (128,), (256, 256), (512, 512), (512, 512))
 
 
-# Elements per _draw chunk: a float64 and a float32 buffer that stay in cache.
+# Elements per _draw chunk: a float64 buffer that stays in cache.
 DRAW_CHUNK_ELEMENTS = 2**15
 
 
 def _uniform_f32(rng: np.random.Generator, s: float, shape: tuple[int, ...]) -> np.ndarray:
-    """float64 array of uniform draws in [-s, s), each rounded to float32.
+    """float32 array of uniform draws in [-s, s).
 
-    The bits equal rng.uniform(-s, s, shape).astype(float32).astype(float64):
-    uniform is -s + 2s * u over the same stream of doubles u, and the float32
-    round trip fixes the weights' bits.  It runs in place, chunk by chunk.
+    The bits equal rng.uniform(-s, s, shape).astype(float32): uniform is
+    -s + 2s * u over the same stream of doubles u, computed in float64,
+    then rounded to float32.  It runs chunk by chunk through one float64
+    buffer.
     """
-    out = np.empty(shape)
+    out = np.empty(shape, dtype=np.float32)
     flat = out.reshape(-1)
-    f32 = np.empty(min(flat.size, DRAW_CHUNK_ELEMENTS), dtype=np.float32)
+    buf = np.empty(min(flat.size, DRAW_CHUNK_ELEMENTS))
     for i in range(0, flat.size, DRAW_CHUNK_ELEMENTS):
-        part = flat[i : i + DRAW_CHUNK_ELEMENTS]
+        part = buf[: min(DRAW_CHUNK_ELEMENTS, flat.size - i)]
         rng.random(out=part)
         part *= 2 * s
         part += -s
-        rounded = f32[: part.size]
-        np.copyto(rounded, part, casting="same_kind")
-        np.copyto(part, rounded)
+        np.copyto(flat[i : i + part.size], part, casting="same_kind")
     return out
 
 
-def _draw(rng: np.random.Generator, out_dim: int, *in_shape: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (out_dim, *in_shape) then bias, uniform in +-1/sqrt(fan-in)."""
+def _draw(
+    rng: np.random.Generator | None, out_dim: int, *in_shape: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """float32 weights (out_dim, *in_shape) then bias, uniform in +-1/sqrt(fan-in).
+
+    With no generator nothing is drawn: both are read-only float32 zeros
+    broadcast from one element, which have the real shapes and nbytes but
+    hold no memory.
+    """
+    if rng is None:
+        zero = np.zeros((), dtype=np.float32)
+        return np.broadcast_to(zero, (out_dim, *in_shape)), np.broadcast_to(zero, (out_dim,))
     s = 1.0 / np.sqrt(np.prod(in_shape))
     return _uniform_f32(rng, s, (out_dim, *in_shape)), _uniform_f32(rng, s, (out_dim,))
 
 
 def _build(
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     name: str,
     input_shape: tuple[int, int, int, int],
     groups: Sequence[Sequence[int]],
@@ -364,7 +381,8 @@ def _build(
     fc_units: int,
 ) -> NetworkSpec:
     """Padded 3x3x3 conv groups, each closed by a pool (1x2x2 after the
-    first, 2x2x2 after the rest), then one dense layer."""
+    first, 2x2x2 after the rest), then one dense layer; rng None lays the
+    stack out without drawing (see _draw)."""
     layers: list[Layer] = []
     channels = input_shape[0]
     for g, maps in enumerate(groups, start=1):
@@ -383,7 +401,7 @@ def _build(
 
 
 def c3d_network(
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     name: str = "c3d",
     in_channels: int = 3,
     clip_len: int = 16,
@@ -397,7 +415,7 @@ def c3d_network(
 
 
 def desk_network(
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     name: str = "desk",
     in_channels: int = 3,
     clip_len: int = 16,
@@ -409,3 +427,11 @@ def desk_network(
     """Small two-conv/two-pool stack for synthetic-data runs."""
     shape = (in_channels, clip_len, height, width)
     return _build(rng, name, shape, [(m,) for m in conv_maps], "fc", fc_units)
+
+
+def network_nbytes(preset: str, **kwargs) -> int:
+    """NetworkSpec.nbytes of the network that c3d_network (preset "c3d") or
+    desk_network (preset "desk") builds from kwargs, worked out from its
+    layer shapes: the stack is laid out with no weight drawn (see _draw)."""
+    build = desk_network if preset == "desk" else c3d_network
+    return build(None, **kwargs).nbytes

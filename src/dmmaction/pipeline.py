@@ -66,7 +66,14 @@ from .learn import (
     svm_train,
 )
 from .motion import MagnitudeMap, estimate_flow, flow_magnitude, normalize_magnitude
-from .neural import NetworkSpec, c3d_network, desk_network, extract_features, stream_rng
+from .neural import (
+    NetworkSpec,
+    c3d_network,
+    desk_network,
+    extract_features,
+    network_nbytes,
+    stream_rng,
+)
 from .videoio import DepthFrame, DepthSequence, read_depth_bin, read_rgb_sequence, read_text
 
 if TYPE_CHECKING:
@@ -120,8 +127,9 @@ class TrainReport:
     warnings: tuple[str, ...] = ()
 
 
-# Bytes of network weights a plan keeps built: one 112x112 c3d network
-# (355 MiB in float64) or all 20 criterion-7 desk networks (43 MiB).
+# Bytes of network weights a plan keeps built: two 112x112 c3d networks
+# (177.5 MiB each, stored float32 and computed float64) or all 20
+# criterion-7 desk networks (21.6 MiB).
 NETWORK_CACHE_BYTES = 512 * 2**20
 
 
@@ -133,7 +141,7 @@ class StreamPlan:
     are built on demand.  A built network is kept while the networks kept
     so far and it fit in NETWORK_CACHE_BYTES, and is never evicted; one
     that does not fit is rebuilt, with the same weights, on each use.  A
-    canonical 112x112 stack takes 355 MiB, so a plan keeps at most one.
+    canonical 112x112 stack takes 177.5 MiB, so a plan keeps at most two.
     pca is keyed by Stream.slot, svm by stream id.  _pool is the fork pool
     that train or evaluate opens for its loop (_unit_pool), None outside it.
     """
@@ -204,19 +212,24 @@ def build_streams(cfg: PipelineConfig) -> StreamPlan:
     return StreamPlan(cfg=cfg, streams=tuple(streams))
 
 
-def _build_network(cfg: PipelineConfig, s: Stream) -> NetworkSpec:
+def _network_args(cfg: PipelineConfig, s: Stream) -> dict:
+    """Keyword arguments of stream s's network builder."""
     height, width = cfg.render_size
-    shared = dict(
+    args = dict(
         name=s.id,
         clip_len=s.rgb_len if s.kind == "rgb" else cfg.clip_len,
         height=height,
         width=width,
         fc_units=cfg.fc_units_effective,
     )
-    rng = stream_rng(cfg.seed, s.id)
     if cfg.network_preset == "desk":
-        return desk_network(rng, conv_maps=cfg.desk_conv_maps, **shared)
-    return c3d_network(rng, **shared)
+        args["conv_maps"] = cfg.desk_conv_maps
+    return args
+
+
+def _build_network(cfg: PipelineConfig, s: Stream) -> NetworkSpec:
+    build = desk_network if cfg.network_preset == "desk" else c3d_network
+    return build(stream_rng(cfg.seed, s.id), **_network_args(cfg, s))
 
 
 # ---------------------------------------------------------------------------
@@ -711,26 +724,30 @@ def _pool_size(plan: StreamPlan, poses: set[str]) -> int:
     below 2 means serially, here.
 
     Workers are forked, so they share the parent's cached networks and
-    build none.  This builds the networks of those pose banks, stopping
-    as soon as one is not kept in the cache or the kept bytes leave room
-    for fewer than 2 workers: at most one per core, one per unit of a
-    sample, and one per copy of those bytes in NETWORK_CACHE_BYTES.
+    build none (_unit_pool builds them first).  There is at most one per
+    core, one per unit of a sample, and one per copy of those networks'
+    bytes in NETWORK_CACHE_BYTES; none if one of them would not be kept
+    in the cache.  The bytes come from the layer shapes (network_nbytes),
+    so sizing builds no network.
     """
     if extract_sample is not _EXTRACT_SAMPLE or not hasattr(os, "sched_getaffinity"):
         return 1
     cfg = plan.cfg
     units = len(cfg.angles) * len(cfg.planes) + len(cfg.rgb_windows)
     workers = min(len(os.sched_getaffinity(0)), units)
-    cached = 0
+    kept = sum(n.nbytes for n in plan._networks.values())
+    bank = 0
     for s in plan.streams:
         if workers < 2:
             break
         if s.pose in poses:
-            net = plan.network(s.id)
+            nbytes = network_nbytes(cfg.network_preset, **_network_args(cfg, s))
             if s.id not in plan._networks:
-                return 1
-            cached += net.nbytes
-            workers = min(workers, NETWORK_CACHE_BYTES // cached)
+                if kept + nbytes > NETWORK_CACHE_BYTES:
+                    return 1
+                kept += nbytes
+            bank += nbytes
+            workers = min(workers, NETWORK_CACHE_BYTES // bank)
     return workers
 
 
@@ -750,9 +767,10 @@ def _unit_in_worker(unit, args: tuple):
 @contextmanager
 def _unit_pool(plan: StreamPlan, poses: set[str]) -> Iterator[None]:
     """Keep plan._pool open for the with block: _pool_size workers that get
-    (plan.cfg, plan) by fork, not by pickling.  Below 2 workers or without
-    fork, plan._pool stays None and every unit runs here.  On exit, also
-    after an error, plan._pool is cleared and the pool shut down."""
+    (plan.cfg, plan), with the pose banks' networks built into its cache,
+    by fork, not by pickling.  Below 2 workers or without fork, nothing is
+    built ahead, plan._pool stays None and every unit runs here.  On exit,
+    also after an error, plan._pool is cleared and the pool shut down."""
     workers = _pool_size(plan, poses)
     if workers >= 2:
         # Imported here, so that a process that never pools (such as a CLI
@@ -761,6 +779,9 @@ def _unit_pool(plan: StreamPlan, poses: set[str]) -> Iterator[None]:
         from concurrent.futures import ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
+            for s in plan.streams:
+                if s.pose in poses:
+                    plan.network(s.id)
             plan._pool = ProcessPoolExecutor(
                 workers,
                 mp_context=multiprocessing.get_context("fork"),

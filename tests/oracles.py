@@ -188,3 +188,31 @@ def dmm_oracle(grids, t, window, floor=0.0):
                     acc += d
             out[y, x] = acc
     return out
+
+
+def fill_holes_oracle(grid):
+    """One 3x3 median pass over holes, as the package first shipped it.
+
+    A 0-pixel with at least 5 nonzero of its 8 neighbors (zero padding
+    outside the grid) takes np.nanmedian of those neighbors; every other
+    pixel is copied.
+    """
+    padded = np.pad(grid, 1, mode="constant")
+    h, w = grid.shape
+    neighbors = np.empty((8, h, w))
+    k = 0
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy == 0 and dx == 0:
+                continue
+            neighbors[k] = padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+            k += 1
+    support = np.count_nonzero(neighbors, axis=0)
+    fill_mask = (grid == 0) & (support >= 5)
+    if not np.any(fill_mask):
+        return grid.copy()
+    cols = neighbors[:, fill_mask]
+    med = np.nanmedian(np.where(cols == 0, np.nan, cols), axis=0)
+    out = grid.copy()
+    out[fill_mask] = med
+    return out

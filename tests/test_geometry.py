@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dmmaction import ContractError
 from dmmaction.geometry import (
@@ -19,7 +20,7 @@ from dmmaction.geometry import (
     synthesize_view,
 )
 from dmmaction.videoio import DepthFrame, DepthSequence
-from oracles import occupancy_oracle
+from oracles import fill_holes_oracle, occupancy_oracle
 
 ANGLE_SET = (-45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0)
 
@@ -165,6 +166,21 @@ class TestFillDepthHoles:
         out = fill_depth_holes(grid)
         nz = grid > 0
         assert np.array_equal(out[nz], grid[nz])
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 9), st.integers(1, 9)),
+            elements=st.one_of(
+                st.just(0.0),
+                st.integers(1, 4).map(float),  # ties, and even counts of them
+                st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
+            ),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_nanmedian_oracle_bytes(self, grid):
+        assert fill_depth_holes(grid).tobytes() == fill_holes_oracle(grid).tobytes()
 
 
 class TestProjectCartesian:

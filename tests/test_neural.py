@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from unittest import mock
 
@@ -106,15 +107,24 @@ def _f32_uniform(rng, scale, shape):
 
 
 def _assert_shift_identical(x, layer):
+    """conv3d_forward's bytes equal the shift oracle's on the float64 upcast
+    of the layer's weights, whichever precision stores them."""
     out = conv3d_forward(x, layer)
-    ref = conv3d_shift_oracle(x, layer.weights, layer.bias, layer.stride, layer.padding)
+    ref = conv3d_shift_oracle(
+        x,
+        layer.weights.astype(np.float64),
+        layer.bias.astype(np.float64),
+        layer.stride,
+        layer.padding,
+    )
     assert out.shape == ref.shape
     assert out.tobytes() == ref.tobytes()
 
 
 @st.composite
 def _conv_cases(draw):
-    """A layer, an input and a chunk bound; half the cases are shapes that chunk."""
+    """A layer, an input and a chunk bound; half the cases are shapes that
+    chunk, and half store their weights float32 as the builders do."""
     kernel = tuple(draw(st.integers(1, 3)) for _ in range(3))
     stride = tuple(draw(st.integers(1, 2)) for _ in range(3))
     padding = tuple(draw(st.integers(0, 1)) for _ in range(3))
@@ -134,11 +144,12 @@ def _conv_cases(draw):
     assume(min(dims) >= 1)
     chunk = draw(st.integers(1, max(out_maps, in_maps) * od * oh * ow))
     seed = draw(st.integers(0, 2**32 - 1))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
     local = np.random.default_rng(seed)
     layer = Conv3d(
         "c",
-        weights=_f32_uniform(local, 0.3, (out_maps, in_maps, *kernel)),
-        bias=_f32_uniform(local, 0.3, out_maps),
+        weights=_f32_uniform(local, 0.3, (out_maps, in_maps, *kernel)).astype(dtype),
+        bias=_f32_uniform(local, 0.3, out_maps).astype(dtype),
         stride=stride,
         padding=padding,
     )
@@ -171,6 +182,32 @@ class TestConv3dChunked:
         )
         assert neural._chunk_frames(out_maps, in_maps, depth, side * side) < depth
         _assert_shift_identical(local.uniform(0.0, 1.0, (in_maps, depth, side, side)), layer)
+
+    @pytest.mark.parametrize(
+        "out_maps, in_maps, side, chunk",
+        [
+            (64, 80, 16, 2**14),  # chunked: the upcast is one contiguous copy
+            (64, 80, 16, None),  # one chunk: each offset's matrix upcast in turn
+            (6, 5, 7, None),  # under the small-matrix cut-off
+            (1, 480, 48, 2**12),  # one output map, chunked: a strided vector
+            (1, 5, 7, None),  # one output map, one chunk
+        ],
+        ids=["chunked", "unchunked", "small", "one-map-chunked", "one-map"],
+    )
+    def test_float32_weights_match_oracle_on_upcast(self, out_maps, in_maps, side, chunk):
+        local = np.random.default_rng(out_maps * in_maps)
+        scale = 1.0 / np.sqrt(27 * in_maps)
+        layer = Conv3d(
+            "c",
+            weights=_f32_uniform(local, scale, (out_maps, in_maps, 3, 3, 3)).astype(np.float32),
+            bias=_f32_uniform(local, scale, out_maps).astype(np.float32),
+            padding=(1, 1, 1),
+        )
+        x = local.uniform(0.0, 1.0, (in_maps, 3, side, side))
+        with mock.patch.object(neural, "CONV_CHUNK_ELEMENTS", chunk or neural.CONV_CHUNK_ELEMENTS):
+            chunked = neural._chunk_frames(out_maps, in_maps, 3, side * side) < 3
+            _assert_shift_identical(x, layer)
+        assert chunked == (chunk is not None)
 
     def test_desk_layers_match(self):
         net = desk_network(stream_rng(13, "desk-bytes"))
@@ -385,9 +422,9 @@ class TestNetworks:
         assert x.tobytes() == clip_to_tensor(Clip(frames)).tobytes()
         assert len(feats) == 64
 
-    # sha256 over every layer's name, weights and bias bytes, taken from the
-    # hand-written builders these presets replaced (fc7, the last draw of the
-    # old c3d stack, left out).
+    # sha256 over every layer's name and the float64 bytes of its weights and
+    # bias, taken from the hand-written builders these presets replaced (fc7,
+    # the last draw of the old c3d stack, left out).
     @pytest.mark.parametrize(
         "build, digest",
         [
@@ -414,8 +451,8 @@ class TestNetworks:
         for layer in build().layers:
             h.update(layer.name.encode())
             if isinstance(layer, (Conv3d, Dense)):
-                h.update(layer.weights.tobytes())
-                h.update(layer.bias.tobytes())
+                h.update(layer.weights.astype(np.float64).tobytes())
+                h.update(layer.bias.astype(np.float64).tobytes())
         assert h.hexdigest() == digest
 
     @given(
@@ -431,9 +468,64 @@ class TestNetworks:
         with mock.patch.object(neural, "DRAW_CHUNK_ELEMENTS", chunk):
             w, b = neural._draw(np.random.default_rng(seed), out_dim, *in_shape)
         ref_w, ref_b = draw_oracle(np.random.default_rng(seed), out_dim, *in_shape)
-        assert w.shape == ref_w.shape and w.dtype == ref_w.dtype == np.float64
-        assert w.tobytes() == ref_w.tobytes()
-        assert b.tobytes() == ref_b.tobytes()
+        assert w.shape == ref_w.shape and w.dtype == b.dtype == np.float32
+        assert w.astype(np.float64).tobytes() == ref_w.tobytes()
+        assert b.astype(np.float64).tobytes() == ref_b.tobytes()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: desk_network(stream_rng(5, "upcast/desk")),
+            lambda: c3d_network(stream_rng(5, "upcast/c3d"), height=32, width=32, fc_units=8),
+        ],
+        ids=["desk", "c3d-32"],
+    )
+    def test_features_equal_those_of_the_float64_upcast(self, build):
+        net = build()
+        upcast = NetworkSpec(
+            net.name,
+            net.input_shape,
+            tuple(
+                dataclasses.replace(
+                    l, weights=l.weights.astype(np.float64), bias=l.bias.astype(np.float64)
+                )
+                if isinstance(l, (Conv3d, Dense))
+                else l
+                for l in net.layers
+            ),
+        )
+        assert net.nbytes * 2 == upcast.nbytes
+        frames = np.random.default_rng(5).integers(0, 256, (16, 32, 32, 3), dtype=np.uint8)
+        x = clip_to_tensor(Clip(frames))
+        for (name, a), (_, b) in zip(run_layers(x, net), run_layers(x, upcast)):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_nbytes_is_four_per_parameter(self):
+        net = c3d_network(stream_rng(0, "nbytes"))
+        params = sum(
+            l.weights.size + l.bias.size for l in net.layers if isinstance(l, (Conv3d, Dense))
+        )
+        assert all(
+            l.weights.dtype == l.bias.dtype == np.float32
+            for l in net.layers
+            if isinstance(l, (Conv3d, Dense))
+        )
+        assert net.nbytes == 4 * params == 186_137_600
+        assert neural.network_nbytes("c3d") == net.nbytes
+
+    @pytest.mark.parametrize(
+        "preset, kwargs",
+        [
+            ("desk", {}),
+            ("desk", dict(clip_len=10, height=24, width=40, conv_maps=(4, 6), fc_units=10)),
+            ("c3d", dict(clip_len=25, height=32, width=32, fc_units=8)),
+        ],
+    )
+    def test_network_nbytes_draws_nothing(self, preset, kwargs):
+        build = {"desk": desk_network, "c3d": c3d_network}[preset]
+        want = build(stream_rng(0, "layout"), **kwargs).nbytes
+        with mock.patch.object(neural, "_uniform_f32", side_effect=AssertionError("drew")):
+            assert neural.network_nbytes(preset, **kwargs) == want
 
     def test_different_stream_different_weights(self):
         a = desk_network(stream_rng(6, "s1"), clip_len=4, height=16, width=16)

@@ -32,7 +32,7 @@ from dmmaction import (
     save_plan,
     train,
 )
-from dmmaction import dmm, pipeline
+from dmmaction import dmm, neural, pipeline
 from dmmaction.dmm import Clip, render_grid, stack_clip, template_count
 from dmmaction.geometry import ProjectedMap, synthesize_view
 from dmmaction.learn import PcaModel, SvmModel, pca_fit
@@ -1163,6 +1163,25 @@ class TestTrainPool:
         assert build.call_count == len(plan.streams)
         assert list(plan._networks) == [s.id for s in plan.streams]
         assert len(forks) == (0 if spare < 0 else _pool_workers(_units(cfg)))
+
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_sizing_the_default_plan_builds_nothing(self, monkeypatch, cached):
+        # Two 112x112 c3d networks leave room for one copy in the cache.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        plan = build_streams(PipelineConfig())
+        pose = plan.streams[0].pose
+        if cached:  # an evaluate after train finds its bank's first network kept
+            plan._networks[plan.streams[0].id] = pipeline._build_network(
+                plan.cfg, plan.streams[0]
+            )
+        with (
+            mock.patch.object(pipeline, "c3d_network", side_effect=AssertionError("built")),
+            mock.patch.object(pipeline, "desk_network", side_effect=AssertionError("built")),
+            mock.patch.object(neural, "_uniform_f32", side_effect=AssertionError("drew")),
+        ):
+            assert pipeline._pool_size(plan, {pose}) == 1
+        assert len(plan._networks) == cached
 
 
 class TestEvaluatePool:
