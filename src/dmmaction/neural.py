@@ -16,7 +16,10 @@ realizable with same-padding.
 Weights and biases are stored float32, the precision they are drawn at
 (C3D's reference weights are float32 too), and computed float64: each
 layer upcasts them, exactly, right before its GEMMs, so a network holds
-half the bytes and every activation keeps its float64 bits.
+half the bytes and every activation keeps its float64 bits.  The dense
+layer upcasts one block of weight rows at a time into one reused buffer
+(see `_dense_rows`), so it never holds a float64 copy of its whole
+matrix.
 
 Each convolution is one BLAS GEMM per kernel offset, added in a fixed
 order.  It runs over chunks of output depth with three scratch buffers
@@ -121,7 +124,8 @@ class NetworkSpec:
 
 
 # Elements per conv3d_forward scratch buffer (window copy, GEMM result,
-# accumulator); a chunk always holds at least one output frame.
+# accumulator) and per dense_forward weight block; a chunk always holds
+# at least one output frame.
 CONV_CHUNK_ELEMENTS = 2**19
 # When a chunked GEMM gives the same bits as the whole-output one; see
 # _chunk_frames.
@@ -220,18 +224,59 @@ def maxpool3d(x: np.ndarray, kernel: Triple, stride: Triple) -> np.ndarray:
     c, od, oh, ow = _layer_output_shape(x.shape, MaxPool3d("pool", kernel, stride))
     kr, kp, kq = kernel
     sr, sh, sw = stride
-    out = np.full((c, od, oh, ow), -np.inf)
-    for r in range(kr):
-        for p in range(kp):
-            for q in range(kq):
-                sub = x[
-                    :,
-                    r : r + sr * (od - 1) + 1 : sr,
-                    p : p + sh * (oh - 1) + 1 : sh,
-                    q : q + sw * (ow - 1) + 1 : sw,
-                ]
-                np.maximum(out, sub, out=out)
+    windows = (
+        x[
+            :,
+            r : r + sr * (od - 1) + 1 : sr,
+            p : p + sh * (oh - 1) + 1 : sh,
+            q : q + sw * (ow - 1) + 1 : sw,
+        ]
+        for r in range(kr)
+        for p in range(kp)
+        for q in range(kq)
+    )
+    # The first window is the start: max(-inf, v) is v, -0.0 and NaN
+    # included, so a -inf start would add nothing.
+    out = next(windows).copy()
+    for sub in windows:
+        np.maximum(out, sub, out=out)
     return out
+
+
+def _dense_rows(out_units: int, in_units: int) -> int:
+    """Weight rows per dense_forward block.
+
+    Blocking changes only the row count of each matrix-vector product, and
+    BLAS does not promise an output the same bits whatever that count is.
+    With OpenBLAS 0.3.31 (measured with 1 to 4 threads) every output comes
+    out the same when the output count is a multiple of 8 and every block,
+    tail included, is a whole number of 8-row tiles; output counts such as
+    100 or 250 change bits under 2 or more threads.  So a
+    layer whose output count is no multiple of 8 runs as one block, which
+    is the unblocked computation.
+    """
+    if out_units % 8:
+        return out_units
+    return max(8, CONV_CHUNK_ELEMENTS // max(in_units, 1) // 8 * 8)
+
+
+def dense_forward(x: np.ndarray, layer: Dense) -> np.ndarray:
+    """tanh(W x + b), with the weights upcast to float64 block by block.
+
+    Each block of rows (see _dense_rows) is copied into one reused float64
+    buffer and multiplied with x into its slice of the output, so the
+    float64 weights held at once are one block, not the whole matrix.
+    """
+    out_units, in_units = layer.weights.shape
+    rows = _dense_rows(out_units, in_units)
+    block_buf = np.empty((min(rows, out_units), in_units))
+    y = np.empty(out_units)
+    for i in range(0, out_units, rows):
+        k = min(rows, out_units - i)
+        np.copyto(block_buf[:k], layer.weights[i : i + k])
+        np.dot(block_buf[:k], x, out=y[i : i + k])
+    y += layer.bias
+    return np.tanh(y, out=y)
 
 
 def _layer_output_shape(shape: tuple[int, ...], layer: Layer) -> tuple[int, ...]:
@@ -304,7 +349,7 @@ def _forward(x: np.ndarray, layers: Sequence[Layer]) -> Iterator[tuple[str, np.n
         elif isinstance(layer, Flatten):
             x = x.reshape(-1)
         else:
-            x = np.tanh(layer.weights.astype(np.float64, copy=False) @ x + layer.bias)
+            x = dense_forward(x, layer)
         yield layer.name, x
 
 

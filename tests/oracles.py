@@ -81,7 +81,7 @@ def conv3d_shift_oracle(x, weights, bias, stride=(1, 1, 1), padding=(0, 0, 0)):
 
 
 def maxpool3d_oracle(x, kernel, stride):
-    """Direct windowed max, channel by channel."""
+    """Direct windowed max, channel by channel; a window holding a NaN gives NaN."""
     kd, kh, kw = kernel
     sd, sh, sw = stride
     c = x.shape[0]
@@ -98,10 +98,19 @@ def maxpool3d_oracle(x, kernel, stride):
                         for p in range(kh):
                             for q in range(kw):
                                 v = x[ch, z * sd + r, y * sh + p, xx * sw + q]
-                                if v > best:
+                                if v > best or math.isnan(v):
                                     best = v
                     out[ch, z, y, xx] = best
     return out
+
+
+def dense_oracle(x, weights, bias):
+    """tanh(W x + b) as one matrix-vector product of the float64 weights.
+
+    It fixes BLAS's summation over the whole matrix, so fast paths that
+    keep each output's bits must match it byte for byte.
+    """
+    return np.tanh(weights.astype(np.float64) @ x + bias)
 
 
 def occupancy_oracle(depth, bin_mm, bin_count):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from dmmaction.neural import (
     c3d_network,
     clip_to_tensor,
     conv3d_forward,
+    dense_forward,
     desk_network,
     extract_features,
     infer_shapes,
@@ -24,7 +26,13 @@ from dmmaction.neural import (
     run_layers,
     stream_rng,
 )
-from oracles import conv3d_oracle, conv3d_shift_oracle, draw_oracle, maxpool3d_oracle
+from oracles import (
+    conv3d_oracle,
+    conv3d_shift_oracle,
+    dense_oracle,
+    draw_oracle,
+    maxpool3d_oracle,
+)
 
 
 def _identity_layer():
@@ -257,6 +265,86 @@ class TestMaxPool3d:
         stride = tuple(int(local.integers(1, 3)) for _ in range(3))
         out = maxpool3d(x, kernel, stride)
         assert np.array_equal(out, maxpool3d_oracle(x, kernel, stride))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_signed_zero_and_nan_match_oracle_bytes(self, data):
+        # One sign of zero per input: a window holding both has no one
+        # right answer, since np.maximum's choice on a tie is the kernel's.
+        zero = data.draw(st.sampled_from([0.0, -0.0]))
+        values = st.one_of(
+            st.sampled_from([zero, np.nan, -np.inf, np.inf]),
+            st.floats(-4.0, 4.0, allow_nan=False).map(lambda v: v or zero),
+        )
+        shape = tuple(data.draw(st.integers(1, 4)) for _ in range(4))
+        size = int(np.prod(shape))
+        x = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+        kernel = tuple(data.draw(st.integers(1, n)) for n in shape[1:])
+        stride = tuple(data.draw(st.integers(1, 2)) for _ in range(3))
+        out = maxpool3d(x, kernel, stride)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == maxpool3d_oracle(x, kernel, stride).tobytes()
+
+
+def _dense_layer(seed, out_units, in_units, dtype=np.float32):
+    local = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(in_units)
+    return Dense(
+        "fc",
+        weights=_f32_uniform(local, scale, (out_units, in_units)).astype(dtype),
+        bias=_f32_uniform(local, scale, out_units).astype(dtype),
+    ), local.uniform(-1.0, 1.0, in_units)
+
+
+def _assert_dense_identical(x, layer):
+    out = dense_forward(x, layer)
+    assert out.tobytes() == dense_oracle(x, layer.weights, layer.bias).tobytes()
+
+
+class TestDenseForward:
+    """The row-blocked dense layer keeps the whole product's bits exactly."""
+
+    @given(
+        st.one_of(st.integers(1, 40).map(lambda n: 8 * n), st.integers(1, 330)),
+        st.sampled_from([1, 7, 64, 513, 4608]),
+        st.sampled_from([np.float32, np.float64]),
+        st.one_of(st.none(), st.integers(1, 72)),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_bytes(self, out_units, in_units, dtype, rows, seed):
+        # rows patches the block budget down to about that many rows, so
+        # that several blocks and a tail run.
+        layer, x = _dense_layer(seed, out_units, in_units, dtype)
+        chunk = rows * in_units if rows else neural.CONV_CHUNK_ELEMENTS
+        with mock.patch.object(neural, "CONV_CHUNK_ELEMENTS", chunk):
+            _assert_dense_identical(x, layer)
+
+    @pytest.mark.parametrize(
+        "out_units, in_units, chunk, rows",
+        [
+            (1024, 4608, None, 112),  # c3d's fc6 input width: 9 blocks and a 16-row tail
+            (64, 8192, None, 64),  # a desk fc layer fits one block
+            (104, 50, 24 * 50, 24),  # 4 blocks and an 8-row tail
+            (100, 4608, 8 * 4608, 100),  # no multiple of 8: one block
+        ],
+    )
+    def test_blocks_and_tails_match_oracle(self, out_units, in_units, chunk, rows):
+        layer, x = _dense_layer(out_units, out_units, in_units)
+        with mock.patch.object(neural, "CONV_CHUNK_ELEMENTS", chunk or neural.CONV_CHUNK_ELEMENTS):
+            assert neural._dense_rows(out_units, in_units) == rows
+            _assert_dense_identical(x, layer)
+
+    def test_peak_memory_is_one_block_not_an_upcast_matrix(self):
+        layer, x = _dense_layer(0, 1024, 4608)
+        upcast_nbytes = layer.weights.size * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            dense_forward(x, layer)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < upcast_nbytes / 4
 
 
 class TestBadLayerSettings:
