@@ -13,13 +13,18 @@ without it the temporal axis of a 16-frame clip collapses below kernel
 size before the fifth conv layer, so the published layer list is only
 realizable with same-padding.
 
-Weights and biases are stored float32, the precision they are drawn at
+Weights and biases are float32, the precision they are drawn at
 (C3D's reference weights are float32 too), and computed float64: each
-layer upcasts them, exactly, right before its GEMMs, so a network holds
-half the bytes and every activation keeps its float64 bits.  The dense
-layer upcasts one block of weight rows at a time into one reused buffer
-(see `_dense_rows`), so it never holds a float64 copy of its whole
-matrix.
+layer upcasts them, exactly, right before its GEMMs, so every activation
+keeps its float64 bits.  The dense layer upcasts one block of weight rows
+at a time into one reused buffer (see `_dense_rows`), so it never holds a
+float64 copy of its whole matrix.  A dense layer that runs in more than
+one block (c3d's fc6) does not store its matrix at all: its weights are a
+`DrawnMatrix`, which draws each block again, with the same bits, when it
+is read.  So a 112x112 c3d network holds 105.5 MiB of its 177.5 MiB of
+float32 weights, and pays one draw of fc6 per forward pass.
+NetworkSpec.nbytes counts all 177.5 MiB, so the plan sizes its cache and
+pool as if fc6 were stored.
 
 Each convolution is one BLAS GEMM per kernel offset, added in a fixed
 order.  It runs over chunks of output depth with three scratch buffers
@@ -45,6 +50,54 @@ Triple = tuple[int, int, int]
 def _check_triple(name: str, what: str, values: Triple, low: int) -> None:
     if len(values) != 3 or any(v < low for v in values):
         raise ContractError(f"{name}: {what} must be three ints >= {low}, got {values}")
+
+
+class DrawnMatrix:
+    """float32 (rows, cols) matrix of uniform draws in [-s, s) that is drawn
+    again each time it is read, instead of being stored.
+
+    It keeps a PCG64 generator's state at the matrix's first draw and
+    advances the generator past the matrix, as drawing it would.  A row
+    slice [i:i+k] restores that state, advances it past the i * cols
+    doubles of the rows before, and draws as _uniform_f32 does, so every
+    element has the bits it would have had stored.  It holds no array, but
+    nbytes counts the float32 matrix it stands for, so network sizes, and
+    the plan cache and pool sizing that read them, are those of a stored
+    network.  With no generator (a stack laid out without drawing, see
+    _draw) it only reports its shape and nbytes.  np.asarray gives the
+    whole matrix.
+    """
+
+    dtype = np.dtype(np.float32)
+    ndim = 2
+
+    def __init__(self, rng: np.random.Generator | None, s: float, shape: tuple[int, int]):
+        self.shape = shape
+        self.size = shape[0] * shape[1]
+        self.nbytes = self.size * self.dtype.itemsize
+        self._s = s
+        self._state = None
+        if rng is not None:
+            if not isinstance(rng.bit_generator, np.random.PCG64):
+                raise ContractError(
+                    f"a drawn matrix needs a PCG64 generator, got "
+                    f"{type(rng.bit_generator).__name__}"
+                )
+            self._state = rng.bit_generator.state
+            rng.bit_generator.advance(self.size)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(self.shape[0])
+        if step != 1:
+            raise ContractError(f"a drawn matrix reads contiguous rows, got step {step}")
+        shape = (max(stop - start, 0), self.shape[1])
+        bits = np.random.PCG64()
+        bits.state = self._state
+        bits.advance(start * self.shape[1])
+        return _uniform_f32(np.random.Generator(bits), self._s, shape)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self[:].astype(dtype or self.dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -90,10 +143,15 @@ class Flatten:
 
 @dataclass(frozen=True)
 class Dense:
-    """Fully-connected layer with tanh activation."""
+    """Fully-connected layer with tanh activation.
+
+    weights is a float32 or float64 array, or, for a layer the builders
+    give more than one row block (see _draw), a DrawnMatrix; dense_forward
+    reads it only by row slices.
+    """
 
     name: str
-    weights: np.ndarray = field(repr=False)  # (out, in)
+    weights: np.ndarray | DrawnMatrix = field(repr=False)  # (out, in)
     bias: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -117,7 +175,8 @@ class NetworkSpec:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of every weight and bias array."""
+        """Bytes of every weight and bias array, a DrawnMatrix counted as
+        the float32 matrix it stands for."""
         return sum(
             l.weights.nbytes + l.bias.nbytes for l in self.layers if isinstance(l, (Conv3d, Dense))
         )
@@ -403,18 +462,27 @@ def _uniform_f32(rng: np.random.Generator, s: float, shape: tuple[int, ...]) -> 
 
 def _draw(
     rng: np.random.Generator | None, out_dim: int, *in_shape: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | DrawnMatrix, np.ndarray]:
     """float32 weights (out_dim, *in_shape) then bias, uniform in +-1/sqrt(fan-in).
 
-    With no generator nothing is drawn: both are read-only float32 zeros
-    broadcast from one element, which have the real shapes and nbytes but
-    hold no memory.
+    A dense matrix (one input dimension) that dense_forward runs in more
+    than one row block (see _dense_rows) is not stored: it is a DrawnMatrix,
+    which skips the generator past it, so the bias gets the same draws.
+    With no generator nothing is drawn: the stored arrays are read-only
+    float32 zeros broadcast from one element, which have the real shapes
+    and nbytes but hold no memory.
     """
-    if rng is None:
-        zero = np.zeros((), dtype=np.float32)
-        return np.broadcast_to(zero, (out_dim, *in_shape)), np.broadcast_to(zero, (out_dim,))
     s = 1.0 / np.sqrt(np.prod(in_shape))
-    return _uniform_f32(rng, s, (out_dim, *in_shape)), _uniform_f32(rng, s, (out_dim,))
+    shape = (out_dim, *in_shape)
+    zero = np.zeros((), dtype=np.float32)
+    if len(in_shape) == 1 and _dense_rows(out_dim, in_shape[0]) < out_dim:
+        w = DrawnMatrix(rng, s, shape)
+    elif rng is None:
+        w = np.broadcast_to(zero, shape)
+    else:
+        w = _uniform_f32(rng, s, shape)
+    b = np.broadcast_to(zero, (out_dim,)) if rng is None else _uniform_f32(rng, s, (out_dim,))
+    return w, b
 
 
 def _build(

@@ -347,6 +347,71 @@ class TestDenseForward:
         assert peak < upcast_nbytes / 4
 
 
+class TestDrawnMatrix:
+    """A dense matrix that runs in more than one row block is drawn again
+    on each read; every row, and the layer's output, keep the bits of the
+    stored draw."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.integers(2, 40).map(lambda n: 8 * n), st.integers(1, 330)),
+        st.sampled_from([1, 7, 64, 513]),
+        st.integers(1, 5),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_and_output_match_oracle_bytes(self, seed, out_units, in_units, eights, data):
+        # The block budget is patched down to 8 * eights rows, so that
+        # several blocks and a tail run.
+        rows = 8 * eights
+        with mock.patch.object(neural, "CONV_CHUNK_ELEMENTS", rows * in_units):
+            w, b = neural._draw(np.random.default_rng(seed), out_units, in_units)
+            ref_w, ref_b = draw_oracle(np.random.default_rng(seed), out_units, in_units)
+            drawn = out_units % 8 == 0 and rows < out_units
+            assert isinstance(w, neural.DrawnMatrix) == drawn
+            assert w.shape == ref_w.shape and w.size == ref_w.size and w.ndim == 2
+            assert w.dtype == np.float32 and w.nbytes == ref_w.size * 4
+            assert b.astype(np.float64).tobytes() == ref_b.tobytes()
+            i = data.draw(st.integers(0, out_units), label="first row")
+            j = data.draw(st.integers(i, out_units), label="stop row")
+            assert w[i:j].dtype == np.float32
+            assert w[i:j].astype(np.float64).tobytes() == ref_w[i:j].tobytes()
+            x = np.random.default_rng(seed).uniform(-1.0, 1.0, in_units)
+            out = dense_forward(x, Dense("fc", w, b))
+            assert out.tobytes() == dense_oracle(x, ref_w, ref_b).tobytes()
+
+    def test_whole_matrix_is_the_stored_draw(self):
+        with mock.patch.object(neural, "CONV_CHUNK_ELEMENTS", 8 * 40):
+            w, _ = neural._draw(np.random.default_rng(3), 64, 40)
+        ref_w, _ = draw_oracle(np.random.default_rng(3), 64, 40)
+        assert isinstance(w, neural.DrawnMatrix)
+        assert np.asarray(w).dtype == np.float32
+        assert np.asarray(w, dtype=np.float64).tobytes() == ref_w.tobytes()
+
+    def test_strided_rows_rejected(self):
+        w, _ = neural._draw(np.random.default_rng(0), 4096, 4608)
+        with pytest.raises(ContractError, match="step 2"):
+            w[0:16:2]
+
+    def test_other_bit_generators_rejected(self):
+        with pytest.raises(ContractError, match="PCG64"):
+            neural._draw(np.random.Generator(np.random.MT19937(0)), 4096, 4608)
+
+    def test_dense_step_holds_no_matrix(self):
+        # fc6's shape: the step, build included, holds a few row blocks,
+        # not the 75.5 MB float32 matrix.
+        matrix_nbytes = 4096 * 4608 * np.dtype(np.float32).itemsize
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 4608)
+        tracemalloc.start()
+        try:
+            w, b = neural._draw(stream_rng(0, "fc6"), 4096, 4608)
+            dense_forward(x, Dense("fc6", w, b))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix_nbytes / 4
+
+
 class TestBadLayerSettings:
     """A zero kernel or stride, or a negative padding, raises ContractError
     before any layer runs, with the layer rule that infer_shapes uses."""
@@ -598,6 +663,8 @@ class TestNetworks:
             for l in net.layers
             if isinstance(l, (Conv3d, Dense))
         )
+        # fc6's matrix is drawn, not stored, but counts as stored.
+        assert isinstance(net.layers[-1].weights, neural.DrawnMatrix)
         assert net.nbytes == 4 * params == 186_137_600
         assert neural.network_nbytes("c3d") == net.nbytes
 
@@ -607,11 +674,16 @@ class TestNetworks:
             ("desk", {}),
             ("desk", dict(clip_len=10, height=24, width=40, conv_maps=(4, 6), fc_units=10)),
             ("c3d", dict(clip_len=25, height=32, width=32, fc_units=8)),
+            ("c3d", dict(height=32, width=32)),  # fc6 drawn: 4,096 outputs of 512 inputs
+            ("c3d", {}),  # fc6 drawn
         ],
     )
     def test_network_nbytes_draws_nothing(self, preset, kwargs):
         build = {"desk": desk_network, "c3d": c3d_network}[preset]
-        want = build(stream_rng(0, "layout"), **kwargs).nbytes
+        net = build(stream_rng(0, "layout"), **kwargs)
+        drawn = preset == "c3d" and "fc_units" not in kwargs
+        assert isinstance(net.layers[-1].weights, neural.DrawnMatrix) == drawn
+        want = net.nbytes
         with mock.patch.object(neural, "_uniform_f32", side_effect=AssertionError("drew")):
             assert neural.network_nbytes(preset, **kwargs) == want
 

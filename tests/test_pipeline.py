@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -804,6 +806,61 @@ class TestGoldenReport:
         assert got == _GOLDEN_MODELS_SHA256
 
 
+# Runs the TestGoldenReport computation on a fresh copy of small_dataset
+# and one 32x32 c3d forward pass (fc6 drawn: 4,096 outputs of 512 inputs),
+# printing the report CSV, each model file's sha256 and the features' sha256.
+_THREADS_SCRIPT = """
+import hashlib, sys
+from pathlib import Path
+import numpy as np
+from conftest import desk_config
+from dmmaction import (
+    SynthSpec, evaluate, generate_synthetic_dataset, read_manifest, resolve_split,
+    save_plan, train,
+)
+from dmmaction.dmm import Clip
+from dmmaction.neural import DrawnMatrix, c3d_network, extract_features, stream_rng
+
+root = Path(sys.argv[1])
+spec = SynthSpec(actions=("slide", "bob"), subjects=4, cameras=1, frames=20)
+records = read_manifest(generate_synthetic_dataset(root / "data", spec, seed=1))
+split = resolve_split(records, "cross-subject")
+plan = train(records, split, desk_config())
+print(evaluate(records, split, plan).to_csv(), end="")
+for p in sorted((save_plan(plan, root / "plan") / "streams").glob("*.models")):
+    print(p.name, hashlib.sha256(p.read_bytes()).hexdigest())
+net = c3d_network(stream_rng(0, "threads"), height=32, width=32)
+assert isinstance(net.layers[-1].weights, DrawnMatrix)
+frames = np.random.default_rng(0).integers(0, 256, (16, 32, 32, 3), dtype=np.uint8)
+print("c3d", hashlib.sha256(extract_features(Clip(frames), net).tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreadCount:
+    """Report bytes, model bytes and c3d features do not depend on how many
+    threads OpenBLAS runs, on one machine and BLAS kernel."""
+
+    def test_one_and_two_threads_give_the_golden_bytes(self, tmp_path):
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join(
+            [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run(
+                [sys.executable, "-c", _THREADS_SCRIPT, str(tmp_path / threads)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].splitlines(keepends=True)
+        assert "".join(lines[:-4]) == _GOLDEN_CSV
+        assert dict(line.split() for line in lines[-4:-1]) == _GOLDEN_MODELS_SHA256
+        assert lines[-1].startswith("c3d ")
+
+
 class TestPlanPersistence:
     def test_save_load_round_trip_preserves_report(
         self, small_dataset, split, trained, tmp_path
@@ -1182,6 +1239,26 @@ class TestTrainPool:
         ):
             assert pipeline._pool_size(plan, {pose}) == 1
         assert len(plan._networks) == cached
+
+    def test_two_stream_c3d_bank_stays_serial(self, monkeypatch):
+        # fc6 is drawn rather than stored, but counts as stored: two 112x112
+        # c3d networks take 355 MiB, room for one copy, so the plan stays
+        # serial; sizing builds neither.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        cfg = desk_config(
+            angles=(0.0,), planes=("xy", "xz"), rgb_windows=(), clip_len=16,
+            render_size=(112, 112), network_preset="c3d",
+        )
+        plan = build_streams(cfg)
+        assert len(plan.streams) == 2
+        bank = 2 * neural.network_nbytes("c3d")
+        assert bank == 2 * 186_137_600 and pipeline.NETWORK_CACHE_BYTES // bank == 1
+        with (
+            mock.patch.object(pipeline, "c3d_network", side_effect=AssertionError("built")),
+            mock.patch.object(neural, "_uniform_f32", side_effect=AssertionError("drew")),
+        ):
+            assert pipeline._pool_size(plan, {"standing"}) == 1
+        assert plan._networks == {}
 
 
 class TestEvaluatePool:
