@@ -23,8 +23,8 @@ one block (c3d's fc6) does not store its matrix at all: its weights are a
 `DrawnMatrix`, which draws each block again, with the same bits, when it
 is read.  So a 112x112 c3d network holds 105.5 MiB of its 177.5 MiB of
 float32 weights, and pays one draw of fc6 per forward pass.
-NetworkSpec.nbytes counts all 177.5 MiB, so the plan sizes its cache and
-pool as if fc6 were stored.
+NetworkSpec.nbytes counts all 177.5 MiB, so the plan's network cache
+keeps as many networks as if fc6 were stored.
 
 Each convolution is one BLAS GEMM per kernel offset, added in a fixed
 order.  It runs over chunks of output depth with three scratch buffers
@@ -61,30 +61,24 @@ class DrawnMatrix:
     slice [i:i+k] restores that state, advances it past the i * cols
     doubles of the rows before, and draws as _uniform_f32 does, so every
     element has the bits it would have had stored.  It holds no array, but
-    nbytes counts the float32 matrix it stands for, so network sizes, and
-    the plan cache and pool sizing that read them, are those of a stored
-    network.  With no generator (a stack laid out without drawing, see
-    _draw) it only reports its shape and nbytes.  np.asarray gives the
-    whole matrix.
+    nbytes counts the float32 matrix it stands for, so the plan's network
+    cache sizes it as a stored matrix.  np.asarray gives the whole matrix.
     """
 
     dtype = np.dtype(np.float32)
     ndim = 2
 
-    def __init__(self, rng: np.random.Generator | None, s: float, shape: tuple[int, int]):
+    def __init__(self, rng: np.random.Generator, s: float, shape: tuple[int, int]):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise ContractError(
+                f"a drawn matrix needs a PCG64 generator, got {type(rng.bit_generator).__name__}"
+            )
         self.shape = shape
         self.size = shape[0] * shape[1]
         self.nbytes = self.size * self.dtype.itemsize
         self._s = s
-        self._state = None
-        if rng is not None:
-            if not isinstance(rng.bit_generator, np.random.PCG64):
-                raise ContractError(
-                    f"a drawn matrix needs a PCG64 generator, got "
-                    f"{type(rng.bit_generator).__name__}"
-                )
-            self._state = rng.bit_generator.state
-            rng.bit_generator.advance(self.size)
+        self._state = rng.bit_generator.state
+        rng.bit_generator.advance(self.size)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         start, stop, step = rows.indices(self.shape[0])
@@ -176,7 +170,7 @@ class NetworkSpec:
     @property
     def nbytes(self) -> int:
         """Bytes of every weight and bias array, a DrawnMatrix counted as
-        the float32 matrix it stands for."""
+        the float32 matrix it stands for; the plan's network cache reads it."""
         return sum(
             l.weights.nbytes + l.bias.nbytes for l in self.layers if isinstance(l, (Conv3d, Dense))
         )
@@ -461,32 +455,25 @@ def _uniform_f32(rng: np.random.Generator, s: float, shape: tuple[int, ...]) -> 
 
 
 def _draw(
-    rng: np.random.Generator | None, out_dim: int, *in_shape: int
+    rng: np.random.Generator, out_dim: int, *in_shape: int
 ) -> tuple[np.ndarray | DrawnMatrix, np.ndarray]:
     """float32 weights (out_dim, *in_shape) then bias, uniform in +-1/sqrt(fan-in).
 
     A dense matrix (one input dimension) that dense_forward runs in more
     than one row block (see _dense_rows) is not stored: it is a DrawnMatrix,
     which skips the generator past it, so the bias gets the same draws.
-    With no generator nothing is drawn: the stored arrays are read-only
-    float32 zeros broadcast from one element, which have the real shapes
-    and nbytes but hold no memory.
     """
     s = 1.0 / np.sqrt(np.prod(in_shape))
     shape = (out_dim, *in_shape)
-    zero = np.zeros((), dtype=np.float32)
     if len(in_shape) == 1 and _dense_rows(out_dim, in_shape[0]) < out_dim:
         w = DrawnMatrix(rng, s, shape)
-    elif rng is None:
-        w = np.broadcast_to(zero, shape)
     else:
         w = _uniform_f32(rng, s, shape)
-    b = np.broadcast_to(zero, (out_dim,)) if rng is None else _uniform_f32(rng, s, (out_dim,))
-    return w, b
+    return w, _uniform_f32(rng, s, (out_dim,))
 
 
 def _build(
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     name: str,
     input_shape: tuple[int, int, int, int],
     groups: Sequence[Sequence[int]],
@@ -494,8 +481,8 @@ def _build(
     fc_units: int,
 ) -> NetworkSpec:
     """Padded 3x3x3 conv groups, each closed by a pool (1x2x2 after the
-    first, 2x2x2 after the rest), then one dense layer; rng None lays the
-    stack out without drawing (see _draw)."""
+    first, 2x2x2 after the rest), then one dense layer, drawn from rng in
+    layer order (see _draw)."""
     layers: list[Layer] = []
     channels = input_shape[0]
     for g, maps in enumerate(groups, start=1):
@@ -514,7 +501,7 @@ def _build(
 
 
 def c3d_network(
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     name: str = "c3d",
     in_channels: int = 3,
     clip_len: int = 16,
@@ -528,7 +515,7 @@ def c3d_network(
 
 
 def desk_network(
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     name: str = "desk",
     in_channels: int = 3,
     clip_len: int = 16,
@@ -541,10 +528,3 @@ def desk_network(
     shape = (in_channels, clip_len, height, width)
     return _build(rng, name, shape, [(m,) for m in conv_maps], "fc", fc_units)
 
-
-def network_nbytes(preset: str, **kwargs) -> int:
-    """NetworkSpec.nbytes of the network that c3d_network (preset "c3d") or
-    desk_network (preset "desk") builds from kwargs, worked out from its
-    layer shapes: the stack is laid out with no weight drawn (see _draw)."""
-    build = desk_network if preset == "desk" else c3d_network
-    return build(None, **kwargs).nbytes

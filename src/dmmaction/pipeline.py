@@ -71,7 +71,6 @@ from .neural import (
     c3d_network,
     desk_network,
     extract_features,
-    network_nbytes,
     stream_rng,
 )
 from .videoio import DepthFrame, DepthSequence, read_depth_bin, read_rgb_sequence, read_text
@@ -127,9 +126,9 @@ class TrainReport:
     warnings: tuple[str, ...] = ()
 
 
-# Bytes of network weights a plan keeps built: two 112x112 c3d networks
-# (177.5 MiB each, stored float32 and computed float64) or all 20
-# criterion-7 desk networks (21.6 MiB).
+# Bytes of network weights a plan keeps built, as NetworkSpec.nbytes counts
+# them: two 112x112 c3d networks (177.5 MiB each counted, fc6's drawn
+# matrix as if stored) or all 20 criterion-7 desk networks (21.6 MiB).
 NETWORK_CACHE_BYTES = 512 * 2**20
 
 
@@ -141,9 +140,10 @@ class StreamPlan:
     are built on demand.  A built network is kept while the networks kept
     so far and it fit in NETWORK_CACHE_BYTES, and is never evicted; one
     that does not fit is rebuilt, with the same weights, on each use.  A
-    canonical 112x112 stack takes 177.5 MiB, so a plan keeps at most two.
+    canonical 112x112 stack counts 177.5 MiB, so a plan keeps at most two.
     pca is keyed by Stream.slot, svm by stream id.  _pool is the fork pool
-    that train or evaluate opens for its loop (_unit_pool), None outside it.
+    that train or evaluate opens for its loop (_unit_pool), None outside it;
+    it opens only over pose banks whose networks are all kept.
     """
 
     cfg: PipelineConfig
@@ -212,8 +212,7 @@ def build_streams(cfg: PipelineConfig) -> StreamPlan:
     return StreamPlan(cfg=cfg, streams=tuple(streams))
 
 
-def _network_args(cfg: PipelineConfig, s: Stream) -> dict:
-    """Keyword arguments of stream s's network builder."""
+def _build_network(cfg: PipelineConfig, s: Stream) -> NetworkSpec:
     height, width = cfg.render_size
     args = dict(
         name=s.id,
@@ -223,13 +222,8 @@ def _network_args(cfg: PipelineConfig, s: Stream) -> dict:
         fc_units=cfg.fc_units_effective,
     )
     if cfg.network_preset == "desk":
-        args["conv_maps"] = cfg.desk_conv_maps
-    return args
-
-
-def _build_network(cfg: PipelineConfig, s: Stream) -> NetworkSpec:
-    build = desk_network if cfg.network_preset == "desk" else c3d_network
-    return build(stream_rng(cfg.seed, s.id), **_network_args(cfg, s))
+        return desk_network(stream_rng(cfg.seed, s.id), conv_maps=cfg.desk_conv_maps, **args)
+    return c3d_network(stream_rng(cfg.seed, s.id), **args)
 
 
 # ---------------------------------------------------------------------------
@@ -718,37 +712,28 @@ def _check_disjoint(records, protocol, train, test):
 # Training
 
 
-def _pool_size(plan: StreamPlan, poses: set[str]) -> int:
-    """Worker processes for a pool over the units, one per (angle, plane)
-    and one per appearance stream, of samples of the pose banks of poses;
-    below 2 means serially, here.
+def _pool_size(plan: StreamPlan) -> int:
+    """Worker processes for a pool over the units of a sample, one per
+    (angle, plane) and one per appearance stream; below 2 means serially,
+    here.
 
-    Workers are forked, so they share the parent's cached networks and
-    build none (_unit_pool builds them first).  There is at most one per
-    core, one per unit of a sample, and one per copy of those networks'
-    bytes in NETWORK_CACHE_BYTES; none if one of them would not be kept
-    in the cache.  The bytes come from the layer shapes (network_nbytes),
-    so sizing builds no network.
+    It is one per core and unit, except that a plan runs serially when
+    extract_sample has been replaced (see _EXTRACT_SAMPLE), when the
+    platform cannot tell its cores, and for the c3d preset: each forked
+    worker's OpenBLAS runs its own threads on c3d's GEMMs, so workers
+    share the cores with each other's threads, and two-unit c3d plans ran
+    2-3x (112x112) and 1.3-2.9x (32x32) slower pooled than serially on 2
+    cores.  Sizing builds no network.
     """
-    if extract_sample is not _EXTRACT_SAMPLE or not hasattr(os, "sched_getaffinity"):
-        return 1
     cfg = plan.cfg
+    if (
+        extract_sample is not _EXTRACT_SAMPLE
+        or not hasattr(os, "sched_getaffinity")
+        or cfg.network_preset == "c3d"
+    ):
+        return 1
     units = len(cfg.angles) * len(cfg.planes) + len(cfg.rgb_windows)
-    workers = min(len(os.sched_getaffinity(0)), units)
-    kept = sum(n.nbytes for n in plan._networks.values())
-    bank = 0
-    for s in plan.streams:
-        if workers < 2:
-            break
-        if s.pose in poses:
-            nbytes = network_nbytes(cfg.network_preset, **_network_args(cfg, s))
-            if s.id not in plan._networks:
-                if kept + nbytes > NETWORK_CACHE_BYTES:
-                    return 1
-                kept += nbytes
-            bank += nbytes
-            workers = min(workers, NETWORK_CACHE_BYTES // bank)
-    return workers
+    return min(len(os.sched_getaffinity(0)), units)
 
 
 # (plan.cfg, plan) of the train or evaluate call that forked this worker.
@@ -767,11 +752,14 @@ def _unit_in_worker(unit, args: tuple):
 @contextmanager
 def _unit_pool(plan: StreamPlan, poses: set[str]) -> Iterator[None]:
     """Keep plan._pool open for the with block: _pool_size workers that get
-    (plan.cfg, plan), with the pose banks' networks built into its cache,
-    by fork, not by pickling.  Below 2 workers or without fork, nothing is
-    built ahead, plan._pool stays None and every unit runs here.  On exit,
-    also after an error, plan._pool is cleared and the pool shut down."""
-    workers = _pool_size(plan, poses)
+    (plan.cfg, plan) by fork, not by pickling.  The pose banks' networks
+    are built first, in stream order, and the pool opens only if the cache
+    keeps every one of them, so that workers build none; the first one it
+    does not keep ends the building.  Below 2 workers or without fork,
+    nothing is built ahead.  Without a pool, plan._pool stays None and
+    every unit runs here.  On exit, also after an error, plan._pool is
+    cleared and the pool shut down."""
+    workers = _pool_size(plan)
     if workers >= 2:
         # Imported here, so that a process that never pools (such as a CLI
         # classify) does not pay the ~10 ms import.
@@ -780,14 +768,15 @@ def _unit_pool(plan: StreamPlan, poses: set[str]) -> Iterator[None]:
 
         if "fork" in multiprocessing.get_all_start_methods():
             for s in plan.streams:
-                if s.pose in poses:
-                    plan.network(s.id)
-            plan._pool = ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(plan.cfg, plan),
-            )
+                if s.pose in poses and plan.network(s.id) is not plan._networks.get(s.id):
+                    break
+            else:
+                plan._pool = ProcessPoolExecutor(
+                    workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_init_worker,
+                    initargs=(plan.cfg, plan),
+                )
     try:
         yield
     finally:

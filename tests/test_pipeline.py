@@ -1015,12 +1015,7 @@ class TestNetworkCache:
             planes=("xy",), angles=(0.0,), depth_windows=("all",), rgb_windows=(),
             clip_len=16, network_preset="c3d", fc_units=8, pca_target=1,
         )
-        per_class = {}
-        for i, rec in enumerate(small_dataset):
-            per_class.setdefault(rec.label, []).append(i)
-        train_idx = tuple(ids[0] for ids in per_class.values())
-        test_idx = tuple(ids[1] for ids in per_class.values())
-        split = resolve_split(small_dataset, "manual", train_indices=train_idx, test_indices=test_idx)
+        split = _one_record_per_class_split(small_dataset)
         with mock.patch.object(pipeline, "c3d_network", wraps=pipeline.c3d_network) as build:
             plan = train(small_dataset, split, cfg)
             report = evaluate(small_dataset, split, plan)
@@ -1053,6 +1048,17 @@ class TestNetworkCache:
             plan.network(s.id)
         # two of the three equal depth networks fit; the appearance one is larger
         assert list(plan._networks) == [s.id for s in plan.streams[:2]]
+
+
+def _one_record_per_class_split(records):
+    """A manual split with one record of each class on each side, which
+    keeps c3d forward passes few."""
+    per_class = {}
+    for i, rec in enumerate(records):
+        per_class.setdefault(rec.label, []).append(i)
+    train_idx = tuple(ids[0] for ids in per_class.values())
+    test_idx = tuple(ids[1] for ids in per_class.values())
+    return resolve_split(records, "manual", train_indices=train_idx, test_indices=test_idx)
 
 
 @pytest.fixture
@@ -1127,9 +1133,10 @@ def _plan_bytes(plan):
 
 class TestTrainPool:
     """train runs each record's (angle, plane) and appearance units in a
-    fork pool when the cached networks leave room for 2 or more workers;
-    the plan is byte-identical to a serial run's.  A zero
-    NETWORK_CACHE_BYTES keeps no network, which forces the serial path."""
+    fork pool when a desk plan has 2 or more units per sample and the cache
+    keeps every network of the bank; the plan is byte-identical to a serial
+    run's.  A zero NETWORK_CACHE_BYTES keeps no network, which forces the
+    serial path."""
 
     # 20-frame records give window-5 too few templates for clips of 16, and
     # too few RGB frames for r30: every record adds warnings.
@@ -1207,27 +1214,29 @@ class TestTrainPool:
         assert forks == []
 
     @pytest.mark.parametrize("spare", [-1, 0])
-    def test_pool_needs_room_for_two_copies_of_the_networks(
+    def test_pool_needs_the_bank_kept_in_the_cache(
         self, small_dataset, split, forks, monkeypatch, spare
     ):
         cfg = desk_config(angles=(0.0,))
         plan = build_streams(cfg)
         bank = sum(pipeline._build_network(cfg, s).nbytes for s in plan.streams)
-        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 2 * bank + spare)
+        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", bank + spare)
         with mock.patch.object(pipeline, "desk_network", wraps=pipeline.desk_network) as build:
             plan = train(small_dataset, split, cfg)
-        # every network fits once: each is built once, in this process, and kept
-        assert build.call_count == len(plan.streams)
-        assert list(plan._networks) == [s.id for s in plan.streams]
-        assert len(forks) == (0 if spare < 0 else _pool_workers(_units(cfg)))
-
+        if spare < 0:  # the last network is not kept: no pool
+            assert forks == []
+            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
+            assert _plan_bytes(plan) == _plan_bytes(train(small_dataset, split, cfg))
+        else:  # every network is built once, in this process, and kept
+            assert len(forks) == _pool_workers(_units(cfg))
+            assert build.call_count == len(plan.streams)
+            assert list(plan._networks) == [s.id for s in plan.streams]
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_sizing_the_default_plan_builds_nothing(self, monkeypatch, cached):
-        # Two 112x112 c3d networks leave room for one copy in the cache.
+        # The default plan is c3d, which runs serially.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         plan = build_streams(PipelineConfig())
-        pose = plan.streams[0].pose
         if cached:  # an evaluate after train finds its bank's first network kept
             plan._networks[plan.streams[0].id] = pipeline._build_network(
                 plan.cfg, plan.streams[0]
@@ -1237,35 +1246,48 @@ class TestTrainPool:
             mock.patch.object(pipeline, "desk_network", side_effect=AssertionError("built")),
             mock.patch.object(neural, "_uniform_f32", side_effect=AssertionError("drew")),
         ):
-            assert pipeline._pool_size(plan, {pose}) == 1
+            assert pipeline._pool_size(plan) == 1
         assert len(plan._networks) == cached
 
-    def test_two_stream_c3d_bank_stays_serial(self, monkeypatch):
-        # fc6 is drawn rather than stored, but counts as stored: two 112x112
-        # c3d networks take 355 MiB, room for one copy, so the plan stays
-        # serial; sizing builds neither.
+    @pytest.mark.parametrize("size", [32, 112])
+    def test_two_stream_c3d_plan_sizes_to_one_worker(self, monkeypatch, size):
+        # Pooled, each worker's OpenBLAS threads share the cores with the
+        # others'; sizing builds and draws nothing.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        cfg = desk_config(
-            angles=(0.0,), planes=("xy", "xz"), rgb_windows=(), clip_len=16,
-            render_size=(112, 112), network_preset="c3d",
-        )
-        plan = build_streams(cfg)
+        plan = build_streams(self._c3d_config(size))
         assert len(plan.streams) == 2
-        bank = 2 * neural.network_nbytes("c3d")
-        assert bank == 2 * 186_137_600 and pipeline.NETWORK_CACHE_BYTES // bank == 1
         with (
             mock.patch.object(pipeline, "c3d_network", side_effect=AssertionError("built")),
             mock.patch.object(neural, "_uniform_f32", side_effect=AssertionError("drew")),
         ):
-            assert pipeline._pool_size(plan, {"standing"}) == 1
+            assert pipeline._pool_size(plan) == 1
         assert plan._networks == {}
+
+    def test_two_stream_c3d_plan_trains_and_evaluates_serially(
+        self, small_dataset, forks, monkeypatch
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        cfg = self._c3d_config(32, fc_units=8, pca_target=1, svm_epochs=5)
+        split = _one_record_per_class_split(small_dataset)
+        plan = train(small_dataset, split, cfg)
+        report = evaluate(small_dataset, split, plan)
+        assert report.n_test == 2
+        assert forks == []
+
+    @staticmethod
+    def _c3d_config(size, **overrides):
+        """Two units per sample, planes xy and xz, on the c3d preset."""
+        return desk_config(
+            angles=(0.0,), planes=("xy", "xz"), depth_windows=("all",), rgb_windows=(),
+            clip_len=16, render_size=(size, size), network_preset="c3d", **overrides,
+        )
 
 
 class TestEvaluatePool:
     """evaluate runs each sample's (angle, plane) and appearance units in a
     fork pool that is open for its loop; the report is byte-identical to a
-    serial run's.  A zero NETWORK_CACHE_BYTES leaves no room for a worker's
-    copy of the cached networks, which forces the serial path."""
+    serial run's.  A zero NETWORK_CACHE_BYTES, with the plan's cached
+    networks dropped, keeps no network, which forces the serial path."""
 
     @pytest.mark.parametrize("cpus", [None, 8])
     def test_pooled_report_equals_serial_report(
@@ -1277,6 +1299,7 @@ class TestEvaluatePool:
         assert len(forks) == _pool_workers(_units(trained.cfg))
         _assert_reaped(forks)
         monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
+        trained._networks.clear()
         serial = evaluate(small_dataset, split, trained).to_csv()
         assert len(forks) == _pool_workers(_units(trained.cfg))
         assert pooled == serial == _GOLDEN_CSV
@@ -1288,6 +1311,7 @@ class TestEvaluatePool:
         errors = []
         for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
             monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
+            trained._networks.clear()
             with pytest.raises(DmmActionError) as info:
                 evaluate(small_dataset, split, trained)
             errors.append((type(info.value), str(info.value)))
