@@ -19,12 +19,14 @@ import numpy as np
 from .config import PipelineConfig, load_config, parse_window
 from .errors import ConfigError, DmmActionError
 from .pipeline import (
+    _flow_weights,
+    _plane_maps,
+    _views,
     build_streams,
     classify,
     evaluate,
     extract_sample,
     load_plan,
-    plane_sequences,
     read_manifest,
     render_templates,
     resolve_split,
@@ -172,9 +174,10 @@ def _cmd_render_dmm(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     window = parse_window(args.window)
     seq = read_depth_bin(args.depth)
-    sequences = plane_sequences(seq, cfg, [args.angle], [args.plane])
-    maps, weights = sequences[(args.angle, args.plane)]
-    (image,) = render_templates(maps, weights, window, args.angle, cfg, [args.t])
+    # The steps an (angle, plane) unit of extract_sample runs, for one template.
+    ((_, projected),) = _views(seq, cfg, [args.angle])
+    maps = _plane_maps(projected, args.plane)
+    (image,) = render_templates(maps, _flow_weights(maps, cfg), window, cfg, [args.t])
     write_image(image, args.out)
     print(args.out)
     return 0

@@ -15,7 +15,6 @@ symmetrically to the requested size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,35 +27,6 @@ from .geometry import ProjectedMap
 ALL = "all"
 
 Window = int | str
-
-
-@dataclass(frozen=True)
-class DmmTemplate:
-    """Accumulated motion-energy map tagged with its stream coordinates."""
-
-    plane: str
-    window: Window
-    angle: float
-    start: int
-    grid: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if np.any(self.grid < 0):
-            raise ContractError("template grid must be non-negative")
-
-
-@dataclass(frozen=True)
-class Clip:
-    """A stack of consecutive rendered templates or color frames."""
-
-    frames: np.ndarray = field(repr=False)  # (lam, h, w, 3) uint8
-
-    def __post_init__(self) -> None:
-        if self.frames.ndim != 4 or self.frames.shape[3] != 3:
-            raise ContractError(f"clip must be (lam, h, w, 3), got {self.frames.shape}")
-
-    def __len__(self) -> int:
-        return self.frames.shape[0]
 
 
 def effective_window(n_maps: int, t: int, window: Window) -> int:
@@ -107,9 +77,8 @@ def accumulate_ramdmm(
     weights: Sequence[MagnitudeMap],
     t: int,
     window: Window,
-    angle: float = 0.0,
     floor: float = 0.0,
-) -> DmmTemplate:
+) -> np.ndarray:
     """Accumulate absolute consecutive differences weighted by motion magnitude.
 
     Args:
@@ -118,14 +87,12 @@ def accumulate_ramdmm(
             maps k and k+1, one per consecutive pair.
         t: start index of the window.
         window: difference count, or ALL for everything from t onward.
-        angle: view tag copied onto the template.
         floor: optional noise floor; per-pixel differences below it are
             dropped before weighting (default 0 applies no threshold).
 
     Returns:
-        DmmTemplate whose grid is sum(|maps[i+1] - maps[i]| * weights[i])
-        for i in [t, t + window).  Unit weights give the unweighted map
-        exactly.
+        The float64 grid sum(|maps[i+1] - maps[i]| * weights[i]) for i in
+        [t, t + window).  Unit weights give the unweighted map exactly.
     """
     w = _check_window(maps, t, window)
     shape = maps[0].grid.shape
@@ -147,7 +114,7 @@ def accumulate_ramdmm(
         if floor > 0.0:
             d = np.where(d >= floor, d, 0.0)
         acc += d * weights[i].g
-    return DmmTemplate(maps[0].plane, window, angle, t, acc)
+    return acc
 
 
 def jet_rgb(u: np.ndarray) -> np.ndarray:
@@ -211,13 +178,13 @@ def render_grid(grid: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
     return np.rint(255.0 * canvas).astype(np.uint8)
 
 
-def render_template(tpl: DmmTemplate, out_size: tuple[int, int]) -> np.ndarray:
-    """Render a template into a colormapped fixed-size image."""
-    return render_grid(tpl.grid, out_size)
+# The name the benchmark tracer counts renders under; the pipeline calls it.
+render_template = render_grid
 
 
-def stack_clip(rendered: Sequence[np.ndarray], t: int, lam: int) -> Clip:
-    """Stack the lam most recent rendered frames ending at index t, oldest first."""
+def stack_clip(rendered: Sequence[np.ndarray], t: int, lam: int) -> np.ndarray:
+    """Stack the lam most recent rendered frames ending at index t, oldest
+    first, into one (lam, h, w, 3) uint8 clip."""
     if lam < 1:
         raise ContractError(f"clip length must be >= 1, got {lam}")
     if not 0 <= t < len(rendered):
@@ -234,4 +201,4 @@ def stack_clip(rendered: Sequence[np.ndarray], t: int, lam: int) -> Clip:
             raise ContractError(
                 f"clip frame {i} has shape {f.shape}, expected {shape}"
             )
-    return Clip(np.stack([np.asarray(f, dtype=np.uint8) for f in window]))
+    return np.stack([np.asarray(f, dtype=np.uint8) for f in window])

@@ -56,16 +56,6 @@ class RotationSpec:
 
 
 @dataclass(frozen=True)
-class PointCloud:
-    """Metric 3D points, one per valid depth reading."""
-
-    points: np.ndarray = field(repr=False)  # (n, 3) float64, z > 0
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
 class BinParams:
     """Depth-axis quantization for the side and top occupancy maps."""
 
@@ -89,7 +79,6 @@ class ProjectedMap:
 
     plane: str
     grid: np.ndarray = field(repr=False)
-    bin_params: BinParams = BinParams()
 
     def __post_init__(self) -> None:
         if self.plane not in PLANES:
@@ -109,7 +98,7 @@ def rotation_matrix(spec: RotationSpec) -> np.ndarray:
     return pitch @ yaw
 
 
-def depth_to_points(frame: DepthFrame, intrinsics: Intrinsics) -> PointCloud:
+def depth_to_points(frame: DepthFrame, intrinsics: Intrinsics) -> np.ndarray:
     """Back-project every nonzero depth pixel through the pinhole model.
 
     Args:
@@ -117,8 +106,8 @@ def depth_to_points(frame: DepthFrame, intrinsics: Intrinsics) -> PointCloud:
         intrinsics: focal length must be positive.
 
     Returns:
-        PointCloud with one point per nonzero pixel, in row-major pixel
-        scan order: x = (u - cx) * z / f, y = (v - cy) * z / f.
+        (n, 3) float64 points (x, y, z), one per nonzero pixel, in row-major
+        pixel scan order: x = (u - cx) * z / f, y = (v - cy) * z / f.
     """
     if intrinsics.focal_px <= 0:
         raise ContractError(f"focal length must be positive, got {intrinsics.focal_px}")
@@ -126,23 +115,23 @@ def depth_to_points(frame: DepthFrame, intrinsics: Intrinsics) -> PointCloud:
     z = frame.depth[vs, us]
     x = (us - intrinsics.cx) * z / intrinsics.focal_px
     y = (vs - intrinsics.cy) * z / intrinsics.focal_px
-    return PointCloud(np.column_stack([x, y, z]))
+    return np.column_stack([x, y, z])
 
 
 def rotate_points(
-    cloud: PointCloud, spec: RotationSpec, pivot: np.ndarray | None = None
-) -> PointCloud:
-    """Apply the composed rotation to every point about pivot.
+    points: np.ndarray, spec: RotationSpec, pivot: np.ndarray | None = None
+) -> np.ndarray:
+    """Apply the composed rotation to every (n, 3) point about pivot.
 
     pivot defaults to the camera origin.  The identity rotation returns a
     copy of the points, bit for bit, whatever the pivot.
     """
     if spec.is_identity:
-        return PointCloud(cloud.points.copy())
+        return points.copy()
     rot = rotation_matrix(spec).T
     if pivot is None:
-        return PointCloud(cloud.points @ rot)
-    return PointCloud((cloud.points - pivot) @ rot + pivot)
+        return points @ rot
+    return (points - pivot) @ rot + pivot
 
 
 def fill_depth_holes(grid: np.ndarray) -> np.ndarray:
@@ -181,16 +170,16 @@ def fill_depth_holes(grid: np.ndarray) -> np.ndarray:
 
 
 def points_to_depth(
-    cloud: PointCloud,
+    points: np.ndarray,
     intrinsics: Intrinsics,
     out_dims: tuple[int, int],
     timestamp_index: int = 0,
     fill_holes: bool = True,
 ) -> DepthFrame:
-    """Forward-project a cloud into a depth frame with z-buffering.
+    """Forward-project (n, 3) points into a depth frame with z-buffering.
 
     Args:
-        cloud: metric points; points with z <= 0 are discarded.
+        points: metric points; points with z <= 0 are discarded.
         intrinsics: pinhole parameters for the target frame.
         out_dims: (width, height) of the synthesized frame, each >= 1.
         fill_holes: apply the single hole-filling pass (see
@@ -204,9 +193,8 @@ def points_to_depth(
     if width < 1 or height < 1:
         raise ContractError(f"out_dims must be >= 1x1, got {out_dims}")
     grid = np.zeros((height, width))
-    pts = cloud.points
-    if len(pts):
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    if len(points):
+        x, y, z = points[:, 0], points[:, 1], points[:, 2]
         front = z > 0
         x, y, z = x[front], y[front], z[front]
         u = np.rint(x * intrinsics.focal_px / z + intrinsics.cx).astype(np.int64)
@@ -234,7 +222,7 @@ def project_cartesian(
         never occupy a bin.
     """
     depth = frame.depth
-    m_xy = ProjectedMap("xy", depth.copy(), bin_params)
+    m_xy = ProjectedMap("xy", depth.copy())
     yz = np.zeros((bin_params.bin_count, frame.height))
     xz = np.zeros((frame.width, bin_params.bin_count))
     vs, us = np.nonzero(depth)
@@ -243,7 +231,7 @@ def project_cartesian(
         ok = bins < bin_params.bin_count
         yz[bins[ok], vs[ok]] = 1.0
         xz[us[ok], bins[ok]] = 1.0
-    return m_xy, ProjectedMap("yz", yz, bin_params), ProjectedMap("xz", xz, bin_params)
+    return m_xy, ProjectedMap("yz", yz), ProjectedMap("xz", xz)
 
 
 def sequence_centroid(seq: DepthSequence, intrinsics: Intrinsics) -> np.ndarray:
@@ -257,10 +245,10 @@ def sequence_centroid(seq: DepthSequence, intrinsics: Intrinsics) -> np.ndarray:
     total = np.zeros(3)
     count = 0
     for f in seq.frames:
-        cloud = depth_to_points(f, intrinsics)
-        if len(cloud):
-            total += cloud.points.sum(axis=0)
-            count += len(cloud)
+        points = depth_to_points(f, intrinsics)
+        if len(points):
+            total += points.sum(axis=0)
+            count += len(points)
     if count == 0:
         return np.zeros(3)
     return total / count
@@ -288,6 +276,6 @@ def synthesize_view(
     dims = (seq.width, seq.height)
     frames = []
     for f in seq.frames:
-        cloud = rotate_points(depth_to_points(f, intrinsics), spec, pivot)
-        frames.append(points_to_depth(cloud, intrinsics, dims, f.timestamp_index))
+        points = rotate_points(depth_to_points(f, intrinsics), spec, pivot)
+        frames.append(points_to_depth(points, intrinsics, dims, f.timestamp_index))
     return DepthSequence(tuple(frames))

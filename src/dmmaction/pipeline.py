@@ -380,36 +380,17 @@ def _plane_maps(projected: list[tuple[ProjectedMap, ...]], plane: str) -> list[P
     return [per_frame[PLANES.index(plane)] for per_frame in projected]
 
 
-def plane_sequences(
-    seq: DepthSequence, cfg: PipelineConfig, angles: Iterable[float], planes: Iterable[str]
-) -> dict[tuple[float, str], tuple[list[ProjectedMap], list[MagnitudeMap]]]:
-    """Projected maps and their flow weights for every (angle, plane).
-
-    The views are made as in extract_sample, and flow is estimated only
-    for the planes asked for.
-    """
-    out = {}
-    for alpha, projected in _views(seq, cfg, angles):
-        for p in planes:
-            maps = _plane_maps(projected, p)
-            out[(alpha, p)] = (maps, _flow_weights(maps, cfg))
-    return out
-
-
 def render_templates(
     maps: list[ProjectedMap],
     weights: list[MagnitudeMap],
     window: Window,
-    angle: float,
     cfg: PipelineConfig,
     starts: Iterable[int],
 ) -> list[np.ndarray]:
     """Accumulate and render the weighted motion map starting at each t in starts."""
     return [
         dmm_mod.render_template(
-            dmm_mod.accumulate_ramdmm(
-                maps, weights, t, window, angle=angle, floor=cfg.noise_floor
-            ),
+            dmm_mod.accumulate_ramdmm(maps, weights, t, window, floor=cfg.noise_floor),
             cfg.render_size,
         )
         for t in starts
@@ -448,7 +429,7 @@ def _plane_features(
     for window in windows:
         # The clips tile only the first k * clip_len templates.
         covered = range(template_count(len(maps), window) // cfg.clip_len * cfg.clip_len)
-        rendered = render_templates(maps, weights, window, angle, cfg, covered)
+        rendered = render_templates(maps, weights, window, cfg, covered)
         net = plan.network(_dmm_stream_id(pose, plane, window, angle))
         per_window.append(_clip_features(rendered, cfg.clip_len, net))
     return per_window
@@ -641,7 +622,8 @@ def resolve_split(
     the sorted subject list test); cross-view holds out whole cameras
     (default: all but the first camera test); one-third and two-thirds
     put the first one or two repetitions of each (label, subject,
-    camera) group in train; manual takes explicit index lists.  An
+    camera) group in train; manual takes explicit index lists, each
+    record at most once.  An
     argument the protocol does not read is rejected, not ignored.
     """
     if protocol not in _READS:
@@ -660,9 +642,7 @@ def resolve_split(
         if train_indices is None or test_indices is None:
             raise ProtocolError("manual protocol needs explicit train and test indices")
         train, test = tuple(train_indices), tuple(test_indices)
-        if set(train) & set(test):
-            raise ProtocolError("train and test indices overlap")
-        _check_indices(n, train + test)
+        _check_indices(n, train, test)
         desc = f"manual: {len(train)} train / {len(test)} test"
     elif protocol in _HELD_OUT:
         attr, default = _HELD_OUT[protocol]
@@ -785,10 +765,16 @@ def _unit_pool(plan: StreamPlan, poses: set[str]) -> Iterator[None]:
             pool.shutdown(cancel_futures=True)
 
 
-def _check_indices(n: int, indices: Iterable[int]) -> None:
-    bad = [i for i in indices if not 0 <= i < n]
+def _check_indices(n: int, train: tuple[int, ...], test: tuple[int, ...]) -> None:
+    """Every index names one of the n records, and no record twice."""
+    bad = [i for i in train + test if not 0 <= i < n]
     if bad:
         raise ProtocolError(f"indices {bad} outside the {n}-record dataset")
+    for side, indices in (("train", train), ("test", test)):
+        if len(set(indices)) < len(indices):
+            raise ProtocolError(f"{side} indices name a record more than once")
+    if set(train) & set(test):
+        raise ProtocolError("train and test indices overlap")
 
 
 def train(
@@ -811,7 +797,7 @@ def train(
         training accuracy and skip warnings.
     """
     plan = build_streams(cfg)
-    _check_indices(len(records), split.train_indices + split.test_indices)
+    _check_indices(len(records), split.train_indices, split.test_indices)
     _check_disjoint(records, split.protocol, split.train_indices, split.test_indices)
     labels = tuple(sorted({r.label for r in records}))
     if len(labels) < 2:
@@ -1017,7 +1003,7 @@ def evaluate(
         raise StateError("plan is untrained; run train first")
     if not split.test_indices:
         raise ProtocolError("split has an empty test side")
-    _check_indices(len(records), split.train_indices + split.test_indices)
+    _check_indices(len(records), split.train_indices, split.test_indices)
     labels = plan.labels
     index = {lab: i for i, lab in enumerate(labels)}
     test_records = [records[i] for i in split.test_indices]

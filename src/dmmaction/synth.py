@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError
-from .geometry import Intrinsics, PointCloud, RotationSpec, points_to_depth, rotate_points
+from .geometry import Intrinsics, RotationSpec, points_to_depth, rotate_points
 from .videoio import DepthFrame, DepthSequence, write_depth_bin, write_image
 
 log = logging.getLogger(__name__)
@@ -170,8 +170,8 @@ def _sequence_frames(
     depth_frames, rgb_frames = [], []
     for t in range(spec.frames):
         moved = base + _motion_offset(action, t, spec.frames, jitter)
-        cloud = rotate_points(PointCloud(moved), cam_rot, pivot=center)
-        frame = points_to_depth(cloud, intr, (spec.width, spec.height), timestamp_index=t)
+        points = rotate_points(moved, cam_rot, pivot=center)
+        frame = points_to_depth(points, intr, (spec.width, spec.height), timestamp_index=t)
         grid = np.rint(frame.depth)
         if spec.noise > 0:
             bump = noise_rng.integers(
@@ -181,7 +181,7 @@ def _sequence_frames(
         depth_frames.append(
             DepthFrame(spec.width, spec.height, grid, timestamp_index=t)
         )
-        rgb = _render_rgb(cloud.points, base, intr, (spec.width, spec.height), colors, backdrop)
+        rgb = _render_rgb(points, base, intr, (spec.width, spec.height), colors, backdrop)
         if spec.noise > 0:
             speckle = noise_rng.integers(
                 -int(spec.noise), int(spec.noise) + 1, size=rgb.shape

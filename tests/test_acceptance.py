@@ -26,7 +26,6 @@ from dmmaction import (
 from dmmaction.dmm import accumulate_ramdmm
 from dmmaction.geometry import (
     Intrinsics,
-    PointCloud,
     ProjectedMap,
     RotationSpec,
     depth_to_points,
@@ -91,8 +90,8 @@ def test_criterion_2_motion_map_algebra():
         # Unit weights give the unweighted map exactly (d * 1.0 == d).
         static = [ProjectedMap("xy", np.full((5, 6), 7.0)) for _ in range(6)]
         ones = [MagnitudeMap(np.ones((5, 6)), normalized=True) for _ in range(5)]
-        assert np.array_equal(accumulate_ramdmm(static, ones, 0, ALL).grid, np.zeros((5, 6)))
-        assert np.array_equal(accumulate_ramdmm(static, ones, 1, 3).grid, np.zeros((5, 6)))
+        assert np.array_equal(accumulate_ramdmm(static, ones, 0, ALL), np.zeros((5, 6)))
+        assert np.array_equal(accumulate_ramdmm(static, ones, 1, 3), np.zeros((5, 6)))
 
         cases = 0
         for _ in range(1000):
@@ -105,10 +104,10 @@ def test_criterion_2_motion_map_algebra():
             w = int(rng.integers(4, n - t))
             cut = int(rng.integers(2, w - 1))
             ones = [MagnitudeMap(np.ones((6, 7)), normalized=True) for _ in range(n - 1)]
-            whole = accumulate_ramdmm(maps, ones, t, w).grid
+            whole = accumulate_ramdmm(maps, ones, t, w)
             split = (
-                accumulate_ramdmm(maps, ones, t, cut).grid
-                + accumulate_ramdmm(maps, ones, t + cut, w - cut).grid
+                accumulate_ramdmm(maps, ones, t, cut)
+                + accumulate_ramdmm(maps, ones, t + cut, w - cut)
             )
             assert np.array_equal(whole, split)
             cases += 1
@@ -121,8 +120,8 @@ def test_criterion_2_motion_map_algebra():
             for _ in range(6)
         ]
         plain = dmm_oracle(frames, 0, ALL)
-        assert np.array_equal(accumulate_ramdmm(maps, unit, 0, ALL).grid, plain)
-        assert np.all(accumulate_ramdmm(maps, rand, 0, ALL).grid <= plain)
+        assert np.array_equal(accumulate_ramdmm(maps, unit, 0, ALL), plain)
+        assert np.all(accumulate_ramdmm(maps, rand, 0, ALL) <= plain)
         info["detail"] = f"partitions={cases}"
 
 
@@ -130,12 +129,12 @@ def test_criterion_3_geometry_round_trip():
     with criterion(3, "geometry round trip", 30.0) as info:
         rng = np.random.default_rng(303)
         for alpha in ANGLE_SET:
-            pts = PointCloud(rng.uniform(-2000.0, 2000.0, (500, 3)))
+            pts = rng.uniform(-2000.0, 2000.0, (500, 3))
             rotated = rotate_points(pts, RotationSpec(alpha))
             back = rotate_points(rotated, RotationSpec(-alpha))
-            assert np.max(np.abs(back.points - pts.points)) < 1e-6
-            norms = np.linalg.norm(pts.points, axis=1)
-            rel = np.abs(np.linalg.norm(rotated.points, axis=1) - norms) / norms
+            assert np.max(np.abs(back - pts)) < 1e-6
+            norms = np.linalg.norm(pts, axis=1)
+            rel = np.abs(np.linalg.norm(rotated, axis=1) - norms) / norms
             assert np.max(rel) < 1e-9
 
         depth = rng.integers(800, 3000, (24, 32)).astype(np.float64)

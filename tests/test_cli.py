@@ -285,17 +285,26 @@ class TestRenderDmmMatchesPipeline:
         )
         assert code == 0
 
-        rendered = {}
-        real_render = dmm.render_template
+        # Each template is accumulated, then rendered: the i-th render is
+        # the image of the i-th accumulation's (plane, window, start).
+        keys, images = [], []
+        real_accumulate, real_render = dmm.accumulate_ramdmm, dmm.render_template
 
-        def record(tpl, size):
-            image = real_render(tpl, size)
-            rendered[(tpl.plane, tpl.window, tpl.angle, tpl.start)] = image
-            return image
+        def accumulate(maps, weights, t, window, **kwargs):
+            keys.append((maps[0].plane, window, t))
+            return real_accumulate(maps, weights, t, window, **kwargs)
 
-        with mock.patch.object(dmm, "render_template", record):
+        def render(grid, size):
+            images.append(real_render(grid, size))
+            return images[-1]
+
+        with mock.patch.object(dmm, "accumulate_ramdmm", accumulate), mock.patch.object(
+            dmm, "render_template", render
+        ):
             extract_sample(rec, cfg)
-        assert read_image(out).tobytes() == rendered[("yz", 5, 30.0, 3)].tobytes()
+        assert len(keys) == len(images)
+        rendered = dict(zip(keys, images))
+        assert read_image(out).tobytes() == rendered[("yz", 5, 3)].tobytes()
 
 
 class TestBadArguments:

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from dmmaction import ALL, ContractError
 from dmmaction.dmm import (
-    Clip,
-    DmmTemplate,
     accumulate_ramdmm,
     jet_rgb,
     render_grid,
@@ -35,23 +33,19 @@ def _dmm(maps, t, window, floor=0.0):
 class TestAccumulateDmm:
     def test_scalar_example(self):
         maps = _maps([[[0.0]], [[3.0]], [[5.0]]])
-        tpl = _dmm(maps, t=0, window=2)
-        assert tpl.grid[0, 0] == 5.0
-        assert tpl.plane == "xy"
-        assert tpl.start == 0
-        assert tpl.window == 2
+        grid = _dmm(maps, t=0, window=2)
+        assert grid.dtype == np.float64
+        assert grid[0, 0] == 5.0
 
     def test_constant_sequence_is_zero(self, rng):
         grid = rng.random((4, 5)) * 100.0
         maps = _maps([grid] * 6)
-        tpl = _dmm(maps, t=0, window=ALL)
-        assert np.all(tpl.grid == 0.0)
+        assert np.all(_dmm(maps, t=0, window=ALL) == 0.0)
 
     def test_all_window_spans_remaining(self):
         maps = _maps([[[0.0]], [[1.0]], [[4.0]], [[9.0]]])
-        tpl = _dmm(maps, t=0, window=ALL)
-        assert tpl.grid[0, 0] == 9.0
-        assert tpl.window == ALL
+        grid = _dmm(maps, t=0, window=ALL)
+        assert grid[0, 0] == 9.0
 
     def test_window_exceeding_sequence_rejected(self):
         maps = _maps([[[0.0]], [[1.0]], [[2.0]]])
@@ -70,17 +64,17 @@ class TestAccumulateDmm:
         local = np.random.default_rng(seed)
         frames = local.integers(0, 50, size=(a + b + 1, 3, 4)).astype(np.float64)
         maps = _maps(list(frames))
-        left = _dmm(maps, t=0, window=a).grid
-        right = _dmm(maps, t=a, window=b).grid
-        whole = _dmm(maps, t=0, window=a + b).grid
+        left = _dmm(maps, t=0, window=a)
+        right = _dmm(maps, t=a, window=b)
+        whole = _dmm(maps, t=0, window=a + b)
         assert np.array_equal(left + right, whole)
 
     def test_noise_floor_drops_small_differences(self):
         maps = _maps([[[0.0]], [[0.5]], [[4.5]]])
         plain = _dmm(maps, t=0, window=2)
         floored = _dmm(maps, t=0, window=2, floor=1.0)
-        assert plain.grid[0, 0] == 4.5
-        assert floored.grid[0, 0] == 4.0
+        assert plain[0, 0] == 4.5
+        assert floored[0, 0] == 4.0
 
     def test_mismatched_planes_rejected(self):
         maps = [
@@ -104,7 +98,7 @@ class TestAccumulateDmm:
         maps = _maps(list(frames))
         t = data.draw(st.integers(0, n - 3))
         window = data.draw(st.sampled_from([ALL, *range(2, n - t)]))
-        got = _dmm(maps, t, window, floor=floor).grid
+        got = _dmm(maps, t, window, floor=floor)
         assert got.tobytes() == dmm_oracle(frames, t, window, floor=floor).tobytes()
 
 
@@ -115,22 +109,22 @@ class TestAccumulateRamdmm:
             MagnitudeMap(np.array([[0.5]]), normalized=True),
             MagnitudeMap(np.array([[1.0]]), normalized=True),
         ]
-        tpl = accumulate_ramdmm(maps, weights, t=0, window=2)
-        assert tpl.grid[0, 0] == 3.5
+        grid = accumulate_ramdmm(maps, weights, t=0, window=2)
+        assert grid[0, 0] == 3.5
 
     def test_unit_weights_reduce_to_dmm(self, rng):
         frames = rng.integers(0, 30, size=(5, 4, 4)).astype(np.float64)
         maps = _maps(list(frames))
         weights = _unit_weights(4, (4, 4))
         weighted = accumulate_ramdmm(maps, weights, t=0, window=4)
-        assert weighted.grid.tobytes() == dmm_oracle(frames, 0, 4).tobytes()
+        assert weighted.tobytes() == dmm_oracle(frames, 0, 4).tobytes()
 
     def test_zero_weights_give_zero(self, rng):
         frames = rng.random((4, 3, 3)) * 50.0
         maps = _maps(list(frames))
         weights = [MagnitudeMap(np.zeros((3, 3)), normalized=True) for _ in range(3)]
-        tpl = accumulate_ramdmm(maps, weights, t=0, window=3)
-        assert np.all(tpl.grid == 0.0)
+        grid = accumulate_ramdmm(maps, weights, t=0, window=3)
+        assert np.all(grid == 0.0)
 
     def test_weighted_bounded_by_unweighted(self, rng):
         frames = rng.random((6, 4, 5)) * 80.0
@@ -140,7 +134,7 @@ class TestAccumulateRamdmm:
         ]
         weighted = accumulate_ramdmm(maps, weights, t=0, window=ALL)
         plain = dmm_oracle(frames, 0, ALL)
-        assert np.all(weighted.grid <= plain + 1e-12)
+        assert np.all(weighted <= plain + 1e-12)
 
     def test_misaligned_weights_rejected(self):
         maps = _maps([[[0.0]], [[1.0]], [[2.0]]])
@@ -156,12 +150,6 @@ class TestAccumulateRamdmm:
         ]
         with pytest.raises(ContractError, match="not normalized"):
             accumulate_ramdmm(maps, weights, t=0, window=2)
-
-    def test_angle_tag_copied(self):
-        maps = _maps([[[0.0]], [[1.0]], [[2.0]]])
-        weights = _unit_weights(2, (1, 1))
-        tpl = accumulate_ramdmm(maps, weights, t=0, window=2, angle=-30.0)
-        assert tpl.angle == -30.0
 
 
 class TestJetColormap:
@@ -186,8 +174,7 @@ class TestJetColormap:
 
 class TestRenderTemplate:
     def test_zero_template_is_solid_darkest_blue(self):
-        tpl = DmmTemplate("xy", 5, 0.0, 0, np.zeros((16, 16)))
-        img = render_template(tpl, (16, 16))
+        img = render_template(np.zeros((16, 16)), (16, 16))
         assert np.all(img == np.array([0, 0, 128], dtype=np.uint8))
 
     def test_max_pixel_is_formula_red(self):
@@ -227,19 +214,20 @@ class TestStackClip:
 
     def test_two_of_three(self):
         clip = stack_clip(self._frames(3), t=2, lam=2)
-        assert len(clip) == 2
-        assert clip.frames[0, 0, 0, 0] == 1
-        assert clip.frames[1, 0, 0, 0] == 2
+        assert clip.shape == (2, 8, 8, 3)
+        assert clip.dtype == np.uint8
+        assert clip[0, 0, 0, 0] == 1
+        assert clip[1, 0, 0, 0] == 2
 
     def test_single_frame(self):
         clip = stack_clip(self._frames(1), t=0, lam=1)
         assert len(clip) == 1
-        assert clip.frames[0, 0, 0, 0] == 0
+        assert clip[0, 0, 0, 0] == 0
 
     def test_sixteen_of_twenty(self):
         clip = stack_clip(self._frames(20), t=19, lam=16)
         assert len(clip) == 16
-        assert [int(f[0, 0, 0]) for f in clip.frames] == list(range(4, 20))
+        assert [int(f[0, 0, 0]) for f in clip] == list(range(4, 20))
 
     def test_insufficient_history_rejected(self):
         with pytest.raises(ContractError, match="needs index"):
@@ -251,8 +239,4 @@ class TestStackClip:
         lam = 5
         clip = stack_clip(frames, t=t, lam=lam)
         expected = [int(f[0, 0, 0]) for f in frames[t - lam + 1 : t + 1]]
-        assert [int(f[0, 0, 0]) for f in clip.frames] == expected
-
-    def test_clip_shape_validation(self):
-        with pytest.raises(ContractError):
-            Clip(np.zeros((2, 4, 4), dtype=np.uint8))
+        assert [int(f[0, 0, 0]) for f in clip] == expected

@@ -8,7 +8,6 @@ from dmmaction import ContractError
 from dmmaction.geometry import (
     BinParams,
     Intrinsics,
-    PointCloud,
     RotationSpec,
     depth_to_points,
     fill_depth_holes,
@@ -52,27 +51,27 @@ class TestDepthToPoints:
     def test_principal_point_ray(self):
         frame = DepthFrame(3, 3, np.pad([[1000.0]], 1), 0)
         intr = Intrinsics(focal_px=100.0, cx=1.0, cy=1.0)
-        cloud = depth_to_points(frame, intr)
-        assert len(cloud) == 1
-        assert np.allclose(cloud.points[0], [0.0, 0.0, 1000.0])
+        points = depth_to_points(frame, intr)
+        assert len(points) == 1
+        assert np.allclose(points[0], [0.0, 0.0, 1000.0])
 
     def test_all_zero_frame(self):
-        cloud = depth_to_points(
+        points = depth_to_points(
             DepthFrame(4, 4, np.zeros((4, 4)), 0), Intrinsics(100.0, 1.5, 1.5)
         )
-        assert len(cloud) == 0
+        assert len(points) == 0
 
     def test_closed_form_2x2(self):
         frame = DepthFrame(2, 2, np.full((2, 2), 100.0), 0)
-        cloud = depth_to_points(frame, Intrinsics(focal_px=100.0, cx=0.0, cy=0.0))
+        points = depth_to_points(frame, Intrinsics(focal_px=100.0, cx=0.0, cy=0.0))
         expected = {(0.0, 0.0, 100.0), (1.0, 0.0, 100.0), (0.0, 1.0, 100.0), (1.0, 1.0, 100.0)}
-        assert {tuple(p) for p in cloud.points} == expected
+        assert {tuple(p) for p in points} == expected
 
     def test_point_count_is_nonzero_count(self, rng):
         depth = rng.integers(0, 3, size=(6, 7)).astype(np.float64) * 500.0
         frame = DepthFrame(7, 6, depth, 0)
-        cloud = depth_to_points(frame, Intrinsics.default_for(7, 6))
-        assert len(cloud) == np.count_nonzero(depth)
+        points = depth_to_points(frame, Intrinsics.default_for(7, 6))
+        assert len(points) == np.count_nonzero(depth)
 
     def test_bad_focal(self):
         with pytest.raises(ContractError):
@@ -83,29 +82,29 @@ class TestDepthToPoints:
 
 class TestRotatePoints:
     def test_identity_returns_same_points(self, rng):
-        cloud = PointCloud(rng.normal(size=(10, 3)) * 100.0)
-        out = rotate_points(cloud, RotationSpec(0.0, 0.0))
-        assert np.array_equal(out.points, cloud.points)
+        points = rng.normal(size=(10, 3)) * 100.0
+        out = rotate_points(points, RotationSpec(0.0, 0.0))
+        assert np.array_equal(out, points)
 
     def test_yaw_90_example(self):
-        out = rotate_points(PointCloud(np.array([[0.0, 0.0, 1000.0]])), RotationSpec(90.0))
-        assert np.allclose(out.points[0], [1000.0, 0.0, 0.0], atol=1e-9)
+        out = rotate_points(np.array([[0.0, 0.0, 1000.0]]), RotationSpec(90.0))
+        assert np.allclose(out[0], [1000.0, 0.0, 0.0], atol=1e-9)
 
     @given(st.integers(0, 1000), st.sampled_from(ANGLE_SET))
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, seed, alpha):
         pts = np.random.default_rng(seed).normal(scale=800.0, size=(20, 3))
-        fwd = rotate_points(PointCloud(pts), RotationSpec(alpha))
+        fwd = rotate_points(pts, RotationSpec(alpha))
         back = rotate_points(fwd, RotationSpec(-alpha))
-        assert np.max(np.abs(back.points - pts)) < 1e-6
+        assert np.max(np.abs(back - pts)) < 1e-6
 
     @given(st.integers(0, 1000), st.sampled_from(ANGLE_SET))
     @settings(max_examples=40, deadline=None)
     def test_norm_preservation(self, seed, alpha):
         pts = np.random.default_rng(seed).normal(scale=800.0, size=(20, 3)) + 1.0
-        out = rotate_points(PointCloud(pts), RotationSpec(alpha, beta=10.0))
+        out = rotate_points(pts, RotationSpec(alpha, beta=10.0))
         before = np.linalg.norm(pts, axis=1)
-        after = np.linalg.norm(out.points, axis=1)
+        after = np.linalg.norm(out, axis=1)
         assert np.max(np.abs(after - before) / before) < 1e-9
 
 
@@ -113,7 +112,7 @@ class TestPointsToDepth:
     def test_z_buffer_keeps_nearest(self):
         intr = Intrinsics(100.0, 2.0, 2.0)
         pts = np.array([[0.0, 0.0, 500.0], [0.0, 0.0, 800.0]])
-        frame = points_to_depth(PointCloud(pts), intr, (5, 5))
+        frame = points_to_depth(pts, intr, (5, 5))
         assert frame.depth[2, 2] == 500.0
 
     def test_lift_reproject_identity_alpha0(self):
@@ -121,8 +120,8 @@ class TestPointsToDepth:
         depth[2:5, 3:6] = 1500.0
         frame = DepthFrame(8, 6, depth, 0)
         intr = Intrinsics.default_for(8, 6)
-        cloud = depth_to_points(frame, intr)
-        back = points_to_depth(cloud, intr, (8, 6), fill_holes=False)
+        points = depth_to_points(frame, intr)
+        back = points_to_depth(points, intr, (8, 6), fill_holes=False)
         nz = depth > 0
         assert np.array_equal(back.depth[nz], depth[nz])
 
@@ -131,12 +130,11 @@ class TestPointsToDepth:
         depth = np.full((24, 32), 1600.0)
         frame = DepthFrame(32, 24, depth, 0)
         intr = Intrinsics.default_for(32, 24)
-        cloud = depth_to_points(frame, intr)
-        center = cloud.points.mean(axis=0)
-        moved = rotate_points(PointCloud(cloud.points - center), RotationSpec(45.0))
-        pts = moved.points + center
-        raw = points_to_depth(PointCloud(pts), intr, (32, 24), fill_holes=False)
-        filled = points_to_depth(PointCloud(pts), intr, (32, 24), fill_holes=True)
+        points = depth_to_points(frame, intr)
+        center = points.mean(axis=0)
+        pts = rotate_points(points - center, RotationSpec(45.0)) + center
+        raw = points_to_depth(pts, intr, (32, 24), fill_holes=False)
+        filled = points_to_depth(pts, intr, (32, 24), fill_holes=True)
         # Count holes inside the projected footprint.
         footprint = raw.depth > 0
         cols = np.where(footprint.any(axis=0))[0]

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import hashlib
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dmmaction import ContractError, neural
-from dmmaction.dmm import Clip
 from dmmaction.neural import (
     Conv3d,
     Dense,
@@ -89,7 +90,7 @@ class TestConv3dForward:
     def test_output_strictly_inside_unit_interval(self, rng):
         net = desk_network(stream_rng(8, "range"), clip_len=4, height=16, width=16)
         frames = (rng.random((4, 16, 16, 3)) * 255).astype(np.uint8)
-        for name, acts in run_layers(clip_to_tensor(Clip(frames)), net):
+        for name, acts in run_layers(clip_to_tensor(frames), net):
             if name.startswith("conv"):
                 assert np.max(np.abs(acts)) < 1.0
 
@@ -472,28 +473,39 @@ class TestNetworks:
     def test_desk_fc_width_override(self, rng):
         net = desk_network(stream_rng(2, "fc32"), clip_len=8, height=32, width=32, fc_units=32)
         frames = (np.clip(rng.random((8, 32, 32, 3)) * 255, 0, 255)).astype(np.uint8)
-        feats = extract_features(Clip(frames), net)
+        feats = extract_features(frames, net)
         assert len(feats) == 32
 
     def test_identical_clips_identical_features(self, rng):
         net = desk_network(stream_rng(3, "det"), clip_len=4, height=16, width=16)
         frames = (rng.random((4, 16, 16, 3)) * 255).astype(np.uint8)
-        a = extract_features(Clip(frames.copy()), net)
-        b = extract_features(Clip(frames.copy()), net)
+        a = extract_features(frames.copy(), net)
+        b = extract_features(frames.copy(), net)
         assert np.array_equal(a, b)
 
     def test_frame_permutation_changes_features(self, rng):
         net = desk_network(stream_rng(4, "time"), clip_len=4, height=16, width=16)
         frames = (rng.random((4, 16, 16, 3)) * 255).astype(np.uint8)
-        fwd = extract_features(Clip(frames), net)
-        rev = extract_features(Clip(frames[::-1].copy()), net)
+        fwd = extract_features(frames, net)
+        rev = extract_features(frames[::-1].copy(), net)
         assert not np.array_equal(fwd, rev)
 
     def test_wrong_clip_shape_names_layer(self, rng):
         net = desk_network(stream_rng(5, "shape"), clip_len=4, height=16, width=16)
         frames = np.zeros((4, 12, 16, 3), dtype=np.uint8)
         with pytest.raises(ContractError, match="input"):
-            extract_features(Clip(frames), net)
+            extract_features(frames, net)
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 16, 16), (4, 16, 16, 4)], ids=["three-dims", "four-channels"]
+    )
+    def test_clip_not_lam_h_w_3_rejected(self, shape):
+        net = desk_network(stream_rng(5, "clip-shape"), clip_len=4, height=16, width=16)
+        with mock.patch.object(neural, "run_layers") as run, pytest.raises(
+            ContractError, match=r"clip must be \(lam, h, w, 3\)"
+        ):
+            extract_features(np.zeros(shape, dtype=np.uint8), net)
+        assert run.call_count == 0
 
     def test_same_seed_same_weights(self):
         a = desk_network(stream_rng(6, "s"), clip_len=4, height=16, width=16)
@@ -512,8 +524,8 @@ class TestNetworks:
         _, depth, height, width = net.input_shape
         frames = (rng.random((depth, height, width, 3)) * 255).astype(np.uint8)
         first_dense = next(l.name for l in net.layers if isinstance(l, Dense))
-        full = dict(run_layers(clip_to_tensor(Clip(frames)), net))
-        feats = extract_features(Clip(frames), net)
+        full = dict(run_layers(clip_to_tensor(frames), net))
+        feats = extract_features(frames, net)
         assert isinstance(feats, np.ndarray) and feats.dtype == np.float64
         assert feats.tobytes() == full[first_dense].tobytes()
 
@@ -526,7 +538,7 @@ class TestNetworks:
         with mock.patch.object(neural, "run_layers") as run, pytest.raises(
             ContractError, match="does not end at a fully-connected layer"
         ):
-            extract_features(Clip(frames), net)
+            extract_features(frames, net)
         assert run.call_count == 0
 
     def test_misfit_dense_rejected_before_any_layer_runs(self, rng):
@@ -537,7 +549,7 @@ class TestNetworks:
         with mock.patch.object(neural, "conv3d_forward") as conv, pytest.raises(
             ContractError, match="fc_next"
         ):
-            extract_features(Clip(frames), net)
+            extract_features(frames, net)
         assert conv.call_count == 0
 
     def test_run_layers_computes_one_layer_per_step(self, rng):
@@ -568,11 +580,11 @@ class TestNetworks:
         net = desk_network(stream_rng(7, "spy"), clip_len=4, height=16, width=16)
         frames = (rng.random((4, 16, 16, 3)) * 255).astype(np.uint8)
         with mock.patch.object(neural, "run_layers", wraps=run_layers) as run:
-            feats = extract_features(Clip(frames), net)
+            feats = extract_features(frames, net)
         assert run.call_count == 1
         (x, passed), _ = run.call_args
         assert passed is net
-        assert x.tobytes() == clip_to_tensor(Clip(frames)).tobytes()
+        assert x.tobytes() == clip_to_tensor(frames).tobytes()
         assert len(feats) == 64
 
     # sha256 over every layer's name and the float64 bytes of its weights and
@@ -649,7 +661,7 @@ class TestNetworks:
         )
         assert net.nbytes * 2 == upcast.nbytes
         frames = np.random.default_rng(5).integers(0, 256, (16, 32, 32, 3), dtype=np.uint8)
-        x = clip_to_tensor(Clip(frames))
+        x = clip_to_tensor(frames)
         for (name, a), (_, b) in zip(run_layers(x, net), run_layers(x, upcast)):
             assert a.tobytes() == b.tobytes(), name
 
@@ -702,3 +714,18 @@ class TestNetworkSpecValidation:
         net = NetworkSpec("n", (1, 2, 4, 4), ())
         with pytest.raises(AttributeError):
             net.name = "other"
+
+
+def test_neural_imports_no_sibling_but_errors():
+    """The network layer takes plain arrays: of the package's own modules it
+    imports only errors, so it never depends on the motion-map layer."""
+    source = Path(neural.__file__).read_text()
+    siblings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            siblings.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dmmaction"):
+            siblings.add(node.module)
+        elif isinstance(node, ast.Import):
+            siblings.update(a.name for a in node.names if a.name.startswith("dmmaction"))
+    assert siblings <= {"errors", "dmmaction.errors"}

@@ -35,7 +35,7 @@ from dmmaction import (
     train,
 )
 from dmmaction import dmm, neural, pipeline
-from dmmaction.dmm import Clip, render_grid, stack_clip, template_count
+from dmmaction.dmm import render_grid, stack_clip, template_count
 from dmmaction.geometry import ProjectedMap, synthesize_view
 from dmmaction.learn import PcaModel, SvmModel, pca_fit
 from dmmaction.motion import estimate_flow
@@ -264,7 +264,7 @@ class TestExtractSample:
             got = result.features[sid]
             assert len(got) == len(ends)
             for f, end in zip(got, ends):
-                clip = Clip(np.stack(frames[end - lam + 1 : end + 1]))
+                clip = np.stack(frames[end - lam + 1 : end + 1])
                 want = extract_features(clip, plan.network(sid))
                 assert f.dtype == np.float64
                 assert f.tobytes() == want.tobytes()
@@ -481,6 +481,19 @@ class TestSplits:
         with pytest.raises(ProtocolError, match="overlap"):
             resolve_split(
                 small_dataset, "manual", train_indices=(0, 1), test_indices=(1, 2)
+            )
+
+    @pytest.mark.parametrize(
+        "train_idx, test_idx, side",
+        [((0, 0, 1), (2, 3), "train"), ((0, 1), (2, 2), "test")],
+        ids=["train", "test"],
+    )
+    def test_manual_repeated_index_rejected(self, small_dataset, train_idx, test_idx, side):
+        # A repeated index would train on, or count in the report, one
+        # record twice.
+        with pytest.raises(ProtocolError, match=f"{side} indices name a record more than once"):
+            resolve_split(
+                small_dataset, "manual", train_indices=train_idx, test_indices=test_idx
             )
 
     def test_manual_out_of_bounds_rejected(self, small_dataset):
@@ -745,6 +758,15 @@ class TestEvaluate:
                 evaluate(small_dataset[:n], s, trained)
         assert pool.call_count == 0
 
+    def test_repeated_index_rejected_before_pooling(self, small_dataset, trained):
+        # A hand-made split is checked as resolve_split checks one: a
+        # repeated test index would count one record twice in the report.
+        s = Split("manual", (0,), (2, 3, 2), "manual")
+        with mock.patch.object(pipeline, "_unit_pool", wraps=pipeline._unit_pool) as pool:
+            with pytest.raises(ProtocolError, match="test indices name a record more than once"):
+                evaluate(small_dataset, s, trained)
+        assert pool.call_count == 0
+
     def test_report_determinism(self, small_dataset, split, trained):
         a = evaluate(small_dataset, split, trained)
         b = evaluate(small_dataset, split, trained)
@@ -818,7 +840,6 @@ from dmmaction import (
     SynthSpec, evaluate, generate_synthetic_dataset, read_manifest, resolve_split,
     save_plan, train,
 )
-from dmmaction.dmm import Clip
 from dmmaction.neural import DrawnMatrix, c3d_network, extract_features, stream_rng
 
 root = Path(sys.argv[1])
@@ -832,7 +853,7 @@ for p in sorted((save_plan(plan, root / "plan") / "streams").glob("*.models")):
 net = c3d_network(stream_rng(0, "threads"), height=32, width=32)
 assert isinstance(net.layers[-1].weights, DrawnMatrix)
 frames = np.random.default_rng(0).integers(0, 256, (16, 32, 32, 3), dtype=np.uint8)
-print("c3d", hashlib.sha256(extract_features(Clip(frames), net).tobytes()).hexdigest())
+print("c3d", hashlib.sha256(extract_features(frames, net).tobytes()).hexdigest())
 """
 
 
@@ -1094,14 +1115,14 @@ def _fail_render_on(monkeypatch, rec, cfg):
     seq = read_depth_bin(rec.depth_path)
     if rec.crop_path is not None:
         seq = pipeline._apply_crop(seq, rec.crop_path)
-    (maps, _), = pipeline.plane_sequences(seq, cfg, [0.0], ["xy"]).values()
-    mark = maps[0].grid.tobytes()
+    ((_, projected),) = pipeline._views(seq, cfg, [0.0])
+    mark = pipeline._plane_maps(projected, "xy")[0].grid.tobytes()
     real = pipeline.render_templates
 
-    def render(maps, weights, window, angle, cfg, starts):
+    def render(maps, weights, window, cfg, starts):
         if maps[0].grid.tobytes() == mark:
-            raise ContractError(f"cannot render window {window} at angle {angle:g}")
-        return real(maps, weights, window, angle, cfg, starts)
+            raise ContractError(f"cannot render window {window} at angle 0")
+        return real(maps, weights, window, cfg, starts)
 
     monkeypatch.setattr(pipeline, "render_templates", render)
 

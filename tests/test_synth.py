@@ -123,16 +123,16 @@ class TestMotionSignatures:
         rec = next(r for r in read_manifest(manifest) if r.label == "static")
         seq = read_depth_bin(rec.depth_path)
         maps = [ProjectedMap("xy", f.depth) for f in seq.frames]
-        tpl = accumulate_ramdmm(maps, _unit_weights(maps), t=0, window=len(maps) - 1)
-        assert np.all(tpl.grid == 0.0)
+        grid = accumulate_ramdmm(maps, _unit_weights(maps), t=0, window=len(maps) - 1)
+        assert np.all(grid == 0.0)
 
     def test_moving_action_yields_nonzero_templates(self, tmp_path):
         manifest = generate_synthetic_dataset(tmp_path, _tiny_spec(), seed=2)
         rec = next(r for r in read_manifest(manifest) if r.label == "slide")
         seq = read_depth_bin(rec.depth_path)
         maps = [ProjectedMap("xy", f.depth) for f in seq.frames]
-        tpl = accumulate_ramdmm(maps, _unit_weights(maps), t=0, window=len(maps) - 1)
-        assert np.count_nonzero(tpl.grid) > 0
+        grid = accumulate_ramdmm(maps, _unit_weights(maps), t=0, window=len(maps) - 1)
+        assert np.count_nonzero(grid) > 0
 
     def test_subject_jitter_varies_sequences(self, tmp_path):
         manifest = generate_synthetic_dataset(tmp_path, _tiny_spec(), seed=4)
