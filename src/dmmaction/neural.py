@@ -1,10 +1,11 @@
-"""Forward-only 3D convolutional feature extraction.
+"""Forward-only 3D convolutional feature extraction, in float32.
 
-Tensors are dense float64 arrays laid out (channels, depth, height,
+Tensors are dense float32 arrays laid out (channels, depth, height,
 width).  Convolution is valid (no padding) unless a layer declares an
 explicit zero padding; every conv output passes through tanh, so values
 are strictly inside (-1, 1).  Every network ends at its one
-fully-connected layer, and features are that layer's activations.
+fully-connected layer, and features are that layer's activations,
+upcast (exactly) to float64 for the learning stage.
 
 The canonical deep stack follows the eight-conv/five-pool C3D shape
 (3x3x3 kernels, stride 1, first pool 1x2x2, remaining pools 2x2x2) and
@@ -13,28 +14,28 @@ without it the temporal axis of a 16-frame clip collapses below kernel
 size before the fifth conv layer, so the published layer list is only
 realizable with same-padding.
 
-Weights and biases are float32, the precision they are drawn at
-(C3D's reference weights are float32 too), and computed float64: each
-layer upcasts them, exactly, right before its GEMMs, so every activation
-keeps its float64 bits.  The dense layer upcasts one block of weight rows
-at a time into one reused buffer (see `_dense_rows`), so it never holds a
-float64 copy of its whole matrix.  A dense layer that runs in more than
-one block (c3d's fc6) does not store its matrix at all: its weights are a
-`DrawnMatrix`, which draws each block again, with the same bits, when it
-is read.  So a 112x112 c3d network holds 105.5 MiB of its 177.5 MiB of
-float32 weights, and pays one draw of fc6 per forward pass.
+Weights and biases are float32, and every layer computes in float32 from
+them, as C3D's reference weights and Caffe forward pass do.  A dense
+layer runs over blocks of weight rows (see `_dense_rows`).  One that runs
+in more than one block (c3d's fc6) does not store its matrix at all: its
+weights are a `DrawnMatrix`, which draws each block again, with the same
+bits, when it is read.  So a 112x112 c3d network holds 105.5 MiB of its
+177.5 MiB of weights, and pays one draw of fc6 per forward pass.
 NetworkSpec.nbytes counts all 177.5 MiB, so the plan's network cache
 keeps as many networks as if fc6 were stored.
 
-Each convolution is one BLAS GEMM per kernel offset, added in a fixed
-order.  It runs over chunks of output depth with three scratch buffers
-reused across chunks and offsets, so memory beyond the output stays
-cache-sized; where chunking could change a bit of the result it runs as
-one chunk (see `_chunk_frames`).
+Each convolution is one BLAS GEMM per chunk of output positions: the
+weights, as a (maps, input maps * kernel volume) matrix, times a column
+buffer that holds every input value each output position of the chunk
+reads.  The buffer is bounded by CONV_CHUNK_ELEMENTS and reused across
+chunks, so memory beyond the output stays cache-sized; where chunking
+could change a bit of the result the layer runs as one chunk (see
+`_conv_chunk`).
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence, Union
@@ -175,108 +176,108 @@ class NetworkSpec:
         )
 
 
-# Elements per conv3d_forward scratch buffer (window copy, GEMM result,
-# accumulator) and per dense_forward weight block; a chunk always holds
-# at least one output frame.
+# Elements of conv3d_forward's column buffer and of a dense_forward weight
+# block; a conv chunk always holds at least one output row.
 CONV_CHUNK_ELEMENTS = 2**19
-# When a chunked GEMM gives the same bits as the whole-output one; see
-# _chunk_frames.
-CONV_GEMM_TILE = 16
+# The GEMM size above which a chunked conv gives the same bits as the
+# whole-output one; see _conv_chunk.
 CONV_GEMM_MIN_MACS = 2**20
 
 
-def _chunk_frames(out_maps: int, in_maps: int, depth: int, frame: int) -> int:
-    """Output frames per conv3d_forward chunk, for `frame` = height * width.
+def _conv_chunk(out_maps: int, taps: int, depth: int, height: int, width: int) -> tuple[int, int]:
+    """(frames, rows) of output per conv3d_forward chunk, where `taps` =
+    input maps * kernel volume is the column-buffer values per output
+    position.
 
-    Chunking changes only the column count of each offset's GEMM, and BLAS
-    does not promise a column the same bits whatever that count is.  With
-    OpenBLAS (measured on its SkylakeX kernels) a column comes out the same
-    when every call covers whole 16-column tiles and is above the
-    small-matrix cut-off of 1e6 multiply-adds (2**20 here, for margin);
-    narrower tails and the small-matrix kernel sum in another order.
-    Layers that miss either bound run as one chunk, which is the
-    unchunked computation.
+    A chunk is as many whole output frames as fit the column buffer, or,
+    when one frame does not fit, a band of that many output rows.
+    Chunking changes only the column count of the GEMM, and BLAS does not
+    promise a column the same bits whatever that count is.  With OpenBLAS
+    0.3.31's sgemm (measured on its SkylakeX kernels with 1 to 4 threads,
+    2 to 512 output maps, 1 to 13,824 taps, any column count and offset) a
+    column comes out the same when the call is above the small-matrix
+    cut-off of 1e6 multiply-adds (2**20 here, for margin); below it the
+    small-matrix kernel sums in another order.  One output map is a
+    matrix-vector product, whose outputs differ with the column count.
+    So a layer with one output map, or whose smallest chunk misses the
+    bound, runs as one chunk, which is the unchunked computation.
     """
-    if frame % CONV_GEMM_TILE or out_maps * in_maps * frame <= CONV_GEMM_MIN_MACS:
-        return depth
-    return min(depth, max(1, CONV_CHUNK_ELEMENTS // (max(out_maps, in_maps) * frame)))
+    frame = height * width
+    if taps * frame <= CONV_CHUNK_ELEMENTS:
+        frames, rows = min(depth, CONV_CHUNK_ELEMENTS // (taps * frame)), height
+        smallest = (depth % frames or frames) * frame
+    else:
+        frames, rows = 1, min(height, max(1, CONV_CHUNK_ELEMENTS // (taps * width)))
+        smallest = (height % rows or rows) * width
+    if out_maps == 1 or out_maps * taps * smallest <= CONV_GEMM_MIN_MACS:
+        return depth, height
+    return frames, rows
+
+
+def _valid_taps(first: int, count: int, stride: int, tap: int, pad: int, size: int):
+    """(output slice, input slice) along one axis: the outputs first ..
+    first + count - 1 whose kernel tap lands inside the unpadded input of
+    `size`, relative to first, and the inputs they read; None if none do."""
+    lo = max(first, -((tap - pad) // stride))
+    hi = min(first + count, (size - 1 - tap + pad) // stride + 1)
+    if lo >= hi:
+        return None
+    start = lo * stride + tap - pad
+    return slice(lo - first, hi - first), slice(start, start + (hi - 1 - lo) * stride + 1, stride)
 
 
 def conv3d_forward(x: np.ndarray, layer: Conv3d) -> np.ndarray:
-    """Valid 3D convolution (plus the layer's declared zero padding) with tanh.
+    """Valid 3D convolution (plus the layer's declared zero padding) with
+    tanh, in float32.
 
     out(j, z, y, x) = tanh(b_j + sum over m, r, p, q of
     w(j, m, r, p, q) * in(m, z*sd + r, y*sh + p, x*sw + q)), indices taken
     in the zero-padded input.
 
-    The arithmetic is fixed: per kernel offset (r, p, q), in that order,
-    one GEMM of w(:, :, r, p, q) with the input window is added into an
-    accumulator that starts at 0.0, then the bias is added and tanh taken.
-    The work runs over chunks of output depth (see _chunk_frames) so that
-    its buffers stay cache-sized instead of output-sized.
+    Each chunk of output positions (see _conv_chunk) is one GEMM: the
+    (j, m*r*p*q) weights times a column buffer that holds, for every
+    output position of the chunk, the m*r*p*q input values it reads (zero
+    where a tap falls in the padding).  Then the bias is added and tanh
+    written into the output.  The buffer and the GEMM block are reused
+    across chunks, so memory beyond the output stays cache-sized.
     """
     j_maps, od, oh, ow = _layer_output_shape(x.shape, layer)
     m_maps, kr, kp, kq = layer.weights.shape[1:]
-    pr, pp, pq = layer.padding
-    if pr or pp or pq:
-        x = np.pad(x, ((0, 0), (pr, pr), (pp, pp), (pq, pq)))
+    taps = m_maps * kr * kp * kq
+    _, depth, height, width = x.shape
+    x = np.asarray(x, dtype=np.float32)
+    weights = np.asarray(layer.weights, dtype=np.float32).reshape(j_maps, taps)
+    bias = np.asarray(layer.bias, dtype=np.float32)[:, None]
     sr, sh, sw = layer.stride
-    n = oh * ow
-    frames = _chunk_frames(j_maps, m_maps, od, n)
-    # Three scratch buffers serve every chunk and offset; per-chunk views are
-    # contiguous prefixes, since np.dot(out=) needs a C-contiguous target.
-    window_buf = np.empty(m_maps * frames * n)
-    gemm_buf = np.empty(j_maps * frames * n)
-    acc_buf = np.empty(j_maps * frames * n)
-    # BLAS must get the float64 upcast in the layout it gets float64
-    # weights in, or a bit may change.  np.dot copies a strided (j, m)
-    # matrix C-contiguous before its GEMM, so the upcast is that copy: made
-    # once for all offsets when several chunks would repeat it, else per
-    # offset in the loop, which holds one offset's float64 weights at a
-    # time: upcasting a one-chunk layer once per call instead kept every
-    # bit but raised c3d-clip's peak RSS from 274.4 to 292.1 MB (two
-    # alternated runs each, 2-core VM).  A single output map is a vector
-    # that BLAS reads in place, stride and all, so it is upcast in its
-    # original layout.
-    weights = layer.weights.transpose(2, 3, 4, 0, 1)
-    if j_maps == 1:
-        weights = weights.astype(np.float64, copy=False)
-    elif frames < od:
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-    bias = layer.bias[:, None]
-    out = np.empty((j_maps, od, oh, ow))
+    pr, pp, pq = layer.padding
+    frames, rows = _conv_chunk(j_maps, taps, od, oh, ow)
+    col_buf = np.empty(taps * frames * rows * ow, dtype=np.float32)
+    gemm_buf = np.empty(j_maps * frames * rows * ow, dtype=np.float32)
+    out = np.empty((j_maps, od, oh, ow), dtype=np.float32)
+    along_x = [_valid_taps(0, ow, sw, q, pq, width) for q in range(kq)]
     for z0 in range(0, od, frames):
         k = min(frames, od - z0)
-        window = window_buf[: m_maps * k * n].reshape(m_maps, k, oh, ow)
-        gemm = gemm_buf[: j_maps * k * n].reshape(j_maps, k * n)
-        acc = acc_buf[: j_maps * k * n].reshape(j_maps, k * n)
-        acc.fill(0.0)
-        z = z0 * sr
-        for r in range(kr):
-            for p in range(kp):
-                for q in range(kq):
-                    np.copyto(
-                        window,
-                        x[
-                            :,
-                            z + r : z + r + sr * (k - 1) + 1 : sr,
-                            p : p + sh * (oh - 1) + 1 : sh,
-                            q : q + sw * (ow - 1) + 1 : sw,
-                        ],
-                    )
-                    w = weights[r, p, q]
-                    if j_maps > 1:
-                        w = np.ascontiguousarray(w, dtype=np.float64)
-                    np.dot(w, window.reshape(m_maps, k * n), out=gemm)
-                    acc += gemm
-        acc += bias
-        np.tanh(acc, out=acc)
-        out[:, z0 : z0 + k] = acc.reshape(j_maps, k, oh, ow)
+        along_z = [_valid_taps(z0, k, sr, r, pr, depth) for r in range(kr)]
+        for y0 in range(0, oh, rows):
+            n = min(rows, oh - y0)
+            along_y = [_valid_taps(y0, n, sh, p, pp, height) for p in range(kp)]
+            cols = col_buf[: taps * k * n * ow].reshape(m_maps, kr, kp, kq, k, n, ow)
+            if pr or pp or pq:
+                cols.fill(0.0)
+            for (r, zs), (p, ys), (q, xs) in itertools.product(
+                enumerate(along_z), enumerate(along_y), enumerate(along_x)
+            ):
+                if zs and ys and xs:
+                    cols[:, r, p, q, zs[0], ys[0], xs[0]] = x[:, zs[1], ys[1], xs[1]]
+            gemm = gemm_buf[: j_maps * k * n * ow].reshape(j_maps, k * n * ow)
+            np.dot(weights, cols.reshape(taps, k * n * ow), out=gemm)
+            gemm += bias
+            np.tanh(gemm.reshape(j_maps, k, n, ow), out=out[:, z0 : z0 + k, y0 : y0 + n])
     return out
 
 
 def maxpool3d(x: np.ndarray, kernel: Triple, stride: Triple) -> np.ndarray:
-    """Per-channel windowed maximum."""
+    """Per-channel windowed maximum, in the input's dtype (float32 in a network)."""
     c, od, oh, ow = _layer_output_shape(x.shape, MaxPool3d("pool", kernel, stride))
     kr, kp, kq = kernel
     sr, sh, sw = stride
@@ -304,10 +305,10 @@ def _dense_rows(out_units: int, in_units: int) -> int:
 
     Blocking changes only the row count of each matrix-vector product, and
     BLAS does not promise an output the same bits whatever that count is.
-    With OpenBLAS 0.3.31 (measured with 1 to 4 threads) every output comes
-    out the same when the output count is a multiple of 8 and every block,
-    tail included, is a whole number of 8-row tiles; output counts such as
-    100 or 250 change bits under 2 or more threads.  So a
+    With OpenBLAS 0.3.31's sgemv (measured with 1 to 4 threads) every
+    output comes out the same when the output count is a multiple of 8 and
+    every block, tail included, is a whole number of 8-row tiles; output
+    counts such as 100 or 250 change bits under 2 or more threads.  So a
     layer whose output count is no multiple of 8 runs as one block, which
     is the unblocked computation.
     """
@@ -317,21 +318,19 @@ def _dense_rows(out_units: int, in_units: int) -> int:
 
 
 def dense_forward(x: np.ndarray, layer: Dense) -> np.ndarray:
-    """tanh(W x + b), with the weights upcast to float64 block by block.
+    """tanh(W x + b) in float32, one block of weight rows at a time.
 
-    Each block of rows (see _dense_rows) is copied into one reused float64
-    buffer and multiplied with x into its slice of the output, so the
-    float64 weights held at once are one block, not the whole matrix.
+    Each block (see _dense_rows) is multiplied with x into its slice of the
+    output, so a DrawnMatrix is drawn one block at a time.
     """
     out_units, in_units = layer.weights.shape
     rows = _dense_rows(out_units, in_units)
-    block_buf = np.empty((min(rows, out_units), in_units))
-    y = np.empty(out_units)
+    x = np.asarray(x, dtype=np.float32)
+    y = np.empty(out_units, dtype=np.float32)
     for i in range(0, out_units, rows):
-        k = min(rows, out_units - i)
-        np.copyto(block_buf[:k], layer.weights[i : i + k])
-        np.dot(block_buf[:k], x, out=y[i : i + k])
-    y += layer.bias
+        block = np.asarray(layer.weights[i : i + rows], dtype=np.float32)
+        np.dot(block, x, out=y[i : i + rows])
+    y += np.asarray(layer.bias, dtype=np.float32)
     return np.tanh(y, out=y)
 
 
@@ -410,19 +409,22 @@ def _forward(x: np.ndarray, layers: Sequence[Layer]) -> Iterator[tuple[str, np.n
 
 
 def clip_to_tensor(clip: np.ndarray) -> np.ndarray:
-    """Clip frames (lam, h, w, 3) uint8 -> network tensor (3, lam, h, w) in [0, 1]."""
+    """Clip frames (lam, h, w, 3) uint8 -> float32 network tensor (3, lam, h, w) in [0, 1]."""
     if clip.ndim != 4 or clip.shape[3] != 3:
         raise ContractError(f"clip must be (lam, h, w, 3), got {clip.shape}")
-    return np.ascontiguousarray(clip.transpose(3, 0, 1, 2)).astype(np.float64) / 255.0
+    x = clip.transpose(3, 0, 1, 2).astype(np.float32, order="C")
+    x /= np.float32(255.0)
+    return x
 
 
 def extract_features(clip: np.ndarray, net: NetworkSpec) -> np.ndarray:
-    """Run the whole stack on a clip and return its last, dense layer's activations."""
+    """Run the whole stack on a clip and return its last, dense layer's
+    activations, upcast (exactly) to float64."""
     if not net.layers or not isinstance(net.layers[-1], Dense):
         raise ContractError(f"network {net.name} does not end at a fully-connected layer")
     for _, acts in run_layers(clip_to_tensor(clip), net):
         pass
-    return acts
+    return acts.astype(np.float64)
 
 
 def stream_rng(seed: int, stream_id: str) -> np.random.Generator:

@@ -21,9 +21,11 @@ Report aggregation is a single ordered reduction.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import logging
 import os
+import sys
 import zlib
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -699,11 +701,12 @@ def _pool_size(plan: StreamPlan) -> int:
 
     It is one per core and unit, except that a plan runs serially when
     extract_sample has been replaced (see _EXTRACT_SAMPLE), when the
-    platform cannot tell its cores, and for the c3d preset: each forked
-    worker's OpenBLAS runs its own threads on c3d's GEMMs, so workers
-    share the cores with each other's threads, and two-unit c3d plans ran
-    2-3x (112x112) and 1.3-2.9x (32x32) slower pooled than serially on 2
-    cores.  Sizing builds no network.
+    platform cannot tell its cores, and for the c3d preset: two-unit c3d
+    plans ran 2-3x (112x112) and 1.3-2.9x (32x32) slower pooled than
+    serially on 2 cores while every worker's OpenBLAS ran as many threads
+    as the parent's, and no workload has measured them pooled since
+    workers split the threads (see _blas_threads).  Sizing builds no
+    network.
     """
     cfg = plan.cfg
     if (
@@ -716,13 +719,39 @@ def _pool_size(plan: StreamPlan) -> int:
     return min(len(os.sched_getaffinity(0)), units)
 
 
+def _blas_threads():
+    """(get_num_threads, set_num_threads) of the OpenBLAS that numpy links,
+    as numpy's wheels name them (scipy_openblas with 64-bit ints) or as a
+    plain build does; None if numpy links no library that exports them."""
+    umath = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get(
+        "numpy.core._multiarray_umath"
+    )
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        try:
+            get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
 # (plan.cfg, plan) of the train or evaluate call that forked this worker.
 _worker_args: tuple[PipelineConfig, StreamPlan] | None = None
 
 
-def _init_worker(cfg: PipelineConfig, plan: StreamPlan) -> None:
+def _init_worker(cfg: PipelineConfig, plan: StreamPlan, blas_threads: int | None) -> None:
+    """Keep (cfg, plan) for this worker's units and, unless blas_threads is
+    None, run this worker's OpenBLAS with that many threads."""
     global _worker_args
     _worker_args = (cfg, plan)
+    if blas_threads is not None:
+        _blas_threads()[1](blas_threads)
 
 
 def _unit_in_worker(unit, args: tuple):
@@ -751,11 +780,19 @@ def _unit_pool(plan: StreamPlan, poses: set[str]) -> Iterator[None]:
                 if s.pose in poses and plan.network(s.id) is not plan._networks.get(s.id):
                     break
             else:
+                # Each worker runs its share of the cores' BLAS threads, at
+                # most the parent's: one GEMM per conv chunk is large enough
+                # for OpenBLAS to thread, and with every worker running the
+                # parent's 2 threads on 2 cores desk-bench trained at 0.93
+                # samples/s instead of 2.27.
+                blas, threads = _blas_threads(), None
+                if blas is not None:
+                    threads = max(1, min(blas[0](), len(os.sched_getaffinity(0)) // workers))
                 plan._pool = ProcessPoolExecutor(
                     workers,
                     mp_context=multiprocessing.get_context("fork"),
                     initializer=_init_worker,
-                    initargs=(plan.cfg, plan),
+                    initargs=(plan.cfg, plan, threads),
                 )
     try:
         yield

@@ -51,12 +51,14 @@ def conv3d_oracle(x, weights, bias, stride=(1, 1, 1), padding=(0, 0, 0)):
 
 
 def conv3d_shift_oracle(x, weights, bias, stride=(1, 1, 1), padding=(0, 0, 0)):
-    """Shift-and-accumulate 3D convolution with tanh, as the package first shipped it.
+    """Shift-and-accumulate 3D convolution with tanh, in float64, as the
+    package computed it before it moved to float32.
 
     One tensordot GEMM per kernel offset over the whole output, added in
     (r, p, q) order into an accumulator that starts at 0.0, then the bias
-    and tanh.  It fixes the floating-point summation order, so fast paths
-    that keep that order must match it byte for byte.
+    and tanh: the bytes of the float64 kernel that ran one GEMM per
+    kernel offset over chunks of output depth.  The float32 conv matches
+    it within a tolerance.
     """
     _, _, kr, kp, kq = weights.shape
     pd, ph, pw = padding
@@ -105,10 +107,10 @@ def maxpool3d_oracle(x, kernel, stride):
 
 
 def dense_oracle(x, weights, bias):
-    """tanh(W x + b) as one matrix-vector product of the float64 weights.
-
-    It fixes BLAS's summation over the whole matrix, so fast paths that
-    keep each output's bits must match it byte for byte.
+    """tanh(W x + b) as one matrix-vector product of the float64 weights:
+    the bytes of the float64 dense layer that upcast its weights one row
+    block at a time.  The float32 dense layer matches it within a
+    tolerance.
     """
     return np.tanh(weights.astype(np.float64) @ x + bias)
 

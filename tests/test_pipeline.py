@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import math
@@ -809,9 +810,9 @@ _GOLDEN_CSV = (
     "stream_accuracy,standing/rgb/r10,1.000000\n"
 )
 _GOLDEN_MODELS_SHA256 = {
-    "standing__dmm__w5__a0.models": "36b5adab958a9dcb97139f7d888a8abb85f91d42bfcc9ec952dfa76a8e1b7e4a",
-    "standing__dmm__w5__a30.models": "f511599c277d1d15a5253752d7d1f9aca4da30432cd69b087026758a07a7e5ba",
-    "standing__rgb__r10.models": "c06ed4cdb8844a2757811f275800dc7df46ee1c1ee5e2581b52ed4a7305731e7",
+    "standing__dmm__w5__a0.models": "c8af0374051faab19fdd6ff6ffc9a3013f850195aa8afa736861200a60bb9c45",
+    "standing__dmm__w5__a30.models": "ade460d6706fef3285b8bb39f493078d9aa4b33ee45ae5dc96e88704e1be95c7",
+    "standing__rgb__r10.models": "06ef6950ea6bbc1133ea0d79bee1967e1bcb04209e9e60116ea45846b724b7b8",
 }
 
 
@@ -1127,6 +1128,16 @@ def _fail_render_on(monkeypatch, rec, cfg):
     monkeypatch.setattr(pipeline, "render_templates", render)
 
 
+def _openblas_threads(action):
+    """The get_num_threads or set_num_threads function ("get" or "set") of
+    the scipy_openblas build that numpy's wheels link; skips without it."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return getattr(lib, f"scipy_openblas_{action}_num_threads64_")
+    except (AttributeError, OSError):
+        pytest.skip("numpy links no scipy_openblas build")
+
+
 def _assert_reaped(pids):
     assert multiprocessing.active_children() == []
     for pid in pids:
@@ -1181,6 +1192,31 @@ class TestTrainPool:
         warned = [w.split(": ")[0] for w in pooled.train_report.warnings]
         records = [str(small_dataset[i].depth_path) for i in split.train_indices]
         assert [w for w in dict.fromkeys(warned) if not w.startswith("stream ")] == records
+
+    def test_workers_split_the_blas_threads(
+        self, small_dataset, split, forks, monkeypatch, tmp_path
+    ):
+        # Each worker runs max(1, min(parent's threads, cores // workers))
+        # OpenBLAS threads: 1 for 2 workers on 2 cores whose parent runs 2.
+        get, set_threads = _openblas_threads("get"), _openblas_threads("set")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real = pipeline.extract_features
+
+        def extract(clip, net):  # forked workers inherit the patch
+            (tmp_path / str(os.getpid())).write_text(str(get()))
+            return real(clip, net)
+
+        monkeypatch.setattr(pipeline, "extract_features", extract)
+        before = get()
+        set_threads(2)
+        try:
+            train(small_dataset, split, desk_config(angles=(0.0,)))
+            assert get() == 2
+        finally:
+            set_threads(before)
+        reported = {int(p.name): int(p.read_text()) for p in tmp_path.iterdir()}
+        assert len(forks) == 2 and reported and set(reported) <= set(forks)
+        assert set(reported.values()) == {1}
 
     def test_no_child_outlives_train(self, small_dataset, split, forks):
         cfg = desk_config(angles=(0.0,))
