@@ -6,7 +6,10 @@ fixed-point Jacobi iteration.  estimate_flow takes stacks of frames with
 any leading pair axes, so all pairs of a sequence go through one call.
 It walks the pairs in chunks of FLOW_CHUNK_PIXELS pixels to bound its
 working set; each pair's result is bit-identical to solving that pair
-alone.  The magnitude map is the squared flow magnitude g = ox^2 + oy^2,
+alone.  The solver iterates in float32: each chunk of frames is cast as it
+is solved, and frames that are not finite in float32 are rejected.  The
+flow comes back as float64, so everything downstream stays float64.  The
+magnitude map is the squared flow magnitude g = ox^2 + oy^2,
 normalized per frame pair by its maximum so it can weight
 motion-template accumulation.
 """
@@ -23,17 +26,21 @@ DEFAULT_ITERATIONS = 100
 DEFAULT_SMOOTHNESS = 0.02
 
 # Pixels per batch of frame pairs solved together.  The Jacobi working
-# set is fifteen float64 buffers of this size, about 2 MB, so it stays
+# set is fifteen float32 buffers of this size, about 1 MB, so it stays
 # within a per-core L2 cache and peak memory stays flat however long the
 # sequence.
 FLOW_CHUNK_PIXELS = 1 << 14
 
 # Horn-Schunck neighborhood average: 8-connected, corners at half the
-# weight of edge neighbors.
-_AVG_WEIGHTS = (
-    (1 / 12, 1 / 6, 1 / 12),
-    (1 / 6, 0.0, 1 / 6),
-    (1 / 12, 1 / 6, 1 / 12),
+# weight of edge neighbors.  float32, like every solver operand: a float64
+# scalar would promote a whole step to float64.
+_AVG_WEIGHTS = np.array(
+    (
+        (1 / 12, 1 / 6, 1 / 12),
+        (1 / 6, 0.0, 1 / 6),
+        (1 / 12, 1 / 6, 1 / 12),
+    ),
+    dtype=np.float32,
 )
 # (weight, dy, dx) of each nonzero weight, in row-major order.
 _AVG_TERMS = tuple(
@@ -101,46 +108,73 @@ def _neighbor_average(flat, width, scaled, out):
         target += term
 
 
-def _horn_schunck(a, b, iterations, smoothness, ox, oy) -> None:
-    """Jacobi iterations on a (n, h, w) stack of pairs, written to ox and oy.
+def _finite_float32(frames: np.ndarray) -> np.ndarray:
+    """frames cast to float32; ContractError if any value is NaN, infinite
+    or beyond float32's range."""
+    with np.errstate(over="ignore"):
+        out = frames.astype(np.float32)
+    if not np.isfinite(out).all():
+        raise ContractError("flow frames must be finite and within float32 range")
+    return out
 
-    Every array lives on the edge-padded (n, h+2, w+2) grid, with u and v
-    stacked on a leading axis, so each step is a few whole-array ufuncs.
+
+def _padded_terms(a, b, smoothness):
+    """Gradients (2, n, h+2, w+2), temporal derivative and denominator of a
+    (n, h, w) stack of pairs, cast to float32, on the edge-padded grid.
+
     The border entries carry no flow: the gradients are zero and the
-    denominator one there, which keeps the wrapped border sums of
-    _neighbor_average finite, and the border of (u, v) is rewritten from
-    the interior before every use, so no pair's interior reads another's.
+    denominator one there.  Only these three arrays outlive the call, so
+    the cast frames and their mean stay out of the Jacobi working set.
     """
+    a = _finite_float32(a)
+    b = _finite_float32(b)
     n, h, w = a.shape
     inner = (..., slice(1, h + 1), slice(1, w + 1))
-    mean = np.empty((n, h + 2, w + 2))
+    mean = np.empty((n, h + 2, w + 2), dtype=np.float32)
     np.multiply(0.5, a + b, out=mean[inner])
     _refresh_border(mean)
     fx = 0.5 * (mean[..., 1 : 1 + h, 2:] - mean[..., 1 : 1 + h, :w])
     fy = 0.5 * (mean[..., 2:, 1 : 1 + w] - mean[..., :h, 1 : 1 + w])
-    grad = np.zeros((2,) + mean.shape)
+    grad = np.zeros((2,) + mean.shape, dtype=np.float32)
     grad[0][inner] = fx
     grad[1][inner] = fy
     ft = np.zeros_like(mean)
     ft[inner] = b - a
     denom = np.ones_like(mean)
     denom[inner] = smoothness**2 + fx**2 + fy**2
+    return grad, ft, denom
+
+
+def _horn_schunck(a, b, iterations, smoothness, ox, oy) -> None:
+    """Jacobi iterations on a (n, h, w) stack of pairs, written to ox and oy.
+
+    smoothness is float32, and so is every buffer: fifteen of the padded
+    (n, h+2, w+2) grid, with u and v stacked on a leading axis, so each
+    step is a few whole-array ufuncs.  The zero-flow border keeps the
+    wrapped border sums of _neighbor_average finite, and the border of
+    (u, v) is rewritten from the interior before every use, so no pair's
+    interior reads another's.
+    """
+    n, h, w = a.shape
+    grad, ft, denom = _padded_terms(a, b, smoothness)
     uv = np.zeros_like(grad)
     avg = np.zeros_like(grad)
     prod = np.empty_like(grad)
-    shared = np.empty_like(mean)
-    scaled = {weight: np.empty(uv.size) for weight, _, _ in _AVG_TERMS}
+    shared = np.empty_like(ft)
+    flat = uv.reshape(-1)
+    # One buffer per distinct weight, each allocated once.
+    scaled = {weight: np.empty_like(flat) for weight in {t[0] for t in _AVG_TERMS}}
     for _ in range(iterations):
         _refresh_border(uv)
-        _neighbor_average(uv.reshape(-1), w + 2, scaled, avg.reshape(-1))
+        _neighbor_average(flat, w + 2, scaled, avg.reshape(-1))
         np.multiply(grad, avg, out=prod)
         np.add(prod[0], prod[1], out=shared)
         shared += ft
         shared /= denom
         np.multiply(grad, shared, out=prod)
         np.subtract(avg, prod, out=uv)
-    ox[...] = uv[0][inner]
-    oy[...] = uv[1][inner]
+    ox[...] = uv[0, :, 1 : h + 1, 1 : w + 1]
+    oy[...] = uv[1, :, 1 : h + 1, 1 : w + 1]
 
 
 def estimate_flow(
@@ -162,8 +196,12 @@ def estimate_flow(
     Returns:
         FlowField with per-pixel (ox, oy) displacements, shaped like a.
         Each pair's flow is bit-identical to a call on that pair alone.
-        Pairs are solved in chunks of at most FLOW_CHUNK_PIXELS pixels
-        (one pair when a frame is larger).
+        Pairs are solved in float32, in chunks of at most FLOW_CHUNK_PIXELS
+        pixels (one pair when a frame is larger), and returned as float64.
+
+    Raises:
+        ContractError: on mismatched or smaller than 2x2 frames, or on a
+            frame value that is NaN, infinite or beyond float32's range.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -176,6 +214,7 @@ def estimate_flow(
     b3 = b.reshape(-1, h, w)
     ox = np.empty_like(a3)
     oy = np.empty_like(a3)
+    smoothness = np.float32(smoothness)
     step = max(1, FLOW_CHUNK_PIXELS // (h * w))
     for start in range(0, len(a3), step):
         chunk = slice(start, start + step)

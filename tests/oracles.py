@@ -132,17 +132,21 @@ def occupancy_oracle(depth, bin_mm, bin_count):
     return yz, xz
 
 
-def horn_schunck_oracle(a, b, iterations, smoothness):
+def horn_schunck_oracle(a, b, iterations, smoothness, dtype=np.float64):
     """Horn-Schunck flow for one frame pair, one edge-padded Jacobi step at a time.
 
     Gradients are central differences of the pair mean, the temporal
     derivative is b - a, and each step replaces (u, v) by the 8-neighbor
     weighted mean (corners 1/12, edges 1/6) minus the brightness-constancy
-    correction.  Returns (ox, oy).
+    correction.  Frames, weights, smoothness and every step are in dtype.
+    Returns (ox, oy) as float64.
     """
-    weights = ((1 / 12, 1 / 6, 1 / 12), (1 / 6, 0.0, 1 / 6), (1 / 12, 1 / 6, 1 / 12))
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    weights = np.array(
+        ((1 / 12, 1 / 6, 1 / 12), (1 / 6, 0.0, 1 / 6), (1 / 12, 1 / 6, 1 / 12)), dtype=dtype
+    )
+    a = np.asarray(a, dtype=np.float64).astype(dtype)
+    b = np.asarray(b, dtype=np.float64).astype(dtype)
+    smoothness = dtype(smoothness)
     h, w = a.shape
 
     def neighbor_average(f):
@@ -167,7 +171,7 @@ def horn_schunck_oracle(a, b, iterations, smoothness):
         shared = (fx * u_avg + fy * v_avg + ft) / denom
         u = u_avg - fx * shared
         v = v_avg - fy * shared
-    return u, v
+    return u.astype(np.float64), v.astype(np.float64)
 
 
 def draw_oracle(rng, out_dim, *in_shape):

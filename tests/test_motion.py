@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -99,18 +100,45 @@ class TestEstimateFlow:
         assert np.all(np.isfinite(flow.ox))
         assert np.all(np.isfinite(flow.oy))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_frame_rejected(self, bad, side):
+        # The bad pixel sits in the second chunk, after one has been solved.
+        frames = {"a": np.zeros((4, 6, 6)), "b": np.ones((4, 6, 6))}
+        frames[side][3, 2, 4] = bad
+        with mock.patch.object(motion, "FLOW_CHUNK_PIXELS", 2 * 6 * 6):
+            with pytest.raises(ContractError, match="finite"):
+                estimate_flow(frames["a"], frames["b"], iterations=3)
+
+    @pytest.mark.parametrize("value", [3.5e38, -1e39, 1e300])
+    def test_frame_beyond_float32_range_rejected(self, value):
+        a = np.zeros((2, 6, 6))
+        b = np.zeros((2, 6, 6))
+        b[1, 0, 0] = value
+        with pytest.raises(ContractError, match="float32 range"):
+            estimate_flow(a, b, iterations=3)
+
 
 def _assert_matches_oracle(a, b, iterations, smoothness=0.02):
     flow = estimate_flow(a, b, iterations=iterations, smoothness=smoothness)
     assert flow.ox.shape == flow.oy.shape == a.shape
     for idx in np.ndindex(a.shape[:-2]):
-        ox, oy = horn_schunck_oracle(a[idx], b[idx], iterations, smoothness)
+        ox, oy = horn_schunck_oracle(a[idx], b[idx], iterations, smoothness, dtype=np.float32)
         assert flow.ox[idx].tobytes() == ox.tobytes()
         assert flow.oy[idx].tobytes() == oy.tobytes()
 
 
+def _level_frames(seed, shape):
+    # Depth-like frames: a few coarse levels, so static and zero regions
+    # (where signed zeros could differ) are common.
+    local = np.random.default_rng(seed)
+    a = local.integers(0, 4, size=shape) * 50.0
+    b = np.where(local.random(a.shape) < 0.5, a, local.integers(0, 4, size=a.shape) * 50.0)
+    return a, b
+
+
 class TestBatchedFlow:
-    """Stacked pairs give byte-for-byte the per-pair Horn-Schunck result."""
+    """Stacked pairs give byte-for-byte the per-pair float32 Horn-Schunck result."""
 
     @given(
         st.integers(0, 10_000),
@@ -122,11 +150,7 @@ class TestBatchedFlow:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_per_pair_oracle(self, seed, h, w, lead, chunk_pairs, iterations):
-        # Depth-like frames: a few coarse levels, so static and zero
-        # regions (where signed zeros could differ) are common.
-        local = np.random.default_rng(seed)
-        a = local.integers(0, 4, size=lead + (h, w)) * 50.0
-        b = np.where(local.random(a.shape) < 0.5, a, local.integers(0, 4, size=a.shape) * 50.0)
+        a, b = _level_frames(seed, lead + (h, w))
         with mock.patch.object(motion, "FLOW_CHUNK_PIXELS", chunk_pairs * h * w):
             _assert_matches_oracle(a, b, iterations)
 
@@ -150,6 +174,79 @@ class TestBatchedFlow:
     def test_zero_iterations_give_zero_flow(self, rng):
         flow = estimate_flow(rng.random((3, 4, 4)), rng.random((3, 4, 4)), iterations=0)
         assert not flow.ox.any() and not flow.oy.any()
+
+
+class _AllocationRecorder:
+    """numpy as the motion module sees it, recording the dtype of every
+    array that an allocation function hands back."""
+
+    ALLOCATORS = frozenset({"empty", "zeros", "ones", "empty_like", "zeros_like", "ones_like"})
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        real = getattr(np, name)
+        if name not in self.ALLOCATORS:
+            return real
+
+        def allocate(*args, **kwargs):
+            out = real(*args, **kwargs)
+            self.dtypes.append(out.dtype)
+            return out
+
+        return allocate
+
+
+class TestFlowFloat32:
+    """The solver iterates in float32 and hands back float64."""
+
+    # Measured worst |float32 - float64| over the frames below: 1.9e-6
+    # (flow values up to about 150).
+    FLOW_ATOL = 4e-6
+
+    def test_near_the_float64_oracle(self):
+        worst = 0.0
+        for seed in range(20):
+            a, b = _level_frames(seed, (6, 12, 16))
+            for iterations in (1, 30, 100):
+                flow = estimate_flow(a, b, iterations=iterations)
+                for i in range(len(a)):
+                    ox, oy = horn_schunck_oracle(a[i], b[i], iterations, 0.02)
+                    worst = max(worst, np.abs(flow.ox[i] - ox).max())
+                    worst = max(worst, np.abs(flow.oy[i] - oy).max())
+        assert worst <= self.FLOW_ATOL
+
+    @pytest.mark.parametrize("smoothness", [0.3, np.float64(0.3)], ids=["float", "np.float64"])
+    def test_every_buffer_is_float32_and_flow_float64(self, smoothness):
+        a, b = _level_frames(5, (7, 9, 11))
+        recorder = _AllocationRecorder()
+        with mock.patch.object(motion, "FLOW_CHUNK_PIXELS", 3 * 9 * 11):
+            with mock.patch.object(motion, "np", recorder):
+                flow = estimate_flow(a, b, iterations=4, smoothness=smoothness)
+        # ox and oy are the only float64 arrays; three chunks of solver buffers.
+        assert recorder.dtypes[:2] == [np.float64, np.float64]
+        assert len(recorder.dtypes) > 2
+        assert all(dtype == np.float32 for dtype in recorder.dtypes[2:])
+        assert all(type(weight) is np.float32 for weight, _, _ in motion._AVG_TERMS)
+        assert flow.ox.dtype == flow.oy.dtype == np.float64
+        # A float64 operand anywhere in a step would change these bytes.
+        for i in range(len(a)):
+            ox, oy = horn_schunck_oracle(a[i], b[i], 4, smoothness, dtype=np.float32)
+            assert flow.ox[i].tobytes() == ox.tobytes()
+            assert flow.oy[i].tobytes() == oy.tobytes()
+
+    def test_peak_memory_is_the_outputs_and_fifteen_float32_chunks(self, rng):
+        a = rng.random((200, 48, 64)) * 255.0
+        b = a + rng.normal(size=a.shape)
+        tracemalloc.start()
+        try:
+            flow = estimate_flow(a, b, iterations=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = flow.ox.nbytes + flow.oy.nbytes
+        assert peak < outputs + 15 * 4 * motion.FLOW_CHUNK_PIXELS + 2**16
 
 
 class TestFlowMagnitude:
