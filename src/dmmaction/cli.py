@@ -3,6 +3,8 @@
 Subcommands cover the whole workflow: generate a synthetic dataset,
 extract features, train a plan, evaluate it under a split protocol,
 classify individual samples, and export rendered motion-map images.
+Each subcommand accepts only the flags it reads: eval and classify take
+their config from the plan, and only extract and train build one.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .pipeline import (
     read_manifest,
     render_templates,
     resolve_split,
+    save_plan,
     train,
 )
 from .synth import SynthSpec, generate_synthetic_dataset
@@ -38,7 +41,8 @@ from .videoio import read_depth_bin, write_image
 log = logging.getLogger(__name__)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags _load_cfg reads, for the subcommands that build a plan."""
     parser.add_argument("--config", type=Path, help="pipeline config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--pose-bank", help="restrict to one pose bank")
@@ -115,7 +119,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, rec in enumerate(records):
-        result = extract_sample(rec, cfg, plan)
+        result = extract_sample(rec, plan)
         arrays = {}
         for slot, feats in result.features.items():
             if feats is None:
@@ -131,10 +135,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = replace(_load_cfg(args), out_dir=str(args.out))
+    cfg = _load_cfg(args)
     records = _filter_pose(read_manifest(args.manifest), args)
     split = _resolve(args, records)
     plan = train(records, split, cfg)
+    save_plan(plan, args.out)
     report = plan.train_report
     for sid in sorted(report.per_stream):
         log.info("stream %s: train accuracy %.3f", sid, report.per_stream[sid])
@@ -171,7 +176,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_render_dmm(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
+    cfg = load_config(args.config) if args.config else PipelineConfig()
     window = parse_window(args.window)
     seq = read_depth_bin(args.depth)
     # The steps an (angle, plane) unit of extract_sample runs, for one template.
@@ -207,13 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract per-slot clip features to .npz files")
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    _add_common(p)
+    _add_config_flags(p)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("train", help="train a stream plan")
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path, help="plan output directory")
-    _add_common(p)
+    _add_config_flags(p)
     _add_split_flags(p)
     p.set_defaults(func=_cmd_train)
 
@@ -221,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--plan", required=True, type=Path)
     p.add_argument("--out", type=Path, help="CSV report path")
-    _add_common(p)
+    p.add_argument("--pose-bank", help="evaluate only this pose bank's records")
     _add_split_flags(p)
     p.set_defaults(func=_cmd_eval)
 
@@ -229,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--plan", required=True, type=Path)
     p.add_argument("--index", type=int, help="classify only this record")
-    _add_common(p)
+    p.add_argument("--pose-bank", help="classify only this pose bank's records")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("render-dmm", help="export one rendered motion map")
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="all")
     p.add_argument("--angle", type=float, default=0.0)
     p.add_argument("--t", type=int, default=0)
-    _add_common(p)
+    p.add_argument("--config", type=Path, help="pipeline config file")
     p.set_defaults(func=_cmd_render_dmm)
 
     return parser

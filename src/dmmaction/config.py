@@ -59,7 +59,6 @@ class PipelineConfig:
     depth_as_rgb: bool = False
     bypass_view_synthesis: bool = False
     seed: int = 0
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if not self.poses:
@@ -70,8 +69,6 @@ class PipelineConfig:
             # Model file names map '/' to '__': poses a/b and a__b would share files.
             if "/" in name:
                 raise ConfigError(f"pose {name!r} holds '/', which separates stream id fields")
-        if self.out_dir is not None and (not _text_safe(self.out_dir) or self.out_dir == "none"):
-            raise ConfigError(f"out_dir {self.out_dir!r} cannot be written to a config file")
         if not self.planes or any(p not in PLANES for p in self.planes):
             raise ConfigError(f"planes must be a non-empty subset of {PLANES}")
         if not self.angles:
@@ -230,7 +227,7 @@ def _parse_value(key: str, kind: str, text: str):
         if caster is str:
             return tuple(t.strip("\"'") for t in items)
         return tuple(caster(t) for t in items)
-    if kind in ("str", "str | None"):
+    if kind == "str":
         value = text.strip("\"'")
     else:
         value = _parse_scalar(text)

@@ -7,11 +7,11 @@ any leading pair axes, so all pairs of a sequence go through one call.
 It walks the pairs in chunks of FLOW_CHUNK_PIXELS pixels to bound its
 working set; each pair's result is bit-identical to solving that pair
 alone.  The solver iterates in float32: each chunk of frames is cast as it
-is solved, and frames that are not finite in float32 are rejected.  The
-flow comes back as float64, so everything downstream stays float64.  The
-magnitude map is the squared flow magnitude g = ox^2 + oy^2,
-normalized per frame pair by its maximum so it can weight
-motion-template accumulation.
+is solved, and frames that are not finite in float32, or whose sums or
+squared gradients overflow it, are rejected.  The flow comes back as
+float64, so everything downstream stays float64.  The magnitude map is
+the squared flow magnitude g = ox^2 + oy^2, normalized per frame pair by
+its maximum so it can weight motion-template accumulation.
 """
 
 from __future__ import annotations
@@ -108,16 +108,6 @@ def _neighbor_average(flat, width, scaled, out):
         target += term
 
 
-def _finite_float32(frames: np.ndarray) -> np.ndarray:
-    """frames cast to float32; ContractError if any value is NaN, infinite
-    or beyond float32's range."""
-    with np.errstate(over="ignore"):
-        out = frames.astype(np.float32)
-    if not np.isfinite(out).all():
-        raise ContractError("flow frames must be finite and within float32 range")
-    return out
-
-
 def _padded_terms(a, b, smoothness):
     """Gradients (2, n, h+2, w+2), temporal derivative and denominator of a
     (n, h, w) stack of pairs, cast to float32, on the edge-padded grid.
@@ -125,23 +115,32 @@ def _padded_terms(a, b, smoothness):
     The border entries carry no flow: the gradients are zero and the
     denominator one there.  Only these three arrays outlive the call, so
     the cast frames and their mean stay out of the Jacobi working set.
+    ContractError if ft or denom is not finite: ft = b - a is not when a
+    frame value is NaN, infinite or beyond float32's range, and denom, which
+    holds the squared gradients, is not when they or a + b overflow.
     """
-    a = _finite_float32(a)
-    b = _finite_float32(b)
     n, h, w = a.shape
     inner = (..., slice(1, h + 1), slice(1, w + 1))
     mean = np.empty((n, h + 2, w + 2), dtype=np.float32)
-    np.multiply(0.5, a + b, out=mean[inner])
-    _refresh_border(mean)
-    fx = 0.5 * (mean[..., 1 : 1 + h, 2:] - mean[..., 1 : 1 + h, :w])
-    fy = 0.5 * (mean[..., 2:, 1 : 1 + w] - mean[..., :h, 1 : 1 + w])
+    ft = np.zeros_like(mean)
+    denom = np.ones_like(mean)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = a.astype(np.float32)
+        b = b.astype(np.float32)
+        np.multiply(0.5, a + b, out=mean[inner])
+        _refresh_border(mean)
+        fx = 0.5 * (mean[..., 1 : 1 + h, 2:] - mean[..., 1 : 1 + h, :w])
+        fy = 0.5 * (mean[..., 2:, 1 : 1 + w] - mean[..., :h, 1 : 1 + w])
+        ft[inner] = b - a
+        denom[inner] = smoothness**2 + fx**2 + fy**2
+    if not (np.isfinite(ft).all() and np.isfinite(denom).all()):
+        raise ContractError(
+            "flow frames must be finite and within float32 range, and must not "
+            "overflow it in their sums or squared gradients"
+        )
     grad = np.zeros((2,) + mean.shape, dtype=np.float32)
     grad[0][inner] = fx
     grad[1][inner] = fy
-    ft = np.zeros_like(mean)
-    ft[inner] = b - a
-    denom = np.ones_like(mean)
-    denom[inner] = smoothness**2 + fx**2 + fy**2
     return grad, ft, denom
 
 
@@ -200,8 +199,10 @@ def estimate_flow(
         pixels (one pair when a frame is larger), and returned as float64.
 
     Raises:
-        ContractError: on mismatched or smaller than 2x2 frames, or on a
-            frame value that is NaN, infinite or beyond float32's range.
+        ContractError: on mismatched or smaller than 2x2 frames, on a
+            frame value that is NaN, infinite or beyond float32's range, or
+            on frames whose sum, difference or squared gradients overflow
+            float32.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

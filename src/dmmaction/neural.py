@@ -482,7 +482,7 @@ def _draw(
 def _build(
     rng: np.random.Generator,
     name: str,
-    input_shape: tuple[int, int, int, int],
+    clip_shape: tuple[int, int, int],
     groups: Sequence[Sequence[int]],
     fc_name: str,
     fc_units: int,
@@ -490,6 +490,7 @@ def _build(
     """Padded 3x3x3 conv groups, each closed by a pool (1x2x2 after the
     first, 2x2x2 after the rest), then one dense layer, drawn from rng in
     layer order (see _draw)."""
+    input_shape = (3, *clip_shape)  # clip_to_tensor yields three channels
     layers: list[Layer] = []
     channels = input_shape[0]
     for g, maps in enumerate(groups, start=1):
@@ -510,21 +511,18 @@ def _build(
 def c3d_network(
     rng: np.random.Generator,
     name: str = "c3d",
-    in_channels: int = 3,
     clip_len: int = 16,
     height: int = 112,
     width: int = 112,
     fc_units: int = 4096,
 ) -> NetworkSpec:
     """The canonical eight-conv/five-pool stack, ending at fc6."""
-    shape = (in_channels, clip_len, height, width)
-    return _build(rng, name, shape, _C3D_GROUPS, "fc6", fc_units)
+    return _build(rng, name, (clip_len, height, width), _C3D_GROUPS, "fc6", fc_units)
 
 
 def desk_network(
     rng: np.random.Generator,
     name: str = "desk",
-    in_channels: int = 3,
     clip_len: int = 16,
     height: int = 32,
     width: int = 32,
@@ -532,6 +530,5 @@ def desk_network(
     fc_units: int = 64,
 ) -> NetworkSpec:
     """Small two-conv/two-pool stack for synthetic-data runs."""
-    shape = (in_channels, clip_len, height, width)
-    return _build(rng, name, shape, [(m,) for m in conv_maps], "fc", fc_units)
+    return _build(rng, name, (clip_len, height, width), [(m,) for m in conv_maps], "fc", fc_units)
 

@@ -7,7 +7,9 @@ which are extracted and kept once per slot.  The orchestrator
 runs samples through every stream of their pose bank and fuses per-stream
 scores by averaging, depth streams first, then depth with appearance.
 
-Everything here is deterministic: stream weights derive from (seed,
+A plan's config (StreamPlan.cfg) is the one source of its settings:
+extraction reads it from the plan, and only save_plan writes a plan to
+disk.  Everything here is deterministic: stream weights derive from (seed,
 stream id), so a plan rebuilds bit-identically from its saved config.
 train and evaluate each open one fork pool for their loop (see
 _unit_pool).  The loop still extracts every record in the calling
@@ -415,7 +417,6 @@ def _clip_features(frames: list[np.ndarray], lam: int, net: NetworkSpec) -> list
 
 
 def _plane_features(
-    cfg: PipelineConfig,
     plan: StreamPlan,
     pose: str,
     angle: float,
@@ -426,6 +427,7 @@ def _plane_features(
     """One (angle, plane) unit: the flow weights of maps, then for each
     window the clip features of its rendered templates on that stream's
     network."""
+    cfg = plan.cfg
     weights = _flow_weights(maps, cfg)
     per_window = []
     for window in windows:
@@ -438,25 +440,23 @@ def _plane_features(
 
 
 def _appearance_features(
-    cfg: PipelineConfig, plan: StreamPlan, stream_id: str, rgb_len: int, frames: list[np.ndarray]
+    plan: StreamPlan, stream_id: str, rgb_len: int, frames: list[np.ndarray]
 ) -> list[np.ndarray]:
     """One appearance unit: the clip features of one RGB window."""
     return _clip_features(frames, rgb_len, plan.network(stream_id))
 
 
-def _run_units(cfg: PipelineConfig, plan: StreamPlan, unit, args: Iterable[tuple]):
-    """unit(cfg, plan, *a) for each a in args, in order: a plain map here,
-    or, while plan._pool is open, submitted to its workers (which hold the
-    cfg and plan they were forked with) and returned as a lazy iterator,
-    so the caller can submit more units before it joins these."""
+def _run_units(plan: StreamPlan, unit, args: Iterable[tuple]):
+    """unit(plan, *a) for each a in args, in order: a plain map here, or,
+    while plan._pool is open, submitted to its workers (which hold the
+    plan they were forked with) and returned as a lazy iterator, so the
+    caller can submit more units before it joins these."""
     if plan._pool is None:
-        return [unit(cfg, plan, *a) for a in args]
+        return [unit(plan, *a) for a in args]
     return plan._pool.map(_unit_in_worker, itertools.repeat(unit), args)
 
 
-def extract_sample(
-    rec: SampleRecord, cfg: PipelineConfig, plan: StreamPlan | None = None
-) -> ExtractResult:
+def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
     """Run one sample through every stream of its pose bank.
 
     Depth side: crop mask, synthesize each view angle (the original maps
@@ -473,20 +473,20 @@ def extract_sample(
     depend on where they ran.
 
     Args:
-        rec: manifest record; its pose must be one of cfg.poses.
-        cfg: pipeline configuration.
-        plan: optional plan whose cached networks should be reused.
+        rec: manifest record; its pose must be one of plan.cfg.poses.
+        plan: the streams to run, their configuration (plan.cfg) and their
+            cached networks; build_streams(cfg) makes one from a config.
 
     Returns:
         ExtractResult keyed by Stream.slot; slots the sequence is too
         short for get an empty list and a warning, appearance slots
         without RGB input get None.
     """
+    cfg = plan.cfg
     if rec.pose not in cfg.poses:
         raise ContractError(
             f"sample pose {rec.pose!r} is not one of the configured poses {cfg.poses}"
         )
-    plan = plan if plan is not None else build_streams(cfg)
     bank = [s for s in plan.streams if s.pose == rec.pose]
     warnings: list[str] = []
 
@@ -515,7 +515,7 @@ def extract_sample(
         for alpha, projected in _views(depth_seq, cfg, angles if windows else [])
         for p in cfg.planes
     )
-    depth = _run_units(cfg, plan, _plane_features, plane_units)
+    depth = _run_units(plan, _plane_features, plane_units)
 
     features: dict[str, list[np.ndarray] | None] = {
         _dmm_slot_id(rec.pose, w, a): [] for w in cfg.depth_windows for a in angles
@@ -534,7 +534,7 @@ def extract_sample(
                 )
                 continue
             appearance.append((s.id, s.rgb_len, rgb_frames))
-    rgb = _run_units(cfg, plan, _appearance_features, appearance)
+    rgb = _run_units(plan, _appearance_features, appearance)
 
     per_unit = dict(zip(itertools.product(angles, cfg.planes), depth))
     for j, window in enumerate(windows):
@@ -741,27 +741,27 @@ def _blas_threads():
     return None
 
 
-# (plan.cfg, plan) of the train or evaluate call that forked this worker.
-_worker_args: tuple[PipelineConfig, StreamPlan] | None = None
+# The plan of the train or evaluate call that forked this worker.
+_worker_plan: StreamPlan | None = None
 
 
-def _init_worker(cfg: PipelineConfig, plan: StreamPlan, blas_threads: int | None) -> None:
-    """Keep (cfg, plan) for this worker's units and, unless blas_threads is
-    None, run this worker's OpenBLAS with that many threads."""
-    global _worker_args
-    _worker_args = (cfg, plan)
+def _init_worker(plan: StreamPlan, blas_threads: int | None) -> None:
+    """Keep plan for this worker's units and, unless blas_threads is None,
+    run this worker's OpenBLAS with that many threads."""
+    global _worker_plan
+    _worker_plan = plan
     if blas_threads is not None:
         _blas_threads()[1](blas_threads)
 
 
 def _unit_in_worker(unit, args: tuple):
-    return unit(*_worker_args, *args)
+    return unit(_worker_plan, *args)
 
 
 @contextmanager
 def _unit_pool(plan: StreamPlan, poses: set[str]) -> Iterator[None]:
     """Keep plan._pool open for the with block: _pool_size workers that get
-    (plan.cfg, plan) by fork, not by pickling.  The pose banks' networks
+    the plan by fork, not by pickling.  The pose banks' networks
     are built first, in stream order, and the pool opens only if the cache
     keeps every one of them, so that workers build none; the first one it
     does not keep ends the building.  Below 2 workers or without fork,
@@ -792,7 +792,7 @@ def _unit_pool(plan: StreamPlan, poses: set[str]) -> Iterator[None]:
                     workers,
                     mp_context=multiprocessing.get_context("fork"),
                     initializer=_init_worker,
-                    initargs=(plan.cfg, plan, threads),
+                    initargs=(plan, threads),
                 )
     try:
         yield
@@ -826,12 +826,12 @@ def train(
     Args:
         records: full dataset.
         split: resolved index partition; every label must occur in train.
-        cfg: pipeline configuration; cfg.out_dir, when set, receives the
-            persisted plan.
+        cfg: pipeline configuration.
 
     Returns:
         The trained StreamPlan; plan.train_report carries per-stream
-        training accuracy and skip warnings.
+        training accuracy and skip warnings.  Nothing is written to disk:
+        save_plan persists a plan.
     """
     plan = build_streams(cfg)
     _check_indices(len(records), split.train_indices, split.test_indices)
@@ -856,7 +856,7 @@ def train(
     train_records = [records[i] for i in split.train_indices]
     with _unit_pool(plan, {r.pose for r in train_records}):
         for rec in train_records:
-            result = extract_sample(rec, cfg, plan)
+            result = extract_sample(rec, plan)
             warnings.extend(result.warnings)
             for slot, feats in result.features.items():
                 if not feats:
@@ -902,8 +902,6 @@ def train(
     plan.train_report = report
     for w in warnings:
         log.warning("%s", w)
-    if cfg.out_dir is not None:
-        save_plan(plan, cfg.out_dir)
     return plan
 
 
@@ -939,7 +937,7 @@ def classify(
         raise StateError(
             f"plan has no trained streams for pose {rec.pose!r}; train it first"
         )
-    result = extract_sample(rec, cfg, plan)
+    result = extract_sample(rec, plan)
     normalize = cfg.score_mode == "softmax"
     dmm_scores: list[ScoreVector] = []
     rgb_scores: list[ScoreVector] = []

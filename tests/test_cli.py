@@ -1,6 +1,8 @@
+import argparse
 import io
 import logging
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -8,8 +10,20 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dmmaction import SynthSpec, dmm, extract_sample, generate_synthetic_dataset, read_manifest
-from dmmaction.cli import main
+from dmmaction import (
+    SynthSpec,
+    build_streams,
+    dmm,
+    extract_sample,
+    generate_synthetic_dataset,
+    load_plan,
+    pipeline,
+    read_manifest,
+    resolve_split,
+    save_plan,
+    train,
+)
+from dmmaction.cli import build_parser, main
 from dmmaction.config import config_to_text
 from dmmaction.videoio import read_image
 from conftest import desk_config, run_python_in_c_locale
@@ -132,6 +146,45 @@ class TestTrain:
         assert not (tmp_path / "plan").exists()
 
 
+def _tree_bytes(root: Path) -> dict[Path, bytes]:
+    """Every file under root, by its relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestRetrainFromASavedConfig:
+    """A plan the CLI trained holds its config; training on that config
+    again, as a library call, writes nothing, the plan included."""
+
+    @pytest.fixture
+    def plan_dir(self, ws, tmp_path):
+        cfg = tmp_path / "two-planes.cfg"
+        cfg.write_text(
+            config_to_text(desk_config(planes=("xy", "yz"), angles=(0.0,), rgb_windows=()))
+        )
+        code, _ = _run(["train", "--manifest", str(ws.manifest), "--out",
+                        str(tmp_path / "plan"), "--config", str(cfg)])
+        assert code == 0
+        return tmp_path / "plan"
+
+    def test_train_writes_nothing_to_disk(self, ws, plan_dir, tmp_path, monkeypatch):
+        records = read_manifest(ws.manifest)
+        split = resolve_split(records, "cross-subject")
+        before = _tree_bytes(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        with mock.patch.object(pipeline, "save_plan", wraps=save_plan) as save:
+            train(records, split, load_plan(plan_dir).cfg)
+        assert save.call_count == 0
+        assert _tree_bytes(tmp_path) == before
+
+    def test_retrain_leaves_the_plan_byte_identical(self, ws, plan_dir):
+        records = read_manifest(ws.manifest)
+        split = resolve_split(records, "cross-subject")
+        before = _tree_bytes(plan_dir)
+        cfg = replace(load_plan(plan_dir).cfg, planes=("xy",))
+        assert set(train(records, split, cfg).svm) == {"standing/dmm/xy/w5/a0"}
+        assert _tree_bytes(plan_dir) == before
+
+
 @pytest.fixture(scope="module")
 def umlaut_ws(ws, tmp_path_factory):
     """A one-stream plan trained on ws's records with the label bob spelt b\u00f6b."""
@@ -230,7 +283,7 @@ class TestExtract:
         assert [f.name for f in files] == ["sample_0000.npz"]
         # One array per slot clip: the three plane streams of a depth slot
         # share one concatenated vector, stored once.
-        want = extract_sample(read_manifest(mini)[0], desk_config()).features
+        want = extract_sample(read_manifest(mini)[0], build_streams(desk_config())).features
         with np.load(files[0]) as npz:
             assert list(want) == ["standing/dmm/w5/a0", "standing/dmm/w5/a30", "standing/rgb/r10"]
             keys = [f"{slot}|{j}" for slot, feats in want.items() for j in range(len(feats))]
@@ -301,7 +354,7 @@ class TestRenderDmmMatchesPipeline:
         with mock.patch.object(dmm, "accumulate_ramdmm", accumulate), mock.patch.object(
             dmm, "render_template", render
         ):
-            extract_sample(rec, cfg)
+            extract_sample(rec, build_streams(cfg))
         assert len(keys) == len(images)
         rendered = dict(zip(keys, images))
         assert read_image(out).tobytes() == rendered[("yz", 5, 3)].tobytes()
@@ -314,18 +367,22 @@ class TestBadArguments:
             ["classify", "--index", "99"],
             ["classify", "--index", "-1"],
             ["render-dmm", "--window", "abc"],
-            ["render-dmm", "--windows", "5,x"],
-            ["render-dmm", "--angles", "0,x"],
+            ["extract", "--windows", "5,x"],
+            ["extract", "--angles", "0,x"],
         ],
         ids=["index-99", "index-negative", "window-abc", "windows-5x", "angles-0x"],
     )
     def test_exits_two_with_one_error_line(self, ws, tmp_path, caplog, argv):
         command, *flags = argv
+        dest = tmp_path / "out"
         if command == "classify":
             argv = [command, "--manifest", str(ws.manifest), "--plan", str(ws.plan), *flags]
+        elif command == "extract":
+            argv = [command, "--manifest", str(ws.manifest), "--out", str(dest),
+                    "--config", str(ws.cfg), *flags]
         else:
             depth = read_manifest(ws.manifest)[0].depth_path
-            argv = [command, "--depth", str(depth), "--out", str(tmp_path / "o.ppm"), *flags]
+            argv = [command, "--depth", str(depth), "--out", str(dest), *flags]
         with caplog.at_level(logging.ERROR):
             code, out = _run(argv)
         assert code == 2
@@ -334,7 +391,7 @@ class TestBadArguments:
         assert len(errors) == 1
         assert errors[0].exc_info is None
         assert "\n" not in errors[0].getMessage()
-        assert not (tmp_path / "o.ppm").exists()
+        assert not dest.exists()
 
 
 class TestCollidingAngles:
@@ -351,7 +408,58 @@ class TestCollidingAngles:
         assert not out.exists()
 
 
+# Every subcommand's options: each one is read by its command.
+_OPTIONS = {
+    "synth": ["--out", "--seed", "--actions", "--subjects", "--cameras", "--frames",
+              "--width", "--height", "--noise", "--jitter"],
+    "extract": ["--manifest", "--out", "--config", "--seed", "--pose-bank", "--angles",
+                "--windows"],
+    "train": ["--manifest", "--out", "--config", "--seed", "--pose-bank", "--angles",
+              "--windows", "--split", "--train-subjects", "--train-cameras"],
+    "eval": ["--manifest", "--plan", "--out", "--pose-bank", "--split", "--train-subjects",
+             "--train-cameras"],
+    "classify": ["--manifest", "--plan", "--index", "--pose-bank"],
+    "render-dmm": ["--depth", "--out", "--plane", "--window", "--angle", "--t", "--config"],
+}
+
+# Required options, with values that parse, of the commands that lost flags.
+_REQUIRED = {
+    "eval": ["--manifest", "m.tsv", "--plan", "plan"],
+    "classify": ["--manifest", "m.tsv", "--plan", "plan"],
+    "render-dmm": ["--depth", "d.bin", "--out", "o.ppm"],
+}
+
+
 class TestParser:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        (subparsers,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        got = {
+            name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for name, p in subparsers.choices.items()
+        }
+        assert got == _OPTIONS
+        assert sum(map(len, got.values())) == 45
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command, removed in (
+                ("eval", ("--config", "--seed", "--angles", "--windows")),
+                ("classify", ("--config", "--seed", "--angles", "--windows")),
+                ("render-dmm", ("--seed", "--pose-bank", "--angles", "--windows")),
+            )
+            for flag in removed
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_two(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *_REQUIRED[command], flag, "5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -128,9 +128,9 @@ class TestParsing:
         assert cfg.render_size == (64, 48)
 
     def test_none_token(self):
-        cfg = parse_config_text("fc_units = none\nout_dir = none\n")
+        cfg = parse_config_text("fc_units = none\nfocal_px = none\n")
         assert cfg.fc_units is None
-        assert cfg.out_dir is None
+        assert cfg.focal_px is None
 
     def test_boolean_values(self):
         cfg = parse_config_text("depth_as_rgb = true\nbypass_view_synthesis = false\n")
@@ -231,7 +231,6 @@ class TestRoundTrip:
             score_mode="raw",
             depth_as_rgb=True,
             seed=1234,
-            out_dir="runs/exp1",
         )
         assert parse_config_text(config_to_text(cfg)) == cfg
 
@@ -298,7 +297,6 @@ def _valid_configs(draw):
         depth_as_rgb=draw(st.booleans()),
         bypass_view_synthesis=draw(st.booleans()),
         seed=draw(st.integers(0, 2**64)),
-        out_dir=draw(st.none() | _NAMES.filter(lambda s: s != "none")),
     )
 
 
@@ -332,15 +330,26 @@ class TestConfigTextNeverMisparsed:
     @pytest.mark.parametrize(
         "line, field, value",
         [
-            ("out_dir = 2024", "out_dir", "2024"),
-            ("out_dir = true", "out_dir", "true"),
-            ("out_dir = 1.5e3", "out_dir", "1.5e3"),
             ("network_preset = desk", "network_preset", "desk"),
             ("poses = [2024, true]", "poses", ("2024", "true")),
         ],
     )
     def test_string_fields_read_literally(self, line, field, value):
         assert getattr(parse_config_text(line + "\n"), field) == value
+
+    @pytest.mark.parametrize(
+        "line, text",
+        [
+            ("network_preset = 2024", "'2024'"),
+            ("flow_normalization = 1.5e3", "'1.5e3'"),
+            ("score_mode = true", "'true'"),
+        ],
+    )
+    def test_string_fields_read_literally_in_errors(self, line, text):
+        # Read as a number or a boolean, the value would print unquoted.
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(line + "\n")
+        assert text in str(exc.value)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -356,11 +365,6 @@ class TestConfigTextNeverMisparsed:
             ("poses", ("a\x85b",)),
             ("poses", ("",)),
             ("poses", (5,)),
-            ("out_dir", "runs#1"),
-            ("out_dir", "runs\x00"),
-            ("out_dir", "runs "),
-            ("out_dir", "none"),
-            ("out_dir", 5),
             ("angles", ("a",)),
             ("angles", (None,)),
             ("depth_bin_mm", 10**400),

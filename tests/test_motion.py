@@ -118,6 +118,34 @@ class TestEstimateFlow:
         with pytest.raises(ContractError, match="float32 range"):
             estimate_flow(a, b, iterations=3)
 
+    @pytest.mark.parametrize(
+        "a_value, b_value",
+        [
+            (np.finfo(np.float32).max, np.finfo(np.float32).max),  # a + b overflows
+            (np.finfo(np.float32).max, -np.finfo(np.float32).max),  # b - a overflows
+            (1e20, 1e20),  # a squared gradient overflows
+        ],
+        ids=["sum", "difference", "squared-gradient"],
+    )
+    def test_frames_overflowing_the_solver_rejected(self, a_value, b_value):
+        # Finite in float32, yet the solver's float32 arithmetic overflows,
+        # which would make the flow NaN or wrong.
+        a = np.zeros((2, 6, 6))
+        b = np.zeros((2, 6, 6))
+        a[1, 2, 3] = a_value
+        b[1, 2, 3] = b_value
+        with pytest.raises(ContractError, match="overflow"):
+            estimate_flow(a, b, iterations=3)
+
+    def test_u32_depth_range_solves_to_finite_flow(self):
+        # The largest step a depth map can hold, moving one pixel right.
+        a = np.zeros((2, 6, 6))
+        a[:, 1:4, 1:3] = 2**32 - 1
+        b = np.roll(a, 1, axis=-1)
+        flow = estimate_flow(a, b, iterations=5)
+        assert np.isfinite(flow.ox).all() and np.isfinite(flow.oy).all()
+        assert np.abs(flow.ox).max() > 0
+
 
 def _assert_matches_oracle(a, b, iterations, smoothness=0.02):
     flow = estimate_flow(a, b, iterations=iterations, smoothness=smoothness)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmmaction import (
+    ConfigError,
     ContractError,
     DmmActionError,
     FormatError,
@@ -233,8 +234,8 @@ class TestExtractSample:
     def test_determinism(self, small_dataset):
         cfg = desk_config(angles=(0.0,))
         rec = small_dataset[0]
-        a = extract_sample(rec, cfg)
-        b = extract_sample(rec, cfg)
+        a = extract_sample(rec, build_streams(cfg))
+        b = extract_sample(rec, build_streams(cfg))
         assert a.features.keys() == b.features.keys()
         for sid in a.features:
             fa, fb = a.features[sid], b.features[sid]
@@ -246,11 +247,11 @@ class TestExtractSample:
     def test_unconfigured_pose_rejected(self, small_dataset):
         cfg = desk_config(poses=("sitting",))
         with pytest.raises(ContractError, match="pose"):
-            extract_sample(small_dataset[0], cfg)
+            extract_sample(small_dataset[0], build_streams(cfg))
 
     def test_too_short_sequence_skips_with_warning(self, small_dataset):
         cfg = desk_config(angles=(0.0,), clip_len=30)
-        result = extract_sample(small_dataset[0], cfg)
+        result = extract_sample(small_dataset[0], build_streams(cfg))
         dmm_sids = [sid for sid in result.features if "/dmm/" in sid]
         assert dmm_sids
         assert all(result.features[sid] == [] for sid in dmm_sids)
@@ -263,7 +264,7 @@ class TestExtractSample:
         ) as flow, mock.patch(
             "dmmaction.pipeline.synthesize_view", wraps=synthesize_view
         ) as view:
-            result = extract_sample(small_dataset[0], cfg)
+            result = extract_sample(small_dataset[0], build_streams(cfg))
         assert flow.call_count == 0
         assert view.call_count == 0
         assert all(f == [] for sid, f in result.features.items() if "/dmm/" in sid)
@@ -275,7 +276,7 @@ class TestExtractSample:
         with mock.patch(
             "dmmaction.dmm.render_template", wraps=dmm.render_template
         ) as render:
-            result = extract_sample(small_dataset[0], cfg)
+            result = extract_sample(small_dataset[0], build_streams(cfg))
         assert render.call_count == 3 * (8 + 16)
         assert [len(result.features[f"standing/dmm/w{w}/a0"]) for w in (5, "all")] == [1, 2]
 
@@ -291,7 +292,7 @@ class TestExtractSample:
             frames = [_resize_rgb(f.pixels, cfg.render_size) for f in rgb.frames]
         assert len(frames) == 20
         plan = build_streams(cfg)
-        result = extract_sample(rec, cfg, plan)
+        result = extract_sample(rec, plan)
         for lam, ends in ((6, [5, 11, 17]), (10, [9, 19])):
             sid = f"standing/rgb/r{lam}"
             got = result.features[sid]
@@ -305,22 +306,22 @@ class TestExtractSample:
     def test_missing_rgb_marks_stream_absent(self, small_dataset):
         cfg = desk_config(angles=(0.0,))
         rec = dataclasses.replace(small_dataset[0], rgb_path=None)
-        result = extract_sample(rec, cfg)
+        result = extract_sample(rec, build_streams(cfg))
         assert result.features["standing/rgb/r10"] is None
         assert any("rgb" in w.lower() for w in result.warnings)
 
     def test_depth_as_rgb_fills_appearance_stream(self, small_dataset):
         cfg = desk_config(angles=(0.0,), depth_as_rgb=True)
         rec = dataclasses.replace(small_dataset[0], rgb_path=None)
-        result = extract_sample(rec, cfg)
+        result = extract_sample(rec, build_streams(cfg))
         assert result.features["standing/rgb/r10"]
 
     def test_alpha_zero_equals_bypass_variant(self, small_dataset):
         cfg = desk_config()
         bypass = desk_config(bypass_view_synthesis=True)
         rec = small_dataset[1]
-        a = extract_sample(rec, cfg)
-        b = extract_sample(rec, bypass)
+        a = extract_sample(rec, build_streams(cfg))
+        b = extract_sample(rec, build_streams(bypass))
         got, want = a.features["standing/dmm/w5/a0"], b.features["standing/dmm/w5/a0"]
         assert len(got) == len(want) >= 1
         for va, vb in zip(got, want):
@@ -329,7 +330,7 @@ class TestExtractSample:
     def test_only_the_record_pose_bank_appears(self, small_dataset):
         cfg = desk_config(poses=("sitting", "standing"))
         plan = build_streams(cfg)
-        result = extract_sample(small_dataset[0], cfg, plan)
+        result = extract_sample(small_dataset[0], plan)
         bank = [s for s in plan.streams if s.pose == "standing"]
         assert list(result.features) == list(dict.fromkeys(s.slot for s in bank))
         assert all(result.features.values())
@@ -354,7 +355,7 @@ class TestExtractSample:
         with mock.patch.object(pipeline, "extract_features", record), mock.patch.object(
             pipeline, "stack_clip", wraps=stack_clip
         ) as stack:
-            result = extract_sample(small_dataset[0], cfg, plan)
+            result = extract_sample(small_dataset[0], plan)
         ends = {5: [7], "all": [7, 15]}
         slots = [(w, a) for w in (5, "all") for a in ("0", "30")]
         assert list(result.features) == [f"standing/dmm/w{w}/a{a}" for w, a in slots]
@@ -383,7 +384,7 @@ class TestExtractSample:
         manifest = generate_synthetic_dataset(tmp_path, spec, seed=6)
         rec = next(r for r in read_manifest(manifest) if r.label == "static")
         plan = build_streams(cfg)
-        result = extract_sample(rec, cfg, plan)
+        result = extract_sample(rec, plan)
         plane_shapes = {"xy": (36, 48), "yz": (64, 36), "xz": (48, 64)}
         segments = []
         for plane in ("xy", "yz", "xz"):
@@ -651,16 +652,16 @@ class TestTrain:
             assert len(p.svm) == 4
 
     def test_retrain_bit_identical_model_files(self, small_dataset, split, tmp_path):
-        cfg_a = desk_config(angles=(0.0,), out_dir=str(tmp_path / "a"))
-        cfg_b = desk_config(angles=(0.0,), out_dir=str(tmp_path / "b"))
-        train(small_dataset, split, cfg_a)
-        train(small_dataset, split, cfg_b)
+        cfg = desk_config(angles=(0.0,))
+        save_plan(train(small_dataset, split, cfg), tmp_path / "a")
+        save_plan(train(small_dataset, split, cfg), tmp_path / "b")
         files_a = sorted((tmp_path / "a" / "streams").iterdir())
         files_b = sorted((tmp_path / "b" / "streams").iterdir())
         assert [f.name for f in files_a] == [f.name for f in files_b]
         assert files_a
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes(), fa.name
+
 
 
 def _rigged_plan(dmm_scores, rgb_scores=None, labels=("bob", "slide")):
@@ -986,6 +987,16 @@ class TestPlanPersistence:
         assert sum(sizes["save"]) == sum(sizes["load"]) == total > 0
         assert len(sizes["save"]) == len(sizes["load"]) == 3
 
+    @pytest.mark.parametrize("value", ["none", "runs/exp1"])
+    def test_load_config_with_an_out_dir_line_rejected(self, tmp_path, value):
+        # A plan saved while the config still had out_dir: its line must be
+        # deleted before the plan loads.
+        root = save_plan(_rigged_plan([0.7, 0.3]), tmp_path / "plan")
+        with open(root / "config.txt", "a", encoding="utf-8") as f:
+            f.write(f"out_dir = {value}\n")
+        with pytest.raises(ConfigError, match="'out_dir'"):
+            load_plan(root)
+
     def test_load_missing_models_rejected(self, tmp_path):
         root = tmp_path / "plan"
         (root / "streams").mkdir(parents=True)
@@ -1080,12 +1091,12 @@ class TestNetworkCache:
     def test_over_budget_plan_rebuilds_with_identical_features(self, small_dataset, monkeypatch):
         cfg = desk_config(angles=(0.0,))
         cached = build_streams(cfg)
-        want = [extract_sample(rec, cfg, cached).features for rec in small_dataset[:2]]
+        want = [extract_sample(rec, cached).features for rec in small_dataset[:2]]
         assert len(cached._networks) == len(cached.streams)
         monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
         uncached = build_streams(cfg)
         with mock.patch.object(pipeline, "desk_network", wraps=pipeline.desk_network) as build:
-            got = [extract_sample(rec, cfg, uncached).features for rec in small_dataset[:2]]
+            got = [extract_sample(rec, uncached).features for rec in small_dataset[:2]]
         assert uncached._networks == {}
         # every stream's network is rebuilt for every sample
         assert build.call_count == 2 * len(uncached.streams)
@@ -1446,7 +1457,7 @@ class TestNonUtf8Text:
         crop.write_bytes(b"0 0 4 4\n\xff\n")
         rec = dataclasses.replace(small_dataset[0], crop_path=crop)
         with pytest.raises(ParseError):
-            extract_sample(rec, desk_config(angles=(0.0,)))
+            extract_sample(rec, build_streams(desk_config(angles=(0.0,))))
 
     def test_plan_labels(self, tmp_path):
         save_plan(_rigged_plan([0.7, 0.3]), tmp_path / "plan")
