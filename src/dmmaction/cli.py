@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig, load_config, parse_window
-from .errors import ConfigError, DmmActionError
+from .errors import ConfigError, DmmActionError, EmptyInputError
 from .pipeline import (
     _flow_weights,
     _plane_maps,
@@ -74,6 +74,10 @@ def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
 def _filter_pose(records, args):
     if args.pose_bank:
         records = [r for r in records if r.pose == args.pose_bank]
+        if not records:
+            raise EmptyInputError(
+                f"manifest {args.manifest} has no record in pose bank {args.pose_bank!r}"
+            )
     return records
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .dmm import ALL, Window
@@ -234,12 +234,11 @@ def _parse_value(key: str, kind: str, text: str):
     return None if value == "none" else value
 
 
-def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
+def parse_config_text(text: str) -> PipelineConfig:
     """Parse flat key = value lines into a PipelineConfig.
 
     Unknown keys are rejected rather than ignored so typos fail loudly.
     """
-    base = base or PipelineConfig()
     kinds = {f.name: f.type for f in fields(PipelineConfig)}
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -257,13 +256,13 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     try:
-        return replace(base, **updates)
+        return PipelineConfig(**updates)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
-    return parse_config_text(read_text(path), base)
+def load_config(path: str | Path) -> PipelineConfig:
+    return parse_config_text(read_text(path))
 
 
 def _format_value(value) -> str:

@@ -58,6 +58,8 @@ def _check_window(maps: Sequence[ProjectedMap], t: int, window: Window) -> int:
             )
     if t < 0:
         raise ContractError(f"start index must be >= 0, got {t}")
+    if t >= len(maps) - 1:
+        raise ContractError(f"start index {t} is past the last map pair of {len(maps)} maps")
     w = effective_window(len(maps), t, window)
     if w < 2:
         raise ContractError(

@@ -4,6 +4,9 @@ Coordinates are camera-centered and right-handed: x right, y down, z
 forward, all in millimeters.  Yaw (alpha) rotates about the vertical
 axis, pitch (beta) about the horizontal axis; the composed rotation is
 applied pitch-after-yaw.  Angles are always degrees.
+
+A depth frame is an (h, w) float64 array in millimeters, 0 = no reading;
+a view of a sequence is a DepthSequence of such frames.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .videoio import DepthFrame, DepthSequence
+from .videoio import DepthSequence
 
 # Kinect-v1-scale default focal length, stated for 320x240 frames and
 # scaled proportionally for other widths.
@@ -98,11 +101,11 @@ def rotation_matrix(spec: RotationSpec) -> np.ndarray:
     return pitch @ yaw
 
 
-def depth_to_points(frame: DepthFrame, intrinsics: Intrinsics) -> np.ndarray:
+def depth_to_points(depth: np.ndarray, intrinsics: Intrinsics) -> np.ndarray:
     """Back-project every nonzero depth pixel through the pinhole model.
 
     Args:
-        frame: source depth image.
+        depth: (h, w) source depth frame.
         intrinsics: focal length must be positive.
 
     Returns:
@@ -111,8 +114,8 @@ def depth_to_points(frame: DepthFrame, intrinsics: Intrinsics) -> np.ndarray:
     """
     if intrinsics.focal_px <= 0:
         raise ContractError(f"focal length must be positive, got {intrinsics.focal_px}")
-    vs, us = np.nonzero(frame.depth)
-    z = frame.depth[vs, us]
+    vs, us = np.nonzero(depth)
+    z = depth[vs, us]
     x = (us - intrinsics.cx) * z / intrinsics.focal_px
     y = (vs - intrinsics.cy) * z / intrinsics.focal_px
     return np.column_stack([x, y, z])
@@ -173,9 +176,8 @@ def points_to_depth(
     points: np.ndarray,
     intrinsics: Intrinsics,
     out_dims: tuple[int, int],
-    timestamp_index: int = 0,
     fill_holes: bool = True,
-) -> DepthFrame:
+) -> np.ndarray:
     """Forward-project (n, 3) points into a depth frame with z-buffering.
 
     Args:
@@ -186,8 +188,8 @@ def points_to_depth(
             fill_depth_holes); disable to inspect the raw z-buffer.
 
     Returns:
-        DepthFrame where each pixel holds the nearest projected z, 0 where
-        no point lands.
+        (height, width) float64 depth frame where each pixel holds the
+        nearest projected z, 0 where no point lands.
     """
     width, height = out_dims
     if width < 1 or height < 1:
@@ -207,13 +209,13 @@ def points_to_depth(
         grid[hit] = zbuf[hit]
     if fill_holes:
         grid = fill_depth_holes(grid)
-    return DepthFrame(width, height, grid, timestamp_index)
+    return grid
 
 
 def project_cartesian(
-    frame: DepthFrame, bin_params: BinParams = BinParams()
+    depth: np.ndarray, bin_params: BinParams = BinParams()
 ) -> tuple[ProjectedMap, ProjectedMap, ProjectedMap]:
-    """Project a depth frame onto the three orthogonal Cartesian planes.
+    """Project an (h, w) depth frame onto the three orthogonal Cartesian planes.
 
     Returns:
         (m_xy, m_yz, m_xz): the depth map itself, side occupancy indexed
@@ -221,10 +223,10 @@ def project_cartesian(
         depth bin falls outside bin_count are ignored; 0-depth pixels
         never occupy a bin.
     """
-    depth = frame.depth
+    height, width = depth.shape
     m_xy = ProjectedMap("xy", depth.copy())
-    yz = np.zeros((bin_params.bin_count, frame.height))
-    xz = np.zeros((frame.width, bin_params.bin_count))
+    yz = np.zeros((bin_params.bin_count, height))
+    xz = np.zeros((width, bin_params.bin_count))
     vs, us = np.nonzero(depth)
     if len(vs):
         bins = np.floor(depth[vs, us] / bin_params.bin_mm).astype(np.int64)
@@ -244,8 +246,8 @@ def sequence_centroid(seq: DepthSequence, intrinsics: Intrinsics) -> np.ndarray:
     """
     total = np.zeros(3)
     count = 0
-    for f in seq.frames:
-        points = depth_to_points(f, intrinsics)
+    for depth in seq.frames:
+        points = depth_to_points(depth, intrinsics)
         if len(points):
             total += points.sum(axis=0)
             count += len(points)
@@ -274,8 +276,8 @@ def synthesize_view(
     if pivot is None and not spec.is_identity:
         pivot = sequence_centroid(seq, intrinsics)
     dims = (seq.width, seq.height)
-    frames = []
-    for f in seq.frames:
-        points = rotate_points(depth_to_points(f, intrinsics), spec, pivot)
-        frames.append(points_to_depth(points, intrinsics, dims, f.timestamp_index))
-    return DepthSequence(tuple(frames))
+    frames = np.empty(seq.frames.shape, dtype=np.float64)
+    for i, depth in enumerate(seq.frames):
+        points = rotate_points(depth_to_points(depth, intrinsics), spec, pivot)
+        frames[i] = points_to_depth(points, intrinsics, dims)
+    return DepthSequence(frames)

@@ -77,7 +77,7 @@ from .neural import (
     extract_features,
     stream_rng,
 )
-from .videoio import DepthFrame, DepthSequence, read_depth_bin, read_rgb_sequence, read_text
+from .videoio import DepthSequence, read_depth_bin, read_rgb_sequence, read_text
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -292,25 +292,22 @@ def _apply_crop(seq: DepthSequence, crop_path: Path) -> DepthSequence:
     slicing keeps frame dimensions uniform across the sequence.
     """
     lines = [ln for ln in read_text(crop_path).splitlines() if ln.strip()]
-    if len(lines) != len(seq.frames):
+    if len(lines) != len(seq):
         raise FormatError(
-            f"crop file {crop_path} has {len(lines)} boxes for "
-            f"{len(seq.frames)} frames"
+            f"crop file {crop_path} has {len(lines)} boxes for {len(seq)} frames"
         )
-    frames = []
-    for f, line in zip(seq.frames, lines):
+    frames = np.zeros_like(seq.frames)
+    for i, line in enumerate(lines):
         try:
             x, y, w, h = (int(tok) for tok in line.split())
         except ValueError as exc:
             raise FormatError(f"bad crop line {line!r} in {crop_path}") from exc
-        if x < 0 or y < 0 or w < 1 or h < 1 or x + w > f.width or y + h > f.height:
+        if x < 0 or y < 0 or w < 1 or h < 1 or x + w > seq.width or y + h > seq.height:
             raise FormatError(
-                f"crop box {(x, y, w, h)} outside {f.width}x{f.height} frame"
+                f"crop box {(x, y, w, h)} outside {seq.width}x{seq.height} frame"
             )
-        grid = np.zeros_like(f.depth)
-        grid[y : y + h, x : x + w] = f.depth[y : y + h, x : x + w]
-        frames.append(DepthFrame(f.width, f.height, grid, f.timestamp_index))
-    return DepthSequence(tuple(frames))
+        frames[i, y : y + h, x : x + w] = seq.frames[i, y : y + h, x : x + w]
+    return DepthSequence(frames)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +490,7 @@ def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
     depth_seq = read_depth_bin(rec.depth_path)
     if rec.crop_path is not None:
         depth_seq = _apply_crop(depth_seq, rec.crop_path)
-    n = len(depth_seq.frames)
+    n = len(depth_seq)
 
     angles = sorted({s.angle for s in bank if s.kind == "dmm"})
     rgb_streams = [s for s in bank if s.kind == "rgb"]
@@ -556,12 +553,11 @@ _EXTRACT_SAMPLE = extract_sample
 def _appearance_frames(rec, cfg, depth_seq, warnings) -> list[np.ndarray] | None:
     """RGB frames resized to the render size, or jet-rendered depth."""
     if cfg.depth_as_rgb:
-        return [render_grid(f.depth, cfg.render_size) for f in depth_seq.frames]
+        return [render_grid(depth, cfg.render_size) for depth in depth_seq.frames]
     if rec.rgb_path is None:
         warnings.append(f"{rec.depth_path}: no RGB input, appearance streams absent")
         return None
-    rgb = read_rgb_sequence(rec.rgb_path)
-    return [_resize_rgb(f.pixels, cfg.render_size) for f in rgb.frames]
+    return [_resize_rgb(f, cfg.render_size) for f in read_rgb_sequence(rec.rgb_path)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ContractError
 from .geometry import Intrinsics, RotationSpec, points_to_depth, rotate_points
-from .videoio import DepthFrame, DepthSequence, write_depth_bin, write_image
+from .videoio import DepthSequence, write_depth_bin, write_image
 
 log = logging.getLogger(__name__)
 
@@ -171,16 +171,13 @@ def _sequence_frames(
     for t in range(spec.frames):
         moved = base + _motion_offset(action, t, spec.frames, jitter)
         points = rotate_points(moved, cam_rot, pivot=center)
-        frame = points_to_depth(points, intr, (spec.width, spec.height), timestamp_index=t)
-        grid = np.rint(frame.depth)
+        grid = np.rint(points_to_depth(points, intr, (spec.width, spec.height)))
         if spec.noise > 0:
             bump = noise_rng.integers(
                 -int(spec.noise), int(spec.noise) + 1, size=grid.shape
             ).astype(np.float64)
             grid = np.where(grid > 0, np.maximum(grid + bump, 1.0), 0.0)
-        depth_frames.append(
-            DepthFrame(spec.width, spec.height, grid, timestamp_index=t)
-        )
+        depth_frames.append(grid)
         rgb = _render_rgb(points, base, intr, (spec.width, spec.height), colors, backdrop)
         if spec.noise > 0:
             speckle = noise_rng.integers(
@@ -188,7 +185,7 @@ def _sequence_frames(
             )
             rgb = np.clip(rgb.astype(np.int64) + speckle, 0, 255).astype(np.uint8)
         rgb_frames.append(rgb)
-    return DepthSequence(tuple(depth_frames)), rgb_frames
+    return DepthSequence(np.stack(depth_frames)), rgb_frames
 
 
 def generate_synthetic_dataset(

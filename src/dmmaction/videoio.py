@@ -4,10 +4,13 @@ Depth sequences use a fixed binary container: a 12-byte header of three
 u32 little-endian fields (frameCount, width, height) followed by
 frameCount * height * width u32 little-endian depth values in millimeters,
 row-major with top-left origin.  A depth value of 0 means "no reading".
+A container reads into one DepthSequence, which holds the frames as a
+single (n, height, width) float64 array.
 
 Color interchange is binary PPM (P6, maxval 255); scalar interchange is
 binary PGM (P5, maxval 65535, big-endian samples).  Both round-trip
-bit-exactly through the matching reader.
+bit-exactly through the matching reader.  A directory of PPM frames
+reads into one (n, height, width, 3) uint8 array.
 """
 
 from __future__ import annotations
@@ -24,87 +27,32 @@ _DEPTH_HEADER = struct.Struct("<III")
 
 
 @dataclass(frozen=True)
-class DepthFrame:
-    """One depth image; values in millimeters, 0 = no reading."""
+class DepthSequence:
+    """Time-ordered depth frames in millimeters, 0 = no reading."""
 
-    width: int
-    height: int
-    depth: np.ndarray = field(repr=False)  # (height, width) float64, >= 0
-    timestamp_index: int = 0
+    frames: np.ndarray = field(repr=False)  # (n, height, width) float64, >= 0
 
     def __post_init__(self) -> None:
-        if self.depth.shape != (self.height, self.width):
+        if self.frames.ndim != 3:
             raise FormatError(
-                f"depth grid shape {self.depth.shape} does not match "
-                f"declared {self.height}x{self.width}"
+                f"depth frames must be an (n, height, width) array, "
+                f"got shape {self.frames.shape}"
             )
-        if np.any(self.depth < 0):
-            raise FormatError("depth values must be non-negative")
-
-
-@dataclass(frozen=True)
-class RgbFrame:
-    """One color image with interleaved 8-bit channels."""
-
-    width: int
-    height: int
-    pixels: np.ndarray = field(repr=False)  # (height, width, 3) uint8
-    timestamp_index: int = 0
-
-    def __post_init__(self) -> None:
-        if self.pixels.shape != (self.height, self.width, 3):
-            raise FormatError(
-                f"pixel buffer shape {self.pixels.shape} does not match "
-                f"declared {self.height}x{self.width}x3"
-            )
-
-
-@dataclass(frozen=True)
-class _Sequence:
-    """Time-ordered frames of identical dimensions, indexed from 0."""
-
-    frames: tuple
-
-    def __post_init__(self) -> None:
-        frames = self.frames
-        if not frames:
+        if not len(self.frames):
             raise EmptyInputError("sequence contains no frames")
-        w, h = frames[0].width, frames[0].height
-        for i, f in enumerate(frames):
-            if (f.width, f.height) != (w, h):
-                raise FormatError(
-                    f"frame {i} is {f.width}x{f.height}, expected {w}x{h}"
-                )
-            if f.timestamp_index != i:
-                raise FormatError(
-                    f"frame {i} has timestamp_index {f.timestamp_index}; "
-                    "indices must increase from 0"
-                )
+        if np.any(self.frames < 0):
+            raise FormatError("depth values must be non-negative")
 
     def __len__(self) -> int:
         return len(self.frames)
 
     @property
     def width(self) -> int:
-        return self.frames[0].width
+        return self.frames.shape[2]
 
     @property
     def height(self) -> int:
-        return self.frames[0].height
-
-
-@dataclass(frozen=True)
-class DepthSequence(_Sequence):
-    """Time-ordered depth frames of identical dimensions."""
-
-    frames: tuple[DepthFrame, ...]
-
-
-@dataclass(frozen=True)
-class RgbSequence(_Sequence):
-    """Time-ordered color frames of identical dimensions."""
-
-    frames: tuple[RgbFrame, ...]
+        return self.frames.shape[1]
 
 
 def read_depth_bin(path: str | Path) -> DepthSequence:
@@ -146,11 +94,7 @@ def read_depth_bin(path: str | Path) -> DepthSequence:
     raw = np.frombuffer(
         data, dtype="<u4", count=count * width * height, offset=_DEPTH_HEADER.size
     )
-    grids = raw.reshape(count, height, width).astype(np.float64)
-    frames = tuple(
-        DepthFrame(width, height, grids[i], timestamp_index=i) for i in range(count)
-    )
-    return DepthSequence(frames)
+    return DepthSequence(raw.reshape(count, height, width).astype(np.float64))
 
 
 def write_depth_bin(path: str | Path, seq: DepthSequence) -> None:
@@ -159,7 +103,7 @@ def write_depth_bin(path: str | Path, seq: DepthSequence) -> None:
     Values must be integral and fit in u32; fractional depths have no
     representation in the container.
     """
-    grids = np.stack([f.depth for f in seq.frames])
+    grids = seq.frames
     if np.any(grids != np.floor(grids)) or np.any(grids > 0xFFFFFFFF):
         raise FormatError("depth values must be integers in [0, 2^32)")
     payload = grids.astype("<u4").tobytes()
@@ -269,24 +213,32 @@ def write_image(grid: np.ndarray, path: str | Path) -> None:
         raise FormatError(f"unsupported grid shape {arr.shape}")
 
 
-def read_rgb_sequence(directory: str | Path) -> RgbSequence:
+def read_rgb_sequence(directory: str | Path) -> np.ndarray:
     """Read every .ppm file in a directory, ordered lexicographically.
+
+    Returns:
+        (n, h, w, 3) uint8 frames, one per file.
 
     Raises:
         EmptyInputError: no .ppm files present.
-        FormatError: images disagree on dimensions.
+        FormatError: a file is not a color image, or its size differs
+            from the first file's.
     """
     directory = Path(directory)
     paths = sorted(p for p in directory.iterdir() if p.suffix == ".ppm")
     if not paths:
         raise EmptyInputError(f"no .ppm files in {directory}")
     frames = []
-    for i, p in enumerate(paths):
+    for p in paths:
         arr = read_image(p)
         if arr.ndim != 3:
             raise FormatError(f"{p.name} is not a color image")
-        frames.append(RgbFrame(arr.shape[1], arr.shape[0], arr, timestamp_index=i))
-    return RgbSequence(tuple(frames))
+        if frames and arr.shape != frames[0].shape:
+            raise FormatError(
+                f"{p.name} has shape {arr.shape}, {paths[0].name} has {frames[0].shape}"
+            )
+        frames.append(arr)
+    return np.stack(frames)
 
 
 def read_text(path: str | Path) -> str:

@@ -51,7 +51,6 @@ from dmmaction.neural import (
     run_layers,
     stream_rng,
 )
-from dmmaction.videoio import DepthFrame
 from oracles import conv3d_oracle, dmm_oracle, maxpool3d_oracle
 from conftest import desk_config
 
@@ -139,11 +138,10 @@ def test_criterion_3_geometry_round_trip():
 
         depth = rng.integers(800, 3000, (24, 32)).astype(np.float64)
         depth[rng.uniform(size=(24, 32)) < 0.4] = 0.0
-        frame = DepthFrame(32, 24, depth)
         intr = Intrinsics.default_for(32, 24)
-        cloud = rotate_points(depth_to_points(frame, intr), RotationSpec(0.0, 0.0))
+        cloud = rotate_points(depth_to_points(depth, intr), RotationSpec(0.0, 0.0))
         redone = points_to_depth(cloud, intr, (32, 24), fill_holes=False)
-        assert np.array_equal(redone.depth[depth > 0], depth[depth > 0])
+        assert np.array_equal(redone[depth > 0], depth[depth > 0])
         info["detail"] = f"angles={len(ANGLE_SET)}"
 
 

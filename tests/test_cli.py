@@ -322,6 +322,23 @@ class TestRenderDmm:
         assert read_image(out).shape == (32, 32, 3)
 
 
+    def test_start_past_the_last_map_pair_exits_two(self, ws, tmp_path, caplog):
+        depth = read_manifest(ws.manifest)[0].depth_path
+        out = tmp_path / "late.ppm"
+        with caplog.at_level(logging.ERROR):
+            code, printed = _run(
+                ["render-dmm", "--depth", str(depth), "--out", str(out),
+                 "--config", str(ws.cfg), "--window", "all", "--t", "999"]
+            )
+        assert code == 2
+        assert printed == ""
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in errors] == [
+            "start index 999 is past the last map pair of 20 maps"
+        ]
+        assert not out.exists()
+
+
 class TestRenderDmmMatchesPipeline:
     @pytest.mark.parametrize("bypass", [False, True])
     def test_image_equals_extracted_template(self, ws, tmp_path, bypass):
@@ -391,6 +408,29 @@ class TestBadArguments:
         assert len(errors) == 1
         assert errors[0].exc_info is None
         assert "\n" not in errors[0].getMessage()
+        assert not dest.exists()
+
+
+class TestPoseBankWithoutRecords:
+    @pytest.mark.parametrize("command", ["extract", "train", "eval", "classify"])
+    def test_exits_two_naming_the_bank_and_manifest(self, ws, tmp_path, caplog, command):
+        dest = tmp_path / "out"
+        where = {
+            "extract": ["--out", str(dest), "--config", str(ws.cfg)],
+            "train": ["--out", str(dest), "--config", str(ws.cfg)],
+            "eval": ["--plan", str(ws.plan), "--out", str(dest)],
+            "classify": ["--plan", str(ws.plan)],
+        }[command]
+        with caplog.at_level(logging.ERROR):
+            code, out = _run(
+                [command, "--manifest", str(ws.manifest), *where, "--pose-bank", "sitting"]
+            )
+        assert code == 2
+        assert out == ""
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in errors] == [
+            f"manifest {ws.manifest} has no record in pose bank 'sitting'"
+        ]
         assert not dest.exists()
 
 

@@ -141,11 +141,9 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_text("clip_len = 0\n")
 
-    def test_base_overlay(self):
-        base = dataclasses.replace(PipelineConfig(), seed=5, clip_len=8)
-        cfg = parse_config_text("seed = 6\n", base=base)
-        assert cfg.seed == 6
-        assert cfg.clip_len == 8
+    def test_keys_left_out_keep_their_defaults(self):
+        cfg = parse_config_text("seed = 6\n")
+        assert cfg == dataclasses.replace(PipelineConfig(), seed=6)
 
 
     @pytest.mark.parametrize(

@@ -151,6 +151,13 @@ class TestAccumulateRamdmm:
         with pytest.raises(ContractError, match="not normalized"):
             accumulate_ramdmm(maps, weights, t=0, window=2)
 
+    @pytest.mark.parametrize("window", [2, ALL])
+    @pytest.mark.parametrize("t", [2, 3, 999])
+    def test_start_past_the_last_map_pair_rejected(self, t, window):
+        maps = _maps([[[0.0]], [[1.0]], [[2.0]]])
+        with pytest.raises(ContractError, match=f"start index {t} is past the last map pair of 3"):
+            accumulate_ramdmm(maps, _unit_weights(2, (1, 1)), t=t, window=window)
+
 
 class TestJetColormap:
     def test_endpoints_and_waypoints(self):

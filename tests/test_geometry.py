@@ -18,7 +18,7 @@ from dmmaction.geometry import (
     sequence_centroid,
     synthesize_view,
 )
-from dmmaction.videoio import DepthFrame, DepthSequence
+from dmmaction.videoio import DepthSequence
 from oracles import fill_holes_oracle, occupancy_oracle
 
 ANGLE_SET = (-45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0)
@@ -49,35 +49,30 @@ class TestRotationMatrix:
 
 class TestDepthToPoints:
     def test_principal_point_ray(self):
-        frame = DepthFrame(3, 3, np.pad([[1000.0]], 1), 0)
+        frame = np.pad([[1000.0]], 1)
         intr = Intrinsics(focal_px=100.0, cx=1.0, cy=1.0)
         points = depth_to_points(frame, intr)
         assert len(points) == 1
         assert np.allclose(points[0], [0.0, 0.0, 1000.0])
 
     def test_all_zero_frame(self):
-        points = depth_to_points(
-            DepthFrame(4, 4, np.zeros((4, 4)), 0), Intrinsics(100.0, 1.5, 1.5)
-        )
+        points = depth_to_points(np.zeros((4, 4)), Intrinsics(100.0, 1.5, 1.5))
         assert len(points) == 0
 
     def test_closed_form_2x2(self):
-        frame = DepthFrame(2, 2, np.full((2, 2), 100.0), 0)
+        frame = np.full((2, 2), 100.0)
         points = depth_to_points(frame, Intrinsics(focal_px=100.0, cx=0.0, cy=0.0))
         expected = {(0.0, 0.0, 100.0), (1.0, 0.0, 100.0), (0.0, 1.0, 100.0), (1.0, 1.0, 100.0)}
         assert {tuple(p) for p in points} == expected
 
     def test_point_count_is_nonzero_count(self, rng):
         depth = rng.integers(0, 3, size=(6, 7)).astype(np.float64) * 500.0
-        frame = DepthFrame(7, 6, depth, 0)
-        points = depth_to_points(frame, Intrinsics.default_for(7, 6))
+        points = depth_to_points(depth, Intrinsics.default_for(7, 6))
         assert len(points) == np.count_nonzero(depth)
 
     def test_bad_focal(self):
         with pytest.raises(ContractError):
-            depth_to_points(
-                DepthFrame(1, 1, np.array([[1.0]]), 0), Intrinsics(0.0, 0.0, 0.0)
-            )
+            depth_to_points(np.array([[1.0]]), Intrinsics(0.0, 0.0, 0.0))
 
 
 class TestRotatePoints:
@@ -113,35 +108,33 @@ class TestPointsToDepth:
         intr = Intrinsics(100.0, 2.0, 2.0)
         pts = np.array([[0.0, 0.0, 500.0], [0.0, 0.0, 800.0]])
         frame = points_to_depth(pts, intr, (5, 5))
-        assert frame.depth[2, 2] == 500.0
+        assert frame[2, 2] == 500.0
 
     def test_lift_reproject_identity_alpha0(self):
         depth = np.zeros((6, 8))
         depth[2:5, 3:6] = 1500.0
-        frame = DepthFrame(8, 6, depth, 0)
         intr = Intrinsics.default_for(8, 6)
-        points = depth_to_points(frame, intr)
+        points = depth_to_points(depth, intr)
         back = points_to_depth(points, intr, (8, 6), fill_holes=False)
         nz = depth > 0
-        assert np.array_equal(back.depth[nz], depth[nz])
+        assert np.array_equal(back[nz], depth[nz])
 
     def test_synthesized_45_has_holes_then_fewer(self):
         # Front-facing plane rotated 45 degrees about its own center.
         depth = np.full((24, 32), 1600.0)
-        frame = DepthFrame(32, 24, depth, 0)
         intr = Intrinsics.default_for(32, 24)
-        points = depth_to_points(frame, intr)
+        points = depth_to_points(depth, intr)
         center = points.mean(axis=0)
         pts = rotate_points(points - center, RotationSpec(45.0)) + center
         raw = points_to_depth(pts, intr, (32, 24), fill_holes=False)
         filled = points_to_depth(pts, intr, (32, 24), fill_holes=True)
         # Count holes inside the projected footprint.
-        footprint = raw.depth > 0
+        footprint = raw > 0
         cols = np.where(footprint.any(axis=0))[0]
         rows = np.where(footprint.any(axis=1))[0]
         box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-        holes_before = np.count_nonzero(raw.depth[box] == 0)
-        holes_after = np.count_nonzero(filled.depth[box] == 0)
+        holes_before = np.count_nonzero(raw[box] == 0)
+        holes_after = np.count_nonzero(filled[box] == 0)
         assert holes_before >= 1
         assert holes_after < holes_before
 
@@ -183,7 +176,7 @@ class TestFillDepthHoles:
 
 class TestProjectCartesian:
     def test_all_zero_frame(self):
-        frame = DepthFrame(4, 3, np.zeros((3, 4)), 0)
+        frame = np.zeros((3, 4))
         m_xy, m_yz, m_xz = project_cartesian(frame, BinParams(500.0, 4))
         assert np.all(m_xy.grid == 0)
         assert np.all(m_yz.grid == 0)
@@ -192,8 +185,7 @@ class TestProjectCartesian:
     def test_single_pixel_binning(self):
         depth = np.zeros((4, 5))
         depth[2, 3] = 1000.0
-        frame = DepthFrame(5, 4, depth, 0)
-        m_xy, m_yz, m_xz = project_cartesian(frame, BinParams(500.0, 4))
+        m_xy, m_yz, m_xz = project_cartesian(depth, BinParams(500.0, 4))
         assert m_yz.grid[2, 2] == 1.0
         assert np.count_nonzero(m_yz.grid) == 1
         assert m_xz.grid[3, 2] == 1.0
@@ -201,16 +193,14 @@ class TestProjectCartesian:
 
     def test_xy_is_input_grid(self, rng):
         depth = rng.integers(0, 2000, size=(5, 6)).astype(np.float64)
-        frame = DepthFrame(6, 5, depth, 0)
-        m_xy, _, _ = project_cartesian(frame)
+        m_xy, _, _ = project_cartesian(depth)
         assert np.array_equal(m_xy.grid, depth)
 
     def test_occupancy_binary_and_idempotent(self, rng):
         depth = rng.integers(0, 1200, size=(6, 6)).astype(np.float64)
-        frame = DepthFrame(6, 6, depth, 0)
         params = BinParams(100.0, 12)
-        _, yz1, xz1 = project_cartesian(frame, params)
-        _, yz2, xz2 = project_cartesian(frame, params)
+        _, yz1, xz1 = project_cartesian(depth, params)
+        _, yz2, xz2 = project_cartesian(depth, params)
         for grid in (yz1.grid, xz1.grid):
             assert set(np.unique(grid)) <= {0.0, 1.0}
         assert np.array_equal(yz1.grid, yz2.grid)
@@ -221,9 +211,8 @@ class TestProjectCartesian:
     def test_occupancy_matches_oracle(self, seed):
         local = np.random.default_rng(seed)
         depth = local.integers(0, 800, size=(7, 9)).astype(np.float64)
-        frame = DepthFrame(9, 7, depth, 0)
         params = BinParams(75.0, 10)
-        _, m_yz, m_xz = project_cartesian(frame, params)
+        _, m_yz, m_xz = project_cartesian(depth, params)
         yz, xz = occupancy_oracle(depth, 75.0, 10)
         assert np.array_equal(m_yz.grid, yz)
         assert np.array_equal(m_xz.grid, xz)
@@ -234,24 +223,29 @@ class TestSynthesizeView:
         depth = np.zeros((10, 12))
         depth[3:8, 4:9] = 1500.0
         depth[5, 6] = 1450.0
-        return DepthSequence(
-            tuple(DepthFrame(12, 10, depth.copy(), i) for i in range(2))
-        )
+        return DepthSequence(np.stack([depth, depth]))
 
     def test_identity_reproduces_nonzero_pixels(self):
         seq = self._sequence()
         intr = Intrinsics.default_for(12, 10)
         out = synthesize_view(seq, RotationSpec(0.0, 0.0), intr)
         for a, b in zip(seq.frames, out.frames):
-            nz = a.depth > 0
-            assert np.array_equal(b.depth[nz], a.depth[nz])
+            nz = a > 0
+            assert np.array_equal(b[nz], a[nz])
+
+    @pytest.mark.parametrize("alpha", [0.0, 30.0])
+    def test_frames_are_float64_of_input_shape(self, alpha):
+        seq = DepthSequence(np.stack([np.pad([[1500.0]], ((3, 3), (4, 4)))] * 3))
+        out = synthesize_view(seq, RotationSpec(alpha), Intrinsics.default_for(9, 7))
+        assert out.frames.shape == (3, 7, 9)
+        assert out.frames.dtype == np.float64
 
     def test_rotation_moves_content(self):
         seq = self._sequence()
         intr = Intrinsics.default_for(12, 10)
         out = synthesize_view(seq, RotationSpec(30.0), intr)
-        assert not np.array_equal(out.frames[0].depth, seq.frames[0].depth)
-        assert np.count_nonzero(out.frames[0].depth) > 0
+        assert not np.array_equal(out.frames[0], seq.frames[0])
+        assert np.count_nonzero(out.frames[0]) > 0
 
     def test_centroid_is_content_mean(self):
         seq = self._sequence()

@@ -286,10 +286,10 @@ class TestExtractSample:
         rec = small_dataset[0]
         if depth_as_rgb:
             depth = read_depth_bin(rec.depth_path)
-            frames = [render_grid(f.depth, cfg.render_size) for f in depth.frames]
+            frames = [render_grid(f, cfg.render_size) for f in depth.frames]
         else:
             rgb = read_rgb_sequence(rec.rgb_path)
-            frames = [_resize_rgb(f.pixels, cfg.render_size) for f in rgb.frames]
+            frames = [_resize_rgb(f, cfg.render_size) for f in rgb]
         assert len(frames) == 20
         plan = build_streams(cfg)
         result = extract_sample(rec, plan)

@@ -110,10 +110,10 @@ class TestManifest:
         rec = read_manifest(manifest)[0]
         seq = read_depth_bin(rec.depth_path)
         assert len(seq.frames) == 6
-        assert all(np.count_nonzero(f.depth) > 0 for f in seq.frames)
+        assert all(np.count_nonzero(f) > 0 for f in seq.frames)
         rgb = read_rgb_sequence(rec.rgb_path)
         assert len(rgb) == 6
-        assert rgb.frames[0].pixels.shape == (36, 48, 3)
+        assert rgb[0].shape == (36, 48, 3)
 
 
 class TestMotionSignatures:
@@ -122,7 +122,7 @@ class TestMotionSignatures:
         manifest = generate_synthetic_dataset(tmp_path, spec, seed=2)
         rec = next(r for r in read_manifest(manifest) if r.label == "static")
         seq = read_depth_bin(rec.depth_path)
-        maps = [ProjectedMap("xy", f.depth) for f in seq.frames]
+        maps = [ProjectedMap("xy", f) for f in seq.frames]
         grid = accumulate_ramdmm(maps, _unit_weights(maps), t=0, window=len(maps) - 1)
         assert np.all(grid == 0.0)
 
@@ -130,7 +130,7 @@ class TestMotionSignatures:
         manifest = generate_synthetic_dataset(tmp_path, _tiny_spec(), seed=2)
         rec = next(r for r in read_manifest(manifest) if r.label == "slide")
         seq = read_depth_bin(rec.depth_path)
-        maps = [ProjectedMap("xy", f.depth) for f in seq.frames]
+        maps = [ProjectedMap("xy", f) for f in seq.frames]
         grid = accumulate_ramdmm(maps, _unit_weights(maps), t=0, window=len(maps) - 1)
         assert np.count_nonzero(grid) > 0
 
@@ -138,7 +138,7 @@ class TestMotionSignatures:
         manifest = generate_synthetic_dataset(tmp_path, _tiny_spec(), seed=4)
         records = [r for r in read_manifest(manifest) if r.label == "slide"]
         seqs = [read_depth_bin(r.depth_path) for r in records]
-        assert not np.array_equal(seqs[0].frames[3].depth, seqs[1].frames[3].depth)
+        assert not np.array_equal(seqs[0].frames[3], seqs[1].frames[3])
 
 
 class TestCameraGeometry:
@@ -155,7 +155,7 @@ class TestCameraGeometry:
         synthesized = synthesize_view(base, RotationSpec(30.0), intr, pivot=pivot)
         diffs = []
         for fs, fc in zip(synthesized.frames, rotated.frames):
-            valid = (fs.depth > 0) & (fc.depth > 0)
+            valid = (fs > 0) & (fc > 0)
             assert valid.sum() > 50
-            diffs.append(float(np.abs(fs.depth[valid] - fc.depth[valid]).mean()))
+            diffs.append(float(np.abs(fs[valid] - fc[valid]).mean()))
         assert float(np.mean(diffs)) < 20.0  # 2x the default 10 mm depth bin

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -95,6 +96,26 @@ def test_tracer_sees_every_evaluated_unit_in_process(small_dataset):
     flows = [s[spans.SAMPLE] for s in tracer.spans if s[spans.NAME] == "motion.flow"]
     assert len(set(ids)) == len(ids)
     assert flows == [i for i in ids for _ in range(len(cfg.angles) * len(cfg.planes))]
+
+
+def test_views_count_synthesized_and_projected_frames():
+    """_count_view reads `len(seq.frames)` from synthesize_view's first
+    argument and _count_project counts project_cartesian calls, so n frames
+    viewed at angles (0, 30) count n synthesized and 2n projected frames."""
+    from dmmaction import pipeline
+    from dmmaction.videoio import DepthSequence
+    from conftest import desk_config
+
+    spans = _load_spans()
+    n = 5
+    frames = np.zeros((n, 12, 16))
+    frames[:, 4:8, 5:10] = 1500.0
+    with spans.Tracer() as tracer:
+        views = list(pipeline._views(DepthSequence(frames), desk_config(), (0.0, 30.0)))
+    assert tracer.missing == []
+    assert [alpha for alpha, _ in views] == [0.0, 30.0]
+    assert tracer.counts["geometry.synthesize_view_frames"] == n
+    assert tracer.counts["geometry.project_frames"] == 2 * n
 
 
 # Leading parameters the tracer's counters and wrappers read, by position or

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from dmmaction import DmmActionError, EmptyInputError, FormatError, ParseError
 from dmmaction.dmm import render_grid
 from dmmaction.videoio import (
-    DepthFrame,
     DepthSequence,
-    RgbFrame,
-    RgbSequence,
     read_depth_bin,
     read_image,
     read_rgb_sequence,
@@ -31,16 +28,16 @@ class TestReadDepthBin:
         path.write_bytes(depth_container(2, 1, 1, [7, 9]))
         seq = read_depth_bin(path)
         assert len(seq.frames) == 2
-        assert seq.frames[0].depth[0, 0] == 7.0
-        assert seq.frames[1].depth[0, 0] == 9.0
+        assert seq.frames[0][0, 0] == 7.0
+        assert seq.frames[1][0, 0] == 9.0
 
     def test_zero_frame(self, tmp_path):
         path = tmp_path / "d.bin"
         path.write_bytes(depth_container(1, 2, 2, [0, 0, 0, 0]))
         seq = read_depth_bin(path)
         assert len(seq.frames) == 1
-        assert np.all(seq.frames[0].depth == 0.0)
-        assert seq.frames[0].depth.shape == (2, 2)
+        assert np.all(seq.frames[0] == 0.0)
+        assert seq.frames[0].shape == (2, 2)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "d.bin"
@@ -65,12 +62,6 @@ class TestReadDepthBin:
         path.write_bytes(depth_container(5, 3, 2, list(range(30))))
         assert len(read_depth_bin(path).frames) == 5
 
-    def test_timestamps_consecutive(self, tmp_path):
-        path = tmp_path / "d.bin"
-        path.write_bytes(depth_container(3, 1, 1, [1, 2, 3]))
-        seq = read_depth_bin(path)
-        assert [f.timestamp_index for f in seq.frames] == [0, 1, 2]
-
     @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 4, b"junk"])
     def test_bytes_after_payload_rejected(self, tmp_path, extra):
         path = tmp_path / "d.bin"
@@ -89,65 +80,30 @@ class TestDepthRoundTrip:
     @settings(max_examples=25, deadline=None)
     def test_write_read_identity(self, tmp_path_factory, count, w, h, seed):
         values = np.random.default_rng(seed).integers(0, 5000, size=(count, h, w))
-        frames = tuple(
-            DepthFrame(w, h, values[i].astype(np.float64), i) for i in range(count)
-        )
+        frames = values.astype(np.float64)
         path = tmp_path_factory.mktemp("rt") / "d.bin"
         write_depth_bin(path, DepthSequence(frames))
         back = read_depth_bin(path)
-        for a, b in zip(frames, back.frames):
-            assert np.array_equal(a.depth, b.depth)
+        assert np.array_equal(back.frames, frames)
 
 
-class TestFrameValidation:
-    def test_negative_depth_rejected(self):
-        with pytest.raises(FormatError):
-            DepthFrame(1, 1, np.array([[-1.0]]), 0)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(FormatError):
-            DepthFrame(2, 2, np.zeros((2, 3)), 0)
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(EmptyInputError):
-            DepthSequence(())
-
-    def test_mixed_dims_rejected(self):
-        frames = (
-            DepthFrame(2, 2, np.zeros((2, 2)), 0),
-            DepthFrame(3, 2, np.zeros((2, 3)), 1),
-        )
-        with pytest.raises(FormatError, match="frame 1"):
-            DepthSequence(frames)
-
-
-def _depth_frame(w, h, i):
-    return DepthFrame(w, h, np.zeros((h, w)), i)
-
-
-def _rgb_frame(w, h, i):
-    return RgbFrame(w, h, np.zeros((h, w, 3), dtype=np.uint8), i)
-
-
-@pytest.mark.parametrize(
-    "seq_type, frame", [(DepthSequence, _depth_frame), (RgbSequence, _rgb_frame)]
-)
 class TestSequenceChecks:
-    def test_dimensions_and_length(self, seq_type, frame):
-        seq = seq_type(tuple(frame(3, 2, i) for i in range(4)))
+    def test_dimensions_and_length(self):
+        seq = DepthSequence(np.zeros((4, 2, 3)))
         assert (len(seq), seq.width, seq.height) == (4, 3, 2)
 
-    def test_empty_rejected(self, seq_type, frame):
+    def test_negative_depth_rejected(self):
+        with pytest.raises(FormatError, match="non-negative"):
+            DepthSequence(np.array([[[0.0, -1.0]]]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 3, 1)], ids=["2d", "4d"])
+    def test_non_3d_array_rejected(self, shape):
+        with pytest.raises(FormatError, match=r"\(n, height, width\) array"):
+            DepthSequence(np.zeros(shape))
+
+    def test_empty_rejected(self):
         with pytest.raises(EmptyInputError, match="no frames"):
-            seq_type(())
-
-    def test_mixed_dims_rejected(self, seq_type, frame):
-        with pytest.raises(FormatError, match="frame 1 is 3x2, expected 2x2"):
-            seq_type((frame(2, 2, 0), frame(3, 2, 1)))
-
-    def test_out_of_order_timestamps_rejected(self, seq_type, frame):
-        with pytest.raises(FormatError, match="frame 1 has timestamp_index 2"):
-            seq_type((frame(2, 2, 0), frame(2, 2, 2)))
+            DepthSequence(np.zeros((0, 2, 3)))
 
 
 def write_ppm(path, pixels):
@@ -160,19 +116,28 @@ class TestReadRgbSequence:
     def test_ordered_frames(self, tmp_path):
         write_ppm(tmp_path / "f000.ppm", np.zeros((4, 4, 3)))
         write_ppm(tmp_path / "f001.ppm", np.full((4, 4, 3), 9))
-        seq = read_rgb_sequence(tmp_path)
-        assert len(seq.frames) == 2
-        assert [f.timestamp_index for f in seq.frames] == [0, 1]
-        assert np.all(seq.frames[1].pixels == 9)
+        frames = read_rgb_sequence(tmp_path)
+        assert frames.shape == (2, 4, 4, 3)
+        assert frames.dtype == np.uint8
+        assert np.all(frames[0] == 0)
+        assert np.all(frames[1] == 9)
 
     def test_mixed_dimensions_rejected(self, tmp_path):
         write_ppm(tmp_path / "a.ppm", np.zeros((4, 4, 3)))
-        write_ppm(tmp_path / "b.ppm", np.zeros((8, 8, 3)))
-        with pytest.raises(FormatError):
+        write_ppm(tmp_path / "b.ppm", np.zeros((8, 6, 3)))
+        match = r"b.ppm has shape \(8, 6, 3\), a.ppm has \(4, 4, 3\)"
+        with pytest.raises(FormatError, match=match):
             read_rgb_sequence(tmp_path)
 
     def test_empty_dir(self, tmp_path):
         with pytest.raises(EmptyInputError):
+            read_rgb_sequence(tmp_path)
+
+    def test_scalar_image_rejected(self, tmp_path):
+        write_ppm(tmp_path / "a.ppm", np.zeros((2, 2, 3)))
+        write_image(np.zeros((2, 2)), tmp_path / "b.pgm")
+        (tmp_path / "b.pgm").rename(tmp_path / "b.ppm")
+        with pytest.raises(FormatError, match="b.ppm is not a color image"):
             read_rgb_sequence(tmp_path)
 
 
@@ -296,7 +261,3 @@ class TestWriteImage:
         path = tmp_path_factory.mktemp("img") / "x.ppm"
         write_image(pixels.astype(np.uint8), path)
         assert np.array_equal(read_image(path), pixels)
-
-    def test_rgb_frame_validation(self):
-        with pytest.raises(FormatError):
-            RgbFrame(2, 2, np.zeros((2, 2), dtype=np.uint8), 0)
