@@ -8,13 +8,32 @@ counted in difference terms: a window w starting at t consumes maps
 t .. t+w, so t + w must not exceed the last map index.  The ALL window
 means every remaining difference from t to the end of the sequence.
 
+Each term |maps[i+1] - maps[i]| * weights[i] is formed in one float64
+buffer reused across the window and added to the sum in order of i.
+
 Rendering scales a template to [0, 1], applies the jet colormap defined
 bit-exactly below, bilinearly resizes preserving aspect, and zero-pads
-symmetrically to the requested size.
+symmetrically to the requested size.  Which input pixels a resize reads
+and how it weighs them depend only on the input shape and the output
+size, so they are computed once per (shape, size) into a cached plan: the
+flat indices of the four corners around each output pixel, the row and
+column weights, and the box the resized image fills in the zero canvas.
+The jet colormap is computed channels-first, as one (3, ...) array of
+r, g, b planes, so each ufunc runs over whole planes rather than an
+innermost axis of 3 channels.  A shrinking render gathers the four
+corners of the grid with one take, then scales and colors only those; an
+enlarging one colors the grid and gathers the colored planes.  Both give
+the bits of coloring the grid and then blending it: scaling and coloring
+act on each value alone, so every output value goes through the same
+operations in the same order.  RGB frames are resized through the same
+plans, without the padding.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -111,12 +130,28 @@ def accumulate_ramdmm(
                 f"weight map {i} shape {g.g.shape} does not match maps {shape}"
             )
     acc = np.zeros(shape, dtype=np.float64)
+    term = np.empty(shape, dtype=np.float64)
     for i in range(t, t + w):
-        d = np.abs(maps[i + 1].grid - maps[i].grid)
+        np.subtract(maps[i + 1].grid, maps[i].grid, out=term)
+        np.abs(term, out=term)
         if floor > 0.0:
-            d = np.where(d >= floor, d, 0.0)
-        acc += d * weights[i].g
+            np.copyto(term, 0.0, where=~(term >= floor))
+        np.multiply(term, weights[i].g, out=term)
+        acc += term
     return acc
+
+
+#: Jet channel offsets, red, green, blue: channel c is clamp(1.5 - |4u - k_c|).
+_JET_OFFSETS = np.array([3.0, 2.0, 1.0])
+
+
+def _jet_planes(u: np.ndarray) -> np.ndarray:
+    """The jet colormap channels-first: a (3, *u.shape) float64 array of
+    r, g, b planes, each ufunc running over all three planes at once."""
+    planes = np.subtract(4.0 * u, _JET_OFFSETS.reshape((3,) + (1,) * u.ndim))
+    np.abs(planes, out=planes)
+    np.subtract(1.5, planes, out=planes)
+    return np.clip(planes, 0.0, 1.0, out=planes)
 
 
 def jet_rgb(u: np.ndarray) -> np.ndarray:
@@ -124,37 +159,96 @@ def jet_rgb(u: np.ndarray) -> np.ndarray:
 
     r = clamp(1.5 - |4u - 3|), g = clamp(1.5 - |4u - 2|),
     b = clamp(1.5 - |4u - 1|), each clamped to [0, 1].  Returned as float
-    channels in [0, 1]; quantization happens at the end of rendering.
+    channels in [0, 1] on a last axis of 3; quantization happens at the end
+    of rendering.
     """
-    u = np.asarray(u, dtype=np.float64)
-    r = np.clip(1.5 - np.abs(4.0 * u - 3.0), 0.0, 1.0)
-    g = np.clip(1.5 - np.abs(4.0 * u - 2.0), 0.0, 1.0)
-    b = np.clip(1.5 - np.abs(4.0 * u - 1.0), 0.0, 1.0)
-    return np.stack([r, g, b], axis=-1)
+    return np.moveaxis(_jet_planes(np.asarray(u, dtype=np.float64)), 0, -1)
 
 
-def _resize_bilinear(img: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
-    """Bilinear resample with pixel-center alignment."""
-    in_h, in_w = img.shape[:2]
+@dataclass(frozen=True)
+class _ResizePlan:
+    """Where a bilinear resize of an (in_h, in_w) image reads and how it
+    weighs what it reads, placed in a box of a zero canvas.
+
+    corners[r, c] holds the flat input index of corner (y_r, x_c) of every
+    output pixel (y0/y1 the rows above and below its center, x0/x1 the
+    columns left and right); col_weights is (1 - wx, wx) shaped (2, 1, w)
+    and row_weights (1 - wy, wy) shaped (2, h, 1).
+    """
+
+    corners: np.ndarray
+    col_weights: np.ndarray
+    row_weights: np.ndarray
+    box: tuple[slice, slice]
+
+
+def _axis_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower and upper source index and upper weight of each output sample,
+    with pixel-center alignment."""
+    pos = np.clip((np.arange(n_out) + 0.5) * n_in / n_out - 0.5, 0, n_in - 1)
+    lower = np.floor(pos).astype(np.int64)
+    return lower, np.minimum(lower + 1, n_in - 1), pos - lower
+
+
+# A run needs one plan per plane shape and frame size; the bound keeps
+# callers that vary shapes from holding an index array for each.
+@functools.lru_cache(maxsize=32)
+def _resize_plan(
+    in_hw: tuple[int, int], out_hw: tuple[int, int], keep_aspect: bool
+) -> _ResizePlan:
+    """The plan resizing in_hw to out_hw, or, with keep_aspect, to the
+    largest same-aspect size that fits, centered between zero bands."""
+    in_h, in_w = in_hw
     out_h, out_w = out_hw
-    ys = np.clip((np.arange(out_h) + 0.5) * in_h / out_h - 0.5, 0, in_h - 1)
-    xs = np.clip((np.arange(out_w) + 0.5) * in_w / out_w - 0.5, 0, in_w - 1)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
-    top = img[y0][:, x0] * (1 - wx) + img[y0][:, x1] * wx
-    bot = img[y1][:, x0] * (1 - wx) + img[y1][:, x1] * wx
-    return top * (1 - wy) + bot * wy
+    new_h, new_w = out_h, out_w
+    if keep_aspect:
+        scale = min(out_h / in_h, out_w / in_w)
+        new_h = max(1, round(in_h * scale))
+        new_w = max(1, round(in_w * scale))
+    top = (out_h - new_h) // 2
+    left = (out_w - new_w) // 2
+    y0, y1, wy = _axis_taps(in_h, new_h)
+    x0, x1, wx = _axis_taps(in_w, new_w)
+    rows = np.stack([y0, y1])[:, None, :, None] * in_w
+    cols = np.stack([x0, x1])[None, :, None, :]
+    plan = _ResizePlan(
+        corners=rows + cols,
+        col_weights=np.stack([1 - wx, wx])[:, None, :],
+        row_weights=np.stack([1 - wy, wy])[:, :, None],
+        box=(slice(top, top + new_h), slice(left, left + new_w)),
+    )
+    for a in (plan.corners, plan.col_weights, plan.row_weights):
+        a.flags.writeable = False
+    return plan
+
+
+def _blend(corners: np.ndarray, plan: _ResizePlan) -> np.ndarray:
+    """Bilinear blend of float64 (..., 2, 2, h, w) corner values, which it
+    overwrites, into (..., h, w): top = v00 (1 - wx) + v01 wx, bottom
+    likewise, then top (1 - wy) + bottom wy."""
+    corners *= plan.col_weights
+    rows = np.add(corners[..., 0, :, :], corners[..., 1, :, :])
+    rows *= plan.row_weights
+    return np.add(rows[..., 0, :, :], rows[..., 1, :, :])
+
+
+def resize_rgb(pixels: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
+    """Bilinearly resize an (h, w, c) image to out_hw, pixel-center aligned,
+    rounded and clamped to uint8."""
+    in_h, in_w, channels = pixels.shape
+    plan = _resize_plan((in_h, in_w), tuple(out_hw), False)
+    planes = pixels.reshape(in_h * in_w, channels).T.astype(np.float64)
+    resized = _blend(np.take(planes, plan.corners, axis=-1), plan)
+    np.rint(resized, out=resized)
+    np.clip(resized, 0, 255, out=resized)
+    return np.moveaxis(resized, 0, -1).astype(np.uint8, order="C")
 
 
 def render_grid(grid: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
     """Min-max scale, colormap, aspect-preserving resize, pad; returns uint8.
 
     Args:
-        grid: 2D non-negative map; a constant grid maps to colormap(0).
+        grid: finite 2D map; a constant grid maps to colormap(0).
         out_size: (height, width), each >= 8.
 
     Returns:
@@ -167,17 +261,27 @@ def render_grid(grid: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
         raise ContractError(f"grid must be a non-empty 2D map, got shape {grid.shape}")
     lo = float(np.min(grid))
     hi = float(np.max(grid))
-    u = np.zeros_like(grid, dtype=np.float64) if hi == lo else (grid - lo) / (hi - lo)
-    colored = jet_rgb(u)
-    scale = min(out_h / grid.shape[0], out_w / grid.shape[1])
-    new_h = max(1, round(grid.shape[0] * scale))
-    new_w = max(1, round(grid.shape[1] * scale))
-    resized = _resize_bilinear(colored, (new_h, new_w))
-    canvas = np.zeros((out_h, out_w, 3))
-    top = (out_h - new_h) // 2
-    left = (out_w - new_w) // 2
-    canvas[top : top + new_h, left : left + new_w] = resized
-    return np.rint(255.0 * canvas).astype(np.uint8)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ContractError(f"grid of shape {grid.shape} holds a non-finite value")
+    plan = _resize_plan(grid.shape, (out_h, out_w), True)
+    # Color whichever is smaller: the gathered corners when shrinking, the
+    # grid before gathering when enlarging.  Either gives the same bits.
+    gather_first = plan.corners.size <= grid.size
+    if hi == lo:
+        u = np.zeros(plan.corners.shape if gather_first else grid.shape)
+    else:
+        u = (np.take(grid, plan.corners) if gather_first else grid) - lo
+        u /= hi - lo
+        u = u.astype(np.float64, copy=False)
+    colored = _jet_planes(u)
+    if not gather_first:
+        colored = np.take(colored.reshape(3, -1), plan.corners, axis=-1)
+    resized = _blend(colored, plan)
+    resized *= 255.0
+    np.rint(resized, out=resized)
+    canvas = np.zeros((out_h, out_w, 3), dtype=np.uint8)
+    canvas[plan.box] = np.moveaxis(resized, 0, -1)
+    return canvas
 
 
 # The name the benchmark tracer counts renders under; the pipeline calls it.

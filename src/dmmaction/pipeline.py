@@ -401,8 +401,7 @@ def render_templates(
 def _resize_rgb(pixels: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     if pixels.shape[:2] == size:
         return pixels
-    resized = dmm_mod._resize_bilinear(pixels.astype(np.float64), size)
-    return np.clip(np.rint(resized), 0, 255).astype(np.uint8)
+    return dmm_mod.resize_rgb(pixels, size)
 
 
 def _clip_features(frames: list[np.ndarray], lam: int, net: NetworkSpec) -> list[np.ndarray]:

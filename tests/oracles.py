@@ -184,12 +184,13 @@ def draw_oracle(rng, out_dim, *in_shape):
     return w, b
 
 
-def dmm_oracle(grids, t, window, floor=0.0):
-    """Unweighted depth motion map, pixel by pixel from the defining sum.
+def dmm_oracle(grids, t, window, floor=0.0, weights=None):
+    """Depth motion map, pixel by pixel from the defining sum.
 
-    out(y, x) = sum over i in [t, t + w) of |g[i+1](y, x) - g[i](y, x)|,
-    counting a difference only when it is >= floor, added in order of i
-    to 0.0.  window "all" means w = len(grids) - 1 - t.
+    out(y, x) = sum over i in [t, t + w) of |g[i+1](y, x) - g[i](y, x)| *
+    weights[i](y, x), counting a difference only when it is >= floor,
+    added in order of i to 0.0.  Without weights every weight is 1 (the
+    unweighted map).  window "all" means w = len(grids) - 1 - t.
     """
     w = len(grids) - 1 - t if window == "all" else window
     height, width = grids[0].shape
@@ -200,9 +201,50 @@ def dmm_oracle(grids, t, window, floor=0.0):
             for i in range(t, t + w):
                 d = abs(float(grids[i + 1][y, x]) - float(grids[i][y, x]))
                 if d >= floor:
-                    acc += d
+                    acc += d if weights is None else d * float(weights[i][y, x])
             out[y, x] = acc
     return out
+
+
+def render_oracle(grid, out_size):
+    """A grid rendered as the package has always defined it, channels-last.
+
+    Min-max scale to u in [0, 1] (a constant grid gives u = 0); jet colors
+    r, g, b = clamp(1.5 - |4u - k|, 0, 1) for k = 3, 2, 1 on a last axis;
+    resize to the largest size of the grid's aspect that fits out_size
+    (each side round(side * scale), at least 1) by bilinear sampling at
+    pixel centers, blending the two columns first and then the two rows;
+    center it on a zero canvas with the odd pixel of each band at the end;
+    then rint(255 * value) as uint8.  Indices are computed afresh here.
+    """
+    out_h, out_w = out_size
+    in_h, in_w = grid.shape
+    lo = float(np.min(grid))
+    hi = float(np.max(grid))
+    u = np.zeros((in_h, in_w)) if hi == lo else (grid - lo) / (hi - lo)
+    colored = np.stack(
+        [np.clip(1.5 - np.abs(4.0 * u - k), 0.0, 1.0) for k in (3.0, 2.0, 1.0)], axis=-1
+    )
+    scale = min(out_h / in_h, out_w / in_w)
+    new_h = max(1, round(in_h * scale))
+    new_w = max(1, round(in_w * scale))
+    ys = np.clip((np.arange(new_h) + 0.5) * in_h / new_h - 0.5, 0, in_h - 1)
+    xs = np.clip((np.arange(new_w) + 0.5) * in_w / new_w - 0.5, 0, in_w - 1)
+    canvas = np.zeros((out_h, out_w, 3))
+    top = (out_h - new_h) // 2
+    left = (out_w - new_w) // 2
+    for row, y in enumerate(ys):
+        y0 = math.floor(y)
+        y1 = min(y0 + 1, in_h - 1)
+        wy = y - y0
+        for col, x in enumerate(xs):
+            x0 = math.floor(x)
+            x1 = min(x0 + 1, in_w - 1)
+            wx = x - x0
+            upper = colored[y0, x0] * (1 - wx) + colored[y0, x1] * wx
+            lower = colored[y1, x0] * (1 - wx) + colored[y1, x1] * wx
+            canvas[top + row, left + col] = upper * (1 - wy) + lower * wy
+    return np.rint(255.0 * canvas).astype(np.uint8)
 
 
 def fill_holes_oracle(grid):

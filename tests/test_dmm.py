@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,8 @@ from dmmaction.dmm import (
     stack_clip,
 )
 from dmmaction.geometry import ProjectedMap
-from dmmaction.motion import MagnitudeMap
-from oracles import dmm_oracle
+from dmmaction.motion import MagnitudeMap, normalize_magnitude
+from oracles import dmm_oracle, render_oracle
 
 
 def _maps(values, plane="xy"):
@@ -136,6 +138,25 @@ class TestAccumulateRamdmm:
         plain = dmm_oracle(frames, 0, ALL)
         assert np.all(weighted <= plain + 1e-12)
 
+    @given(
+        st.integers(0, 400),
+        st.integers(3, 9),
+        st.sampled_from([0.0, 5.0, 20.0]),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_weighted_matches_oracle(self, seed, n, floor, data):
+        rng = np.random.default_rng(seed)
+        frames = rng.random((n, 3, 4)) * 40.0
+        raw = rng.random((n - 1, 3, 4)) ** 3
+        raw[rng.random(n - 1) < 0.2] = 0.0
+        weights = [normalize_magnitude(MagnitudeMap(g)) for g in raw]
+        t = data.draw(st.integers(0, n - 3))
+        window = data.draw(st.sampled_from([ALL, *range(2, n - t)]))
+        got = accumulate_ramdmm(_maps(list(frames)), weights, t, window, floor=floor)
+        want = dmm_oracle(frames, t, window, floor=floor, weights=[m.g for m in weights])
+        assert got.tobytes() == want.tobytes()
+
     def test_misaligned_weights_rejected(self):
         maps = _maps([[[0.0]], [[1.0]], [[2.0]]])
         weights = _unit_weights(1, (1, 1))
@@ -213,6 +234,46 @@ class TestRenderTemplate:
     def test_small_output_rejected(self):
         with pytest.raises(ContractError):
             render_grid(np.ones((4, 4)), (7, 16))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected(self, rng, bad):
+        grid = rng.random((6, 6))
+        grid[2, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match=r"shape \(6, 6\).*non-finite"):
+                render_grid(grid, (16, 16))
+
+    def test_negative_grid_still_renders(self):
+        grid = np.full((16, 16), -9.0)
+        grid[7, 7] = -1.0
+        img = render_grid(grid, (16, 16))
+        assert tuple(img[7, 7]) == (128, 0, 0)
+        assert tuple(img[0, 0]) == (0, 0, 128)
+
+    @given(
+        st.integers(1, 70),
+        st.integers(1, 90),
+        st.integers(8, 120),
+        st.integers(8, 120),
+        st.sampled_from(["random", "constant", "zero", "negative", "sparse"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_bytes(self, h, w, out_h, out_w, kind, seed):
+        rng = np.random.default_rng(seed)
+        grid = {
+            "random": lambda: rng.random((h, w)) * 100.0,
+            "constant": lambda: np.full((h, w), 3.7),
+            "zero": lambda: np.zeros((h, w)),
+            "negative": lambda: -rng.random((h, w)) * 50.0 - 3.0,
+            "sparse": lambda: np.where(rng.random((h, w)) < 0.05, rng.random((h, w)) * 9.0, 0.0),
+        }[kind]()
+        got = render_grid(grid, (out_h, out_w))
+        want = render_oracle(grid, (out_h, out_w))
+        assert got.shape == want.shape == (out_h, out_w, 3)
+        assert got.dtype == np.uint8
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStackClip:

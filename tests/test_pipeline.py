@@ -280,6 +280,32 @@ class TestExtractSample:
         assert render.call_count == 3 * (8 + 16)
         assert [len(result.features[f"standing/dmm/w{w}/a0"]) for w in (5, "all")] == [1, 2]
 
+    def test_accumulates_then_renders_each_covered_template_once(self, small_dataset):
+        # The benchmark counts one accumulate_ramdmm and one render_template
+        # call per template; batching either would move its counters.
+        cfg = desk_config(angles=(0.0,), depth_windows=(5, "all"), rgb_windows=())
+        calls = []
+        real_accumulate, real_render = dmm.accumulate_ramdmm, dmm.render_template
+
+        def accumulate(maps, weights, t, window, floor=0.0):
+            grid = real_accumulate(maps, weights, t, window, floor=floor)
+            calls.append(("accumulate", window, t, grid))
+            return grid
+
+        def render(grid, out_size):
+            calls.append(("render", grid))
+            return real_render(grid, out_size)
+
+        with mock.patch("dmmaction.dmm.accumulate_ramdmm", side_effect=accumulate), mock.patch(
+            "dmmaction.dmm.render_template", side_effect=render
+        ):
+            extract_sample(small_dataset[0], build_streams(cfg))
+        assert len(calls) == 2 * 3 * (8 + 16)
+        pairs = list(zip(calls[::2], calls[1::2]))
+        assert all(a[0] == "accumulate" and r[0] == "render" and r[1] is a[3] for a, r in pairs)
+        per_plane = [(5, t) for t in range(8)] + [("all", t) for t in range(16)]
+        assert [a[1:3] for a, _ in pairs] == 3 * per_plane
+
     @pytest.mark.parametrize("depth_as_rgb", [False, True])
     def test_appearance_clips_tile_by_window(self, small_dataset, depth_as_rgb):
         cfg = desk_config(angles=(0.0,), rgb_windows=(6, 10), depth_as_rgb=depth_as_rgb)
