@@ -244,16 +244,11 @@ def resize_rgb(pixels: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     return np.moveaxis(resized, 0, -1).astype(np.uint8, order="C")
 
 
-def render_grid(grid: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
-    """Min-max scale, colormap, aspect-preserving resize, pad; returns uint8.
-
-    Args:
-        grid: finite 2D map; a constant grid maps to colormap(0).
-        out_size: (height, width), each >= 8.
-
-    Returns:
-        (height, width, 3) uint8 image; padding bands are black.
-    """
+def _render_float(
+    grid: np.ndarray, out_size: tuple[int, int]
+) -> tuple[np.ndarray, tuple[slice, slice]]:
+    """render_grid before quantization: the resized jet image as float64
+    (3, h, w) planes in [0, 1], and the box of the canvas they fill."""
     out_h, out_w = out_size
     if out_h < 8 or out_w < 8:
         raise ContractError(f"output size must be at least 8x8, got {out_size}")
@@ -276,11 +271,24 @@ def render_grid(grid: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
     colored = _jet_planes(u)
     if not gather_first:
         colored = np.take(colored.reshape(3, -1), plan.corners, axis=-1)
-    resized = _blend(colored, plan)
+    return _blend(colored, plan), plan.box
+
+
+def render_grid(grid: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
+    """Min-max scale, colormap, aspect-preserving resize, pad; returns uint8.
+
+    Args:
+        grid: finite 2D map; a constant grid maps to colormap(0).
+        out_size: (height, width), each >= 8.
+
+    Returns:
+        (height, width, 3) uint8 image; padding bands are black.
+    """
+    resized, box = _render_float(grid, out_size)
     resized *= 255.0
     np.rint(resized, out=resized)
-    canvas = np.zeros((out_h, out_w, 3), dtype=np.uint8)
-    canvas[plan.box] = np.moveaxis(resized, 0, -1)
+    canvas = np.zeros((*out_size, 3), dtype=np.uint8)
+    canvas[box] = np.moveaxis(resized, 0, -1)
     return canvas
 
 

@@ -86,8 +86,9 @@ class ProjectedMap:
     def __post_init__(self) -> None:
         if self.plane not in PLANES:
             raise ContractError(f"plane must be one of {PLANES}, got {self.plane!r}")
-        if np.any(self.grid < 0):
-            raise ContractError("projected map values must be non-negative")
+        # Written so that NaN, which fails every comparison, fails too.
+        if not ((self.grid >= 0).all() and np.isfinite(self.grid).all()):
+            raise ContractError("projected map values must be finite and non-negative")
 
 
 def rotation_matrix(spec: RotationSpec) -> np.ndarray:

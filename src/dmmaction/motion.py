@@ -67,16 +67,18 @@ class FlowField:
 
 @dataclass(frozen=True)
 class MagnitudeMap:
-    """Non-negative motion-energy grid; g in [0, 1] once normalized."""
+    """Finite, non-negative motion-energy grid; g in [0, 1] once normalized."""
 
     g: np.ndarray = field(repr=False)
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        if np.any(self.g < 0):
-            raise ContractError("magnitude values must be non-negative")
-        if self.normalized and np.any(self.g > 1.0):
-            raise ContractError("normalized magnitudes must lie in [0, 1]")
+        # Written so that NaN, which fails every comparison, fails too.
+        if self.normalized:
+            if not ((self.g >= 0) & (self.g <= 1.0)).all():
+                raise ContractError("normalized magnitudes must lie in [0, 1]")
+        elif not ((self.g >= 0).all() and np.isfinite(self.g).all()):
+            raise ContractError("magnitude values must be finite and non-negative")
 
 
 def _refresh_border(padded: np.ndarray) -> None:

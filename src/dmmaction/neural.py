@@ -27,10 +27,10 @@ keeps as many networks as if fc6 were stored.
 Each convolution is one BLAS GEMM per chunk of output positions: the
 weights, as a (maps, input maps * kernel volume) matrix, times a column
 buffer that holds every input value each output position of the chunk
-reads.  The buffer is bounded by CONV_CHUNK_ELEMENTS and reused across
-chunks, so memory beyond the output stays cache-sized; where chunking
-could change a bit of the result the layer runs as one chunk (see
-`_conv_chunk`).
+reads.  The buffer is bounded by CONV_COLUMN_ELEMENTS (8 MiB of float32)
+and reused across chunks, so memory beyond the output stays within that
+bound plus one GEMM block; where chunking could change a bit of the
+result the layer runs as one chunk (see `_conv_chunk`).
 """
 
 from __future__ import annotations
@@ -176,9 +176,10 @@ class NetworkSpec:
         )
 
 
-# Elements of conv3d_forward's column buffer and of a dense_forward weight
-# block; a conv chunk always holds at least one output row.
-CONV_CHUNK_ELEMENTS = 2**19
+# Elements of conv3d_forward's column buffer, 8 MiB of float32, so that
+# c3d's deep convs run GEMMs of 98 to 280 columns, which OpenBLAS runs
+# faster than narrower ones.  A chunk always holds at least one output row.
+CONV_COLUMN_ELEMENTS = 2**21
 # The GEMM size above which a chunked conv gives the same bits as the
 # whole-output one; see _conv_chunk.
 CONV_GEMM_MIN_MACS = 2**20
@@ -200,14 +201,17 @@ def _conv_chunk(out_maps: int, taps: int, depth: int, height: int, width: int) -
     small-matrix kernel sums in another order.  One output map is a
     matrix-vector product, whose outputs differ with the column count.
     So a layer with one output map, or whose smallest chunk misses the
-    bound, runs as one chunk, which is the unchunked computation.
+    bound, runs as one chunk, which is the unchunked computation.  The
+    rule was checked again at the widths of CONV_COLUMN_ELEMENTS = 2**21
+    under 1 and 2 threads: every conv of a 112x112 c3d pass, from conv1's
+    25,088-column chunks to conv4b's 140, gives the bytes of one chunk.
     """
     frame = height * width
-    if taps * frame <= CONV_CHUNK_ELEMENTS:
-        frames, rows = min(depth, CONV_CHUNK_ELEMENTS // (taps * frame)), height
+    if taps * frame <= CONV_COLUMN_ELEMENTS:
+        frames, rows = min(depth, CONV_COLUMN_ELEMENTS // (taps * frame)), height
         smallest = (depth % frames or frames) * frame
     else:
-        frames, rows = 1, min(height, max(1, CONV_CHUNK_ELEMENTS // (taps * width)))
+        frames, rows = 1, min(height, max(1, CONV_COLUMN_ELEMENTS // (taps * width)))
         smallest = (height % rows or rows) * width
     if out_maps == 1 or out_maps * taps * smallest <= CONV_GEMM_MIN_MACS:
         return depth, height
@@ -239,7 +243,7 @@ def conv3d_forward(x: np.ndarray, layer: Conv3d) -> np.ndarray:
     output position of the chunk, the m*r*p*q input values it reads (zero
     where a tap falls in the padding).  Then the bias is added and tanh
     written into the output.  The buffer and the GEMM block are reused
-    across chunks, so memory beyond the output stays cache-sized.
+    across chunks, so memory beyond the output is those two.
     """
     j_maps, od, oh, ow = _layer_output_shape(x.shape, layer)
     m_maps, kr, kp, kq = layer.weights.shape[1:]
@@ -300,6 +304,11 @@ def maxpool3d(x: np.ndarray, kernel: Triple, stride: Triple) -> np.ndarray:
     return out
 
 
+# Elements of a dense_forward weight block, 2 MiB of float32; a DrawnMatrix
+# draws each block again whenever the layer reads it.
+DENSE_BLOCK_ELEMENTS = 2**19
+
+
 def _dense_rows(out_units: int, in_units: int) -> int:
     """Weight rows per dense_forward block.
 
@@ -314,7 +323,7 @@ def _dense_rows(out_units: int, in_units: int) -> int:
     """
     if out_units % 8:
         return out_units
-    return max(8, CONV_CHUNK_ELEMENTS // max(in_units, 1) // 8 * 8)
+    return max(8, DENSE_BLOCK_ELEMENTS // max(in_units, 1) // 8 * 8)
 
 
 def dense_forward(x: np.ndarray, layer: Dense) -> np.ndarray:

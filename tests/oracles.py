@@ -206,16 +206,17 @@ def dmm_oracle(grids, t, window, floor=0.0, weights=None):
     return out
 
 
-def render_oracle(grid, out_size):
-    """A grid rendered as the package has always defined it, channels-last.
+def render_float_oracle(grid, out_size):
+    """A grid rendered as the package has always defined it, channels-last,
+    before quantization.
 
     Min-max scale to u in [0, 1] (a constant grid gives u = 0); jet colors
     r, g, b = clamp(1.5 - |4u - k|, 0, 1) for k = 3, 2, 1 on a last axis;
     resize to the largest size of the grid's aspect that fits out_size
     (each side round(side * scale), at least 1) by bilinear sampling at
     pixel centers, blending the two columns first and then the two rows;
-    center it on a zero canvas with the odd pixel of each band at the end;
-    then rint(255 * value) as uint8.  Indices are computed afresh here.
+    center it on a zero canvas with the odd pixel of each band at the end.
+    Indices are computed afresh here.
     """
     out_h, out_w = out_size
     in_h, in_w = grid.shape
@@ -244,7 +245,12 @@ def render_oracle(grid, out_size):
             upper = colored[y0, x0] * (1 - wx) + colored[y0, x1] * wx
             lower = colored[y1, x0] * (1 - wx) + colored[y1, x1] * wx
             canvas[top + row, left + col] = upper * (1 - wy) + lower * wy
-    return np.rint(255.0 * canvas).astype(np.uint8)
+    return canvas
+
+
+def render_oracle(grid, out_size):
+    """render_float_oracle quantized: rint(255 * value) as uint8."""
+    return np.rint(255.0 * render_float_oracle(grid, out_size)).astype(np.uint8)
 
 
 def fill_holes_oracle(grid):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmmaction import ALL, ContractError
+from dmmaction import ALL, ContractError, dmm
 from dmmaction.dmm import (
     accumulate_ramdmm,
     jet_rgb,
@@ -15,7 +15,7 @@ from dmmaction.dmm import (
 )
 from dmmaction.geometry import ProjectedMap
 from dmmaction.motion import MagnitudeMap, normalize_magnitude
-from oracles import dmm_oracle, render_oracle
+from oracles import dmm_oracle, render_float_oracle, render_oracle
 
 
 def _maps(values, plane="xy"):
@@ -274,6 +274,11 @@ class TestRenderTemplate:
         assert got.shape == want.shape == (out_h, out_w, 3)
         assert got.dtype == np.uint8
         assert got.tobytes() == want.tobytes()
+        # rint(255 * v) hides last-bit differences, such as blending rows
+        # before columns; the float image before it does not.
+        planes, box = dmm._render_float(grid, (out_h, out_w))
+        want_float = render_float_oracle(grid, (out_h, out_w))
+        assert np.moveaxis(planes, 0, -1).tobytes() == want_float[box].tobytes()
 
 
 class TestStackClip:

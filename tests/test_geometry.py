@@ -8,6 +8,7 @@ from dmmaction import ContractError
 from dmmaction.geometry import (
     BinParams,
     Intrinsics,
+    ProjectedMap,
     RotationSpec,
     depth_to_points,
     fill_depth_holes,
@@ -216,6 +217,15 @@ class TestProjectCartesian:
         yz, xz = occupancy_oracle(depth, 75.0, 10)
         assert np.array_equal(m_yz.grid, yz)
         assert np.array_equal(m_xz.grid, xz)
+
+
+class TestProjectedMap:
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_negative_or_non_finite_grid_rejected(self, bad):
+        grid = np.zeros((3, 4))
+        grid[1, 2] = bad
+        with pytest.raises(ContractError, match="finite and non-negative"):
+            ProjectedMap("xy", grid)
 
 
 class TestSynthesizeView:

@@ -337,6 +337,16 @@ class TestNormalizeMagnitude:
         with pytest.raises(ContractError):
             MagnitudeMap(np.array([[-1.0]]), normalized=False)
 
+    @pytest.mark.parametrize(
+        "normalized, message",
+        [(False, "finite and non-negative"), (True, r"lie in \[0, 1\]")],
+        ids=["raw", "normalized"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad, normalized, message):
+        with pytest.raises(ContractError, match=message):
+            MagnitudeMap(np.array([[0.5, bad]]), normalized=normalized)
+
     def test_range_in_unit_interval(self, rng):
         mag = MagnitudeMap(rng.random((6, 6)) * 100.0, normalized=False)
         out = normalize_magnitude(mag)

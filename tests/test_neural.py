@@ -124,7 +124,7 @@ UNCHUNKED = 2**40
 
 
 def _conv(x, layer, budget):
-    with mock.patch.object(neural, "CONV_CHUNK_ELEMENTS", budget):
+    with mock.patch.object(neural, "CONV_COLUMN_ELEMENTS", budget):
         return conv3d_forward(x, layer)
 
 
@@ -204,7 +204,9 @@ class TestConv3dChunked:
 
     @pytest.mark.parametrize(
         "in_maps, out_maps, depth, side",
-        [(3, 64, 16, 112), (64, 128, 16, 56)],
+        # conv1 runs in bands only above a 160-pixel side; two frames keep
+        # the unchunked reference cheap.
+        [(3, 64, 2, 168), (64, 128, 16, 56)],
         ids=["c3d-conv1", "c3d-conv2"],
     )
     def test_c3d_layers_chunk_and_match(self, in_maps, out_maps, depth, side):
@@ -219,16 +221,17 @@ class TestConv3dChunked:
         x = local.uniform(0.0, 1.0, (in_maps, depth, side, side))
         chunk, whole = _chunks(layer, x.shape)
         assert chunk < side * side < whole  # bands of rows
-        _assert_chunked_conv(x, layer, neural.CONV_CHUNK_ELEMENTS)
+        _assert_chunked_conv(x, layer, neural.CONV_COLUMN_ELEMENTS)
 
     def test_desk_layers_chunk_and_match(self):
-        net = desk_network(stream_rng(13, "desk-bytes"))
+        # 64x64 frames: at 32x32 each desk conv's 16 frames fit one chunk.
+        net = desk_network(stream_rng(13, "desk-bytes"), height=64, width=64)
         x = np.random.default_rng(13).uniform(0.0, 1.0, net.input_shape)
         for layer in net.layers:
             if isinstance(layer, Conv3d):
                 chunk, whole = _chunks(layer, x.shape)
                 assert chunk < whole and chunk % (x.shape[2] * x.shape[3]) == 0  # whole frames
-                _assert_chunked_conv(x, layer, neural.CONV_CHUNK_ELEMENTS)
+                _assert_chunked_conv(x, layer, neural.CONV_COLUMN_ELEMENTS)
                 x = conv3d_forward(x, layer)
             elif isinstance(layer, neural.MaxPool3d):
                 x = maxpool3d(x, layer.kernel, layer.stride)
@@ -253,7 +256,7 @@ class TestConv3dChunked:
             padding=(1, 1, 1),
         )
         x = local.uniform(0.0, 1.0, (in_maps, 3, side, side))
-        with mock.patch.object(neural, "CONV_CHUNK_ELEMENTS", budget):
+        with mock.patch.object(neural, "CONV_COLUMN_ELEMENTS", budget):
             chunk, whole = _chunks(layer, x.shape)
         assert (chunk < whole) == chunked
         _assert_chunked_conv(x, layer, budget)
@@ -261,7 +264,7 @@ class TestConv3dChunked:
 
 class TestConvScratch:
     """conv3d_forward allocates its float32 output, one column buffer of at
-    most CONV_CHUNK_ELEMENTS elements and one GEMM block, and nothing more:
+    most CONV_COLUMN_ELEMENTS elements and one GEMM block, and nothing more:
     no padded copy of its input and no float64 array."""
 
     @pytest.mark.parametrize(
@@ -276,7 +279,7 @@ class TestConvScratch:
         x = local.uniform(0.0, 1.0, (in_maps, depth, side, side)).astype(np.float32)
         chunk, _ = _chunks(layer, x.shape)
         columns = w[0].size * chunk
-        assert columns <= neural.CONV_CHUNK_ELEMENTS
+        assert columns <= neural.CONV_COLUMN_ELEMENTS
         out_nbytes = out_maps * depth * side * side * 4
         allowed = out_nbytes + 4 * columns + 4 * out_maps * chunk
         tracemalloc.start()
@@ -363,7 +366,7 @@ def _dense_layer(seed, out_units, in_units, dtype=np.float32):
 
 
 def _dense(x, layer, budget):
-    with mock.patch.object(neural, "CONV_CHUNK_ELEMENTS", budget):
+    with mock.patch.object(neural, "DENSE_BLOCK_ELEMENTS", budget):
         return dense_forward(x, layer)
 
 
@@ -392,7 +395,7 @@ class TestDenseForward:
         # rows patches the block budget down to about that many rows, so
         # that several blocks and a tail run.
         layer, x = _dense_layer(seed, out_units, in_units, dtype)
-        _assert_blocked_dense(x, layer, rows * in_units if rows else neural.CONV_CHUNK_ELEMENTS)
+        _assert_blocked_dense(x, layer, rows * in_units if rows else neural.DENSE_BLOCK_ELEMENTS)
 
     @pytest.mark.parametrize(
         "out_units, in_units, chunk, rows",
@@ -405,8 +408,8 @@ class TestDenseForward:
     )
     def test_blocks_and_tails_match(self, out_units, in_units, chunk, rows):
         layer, x = _dense_layer(out_units, out_units, in_units)
-        budget = chunk or neural.CONV_CHUNK_ELEMENTS
-        with mock.patch.object(neural, "CONV_CHUNK_ELEMENTS", budget):
+        budget = chunk or neural.DENSE_BLOCK_ELEMENTS
+        with mock.patch.object(neural, "DENSE_BLOCK_ELEMENTS", budget):
             assert neural._dense_rows(out_units, in_units) == rows
         _assert_blocked_dense(x, layer, budget)
 
@@ -440,7 +443,7 @@ class TestDrawnMatrix:
         # The block budget is patched down to 8 * eights rows, so that
         # several blocks and a tail run.
         rows = 8 * eights
-        with mock.patch.object(neural, "CONV_CHUNK_ELEMENTS", rows * in_units):
+        with mock.patch.object(neural, "DENSE_BLOCK_ELEMENTS", rows * in_units):
             w, b = neural._draw(np.random.default_rng(seed), out_units, in_units)
             ref_w, ref_b = draw_oracle(np.random.default_rng(seed), out_units, in_units)
             drawn = out_units % 8 == 0 and rows < out_units
@@ -458,7 +461,7 @@ class TestDrawnMatrix:
         assert out.tobytes() == _dense(x, stored, UNCHUNKED).tobytes()
 
     def test_whole_matrix_is_the_stored_draw(self):
-        with mock.patch.object(neural, "CONV_CHUNK_ELEMENTS", 8 * 40):
+        with mock.patch.object(neural, "DENSE_BLOCK_ELEMENTS", 8 * 40):
             w, _ = neural._draw(np.random.default_rng(3), 64, 40)
         ref_w, _ = draw_oracle(np.random.default_rng(3), 64, 40)
         assert isinstance(w, neural.DrawnMatrix)

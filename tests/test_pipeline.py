@@ -888,9 +888,10 @@ class TestGoldenReport:
         assert got == _GOLDEN_MODELS_SHA256
 
 
-# Runs the TestGoldenReport computation on a fresh copy of small_dataset
-# and one 32x32 c3d forward pass (fc6 drawn: 4,096 outputs of 512 inputs),
-# printing the report CSV, each model file's sha256 and the features' sha256.
+# Runs the TestGoldenReport computation on a fresh copy of small_dataset,
+# one 32x32 c3d forward pass (fc6 drawn: 4,096 outputs of 512 inputs) and
+# the conv3b layer of a 112x112 c3d pass (280-column GEMMs), printing the
+# report CSV, each model file's sha256, the features' sha256 and conv3b's.
 _THREADS_SCRIPT = """
 import hashlib, sys
 from pathlib import Path
@@ -900,7 +901,10 @@ from dmmaction import (
     SynthSpec, evaluate, generate_synthetic_dataset, read_manifest, resolve_split,
     save_plan, train,
 )
-from dmmaction.neural import DrawnMatrix, c3d_network, extract_features, stream_rng
+from dmmaction.neural import (
+    Conv3d, DrawnMatrix, _conv_chunk, _draw, c3d_network, conv3d_forward,
+    extract_features, stream_rng,
+)
 
 root = Path(sys.argv[1])
 spec = SynthSpec(actions=("slide", "bob"), subjects=4, cameras=1, frames=20)
@@ -914,32 +918,63 @@ net = c3d_network(stream_rng(0, "threads"), height=32, width=32)
 assert isinstance(net.layers[-1].weights, DrawnMatrix)
 frames = np.random.default_rng(0).integers(0, 256, (16, 32, 32, 3), dtype=np.uint8)
 print("c3d", hashlib.sha256(extract_features(frames, net).tobytes()).hexdigest())
+w, b = _draw(stream_rng(0, "threads/conv3b"), 256, 256, 3, 3, 3)
+assert _conv_chunk(256, w[0].size, 8, 28, 28) == (1, 10)
+x = np.random.default_rng(0).uniform(0.0, 1.0, (256, 8, 28, 28)).astype(np.float32)
+out = conv3d_forward(x, Conv3d("conv3b", w, b, padding=(1, 1, 1)))
+print("conv3b", hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
+def _run_threads_script(workdir, **env):
+    """The lines _THREADS_SCRIPT prints, run in a fresh process under env."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", _THREADS_SCRIPT, str(workdir)],
+        env=dict(os.environ, PYTHONPATH=path, **env), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines(keepends=True)
+
+
+def _dynamic_arch_openblas():
+    """Whether numpy links an OpenBLAS that picks its kernels at run time,
+    so that OPENBLAS_CORETYPE selects them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
 class TestBlasThreadCount:
-    """Report bytes, model bytes and c3d features do not depend on how many
-    threads OpenBLAS runs, on one machine and BLAS kernel."""
+    """Report bytes, model bytes, c3d features and conv3b's output do not
+    depend on how many threads OpenBLAS runs, on one machine and BLAS
+    kernel; the report bytes do not depend on the kernel either."""
 
     def test_one_and_two_threads_give_the_golden_bytes(self, tmp_path):
-        tests = Path(__file__).resolve().parent
-        path = os.pathsep.join(
-            [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
-        )
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            run = subprocess.run(
-                [sys.executable, "-c", _THREADS_SCRIPT, str(tmp_path / threads)],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            assert run.returncode == 0, run.stderr
-            outputs.append(run.stdout)
+        outputs = [
+            _run_threads_script(tmp_path / threads, OPENBLAS_NUM_THREADS=threads)
+            for threads in ("1", "2")
+        ]
         assert outputs[0] == outputs[1]
-        lines = outputs[0].splitlines(keepends=True)
-        assert "".join(lines[:-4]) == _GOLDEN_CSV
-        assert dict(line.split() for line in lines[-4:-1]) == _GOLDEN_MODELS_SHA256
-        assert lines[-1].startswith("c3d ")
+        lines = outputs[0]
+        assert "".join(lines[:-5]) == _GOLDEN_CSV
+        assert dict(line.split() for line in lines[-5:-2]) == _GOLDEN_MODELS_SHA256
+        assert lines[-2].startswith("c3d ")
+        assert lines[-1].startswith("conv3b ")
+
+    # Model files and features are pinned on the default kernel only: since
+    # the CNN computes in float32 they move under each of these.
+    @pytest.mark.skipif(not _dynamic_arch_openblas(), reason="BLAS kernels are fixed at build")
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott", "Sandybridge"])
+    def test_other_kernels_give_the_golden_report(self, tmp_path, coretype):
+        lines = _run_threads_script(tmp_path, OPENBLAS_CORETYPE=coretype)
+        assert "".join(lines[:-5]) == _GOLDEN_CSV
 
 
 class TestPlanPersistence:
