@@ -8,8 +8,9 @@ counted in difference terms: a window w starting at t consumes maps
 t .. t+w, so t + w must not exceed the last map index.  The ALL window
 means every remaining difference from t to the end of the sequence.
 
-Each term |maps[i+1] - maps[i]| * weights[i] is formed in one float64
-buffer reused across the window and added to the sum in order of i.
+Each term |maps[i+1] - maps[i]| * weights[i], of n maps and (n - 1, h, w)
+weights, is formed in one float64 buffer reused across the window and
+added to the sum in order of i.
 
 Rendering scales a template to [0, 1], applies the jet colormap defined
 bit-exactly below, bilinearly resizes preserving aspect, and zero-pads
@@ -39,7 +40,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError
-from .motion import MagnitudeMap
 from .geometry import ProjectedMap
 
 #: Whole-remaining-sequence window marker.
@@ -95,7 +95,7 @@ def _check_window(maps: Sequence[ProjectedMap], t: int, window: Window) -> int:
 
 def accumulate_ramdmm(
     maps: Sequence[ProjectedMap],
-    weights: Sequence[MagnitudeMap],
+    weights: np.ndarray,
     t: int,
     window: Window,
     floor: float = 0.0,
@@ -104,8 +104,9 @@ def accumulate_ramdmm(
 
     Args:
         maps: ordered projections of one plane, identical shapes.
-        weights: weights[k] is the normalized magnitude of the flow between
-            maps k and k+1, one per consecutive pair.
+        weights: the (len(maps) - 1, h, w) normalized flow magnitudes, or a
+            sequence of (h, w) ones; weights[k], in [0, 1], weighs the
+            difference of maps k and k+1.  normalize_magnitude checks them.
         t: start index of the window.
         window: difference count, or ALL for everything from t onward.
         floor: optional noise floor; per-pixel differences below it are
@@ -117,18 +118,12 @@ def accumulate_ramdmm(
     """
     w = _check_window(maps, t, window)
     shape = maps[0].grid.shape
-    if len(weights) != len(maps) - 1:
+    weights = np.asarray(weights)
+    if weights.shape != (len(maps) - 1, *shape):
         raise ContractError(
-            f"got {len(weights)} weight maps for {len(maps)} frames; "
-            f"expected one per consecutive pair ({len(maps) - 1})"
+            f"weights of shape {weights.shape} do not match {len(maps)} maps of shape "
+            f"{shape}; expected one per consecutive pair, {(len(maps) - 1, *shape)}"
         )
-    for i, g in enumerate(weights[t : t + w], start=t):
-        if not g.normalized:
-            raise ContractError(f"weight map {i} is not normalized")
-        if g.g.shape != shape:
-            raise ContractError(
-                f"weight map {i} shape {g.g.shape} does not match maps {shape}"
-            )
     acc = np.zeros(shape, dtype=np.float64)
     term = np.empty(shape, dtype=np.float64)
     for i in range(t, t + w):
@@ -136,7 +131,7 @@ def accumulate_ramdmm(
         np.abs(term, out=term)
         if floor > 0.0:
             np.copyto(term, 0.0, where=~(term >= floor))
-        np.multiply(term, weights[i].g, out=term)
+        np.multiply(term, weights[i], out=term)
         acc += term
     return acc
 

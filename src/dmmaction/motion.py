@@ -8,15 +8,16 @@ It walks the pairs in chunks of FLOW_CHUNK_PIXELS pixels to bound its
 working set; each pair's result is bit-identical to solving that pair
 alone.  The solver iterates in float32: each chunk of frames is cast as it
 is solved, and frames that are not finite in float32, or whose sums or
-squared gradients overflow it, are rejected.  The flow comes back as
-float64, so everything downstream stays float64.  The magnitude map is
-the squared flow magnitude g = ox^2 + oy^2, normalized per frame pair by
-its maximum so it can weight motion-template accumulation.
+squared gradients overflow it, are rejected.  The flow comes back as the
+float64 array pair (ox, oy), so everything downstream stays float64.  The
+magnitude is the array g = ox^2 + oy^2, normalized per frame pair by its
+maximum so it can weight motion-template accumulation.  Magnitudes are
+checked once, where weights are made from them: normalize_magnitude (and
+pipeline._flow_weights, before a division by the sequence's peak) rejects
+NaN, infinite and negative values, so every weight lies in [0, 1].
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,36 +50,6 @@ _AVG_TERMS = tuple(
     for dx, weight in enumerate(row)
     if weight
 )
-
-
-@dataclass(frozen=True)
-class FlowField:
-    """Per-pixel displacement in pixels/frame; ox horizontal, oy vertical."""
-
-    ox: np.ndarray = field(repr=False)
-    oy: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.ox.shape != self.oy.shape:
-            raise ContractError(
-                f"flow components disagree: ox {self.ox.shape} vs oy {self.oy.shape}"
-            )
-
-
-@dataclass(frozen=True)
-class MagnitudeMap:
-    """Finite, non-negative motion-energy grid; g in [0, 1] once normalized."""
-
-    g: np.ndarray = field(repr=False)
-    normalized: bool = False
-
-    def __post_init__(self) -> None:
-        # Written so that NaN, which fails every comparison, fails too.
-        if self.normalized:
-            if not ((self.g >= 0) & (self.g <= 1.0)).all():
-                raise ContractError("normalized magnitudes must lie in [0, 1]")
-        elif not ((self.g >= 0).all() and np.isfinite(self.g).all()):
-            raise ContractError("magnitude values must be finite and non-negative")
 
 
 def _refresh_border(padded: np.ndarray) -> None:
@@ -183,29 +154,40 @@ def estimate_flow(
     b: np.ndarray,
     iterations: int = DEFAULT_ITERATIONS,
     smoothness: float = DEFAULT_SMOOTHNESS,
-) -> FlowField:
+) -> tuple[np.ndarray, np.ndarray]:
     """Horn-Schunck flow from frame a to frame b, for one pair or a stack.
 
     Args:
         a, b: scalar frames of identical shape (..., h, w), h and w at
             least 2.  Leading axes index independent frame pairs, so a
             sequence's flows come from one call on (frames[:-1], frames[1:]).
-        iterations: fixed Jacobi iteration count; output is deterministic
-            given this and the regularizer.
-        smoothness: regularization weight (enters the update as its square).
+        iterations: fixed Jacobi iteration count, at least 0; output is
+            deterministic given this and the regularizer.
+        smoothness: regularization weight, > 0; it enters the update as
+            its square, which must be finite and nonzero in float32.
 
     Returns:
-        FlowField with per-pixel (ox, oy) displacements, shaped like a.
+        The pair (ox, oy) of per-pixel displacements in pixels/frame, ox
+        horizontal and oy vertical, each a float64 array shaped like a.
         Each pair's flow is bit-identical to a call on that pair alone.
         Pairs are solved in float32, in chunks of at most FLOW_CHUNK_PIXELS
         pixels (one pair when a frame is larger), and returned as float64.
 
     Raises:
-        ContractError: on mismatched or smaller than 2x2 frames, on a
-            frame value that is NaN, infinite or beyond float32's range, or
-            on frames whose sum, difference or squared gradients overflow
+        ContractError: on a negative iteration count or a smoothness out of
+            range, on mismatched or smaller than 2x2 frames, on a frame
+            value that is NaN, infinite or beyond float32's range, or on
+            frames whose sum, difference or squared gradients overflow
             float32.
     """
+    if iterations < 0:
+        raise ContractError(f"iterations must be >= 0, got {iterations}")
+    with np.errstate(over="ignore", under="ignore"):
+        square = np.float32(smoothness) ** 2
+    if not (smoothness > 0 and 0 < square < np.inf):
+        raise ContractError(
+            f"smoothness must be finite and > 0, and so must its float32 square, got {smoothness}"
+        )
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -222,17 +204,23 @@ def estimate_flow(
     for start in range(0, len(a3), step):
         chunk = slice(start, start + step)
         _horn_schunck(a3[chunk], b3[chunk], iterations, smoothness, ox[chunk], oy[chunk])
-    return FlowField(ox=ox.reshape(a.shape), oy=oy.reshape(a.shape))
+    return ox.reshape(a.shape), oy.reshape(a.shape)
 
 
-def flow_magnitude(flow: FlowField) -> MagnitudeMap:
-    """Squared flow magnitude g = ox^2 + oy^2 (no square root)."""
-    return MagnitudeMap(g=flow.ox**2 + flow.oy**2, normalized=False)
+def flow_magnitude(flow: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Squared flow magnitude g = ox^2 + oy^2 (no square root) of flow = (ox, oy)."""
+    ox, oy = flow
+    return ox**2 + oy**2
 
 
-def normalize_magnitude(m: MagnitudeMap, eps: float = 1e-12) -> MagnitudeMap:
-    """Divide by the per-frame maximum; an all-zero map stays all-zero."""
-    peak = float(np.max(m.g)) if m.g.size else 0.0
+def normalize_magnitude(g: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """g divided by its maximum, so in [0, 1]; a map whose maximum is below
+    eps, all-zero included, gives all zeros.  ContractError if g holds a
+    NaN, an infinity or a negative value."""
+    # Written so that NaN, which fails every comparison, fails too.
+    if not ((g >= 0).all() and np.isfinite(g).all()):
+        raise ContractError("magnitude values must be finite and non-negative")
+    peak = float(np.max(g)) if g.size else 0.0
     if peak < eps:
-        return MagnitudeMap(g=np.zeros_like(m.g), normalized=True)
-    return MagnitudeMap(g=m.g / peak, normalized=True)
+        return np.zeros_like(g)
+    return g / peak

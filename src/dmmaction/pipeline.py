@@ -69,7 +69,7 @@ from .learn import (
     svm_score,
     svm_train,
 )
-from .motion import MagnitudeMap, estimate_flow, flow_magnitude, normalize_magnitude
+from .motion import estimate_flow, flow_magnitude, normalize_magnitude
 from .neural import (
     NetworkSpec,
     c3d_network,
@@ -330,15 +330,15 @@ class ExtractResult:
     warnings: tuple[str, ...] = ()
 
 
-def _flow_weights(
-    maps: list, cfg: PipelineConfig
-) -> list[MagnitudeMap]:
-    """Normalized motion-magnitude weights for each consecutive map pair.
-
-    All pairs of the sequence go through one batched flow call.
+def _flow_weights(maps: list[ProjectedMap], cfg: PipelineConfig) -> np.ndarray:
+    """The (n - 1, h, w) float64 weights of n maps, one per consecutive pair,
+    each in [0, 1]: all pairs' flows come from one batched call, and each
+    pair's magnitude is divided by its own peak ("pair") or the sequence's
+    ("global").  ContractError on maps not 2-D and of one shape, or on a
+    NaN, infinite or negative magnitude.
     """
     if len(maps) < 2:
-        return []
+        return np.zeros((0, *(maps[0].grid.shape if maps else (0, 0))))
     shapes = sorted({m.grid.shape for m in maps})
     if len(shapes) != 1 or len(shapes[0]) != 2:
         raise ContractError(f"a sequence needs 2-D maps of one shape, got {shapes}")
@@ -346,13 +346,19 @@ def _flow_weights(
     flow = estimate_flow(
         grids[:-1], grids[1:], iterations=cfg.flow_iterations, smoothness=cfg.flow_smoothness
     )
-    raw = flow_magnitude(flow).g
+    raw = flow_magnitude(flow)
     if cfg.flow_normalization == "pair":
-        return [normalize_magnitude(MagnitudeMap(g)) for g in raw]
+        # normalize_magnitude checks each pair's magnitude.  Each result goes
+        # back into raw, so the weights take no second (n - 1, h, w) array.
+        for g in raw:
+            g[...] = normalize_magnitude(g)
+        return raw
+    if not ((raw >= 0).all() and np.isfinite(raw).all()):
+        raise ContractError("magnitude values must be finite and non-negative")
     peak = float(np.max(raw))
     if peak <= 0.0:
-        return [MagnitudeMap(np.zeros_like(g), normalized=True) for g in raw]
-    return [MagnitudeMap(g, normalized=True) for g in raw / peak]
+        return np.zeros_like(raw)
+    return raw / peak
 
 
 def _views(
@@ -383,7 +389,7 @@ def _plane_maps(projected: list[tuple[ProjectedMap, ...]], plane: str) -> list[P
 
 def render_templates(
     maps: list[ProjectedMap],
-    weights: list[MagnitudeMap],
+    weights: np.ndarray,
     window: Window,
     cfg: PipelineConfig,
     starts: Iterable[int],

@@ -14,7 +14,7 @@ from dmmaction.dmm import (
     stack_clip,
 )
 from dmmaction.geometry import ProjectedMap
-from dmmaction.motion import MagnitudeMap, normalize_magnitude
+from dmmaction.motion import normalize_magnitude
 from oracles import dmm_oracle, render_float_oracle, render_oracle
 
 
@@ -23,7 +23,7 @@ def _maps(values, plane="xy"):
 
 
 def _unit_weights(n, shape):
-    return [MagnitudeMap(np.ones(shape), normalized=True) for _ in range(n)]
+    return np.ones((n, *shape))
 
 
 def _dmm(maps, t, window, floor=0.0):
@@ -107,10 +107,7 @@ class TestAccumulateDmm:
 class TestAccumulateRamdmm:
     def test_scalar_example(self):
         maps = _maps([[[0.0]], [[3.0]], [[5.0]]])
-        weights = [
-            MagnitudeMap(np.array([[0.5]]), normalized=True),
-            MagnitudeMap(np.array([[1.0]]), normalized=True),
-        ]
+        weights = np.array([[[0.5]], [[1.0]]])
         grid = accumulate_ramdmm(maps, weights, t=0, window=2)
         assert grid[0, 0] == 3.5
 
@@ -124,16 +121,14 @@ class TestAccumulateRamdmm:
     def test_zero_weights_give_zero(self, rng):
         frames = rng.random((4, 3, 3)) * 50.0
         maps = _maps(list(frames))
-        weights = [MagnitudeMap(np.zeros((3, 3)), normalized=True) for _ in range(3)]
+        weights = np.zeros((3, 3, 3))
         grid = accumulate_ramdmm(maps, weights, t=0, window=3)
         assert np.all(grid == 0.0)
 
     def test_weighted_bounded_by_unweighted(self, rng):
         frames = rng.random((6, 4, 5)) * 80.0
         maps = _maps(list(frames))
-        weights = [
-            MagnitudeMap(rng.random((4, 5)), normalized=True) for _ in range(5)
-        ]
+        weights = rng.random((5, 4, 5))
         weighted = accumulate_ramdmm(maps, weights, t=0, window=ALL)
         plain = dmm_oracle(frames, 0, ALL)
         assert np.all(weighted <= plain + 1e-12)
@@ -150,26 +145,21 @@ class TestAccumulateRamdmm:
         frames = rng.random((n, 3, 4)) * 40.0
         raw = rng.random((n - 1, 3, 4)) ** 3
         raw[rng.random(n - 1) < 0.2] = 0.0
-        weights = [normalize_magnitude(MagnitudeMap(g)) for g in raw]
+        weights = np.stack([normalize_magnitude(g) for g in raw])
         t = data.draw(st.integers(0, n - 3))
         window = data.draw(st.sampled_from([ALL, *range(2, n - t)]))
         got = accumulate_ramdmm(_maps(list(frames)), weights, t, window, floor=floor)
-        want = dmm_oracle(frames, t, window, floor=floor, weights=[m.g for m in weights])
+        want = dmm_oracle(frames, t, window, floor=floor, weights=weights)
         assert got.tobytes() == want.tobytes()
 
-    def test_misaligned_weights_rejected(self):
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1), (2, 2, 1), (2, 1, 2)], ids=["count", "h", "w"]
+    )
+    def test_misaligned_weights_rejected(self, shape):
         maps = _maps([[[0.0]], [[1.0]], [[2.0]]])
-        weights = _unit_weights(1, (1, 1))
-        with pytest.raises(ContractError, match="1 weight"):
-            accumulate_ramdmm(maps, weights, t=0, window=2)
-
-    def test_unnormalized_weights_rejected(self):
-        maps = _maps([[[0.0]], [[1.0]], [[2.0]]])
-        weights = [
-            MagnitudeMap(np.array([[2.0]]), normalized=False),
-            MagnitudeMap(np.array([[1.0]]), normalized=True),
-        ]
-        with pytest.raises(ContractError, match="not normalized"):
+        weights = np.ones(shape)
+        expected = r"weights of shape \(%d, %d, %d\) do not match 3 maps" % shape
+        with pytest.raises(ContractError, match=expected):
             accumulate_ramdmm(maps, weights, t=0, window=2)
 
     @pytest.mark.parametrize("window", [2, ALL])

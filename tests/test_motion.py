@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmmaction import ContractError, motion
-from dmmaction.motion import (
-    FlowField,
-    MagnitudeMap,
-    estimate_flow,
-    flow_magnitude,
-    normalize_magnitude,
-)
+from dmmaction.motion import estimate_flow, flow_magnitude, normalize_magnitude
 from oracles import horn_schunck_oracle
 
 
@@ -42,28 +36,28 @@ def _textured_pair(dy, dx, h=24, w=24, top=8, left=8, size=8):
 class TestEstimateFlow:
     def test_identical_frames_give_zero_flow(self, rng):
         frame = rng.random((12, 12)) * 255.0
-        flow = estimate_flow(frame, frame, iterations=50)
-        assert float(np.abs(flow.ox).max()) < 1e-6
-        assert float(np.abs(flow.oy).max()) < 1e-6
+        ox, oy = estimate_flow(frame, frame, iterations=50)
+        assert float(np.abs(ox).max()) < 1e-6
+        assert float(np.abs(oy).max()) < 1e-6
 
     def test_uniform_frames_give_zero_flow(self):
         a = np.full((10, 10), 80.0)
         b = np.full((10, 10), 80.0)
-        flow = estimate_flow(a, b, iterations=50)
-        assert float(np.abs(flow.ox).max()) < 1e-6
-        assert float(np.abs(flow.oy).max()) < 1e-6
+        ox, oy = estimate_flow(a, b, iterations=50)
+        assert float(np.abs(ox).max()) < 1e-6
+        assert float(np.abs(oy).max()) < 1e-6
 
     def test_unit_x_shift_recovered(self):
         a, b, moving = _textured_pair(0, 1)
-        flow = estimate_flow(a, b, iterations=100, smoothness=0.02)
-        assert 0.8 <= float(flow.ox[moving].mean()) <= 1.2
-        assert -0.2 <= float(flow.oy[moving].mean()) <= 0.2
+        ox, oy = estimate_flow(a, b, iterations=100, smoothness=0.02)
+        assert 0.8 <= float(ox[moving].mean()) <= 1.2
+        assert -0.2 <= float(oy[moving].mean()) <= 0.2
 
     def test_unit_y_shift_recovered(self):
         a, b, moving = _textured_pair(1, 0)
-        flow = estimate_flow(a, b, iterations=100, smoothness=0.02)
-        assert 0.8 <= float(flow.oy[moving].mean()) <= 1.2
-        assert -0.2 <= float(flow.ox[moving].mean()) <= 0.2
+        ox, oy = estimate_flow(a, b, iterations=100, smoothness=0.02)
+        assert 0.8 <= float(oy[moving].mean()) <= 1.2
+        assert -0.2 <= float(ox[moving].mean()) <= 0.2
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
@@ -85,20 +79,35 @@ class TestEstimateFlow:
         with pytest.raises(ContractError):
             estimate_flow(np.zeros((3, 4, 4)), np.zeros((2, 4, 4)))
 
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ContractError, match="iterations must be >= 0, got -3"):
+            estimate_flow(np.zeros((6, 6)), np.ones((6, 6)), iterations=-3)
+
+    @pytest.mark.parametrize(
+        "smoothness",
+        [0.0, -0.02, np.nan, np.inf, -np.inf, 1e-30, 1e20],
+        ids=["zero", "negative", "nan", "inf", "-inf", "square-underflows", "square-overflows"],
+    )
+    def test_smoothness_out_of_range_rejected(self, smoothness):
+        # Zero smoothness alone made every pixel of a 6x6 pair NaN; an
+        # infinite or NaN one was blamed on the frames.
+        with pytest.raises(ContractError, match="smoothness must be finite and > 0"):
+            estimate_flow(np.zeros((6, 6)), np.ones((6, 6)), iterations=3, smoothness=smoothness)
+
     def test_horizontal_mirror_negates_ox(self):
         a = _square_frame(16, 16, 6, 5) + np.arange(16) * 3.0
         b = _square_frame(16, 16, 6, 6) + np.arange(16) * 3.0
-        plain = estimate_flow(a, b, iterations=100)
-        mirrored = estimate_flow(np.fliplr(a), np.fliplr(b), iterations=100)
-        assert float(np.abs(mirrored.ox + np.fliplr(plain.ox)).max()) < 1e-3
-        assert float(np.abs(mirrored.oy - np.fliplr(plain.oy)).max()) < 1e-3
+        plain_ox, plain_oy = estimate_flow(a, b, iterations=100)
+        mirrored_ox, mirrored_oy = estimate_flow(np.fliplr(a), np.fliplr(b), iterations=100)
+        assert float(np.abs(mirrored_ox + np.fliplr(plain_ox)).max()) < 1e-3
+        assert float(np.abs(mirrored_oy - np.fliplr(plain_oy)).max()) < 1e-3
 
     def test_finite_everywhere(self, rng):
         a = rng.random((10, 10)) * 255.0
         b = rng.random((10, 10)) * 255.0
-        flow = estimate_flow(a, b)
-        assert np.all(np.isfinite(flow.ox))
-        assert np.all(np.isfinite(flow.oy))
+        ox, oy = estimate_flow(a, b)
+        assert np.all(np.isfinite(ox))
+        assert np.all(np.isfinite(oy))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["a", "b"])
@@ -142,18 +151,20 @@ class TestEstimateFlow:
         a = np.zeros((2, 6, 6))
         a[:, 1:4, 1:3] = 2**32 - 1
         b = np.roll(a, 1, axis=-1)
-        flow = estimate_flow(a, b, iterations=5)
-        assert np.isfinite(flow.ox).all() and np.isfinite(flow.oy).all()
-        assert np.abs(flow.ox).max() > 0
+        ox, oy = estimate_flow(a, b, iterations=5)
+        assert np.isfinite(ox).all() and np.isfinite(oy).all()
+        assert np.abs(ox).max() > 0
 
 
 def _assert_matches_oracle(a, b, iterations, smoothness=0.02):
-    flow = estimate_flow(a, b, iterations=iterations, smoothness=smoothness)
-    assert flow.ox.shape == flow.oy.shape == a.shape
+    ox, oy = estimate_flow(a, b, iterations=iterations, smoothness=smoothness)
+    assert ox.shape == oy.shape == a.shape
     for idx in np.ndindex(a.shape[:-2]):
-        ox, oy = horn_schunck_oracle(a[idx], b[idx], iterations, smoothness, dtype=np.float32)
-        assert flow.ox[idx].tobytes() == ox.tobytes()
-        assert flow.oy[idx].tobytes() == oy.tobytes()
+        want_ox, want_oy = horn_schunck_oracle(
+            a[idx], b[idx], iterations, smoothness, dtype=np.float32
+        )
+        assert ox[idx].tobytes() == want_ox.tobytes()
+        assert oy[idx].tobytes() == want_oy.tobytes()
 
 
 def _level_frames(seed, shape):
@@ -196,12 +207,12 @@ class TestBatchedFlow:
         _assert_matches_oracle(a, b, iterations=1)
 
     def test_empty_stack(self):
-        flow = estimate_flow(np.zeros((0, 4, 5)), np.zeros((0, 4, 5)))
-        assert flow.ox.shape == flow.oy.shape == (0, 4, 5)
+        ox, oy = estimate_flow(np.zeros((0, 4, 5)), np.zeros((0, 4, 5)))
+        assert ox.shape == oy.shape == (0, 4, 5)
 
     def test_zero_iterations_give_zero_flow(self, rng):
-        flow = estimate_flow(rng.random((3, 4, 4)), rng.random((3, 4, 4)), iterations=0)
-        assert not flow.ox.any() and not flow.oy.any()
+        ox, oy = estimate_flow(rng.random((3, 4, 4)), rng.random((3, 4, 4)), iterations=0)
+        assert not ox.any() and not oy.any()
 
 
 class _AllocationRecorder:
@@ -238,11 +249,11 @@ class TestFlowFloat32:
         for seed in range(20):
             a, b = _level_frames(seed, (6, 12, 16))
             for iterations in (1, 30, 100):
-                flow = estimate_flow(a, b, iterations=iterations)
+                ox, oy = estimate_flow(a, b, iterations=iterations)
                 for i in range(len(a)):
-                    ox, oy = horn_schunck_oracle(a[i], b[i], iterations, 0.02)
-                    worst = max(worst, np.abs(flow.ox[i] - ox).max())
-                    worst = max(worst, np.abs(flow.oy[i] - oy).max())
+                    want_ox, want_oy = horn_schunck_oracle(a[i], b[i], iterations, 0.02)
+                    worst = max(worst, np.abs(ox[i] - want_ox).max())
+                    worst = max(worst, np.abs(oy[i] - want_oy).max())
         assert worst <= self.FLOW_ATOL
 
     @pytest.mark.parametrize("smoothness", [0.3, np.float64(0.3)], ids=["float", "np.float64"])
@@ -251,46 +262,45 @@ class TestFlowFloat32:
         recorder = _AllocationRecorder()
         with mock.patch.object(motion, "FLOW_CHUNK_PIXELS", 3 * 9 * 11):
             with mock.patch.object(motion, "np", recorder):
-                flow = estimate_flow(a, b, iterations=4, smoothness=smoothness)
+                ox, oy = estimate_flow(a, b, iterations=4, smoothness=smoothness)
         # ox and oy are the only float64 arrays; three chunks of solver buffers.
         assert recorder.dtypes[:2] == [np.float64, np.float64]
         assert len(recorder.dtypes) > 2
         assert all(dtype == np.float32 for dtype in recorder.dtypes[2:])
         assert all(type(weight) is np.float32 for weight, _, _ in motion._AVG_TERMS)
-        assert flow.ox.dtype == flow.oy.dtype == np.float64
+        assert ox.dtype == oy.dtype == np.float64
         # A float64 operand anywhere in a step would change these bytes.
         for i in range(len(a)):
-            ox, oy = horn_schunck_oracle(a[i], b[i], 4, smoothness, dtype=np.float32)
-            assert flow.ox[i].tobytes() == ox.tobytes()
-            assert flow.oy[i].tobytes() == oy.tobytes()
+            want_ox, want_oy = horn_schunck_oracle(a[i], b[i], 4, smoothness, dtype=np.float32)
+            assert ox[i].tobytes() == want_ox.tobytes()
+            assert oy[i].tobytes() == want_oy.tobytes()
 
     def test_peak_memory_is_the_outputs_and_fifteen_float32_chunks(self, rng):
         a = rng.random((200, 48, 64)) * 255.0
         b = a + rng.normal(size=a.shape)
         tracemalloc.start()
         try:
-            flow = estimate_flow(a, b, iterations=2)
+            ox, oy = estimate_flow(a, b, iterations=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        outputs = flow.ox.nbytes + flow.oy.nbytes
+        outputs = ox.nbytes + oy.nbytes
         assert peak < outputs + 15 * 4 * motion.FLOW_CHUNK_PIXELS + 2**16
 
 
 class TestFlowMagnitude:
     def test_squared_norm_no_sqrt(self):
-        flow = FlowField(np.array([[3.0]]), np.array([[4.0]]))
-        mag = flow_magnitude(flow)
-        assert mag.g[0, 0] == 25.0
-        assert mag.normalized is False
+        g = flow_magnitude((np.array([[3.0]]), np.array([[4.0]])))
+        assert g[0, 0] == 25.0
+        assert g.dtype == np.float64
 
     def test_zero_flow(self):
-        flow = FlowField(np.zeros((3, 3)), np.zeros((3, 3)))
-        assert np.all(flow_magnitude(flow).g == 0.0)
+        flow = (np.zeros((3, 3)), np.zeros((3, 3)))
+        assert np.all(flow_magnitude(flow) == 0.0)
 
     def test_unit_x_flow(self):
-        flow = FlowField(np.ones((2, 2)), np.zeros((2, 2)))
-        assert np.all(flow_magnitude(flow).g == 1.0)
+        flow = (np.ones((2, 2)), np.zeros((2, 2)))
+        assert np.all(flow_magnitude(flow) == 1.0)
 
     @given(st.integers(0, 300))
     @settings(max_examples=30, deadline=None)
@@ -298,29 +308,24 @@ class TestFlowMagnitude:
         local = np.random.default_rng(seed)
         ox = local.normal(size=(5, 6))
         oy = local.normal(size=(5, 6))
-        mag = flow_magnitude(FlowField(ox, oy))
-        assert np.allclose(mag.g, ox * ox + oy * oy, atol=0.0)
-        assert np.all((mag.g == 0.0) == ((ox == 0.0) & (oy == 0.0)))
+        g = flow_magnitude((ox, oy))
+        assert np.allclose(g, ox * ox + oy * oy, atol=0.0)
+        assert np.all((g == 0.0) == ((ox == 0.0) & (oy == 0.0)))
 
 
 class TestNormalizeMagnitude:
     def test_peak_division(self):
-        mag = MagnitudeMap(np.array([[1.0, 4.0], [2.0, 0.0]]), normalized=False)
-        out = normalize_magnitude(mag)
-        assert np.array_equal(out.g, [[0.25, 1.0], [0.5, 0.0]])
-        assert out.normalized is True
+        out = normalize_magnitude(np.array([[1.0, 4.0], [2.0, 0.0]]))
+        assert np.array_equal(out, [[0.25, 1.0], [0.5, 0.0]])
 
     def test_all_zero_passthrough(self):
-        mag = MagnitudeMap(np.zeros((2, 2)), normalized=False)
-        out = normalize_magnitude(mag)
-        assert np.all(out.g == 0.0)
-        assert out.normalized is True
+        out = normalize_magnitude(np.zeros((2, 2)))
+        assert np.all(out == 0.0)
 
     def test_idempotent(self, rng):
-        mag = MagnitudeMap(rng.random((4, 4)) * 9.0, normalized=False)
-        once = normalize_magnitude(mag)
+        once = normalize_magnitude(rng.random((4, 4)) * 9.0)
         twice = normalize_magnitude(once)
-        assert np.array_equal(twice.g, once.g)
+        assert np.array_equal(twice, once)
 
     @given(st.integers(0, 200), st.integers(-6, 6))
     @settings(max_examples=30, deadline=None)
@@ -329,26 +334,20 @@ class TestNormalizeMagnitude:
         local = np.random.default_rng(seed)
         base = local.random((4, 5)) + 0.01
         scale = 2.0**exp
-        a = normalize_magnitude(MagnitudeMap(base, normalized=False))
-        b = normalize_magnitude(MagnitudeMap(base * scale, normalized=False))
-        assert np.array_equal(a.g, b.g)
+        a = normalize_magnitude(base)
+        b = normalize_magnitude(base * scale)
+        assert np.array_equal(a, b)
 
     def test_negative_values_rejected(self):
-        with pytest.raises(ContractError):
-            MagnitudeMap(np.array([[-1.0]]), normalized=False)
+        with pytest.raises(ContractError, match="finite and non-negative"):
+            normalize_magnitude(np.array([[-1.0]]))
 
-    @pytest.mark.parametrize(
-        "normalized, message",
-        [(False, "finite and non-negative"), (True, r"lie in \[0, 1\]")],
-        ids=["raw", "normalized"],
-    )
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_values_rejected(self, bad, normalized, message):
-        with pytest.raises(ContractError, match=message):
-            MagnitudeMap(np.array([[0.5, bad]]), normalized=normalized)
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ContractError, match="finite and non-negative"):
+            normalize_magnitude(np.array([[0.5, bad]]))
 
     def test_range_in_unit_interval(self, rng):
-        mag = MagnitudeMap(rng.random((6, 6)) * 100.0, normalized=False)
-        out = normalize_magnitude(mag)
-        assert out.g.min() >= 0.0
-        assert out.g.max() == 1.0
+        out = normalize_magnitude(rng.random((6, 6)) * 100.0)
+        assert out.min() >= 0.0
+        assert out.max() == 1.0

@@ -40,7 +40,7 @@ from dmmaction import dmm, neural, pipeline
 from dmmaction.dmm import render_grid, stack_clip, template_count
 from dmmaction.geometry import ProjectedMap, synthesize_view
 from dmmaction.learn import PcaModel, SvmModel, pca_fit
-from dmmaction.motion import estimate_flow
+from dmmaction.motion import estimate_flow, flow_magnitude
 from dmmaction.neural import extract_features
 from dmmaction.pipeline import (
     SampleRecord,
@@ -170,6 +170,13 @@ def _per_pair_weights(maps, cfg, dtype=np.float32):
     return [g / peak if peak > 0.0 else np.zeros_like(g) for g in raw]
 
 
+def _assert_weights_array(weights, n, shape):
+    """_flow_weights gives one float64 (n - 1, h, w) array for n maps."""
+    assert isinstance(weights, np.ndarray)
+    assert weights.dtype == np.float64
+    assert weights.shape == (max(0, n - 1), *shape)
+
+
 class TestFlowWeights:
     @pytest.fixture(params=["pair", "global"])
     def cfg(self, request):
@@ -181,9 +188,10 @@ class TestFlowWeights:
         weights = _flow_weights(maps, cfg)
         expected = _per_pair_weights(maps, cfg)
         assert len(weights) == len(expected) == max(0, n - 1)
+        _assert_weights_array(weights, n, (9, 11) if n else (0, 0))
         for got, want in zip(weights, expected):
-            assert got.normalized
-            assert got.g.tobytes() == want.tobytes()
+            assert ((got >= 0) & (got <= 1)).all()
+            assert got.tobytes() == want.tobytes()
 
     def test_near_the_float64_oracle(self, cfg):
         # Measured worst |float32 - float64| weight over these maps: 8.6e-4,
@@ -192,9 +200,10 @@ class TestFlowWeights:
         for seed in range(20):
             maps = _noisy_depth_maps(seed)
             weights = _flow_weights(maps, cfg)
+            _assert_weights_array(weights, len(maps), (24, 32))
             expected = _per_pair_weights(maps, cfg, dtype=np.float64)
             for got, want in zip(weights, expected):
-                worst = max(worst, np.abs(got.g - want).max())
+                worst = max(worst, np.abs(got - want).max())
         assert worst <= 2e-3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -204,15 +213,30 @@ class TestFlowWeights:
         with pytest.raises(ContractError, match="finite"):
             _flow_weights(maps, cfg)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_invalid_magnitude_rejected(self, cfg, bad):
+        # Squares of a finite flow are finite and non-negative; the check
+        # guards the weights should that ever fail.  A NaN peak would
+        # otherwise give all-zero weights under "global" normalization.
+        def bad_magnitude(flow):
+            g = flow_magnitude(flow)
+            g[1, 2, 3] = bad
+            return g
+
+        maps = _noisy_depth_maps(0, n=4)
+        with mock.patch("dmmaction.pipeline.flow_magnitude", bad_magnitude):
+            with pytest.raises(ContractError, match="finite and non-negative"):
+                _flow_weights(maps, cfg)
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_static_sequence_gives_zero_maps(self, cfg, n):
         maps = [ProjectedMap("xy", np.zeros((6, 5))) for _ in range(n)]
         weights = _flow_weights(maps, cfg)
         assert len(weights) == n - 1
+        _assert_weights_array(weights, n, (6, 5))
         for m in weights:
-            assert m.normalized
-            assert m.g.shape == (6, 5)
-            assert m.g.tobytes() == np.zeros((6, 5)).tobytes()
+            assert m.shape == (6, 5)
+            assert m.tobytes() == np.zeros((6, 5)).tobytes()
 
     def test_mismatched_shapes_rejected(self, cfg):
         maps = [ProjectedMap("xy", np.zeros((6, 5))), ProjectedMap("xy", np.zeros((6, 6)))]
@@ -927,7 +951,8 @@ print("conv3b", hashlib.sha256(out.tobytes()).hexdigest())
 
 
 def _run_threads_script(workdir, **env):
-    """The lines _THREADS_SCRIPT prints, run in a fresh process under env."""
+    """The lines _THREADS_SCRIPT prints, and its stderr, run in a fresh
+    process under env."""
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join(
         [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
@@ -938,7 +963,7 @@ def _run_threads_script(workdir, **env):
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    return run.stdout.splitlines(keepends=True)
+    return run.stdout.splitlines(keepends=True), run.stderr
 
 
 def _dynamic_arch_openblas():
@@ -958,7 +983,7 @@ class TestBlasThreadCount:
 
     def test_one_and_two_threads_give_the_golden_bytes(self, tmp_path):
         outputs = [
-            _run_threads_script(tmp_path / threads, OPENBLAS_NUM_THREADS=threads)
+            _run_threads_script(tmp_path / threads, OPENBLAS_NUM_THREADS=threads)[0]
             for threads in ("1", "2")
         ]
         assert outputs[0] == outputs[1]
@@ -971,9 +996,15 @@ class TestBlasThreadCount:
     # Model files and features are pinned on the default kernel only: since
     # the CNN computes in float32 they move under each of these.
     @pytest.mark.skipif(not _dynamic_arch_openblas(), reason="BLAS kernels are fixed at build")
-    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott", "Sandybridge"])
+    # Each case is named after the kernels OpenBLAS loads for it, which it
+    # prints under OPENBLAS_VERBOSE=2: OPENBLAS_CORETYPE=Prescott, for one,
+    # loads Katmai's.
+    @pytest.mark.parametrize("coretype", ["Haswell", "Katmai", "Sandybridge"])
     def test_other_kernels_give_the_golden_report(self, tmp_path, coretype):
-        lines = _run_threads_script(tmp_path, OPENBLAS_CORETYPE=coretype)
+        lines, log = _run_threads_script(
+            tmp_path, OPENBLAS_CORETYPE=coretype, OPENBLAS_VERBOSE="2"
+        )
+        assert {l for l in log.splitlines() if l.startswith("Core:")} == {f"Core: {coretype}"}
         assert "".join(lines[:-5]) == _GOLDEN_CSV
 
 

@@ -12,7 +12,6 @@ from dmmaction.geometry import (
     sequence_centroid,
     synthesize_view,
 )
-from dmmaction.motion import MagnitudeMap
 from dmmaction.pipeline import read_manifest
 from dmmaction.videoio import read_depth_bin, read_rgb_sequence
 from conftest import run_python_in_c_locale
@@ -20,7 +19,7 @@ from conftest import run_python_in_c_locale
 
 def _unit_weights(maps):
     """Unit flow weights, under which accumulate_ramdmm gives the unweighted map."""
-    return [MagnitudeMap(np.ones(maps[0].grid.shape), normalized=True) for _ in maps[1:]]
+    return np.ones((len(maps) - 1, *maps[0].grid.shape))
 
 
 def _tiny_spec(**overrides):
