@@ -17,6 +17,7 @@ from pathlib import Path
 from .dmm import ALL, Window
 from .errors import ConfigError
 from .geometry import PLANES
+from .motion import smoothness_in_range
 from .videoio import read_text
 
 DEFAULT_ANGLES = (-45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0)
@@ -113,6 +114,11 @@ class PipelineConfig:
             if not _is_finite(value) or value < 0 or (positive and value == 0):
                 bound = "> 0" if positive else ">= 0"
                 raise ConfigError(f"{name} must be a finite number {bound}, got {value!r}")
+        if not smoothness_in_range(self.flow_smoothness):
+            raise ConfigError(
+                "flow_smoothness must have a float32 square that is finite and nonzero, "
+                f"got {self.flow_smoothness!r}"
+            )
         target = self.pca_target
         if not ((_is_int(target) and target >= 1) or (_is_real(target) and 0 < target <= 1)):
             raise ConfigError(

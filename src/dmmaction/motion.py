@@ -149,6 +149,15 @@ def _horn_schunck(a, b, iterations, smoothness, ox, oy) -> None:
     oy[...] = uv[1, :, 1 : h + 1, 1 : w + 1]
 
 
+def smoothness_in_range(smoothness: float) -> bool:
+    """Whether a Horn-Schunck smoothness is > 0 with a float32 square that
+    is finite and nonzero, as the update needs (estimate_flow's rule, which
+    PipelineConfig applies to flow_smoothness when it is made)."""
+    with np.errstate(over="ignore", under="ignore"):
+        square = np.float32(smoothness) ** 2
+    return bool(smoothness > 0 and 0 < square < np.inf)
+
+
 def estimate_flow(
     a: np.ndarray,
     b: np.ndarray,
@@ -182,9 +191,7 @@ def estimate_flow(
     """
     if iterations < 0:
         raise ContractError(f"iterations must be >= 0, got {iterations}")
-    with np.errstate(over="ignore", under="ignore"):
-        square = np.float32(smoothness) ** 2
-    if not (smoothness > 0 and 0 < square < np.inf):
+    if not smoothness_in_range(smoothness):
         raise ContractError(
             f"smoothness must be finite and > 0, and so must its float32 square, got {smoothness}"
         )

@@ -12,11 +12,13 @@ extraction reads it from the plan, and only save_plan writes a plan to
 disk.  Everything here is deterministic: stream weights derive from (seed,
 stream id), so a plan rebuilds bit-identically from its saved config.
 train and evaluate each open one fork pool for their loop (see
-_unit_pool).  The loop still extracts every record in the calling
-process, in split order, and only the units of each sample, one per
-(angle, plane) and one per appearance stream, run in the workers.  A
-sample's units are joined in a fixed order (a slot's planes in cfg.planes
-order), so plans, features, warnings and reports are byte-identical to a
+_unit_pool).  The loop still makes one extract_sample call per record in
+the calling process, in split order, and only the units of each sample,
+one per (angle, plane) and one per appearance stream, run in the workers.
+The pool's feed (_UnitFeed) starts record k+1, and submits its units,
+before record k is joined, so two samples are in flight.  A sample's
+units are joined in a fixed order (a slot's planes in cfg.planes order),
+so plans, features, warnings, errors and reports are byte-identical to a
 serial run's.  A standalone classify runs wholly in the calling process.
 Report aggregation is a single ordered reduction.
 """
@@ -29,7 +31,8 @@ import logging
 import os
 import sys
 import zlib
-from collections.abc import Iterable, Iterator
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import dmm as dmm_mod
+from . import neural
 from .config import PipelineConfig, config_to_text, load_config
 from .dmm import Window, render_grid, stack_clip, template_count
 from .errors import (
@@ -80,7 +84,7 @@ from .neural import (
 from .videoio import DepthSequence, read_depth_bin, read_rgb_sequence, read_text
 
 if TYPE_CHECKING:
-    from concurrent.futures import Executor
+    from concurrent.futures import Executor, Future
 
 log = logging.getLogger(__name__)
 
@@ -145,9 +149,10 @@ class StreamPlan:
     so far and it fit in NETWORK_CACHE_BYTES, and is never evicted; one
     that does not fit is rebuilt, with the same weights, on each use.  A
     canonical 112x112 stack counts 177.5 MiB, so a plan keeps at most two.
-    pca is keyed by Stream.slot, svm by stream id.  _pool is the fork pool
-    that train or evaluate opens for its loop (_unit_pool), None outside it;
-    it opens only over pose banks whose networks are all kept.
+    pca is keyed by Stream.slot, svm by stream id.  _feed feeds the units
+    of the loop of train or evaluate to the fork pool that it opens for
+    that loop (_unit_pool), and is None outside it; it opens only over pose
+    banks whose networks are all kept.
     """
 
     cfg: PipelineConfig
@@ -157,7 +162,7 @@ class StreamPlan:
     svm: dict[str, SvmModel] = field(default_factory=dict)
     train_report: TrainReport | None = None
     _networks: dict[str, NetworkSpec] = field(default_factory=dict, repr=False)
-    _pool: Executor | None = field(default=None, repr=False)
+    _feed: _UnitFeed | None = field(default=None, repr=False)
 
     def stream(self, stream_id: str) -> Stream:
         for s in self.streams:
@@ -216,7 +221,7 @@ def build_streams(cfg: PipelineConfig) -> StreamPlan:
     return StreamPlan(cfg=cfg, streams=tuple(streams))
 
 
-def _build_network(cfg: PipelineConfig, s: Stream) -> NetworkSpec:
+def _network_args(cfg: PipelineConfig, s: Stream) -> dict:
     height, width = cfg.render_size
     args = dict(
         name=s.id,
@@ -226,8 +231,21 @@ def _build_network(cfg: PipelineConfig, s: Stream) -> NetworkSpec:
         fc_units=cfg.fc_units_effective,
     )
     if cfg.network_preset == "desk":
-        return desk_network(stream_rng(cfg.seed, s.id), conv_maps=cfg.desk_conv_maps, **args)
-    return c3d_network(stream_rng(cfg.seed, s.id), **args)
+        args["conv_maps"] = cfg.desk_conv_maps
+    return args
+
+
+def _build_network(cfg: PipelineConfig, s: Stream) -> NetworkSpec:
+    build = desk_network if cfg.network_preset == "desk" else c3d_network
+    return build(stream_rng(cfg.seed, s.id), **_network_args(cfg, s))
+
+
+def _network_nbytes(cfg: PipelineConfig, s: Stream) -> int:
+    """NetworkSpec.nbytes of s's network, from its shapes: neural's own
+    builders with no generator draw nothing, and a spy or tracer on this
+    module's builders sees only the networks that are drawn."""
+    build = neural.desk_network if cfg.network_preset == "desk" else neural.c3d_network
+    return build(None, **_network_args(cfg, s)).nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +466,6 @@ def _appearance_features(
     return _clip_features(frames, rgb_len, plan.network(stream_id))
 
 
-def _run_units(plan: StreamPlan, unit, args: Iterable[tuple]):
-    """unit(plan, *a) for each a in args, in order: a plain map here, or,
-    while plan._pool is open, submitted to its workers (which hold the
-    plan they were forked with) and returned as a lazy iterator, so the
-    caller can submit more units before it joins these."""
-    if plan._pool is None:
-        return [unit(plan, *a) for a in args]
-    return plan._pool.map(_unit_in_worker, itertools.repeat(unit), args)
-
-
 def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
     """Run one sample through every stream of its pose bank.
 
@@ -468,11 +476,15 @@ def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
     concatenate per-plane features.  Appearance side: tile the RGB (or
     jet-rendered depth) frames into window-length clips and extract.
 
-    Reading, cropping, view synthesis and projection run here; the rest
-    runs as units, one per (angle, plane) and one per appearance stream,
-    in this process or, while it is open, in the fork pool of train or
-    evaluate.  They are joined in a fixed order, so the result does not
-    depend on where they ran.
+    It is a start and a join (_start_sample).  The start reads, crops,
+    synthesizes the views, projects them and makes the RGB frames here;
+    the rest runs as units, one per (angle, plane) and one per appearance
+    stream.  The join gathers the units' results in a fixed order, so the
+    result does not depend on where they ran.  Outside a pool the units
+    run here, each as soon as its arguments are made.  While train or
+    evaluate has its fork pool open, their loop's call for its k-th
+    record joins the units that the pool's feed (_UnitFeed) has already
+    submitted, and the feed starts record k+1 before record k is joined.
 
     Args:
         rec: manifest record; its pose must be one of plan.cfg.poses.
@@ -483,6 +495,25 @@ def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
         ExtractResult keyed by Stream.slot; slots the sequence is too
         short for get an empty list and a warning, appearance slots
         without RGB input get None.
+    """
+    feed = plan._feed
+    if feed is not None and feed.expects(rec):
+        return feed.join_next()
+    units, finish = _start_sample(rec, plan)
+    return finish([unit(plan, *args) for unit, args in units])
+
+
+def _start_sample(rec: SampleRecord, plan: StreamPlan):
+    """The start of extract_sample: check the pose, read and crop the depth
+    sequence, and note each window too short for a clip.
+
+    Returns:
+        (units, finish).  units yields each unit of the sample as (unit,
+        args), to be run as unit(plan, *args), lazily and in join order:
+        an angle's view is synthesized and projected when its first unit
+        is asked for, and the appearance frames are made when the first
+        appearance unit is.  finish takes the units' results in that
+        order and returns the ExtractResult.
     """
     cfg = plan.cfg
     if rec.pose not in cfg.poses:
@@ -511,19 +542,19 @@ def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
             f"for window {window}, need {cfg.clip_len}; skipping"
         )
         warnings.extend([skip] * len(angles))  # one per (window, angle) slot
-    # Lazy, so that each angle's units go out as soon as its view is projected.
-    plane_units = (
-        (rec.pose, alpha, p, _plane_maps(projected, p), windows)
-        for alpha, projected in _views(depth_seq, cfg, angles if windows else [])
-        for p in cfg.planes
-    )
-    depth = _run_units(plan, _plane_features, plane_units)
+    n_depth = len(angles) * len(cfg.planes) if windows else 0
 
     features: dict[str, list[np.ndarray] | None] = {
         _dmm_slot_id(rec.pose, w, a): [] for w in cfg.depth_windows for a in angles
     }
-    appearance = []  # _appearance_features arguments
-    if rgb_streams:
+    appearance: list[str] = []  # stream ids of the appearance units, in order
+
+    def units():
+        for alpha, projected in _views(depth_seq, cfg, angles if windows else []):
+            for p in cfg.planes:
+                yield _plane_features, (rec.pose, alpha, p, _plane_maps(projected, p), windows)
+        if not rgb_streams:
+            return
         rgb_frames = _appearance_frames(rec, cfg, depth_seq, warnings)
         for s in rgb_streams:
             features[s.slot] = None if rgb_frames is None else []
@@ -535,18 +566,21 @@ def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
                     f"need {s.rgb_len}; skipping {s.id}"
                 )
                 continue
-            appearance.append((s.id, s.rgb_len, rgb_frames))
-    rgb = _run_units(plan, _appearance_features, appearance)
+            appearance.append(s.id)
+            yield _appearance_features, (s.id, s.rgb_len, rgb_frames)
 
-    per_unit = dict(zip(itertools.product(angles, cfg.planes), depth))
-    for j, window in enumerate(windows):
-        for alpha in angles:
-            per_plane = [per_unit[(alpha, p)][j] for p in cfg.planes]
-            features[_dmm_slot_id(rec.pose, window, alpha)] = [
-                np.concatenate(c) for c in zip(*per_plane, strict=True)
-            ]
-    features.update(zip((sid for sid, _, _ in appearance), rgb))
-    return ExtractResult(features=features, warnings=tuple(warnings))
+    def finish(results: list) -> ExtractResult:
+        per_unit = dict(zip(itertools.product(angles, cfg.planes), results[:n_depth]))
+        for j, window in enumerate(windows):
+            for alpha in angles:
+                per_plane = [per_unit[(alpha, p)][j] for p in cfg.planes]
+                features[_dmm_slot_id(rec.pose, window, alpha)] = [
+                    np.concatenate(c) for c in zip(*per_plane, strict=True)
+                ]
+        features.update(zip(appearance, results[n_depth:], strict=True))
+        return ExtractResult(features=features, warnings=tuple(warnings))
+
+    return units(), finish
 
 
 # train and evaluate pool only while pipeline.extract_sample is still this
@@ -695,29 +729,21 @@ def _check_disjoint(records, protocol, train, test):
 # Training
 
 
-def _pool_size(plan: StreamPlan) -> int:
-    """Worker processes for a pool over the units of a sample, one per
-    (angle, plane) and one per appearance stream; below 2 means serially,
-    here.
+def _pool_size(plan: StreamPlan, n_records: int) -> int:
+    """Worker processes for a pool over a loop of n_records records whose
+    samples have one unit per (angle, plane) and one per appearance
+    stream; below 2 means serially, here.
 
-    It is one per core and unit, except that a plan runs serially when
-    extract_sample has been replaced (see _EXTRACT_SAMPLE), when the
-    platform cannot tell its cores, and for the c3d preset: two-unit c3d
-    plans ran 2-3x (112x112) and 1.3-2.9x (32x32) slower pooled than
-    serially on 2 cores while every worker's OpenBLAS ran as many threads
-    as the parent's, and no workload has measured them pooled since
-    workers split the threads (see _blas_threads).  Sizing builds no
-    network.
+    It is one per core and unit of the (at most two) samples the loop has
+    in flight (see _UnitFeed), except that a loop runs serially when
+    extract_sample has been replaced (see _EXTRACT_SAMPLE) or when the
+    platform cannot tell its cores.  Sizing builds no network.
     """
     cfg = plan.cfg
-    if (
-        extract_sample is not _EXTRACT_SAMPLE
-        or not hasattr(os, "sched_getaffinity")
-        or cfg.network_preset == "c3d"
-    ):
+    if extract_sample is not _EXTRACT_SAMPLE or not hasattr(os, "sched_getaffinity"):
         return 1
     units = len(cfg.angles) * len(cfg.planes) + len(cfg.rgb_windows)
-    return min(len(os.sched_getaffinity(0)), units)
+    return min(len(os.sched_getaffinity(0)), units * min(2, n_records))
 
 
 def _blas_threads():
@@ -759,48 +785,161 @@ def _unit_in_worker(unit, args: tuple):
     return unit(_worker_plan, *args)
 
 
+@dataclass
+class _Started:
+    """A record a _UnitFeed has started: its units not yet submitted (None
+    once all are), the futures of those that are and its finish (see
+    _start_sample), or the error held for its join."""
+
+    units: Iterator[tuple] | None
+    finish: Callable[[list], ExtractResult] | None
+    futures: list[Future] = field(default_factory=list)
+    error: Exception | None = None
+
+
+class _UnitFeed:
+    """The units of a train or evaluate loop's records, fed to its pool.
+
+    records are the loop's records in split order, and the loop's k-th
+    extract_sample call joins records[k]: records are matched by position,
+    so two equal records (two equal manifest lines) each keep their own.
+    At most limit units are submitted and not yet done, so this process
+    holds the arguments of those only; it submits the next unit as soon as
+    any unit is done, not only the one it joins next.  Record k+1 is
+    started as soon as record k's last unit is submitted, so at most two
+    records are in flight: the workers run k+1's units while this process
+    joins k, and this process makes k+1's views while they run k's.
+
+    An error raised by a record's start, or by making one of its units'
+    arguments, is held until that record is joined, and raised there after
+    every unit submitted before it has been joined: the error raised is the
+    one a serial run raises.  No record past a failed one is started.
+    """
+
+    def __init__(self, pool: Executor, plan: StreamPlan, records: list[SampleRecord], limit: int):
+        self.pool, self.plan, self.records, self.limit = pool, plan, records, limit
+        self.joined = 0  # records whose join has begun
+        self.begun = 0  # records started
+        self.started: deque[_Started] = deque()  # not yet joined, oldest first
+        self.running: set[Future] = set()  # submitted, not yet done
+
+    def expects(self, rec: SampleRecord) -> bool:
+        """Whether rec is the record the loop's next call joins."""
+        return self.joined < len(self.records) and rec is self.records[self.joined]
+
+    def join_next(self) -> ExtractResult:
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        self.joined += 1
+        self._submit()
+        sample = self.started[0]
+        results = []
+        # Once all of this record's submitted units are done, _submit
+        # submits its next one, so the index is always there.
+        while sample.units is not None or len(results) < len(sample.futures):
+            head = sample.futures[len(results)]
+            if head.done():
+                results.append(head.result())
+            else:
+                wait(self.running, return_when=FIRST_COMPLETED)
+            self._submit()
+        self.started.popleft()
+        if sample.error is not None:
+            raise sample.error
+        self._submit()  # the next record starts before this one returns
+        return sample.finish(results)
+
+    def _submit(self) -> None:
+        """Submit units, in order, starting records as needed, up to the limit."""
+        self.running = {f for f in self.running if not f.done()}
+        while len(self.running) < self.limit:
+            newest = self.started[-1] if self.started else None
+            if newest is None or newest.units is None:
+                failed = newest is not None and newest.error is not None
+                if failed or len(self.started) == 2 or self.begun == len(self.records):
+                    return
+                self.started.append(self._start(self.records[self.begun]))
+                self.begun += 1
+                continue
+            # Whatever the error, the serial run raises it at this record.
+            try:
+                item = next(newest.units, None)
+            except Exception as exc:
+                item, newest.error = None, exc
+            if item is None:
+                newest.units = None
+                continue
+            newest.futures.append(self.pool.submit(_unit_in_worker, *item))
+            self.running.add(newest.futures[-1])
+
+    def _start(self, rec: SampleRecord) -> _Started:
+        try:
+            return _Started(*_start_sample(rec, self.plan))
+        except Exception as exc:
+            return _Started(None, None, error=exc)
+
+
+def _bank_fits(plan: StreamPlan, poses: set[str]) -> bool:
+    """Whether the cache keeps every network of the pose banks once they
+    are all built, counted from their shapes, in stream order, up to the
+    first that does not fit: nothing is drawn.  A network whose shapes do
+    not build does not fit either; the serial loop raises its error if a
+    record needs it."""
+    need = sum(net.nbytes for net in plan._networks.values())
+    for s in plan.streams:
+        if s.pose in poses and s.id not in plan._networks:
+            try:
+                need += _network_nbytes(plan.cfg, s)
+            except ContractError:
+                return False
+            if need > NETWORK_CACHE_BYTES:
+                return False
+    return True
+
+
 @contextmanager
-def _unit_pool(plan: StreamPlan, poses: set[str]) -> Iterator[None]:
-    """Keep plan._pool open for the with block: _pool_size workers that get
-    the plan by fork, not by pickling.  The pose banks' networks
-    are built first, in stream order, and the pool opens only if the cache
-    keeps every one of them, so that workers build none; the first one it
-    does not keep ends the building.  Below 2 workers or without fork,
-    nothing is built ahead.  Without a pool, plan._pool stays None and
-    every unit runs here.  On exit, also after an error, plan._pool is
-    cleared and the pool shut down."""
-    workers = _pool_size(plan)
+def _unit_pool(plan: StreamPlan, records: list[SampleRecord]) -> Iterator[None]:
+    """Keep plan._feed open for the with block, over the loop's records in
+    split order: a _UnitFeed over _pool_size workers that get the plan by
+    fork, not by pickling.  The pool opens only if the cache keeps every
+    network of the records' pose banks, which is decided from their sizes
+    before any is built; then they are built here, in stream order, so
+    that workers build none.  Without a pool, plan._feed stays None and
+    every unit runs here.  On exit, also after an error, plan._feed is
+    cleared and the pool shut down, its queued units cancelled."""
+    workers = _pool_size(plan, len(records))
+    poses = {r.pose for r in records}
     if workers >= 2:
         # Imported here, so that a process that never pools (such as a CLI
         # classify) does not pay the ~10 ms import.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
+        if "fork" in multiprocessing.get_all_start_methods() and _bank_fits(plan, poses):
             for s in plan.streams:
-                if s.pose in poses and plan.network(s.id) is not plan._networks.get(s.id):
-                    break
-            else:
-                # Each worker runs its share of the cores' BLAS threads, at
-                # most the parent's: one GEMM per conv chunk is large enough
-                # for OpenBLAS to thread, and with every worker running the
-                # parent's 2 threads on 2 cores desk-bench trained at 0.93
-                # samples/s instead of 2.27.
-                blas, threads = _blas_threads(), None
-                if blas is not None:
-                    threads = max(1, min(blas[0](), len(os.sched_getaffinity(0)) // workers))
-                plan._pool = ProcessPoolExecutor(
-                    workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_init_worker,
-                    initargs=(plan, threads),
-                )
+                if s.pose in poses:
+                    plan.network(s.id)
+            # Each worker runs its share of the cores' BLAS threads, at
+            # most the parent's: one GEMM per conv chunk is large enough
+            # for OpenBLAS to thread, and with every worker running the
+            # parent's 2 threads on 2 cores desk-bench trained at 0.93
+            # samples/s instead of 2.27.
+            blas, threads = _blas_threads(), None
+            if blas is not None:
+                threads = max(1, min(blas[0](), len(os.sched_getaffinity(0)) // workers))
+            pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(plan, threads),
+            )
+            plan._feed = _UnitFeed(pool, plan, records, limit=2 * workers)
     try:
         yield
     finally:
-        pool, plan._pool = plan._pool, None
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        feed, plan._feed = plan._feed, None
+        if feed is not None:
+            feed.pool.shutdown(cancel_futures=True)
 
 
 def _check_indices(n: int, train: tuple[int, ...], test: tuple[int, ...]) -> None:
@@ -822,7 +961,8 @@ def train(
 
     Each training record, in split order, gets one extract_sample call
     made here, whose units run in a fork pool open for this loop only
-    (see _unit_pool).
+    (see _unit_pool), which starts the next record before this one is
+    joined.
 
     Args:
         records: full dataset.
@@ -855,7 +995,7 @@ def train(
     per_slot_labels: dict[str, list[str]] = {s.slot: [] for s in plan.streams}
     warnings: list[str] = []
     train_records = [records[i] for i in split.train_indices]
-    with _unit_pool(plan, {r.pose for r in train_records}):
+    with _unit_pool(plan, train_records):
         for rec in train_records:
             result = extract_sample(rec, plan)
             warnings.extend(result.warnings)
@@ -931,7 +1071,8 @@ def classify(
 
     Called on its own, classify runs every unit of the sample in this
     process: a pool forked for one sample costs more than it saves.
-    Inside evaluate, the sample's units run in evaluate's pool.
+    Inside evaluate, the sample's units run in evaluate's pool, which has
+    started them before this call.
     """
     cfg = plan.cfg
     if plan.labels is None or not plan.trained_for(rec.pose):
@@ -1031,9 +1172,11 @@ def evaluate(
     """Classify the test side of a split and tabulate the results.
 
     Every index and test label is checked before anything is classified.
-    Each test record, in split order, gets one classify call made here,
-    whose units run in a fork pool (see _unit_pool) that is open for this
-    loop only.
+    Each test record, in split order, gets one classify call made here.
+    Its units run in a fork pool that is open for this loop only (see
+    _unit_pool), which starts the next record before this one is joined,
+    so a classify call's time covers the join of its record, not its
+    whole extraction.
     """
     if not plan.trained:
         raise StateError("plan is untrained; run train first")
@@ -1049,7 +1192,7 @@ def evaluate(
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
     stream_hits: dict[str, int] = {}
     stream_totals: dict[str, int] = {}
-    with _unit_pool(plan, {r.pose for r in test_records}):
+    with _unit_pool(plan, test_records):
         for rec in test_records:
             _, _, row = classify(rec, plan)
             counts[index[row.truth], index[row.predicted]] += 1

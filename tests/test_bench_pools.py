@@ -27,14 +27,15 @@ def _load_workloads():
     "name, units",
     [
         ("desk-bench", 11),  # 3 angles x 3 planes + 2 RGB windows
-        ("c3d-clip", 1),  # c3d runs serially, whatever its units
+        ("c3d-clip", 1),  # 1 angle x 1 plane
         ("classify-cold", 3),  # training: 1 angle x 3 planes
     ],
 )
 def test_workload_pool_size(name, units):
+    # Each workload's loops run over 2 or more records: two samples in flight.
     cfg = _load_workloads().WORKLOADS[name].cfg
     cores = len(os.sched_getaffinity(0))
-    assert pipeline._pool_size(pipeline.build_streams(cfg)) == min(cores, units)
+    assert pipeline._pool_size(pipeline.build_streams(cfg), 2) == min(cores, 2 * units)
 
 
 def test_import_loads_no_pool_machinery():

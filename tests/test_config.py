@@ -98,6 +98,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             dataclasses.replace(PipelineConfig(), render_size=(4, 112))
 
+    @pytest.mark.parametrize("smoothness", [1e-30, 1e20], ids=["underflows", "overflows"])
+    def test_smoothness_with_no_float32_square_rejected(self, smoothness, tmp_path):
+        # Flow squares the smoothness in float32; this one gives 0 or inf.
+        with pytest.raises(ConfigError, match="flow_smoothness must have a float32 square"):
+            PipelineConfig(flow_smoothness=smoothness)
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"flow_smoothness = {smoothness!r}\n")
+        with pytest.raises(ConfigError, match="flow_smoothness must have a float32 square"):
+            load_config(path)
+
 
 class TestParsing:
     def test_empty_text_gives_defaults(self):

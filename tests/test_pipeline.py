@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -1234,10 +1235,11 @@ def forks(monkeypatch):
     return pids
 
 
-def _pool_workers(n_items):
-    """Children a pool over a small desk plan forks: one per core and unit of a sample."""
-    cores = len(os.sched_getaffinity(0))
-    return min(cores, n_items) if cores >= 2 else 0
+def _pool_workers(cfg, n_records=2):
+    """Children a pool over a loop of n_records records forks: one per core
+    and unit of the (at most two) samples in flight, none below two."""
+    workers = min(len(os.sched_getaffinity(0)), _units(cfg) * min(2, n_records))
+    return workers if workers >= 2 else 0
 
 
 def _units(cfg):
@@ -1261,6 +1263,53 @@ def _fail_render_on(monkeypatch, rec, cfg):
         return real(maps, weights, window, cfg, starts)
 
     monkeypatch.setattr(pipeline, "render_templates", render)
+
+
+def _break_records(monkeypatch, tmp_path, records, indices, cfg, fail_unit, malformed):
+    """records, with the (0, xy) unit of records[indices[1]] made to raise
+    (fail_unit) and the depth file of records[indices[2]] a header of zero
+    frames (malformed), the record a pool starts before it joins the other."""
+    records = list(records)
+    if fail_unit:
+        _fail_render_on(monkeypatch, records[indices[1]], cfg)
+    if malformed:
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(struct.pack("<3I", 0, 4, 4))
+        records[indices[2]] = dataclasses.replace(records[indices[2]], depth_path=bad)
+    return records
+
+
+# (fail_unit, malformed) and the error train or evaluate raises, pooled or not.
+# Under _eight_cpus a desk_config() sample's 7 units fit in the feed's limit
+# of two per worker, so the record after the failing one starts before the
+# failing one's first unit is joined.
+_BROKEN = [
+    (True, False, (ContractError, "cannot render window 5 at angle 0")),
+    # the next record is started, and fails to start, before the failing
+    # one is joined: the failing unit's error still wins
+    (True, True, (ContractError, "cannot render window 5 at angle 0")),
+    # the next record's error is held until its turn
+    (False, True, (FormatError, "invalid dimensions in header: frames=0 width=4 height=4")),
+]
+
+
+def _eight_cpus(pid):
+    return set(range(8))
+
+
+def _c3d_config(size, **overrides):
+    """Two units per sample, planes xy and xz, on the c3d preset."""
+    base = dict(
+        angles=(0.0,), planes=("xy", "xz"), depth_windows=("all",), rgb_windows=(),
+        clip_len=16, render_size=(size, size), network_preset="c3d",
+    )
+    return desk_config(**{**base, **overrides})
+
+
+# A small c3d plan: 32x32 is the smallest frame the five c3d pools leave
+# 1x1 of; 20-frame records give window 5 too few templates for clips of
+# 16, so every record adds a warning.
+_C3D_SMALL = dict(depth_windows=(5, "all"), fc_units=8, pca_target=1, svm_epochs=5)
 
 
 def _openblas_threads(action):
@@ -1300,27 +1349,27 @@ def _plan_bytes(plan):
 
 class TestTrainPool:
     """train runs each record's (angle, plane) and appearance units in a
-    fork pool when a desk plan has 2 or more units per sample and the cache
-    keeps every network of the bank; the plan is byte-identical to a serial
-    run's.  A zero NETWORK_CACHE_BYTES keeps no network, which forces the
-    serial path."""
+    fork pool when its two samples in flight have 2 or more units and the
+    cache keeps every network of the bank; the plan is byte-identical to a
+    serial run's.  A zero NETWORK_CACHE_BYTES keeps no network, which
+    forces the serial path."""
 
     # 20-frame records give window-5 too few templates for clips of 16, and
     # too few RGB frames for r30: every record adds warnings.
     CFG = dict(angles=(0.0,), depth_windows=(5, "all"), rgb_windows=(10, 30), clip_len=16)
 
-    @pytest.mark.parametrize("cpus", [None, 8])
+    @pytest.mark.parametrize("preset, cpus", [("desk", None), ("desk", 8), ("c3d", None)])
     def test_pooled_plan_equals_serial_plan(
-        self, small_dataset, split, forks, monkeypatch, cpus
+        self, small_dataset, split, forks, monkeypatch, preset, cpus
     ):
-        cfg = desk_config(**self.CFG)
+        cfg = desk_config(**self.CFG) if preset == "desk" else _c3d_config(32, **_C3D_SMALL)
         if cpus is not None:  # more workers than cores: results arrive out of order
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         pooled = train(small_dataset, split, cfg)
-        assert len(forks) == _pool_workers(_units(cfg))
+        assert len(forks) == _pool_workers(cfg)
         monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
         serial = train(small_dataset, split, cfg)
-        assert len(forks) == _pool_workers(_units(cfg))
+        assert len(forks) == _pool_workers(cfg)
         assert _plan_bytes(pooled) == _plan_bytes(serial)
         assert pooled.train_report.per_stream
         # warnings name the records in split order
@@ -1356,7 +1405,7 @@ class TestTrainPool:
     def test_no_child_outlives_train(self, small_dataset, split, forks):
         cfg = desk_config(angles=(0.0,))
         train(small_dataset, split, cfg)
-        assert len(forks) == _pool_workers(_units(cfg))
+        assert len(forks) == _pool_workers(cfg)
         _assert_reaped(forks)
 
     def test_malformed_depth_file_raises_the_serial_error(
@@ -1374,24 +1423,66 @@ class TestTrainPool:
             with pytest.raises(DmmActionError) as info:
                 train(records, split, cfg)
             errors.append((type(info.value), str(info.value)))
-        assert len(forks) == _pool_workers(_units(cfg))
+        assert len(forks) == _pool_workers(cfg)
         assert errors[0] == errors[1]
         assert errors[0][0] is ParseError
 
+    @pytest.mark.parametrize("fail_unit, malformed, want", _BROKEN)
     def test_error_in_a_unit_raises_the_serial_error_and_leaves_no_child(
-        self, small_dataset, split, forks, monkeypatch
+        self, small_dataset, split, forks, monkeypatch, tmp_path, fail_unit, malformed, want
     ):
+        monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
         cfg = desk_config()
-        _fail_render_on(monkeypatch, small_dataset[split.train_indices[1]], cfg)
+        records = _break_records(
+            monkeypatch, tmp_path, small_dataset, split.train_indices, cfg, fail_unit, malformed
+        )
         errors = []
         for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
             monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
             with pytest.raises(DmmActionError) as info:
-                train(small_dataset, split, cfg)
+                train(records, split, cfg)
             errors.append((type(info.value), str(info.value)))
             _assert_reaped(forks)
-        assert len(forks) == _pool_workers(_units(cfg))
-        assert errors[0] == errors[1] == (ContractError, "cannot render window 5 at angle 0")
+        assert len(forks) == _pool_workers(cfg)
+        assert errors[0] == errors[1] == want
+
+    def test_next_record_starts_before_this_one_is_joined(
+        self, small_dataset, split, forks, monkeypatch
+    ):
+        # One unit per sample, so each record's unit is out, and the next
+        # record read, before the record before it is joined.
+        events = []
+        read, result = pipeline.read_depth_bin, pipeline.ExtractResult
+        monkeypatch.setattr(
+            pipeline, "read_depth_bin", lambda path: events.append(path) or read(path)
+        )
+        monkeypatch.setattr(
+            pipeline, "ExtractResult", lambda **kw: events.append("joined") or result(**kw)
+        )
+        cfg = desk_config(angles=(0.0,), planes=("xy",), rgb_windows=())
+        train(small_dataset, split, cfg)
+        assert len(forks) == _pool_workers(cfg)
+        paths = [small_dataset[i].depth_path for i in split.train_indices]
+        if forks:
+            assert events == [*paths[:3], "joined", paths[3], "joined", "joined", "joined"]
+        else:
+            assert events == [e for p in paths for e in (p, "joined")]
+
+    def test_equal_records_keep_their_places(self, small_dataset, split, forks, monkeypatch):
+        # Two equal manifest lines make two equal records, each of which
+        # the pool joins in its own place.
+        records = [*small_dataset, dataclasses.replace(small_dataset[split.train_indices[0]])]
+        twin = resolve_split(
+            records,
+            "manual",
+            train_indices=(*split.train_indices, len(records) - 1),
+            test_indices=split.test_indices,
+        )
+        cfg = desk_config(angles=(0.0,))
+        pooled = train(records, twin, cfg)
+        assert len(forks) == _pool_workers(cfg)
+        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
+        assert _plan_bytes(pooled) == _plan_bytes(train(records, twin, cfg))
 
     def test_replaced_extract_sample_sees_every_call_in_process(
         self, small_dataset, split, forks
@@ -1415,18 +1506,20 @@ class TestTrainPool:
         monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", bank + spare)
         with mock.patch.object(pipeline, "desk_network", wraps=pipeline.desk_network) as build:
             plan = train(small_dataset, split, cfg)
-        if spare < 0:  # the last network is not kept: no pool
+        if spare < 0:  # the last network is not kept: no pool, and none built ahead
             assert forks == []
+            # the serial loop keeps all but the last and builds it per record
+            assert build.call_count == len(plan.streams) - 1 + len(split.train_indices)
             monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
             assert _plan_bytes(plan) == _plan_bytes(train(small_dataset, split, cfg))
         else:  # every network is built once, in this process, and kept
-            assert len(forks) == _pool_workers(_units(cfg))
+            assert len(forks) == _pool_workers(cfg)
             assert build.call_count == len(plan.streams)
             assert list(plan._networks) == [s.id for s in plan.streams]
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_sizing_the_default_plan_builds_nothing(self, monkeypatch, cached):
-        # The default plan is c3d, which runs serially.
+        # 7 angles x 3 planes + 3 RGB windows: 24 units per sample.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         plan = build_streams(PipelineConfig())
         if cached:  # an evaluate after train finds its bank's first network kept
@@ -1438,41 +1531,55 @@ class TestTrainPool:
             mock.patch.object(pipeline, "desk_network", side_effect=AssertionError("built")),
             mock.patch.object(neural, "_uniform_f32", side_effect=AssertionError("drew")),
         ):
-            assert pipeline._pool_size(plan) == 1
+            assert pipeline._pool_size(plan, 2) == 8
         assert len(plan._networks) == cached
 
+    def test_default_plan_builds_no_network_it_cannot_keep(
+        self, small_dataset, forks, monkeypatch
+    ):
+        # 66 112x112 c3d networks per pose bank do not fit the cache, which
+        # their shapes tell: no network is built or drawn, and no pool opens.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        plan = build_streams(PipelineConfig())
+        with (
+            mock.patch.object(pipeline, "c3d_network", side_effect=AssertionError("built")),
+            mock.patch.object(neural, "_uniform_f32", side_effect=AssertionError("drew")),
+            mock.patch.object(neural, "DrawnMatrix", side_effect=AssertionError("drew")),
+        ):
+            with pipeline._unit_pool(plan, small_dataset[:2]):
+                assert plan._feed is None
+        assert plan._networks == {}
+        assert forks == []
+
     @pytest.mark.parametrize("size", [32, 112])
-    def test_two_stream_c3d_plan_sizes_to_one_worker(self, monkeypatch, size):
+    def test_two_stream_c3d_plan_sizes_to_two_samples(self, monkeypatch, size):
         # Pooled, each worker's OpenBLAS threads share the cores with the
         # others'; sizing builds and draws nothing.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        plan = build_streams(self._c3d_config(size))
+        plan = build_streams(_c3d_config(size))
         assert len(plan.streams) == 2
         with (
             mock.patch.object(pipeline, "c3d_network", side_effect=AssertionError("built")),
             mock.patch.object(neural, "_uniform_f32", side_effect=AssertionError("drew")),
         ):
-            assert pipeline._pool_size(plan) == 1
+            assert pipeline._pool_size(plan, 2) == 4
+            assert pipeline._pool_size(plan, 1) == 2  # one record: its own units
         assert plan._networks == {}
 
-    def test_two_stream_c3d_plan_trains_and_evaluates_serially(
-        self, small_dataset, forks, monkeypatch
-    ):
+    def test_two_stream_c3d_plan_pooled_equals_serial(self, small_dataset, forks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        cfg = self._c3d_config(32, fc_units=8, pca_target=1, svm_epochs=5)
+        cfg = _c3d_config(32, fc_units=8, pca_target=1, svm_epochs=5)
         split = _one_record_per_class_split(small_dataset)
         plan = train(small_dataset, split, cfg)
-        report = evaluate(small_dataset, split, plan)
-        assert report.n_test == 2
-        assert forks == []
-
-    @staticmethod
-    def _c3d_config(size, **overrides):
-        """Two units per sample, planes xy and xz, on the c3d preset."""
-        return desk_config(
-            angles=(0.0,), planes=("xy", "xz"), depth_windows=("all",), rgb_windows=(),
-            clip_len=16, render_size=(size, size), network_preset="c3d", **overrides,
-        )
+        report = evaluate(small_dataset, split, plan).to_csv()
+        assert len(forks) == 2 * _pool_workers(cfg) == 8  # train's pool, then evaluate's
+        _assert_reaped(forks)
+        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
+        serial = train(small_dataset, split, cfg)
+        assert evaluate(small_dataset, split, serial).to_csv() == report
+        assert len(forks) == 8
+        assert _plan_bytes(plan) == _plan_bytes(serial)
+        assert "n_test,2\n" in report
 
 
 class TestEvaluatePool:
@@ -1481,47 +1588,74 @@ class TestEvaluatePool:
     serial run's.  A zero NETWORK_CACHE_BYTES, with the plan's cached
     networks dropped, keeps no network, which forces the serial path."""
 
-    @pytest.mark.parametrize("cpus", [None, 8])
+    @pytest.mark.parametrize("preset, cpus", [("desk", None), ("desk", 8), ("c3d", None)])
     def test_pooled_report_equals_serial_report(
-        self, small_dataset, split, trained, forks, monkeypatch, cpus
+        self, small_dataset, split, trained, forks, monkeypatch, preset, cpus
     ):
         if cpus is not None:  # more workers than cores: units finish out of order
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        pooled = evaluate(small_dataset, split, trained).to_csv()
-        assert len(forks) == _pool_workers(_units(trained.cfg))
+        if preset == "desk":
+            plan = trained
+        else:
+            plan = train(small_dataset, split, _c3d_config(32, **_C3D_SMALL))
+            forks.clear()
+        pooled = evaluate(small_dataset, split, plan).to_csv()
+        assert len(forks) == _pool_workers(plan.cfg)
         _assert_reaped(forks)
         monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
-        trained._networks.clear()
-        serial = evaluate(small_dataset, split, trained).to_csv()
-        assert len(forks) == _pool_workers(_units(trained.cfg))
-        assert pooled == serial == _GOLDEN_CSV
+        plan._networks.clear()
+        serial = evaluate(small_dataset, split, plan).to_csv()
+        assert len(forks) == _pool_workers(plan.cfg)
+        assert pooled == serial
+        assert preset != "desk" or pooled == _GOLDEN_CSV
 
+    @pytest.mark.parametrize("fail_unit, malformed, want", _BROKEN)
     def test_error_in_a_unit_raises_the_serial_error_and_leaves_no_child(
-        self, small_dataset, split, trained, forks, monkeypatch
+        self, small_dataset, split, trained, forks, monkeypatch, tmp_path,
+        fail_unit, malformed, want,
     ):
-        _fail_render_on(monkeypatch, small_dataset[split.test_indices[1]], trained.cfg)
+        monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
+        records = _break_records(
+            monkeypatch, tmp_path, small_dataset, split.test_indices, trained.cfg,
+            fail_unit, malformed,
+        )
         errors = []
         for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
             monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
             trained._networks.clear()
             with pytest.raises(DmmActionError) as info:
-                evaluate(small_dataset, split, trained)
+                evaluate(records, split, trained)
             errors.append((type(info.value), str(info.value)))
-            assert trained._pool is None
+            assert trained._feed is None
             _assert_reaped(forks)
-        assert len(forks) == _pool_workers(_units(trained.cfg))
-        assert errors[0] == errors[1] == (ContractError, "cannot render window 5 at angle 0")
+        assert len(forks) == _pool_workers(trained.cfg)
+        assert errors[0] == errors[1] == want
 
     def test_standalone_classify_forks_nothing(self, small_dataset, split, trained, forks):
         classify(small_dataset[split.test_indices[0]], trained)
         assert forks == []
 
-    def test_one_unit_per_sample_forks_nothing(self, small_dataset, split, forks):
-        plan = train(small_dataset, split, desk_config(angles=(0.0,), planes=("xy",), rgb_windows=()))
+    def test_one_unit_per_sample_pools_two_samples(
+        self, small_dataset, split, forks, monkeypatch
+    ):
+        cfg = desk_config(angles=(0.0,), planes=("xy",), rgb_windows=())
+        plan = train(small_dataset, split, cfg)
         forks.clear()
-        report = evaluate(small_dataset, split, plan)
-        assert report.n_test == len(split.test_indices)
+        report = evaluate(small_dataset, split, plan).to_csv()
+        assert len(forks) == _pool_workers(cfg)  # two samples in flight, one unit each
+        # a loop over one record forks no more workers than it has units
+        one = resolve_split(
+            small_dataset,
+            "manual",
+            train_indices=split.train_indices,
+            test_indices=split.test_indices[:1],
+        )
+        forks.clear()
+        assert evaluate(small_dataset, one, plan).n_test == 1
         assert forks == []
+        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
+        plan._networks.clear()
+        assert evaluate(small_dataset, split, plan).to_csv() == report
 
     def test_replaced_extract_sample_sees_every_record_in_process(
         self, small_dataset, split, trained, forks
