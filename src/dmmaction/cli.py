@@ -265,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DmmActionError as exc:
+    except (DmmActionError, OSError) as exc:
         log.error("%s", exc)
         return 2
 

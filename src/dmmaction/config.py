@@ -226,7 +226,9 @@ def _parse_value(key: str, kind: str, text: str):
     text = text.strip()
     if key in _LIST_FIELDS:
         inner = text[1:-1] if text.startswith("[") and text.endswith("]") else text
-        items = [t.strip() for t in inner.split(",") if t.strip()]
+        items = [t.strip() for t in inner.split(",")] if inner.strip() else []
+        if "" in items:
+            raise ConfigError("empty list item")
         caster = _LIST_FIELDS[key]
         if caster == "window":
             return tuple(parse_window(t) for t in items)
@@ -243,7 +245,8 @@ def _parse_value(key: str, kind: str, text: str):
 def parse_config_text(text: str) -> PipelineConfig:
     """Parse flat key = value lines into a PipelineConfig.
 
-    Unknown keys are rejected rather than ignored so typos fail loudly.
+    Unknown and repeated keys are rejected rather than ignored so typos
+    fail loudly.
     """
     kinds = {f.name: f.type for f in fields(PipelineConfig)}
     updates = {}
@@ -257,6 +260,8 @@ def parse_config_text(text: str) -> PipelineConfig:
         key = key.strip()
         if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in updates:
+            raise ConfigError(f"line {lineno}: repeated config key {key!r}")
         try:
             updates[key] = _parse_value(key, kinds[key], value)
         except (ValueError, ConfigError) as exc:

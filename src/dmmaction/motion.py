@@ -12,8 +12,8 @@ squared gradients overflow it, are rejected.  The flow comes back as the
 float64 array pair (ox, oy), so everything downstream stays float64.  The
 magnitude is the array g = ox^2 + oy^2, normalized per frame pair by its
 maximum so it can weight motion-template accumulation.  Magnitudes are
-checked once, where weights are made from them: normalize_magnitude (and
-pipeline._flow_weights, before a division by the sequence's peak) rejects
+checked once, where weights are made from them: normalize_magnitude, which
+pipeline._flow_weights calls on each pair or on the whole sequence, rejects
 NaN, infinite and negative values, so every weight lies in [0, 1].
 """
 

@@ -350,10 +350,10 @@ class ExtractResult:
 
 def _flow_weights(maps: list[ProjectedMap], cfg: PipelineConfig) -> np.ndarray:
     """The (n - 1, h, w) float64 weights of n maps, one per consecutive pair,
-    each in [0, 1]: all pairs' flows come from one batched call, and each
-    pair's magnitude is divided by its own peak ("pair") or the sequence's
-    ("global").  ContractError on maps not 2-D and of one shape, or on a
-    NaN, infinite or negative magnitude.
+    each in [0, 1]: all pairs' flows come from one batched call, and
+    normalize_magnitude divides each pair's magnitude by its own peak
+    ("pair") or the sequence's ("global").  ContractError on maps not 2-D
+    and of one shape, or on a NaN, infinite or negative magnitude.
     """
     if len(maps) < 2:
         return np.zeros((0, *(maps[0].grid.shape if maps else (0, 0))))
@@ -365,18 +365,13 @@ def _flow_weights(maps: list[ProjectedMap], cfg: PipelineConfig) -> np.ndarray:
         grids[:-1], grids[1:], iterations=cfg.flow_iterations, smoothness=cfg.flow_smoothness
     )
     raw = flow_magnitude(flow)
-    if cfg.flow_normalization == "pair":
-        # normalize_magnitude checks each pair's magnitude.  Each result goes
-        # back into raw, so the weights take no second (n - 1, h, w) array.
-        for g in raw:
-            g[...] = normalize_magnitude(g)
-        return raw
-    if not ((raw >= 0).all() and np.isfinite(raw).all()):
-        raise ContractError("magnitude values must be finite and non-negative")
-    peak = float(np.max(raw))
-    if peak <= 0.0:
-        return np.zeros_like(raw)
-    return raw / peak
+    if cfg.flow_normalization == "global":
+        return normalize_magnitude(raw)
+    # Each pair's result goes back into raw, so the weights take no second
+    # (n - 1, h, w) array.
+    for g in raw:
+        g[...] = normalize_magnitude(g)
+    return raw
 
 
 def _views(
@@ -420,12 +415,6 @@ def render_templates(
         )
         for t in starts
     ]
-
-
-def _resize_rgb(pixels: np.ndarray, size: tuple[int, int]) -> np.ndarray:
-    if pixels.shape[:2] == size:
-        return pixels
-    return dmm_mod.resize_rgb(pixels, size)
 
 
 def _clip_features(frames: list[np.ndarray], lam: int, net: NetworkSpec) -> list[np.ndarray]:
@@ -596,7 +585,7 @@ def _appearance_frames(rec, cfg, depth_seq, warnings) -> list[np.ndarray] | None
     if rec.rgb_path is None:
         warnings.append(f"{rec.depth_path}: no RGB input, appearance streams absent")
         return None
-    return [_resize_rgb(f, cfg.render_size) for f in read_rgb_sequence(rec.rgb_path)]
+    return [dmm_mod.resize_rgb(f, cfg.render_size) for f in read_rgb_sequence(rec.rgb_path)]
 
 
 # ---------------------------------------------------------------------------

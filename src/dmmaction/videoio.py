@@ -1,4 +1,4 @@
-"""Readers and writers for depth containers, PPM/PGM images, and image sequences.
+"""Readers and writers for depth containers, PPM images, and image sequences.
 
 Depth sequences use a fixed binary container: a 12-byte header of three
 u32 little-endian fields (frameCount, width, height) followed by
@@ -7,10 +7,9 @@ row-major with top-left origin.  A depth value of 0 means "no reading".
 A container reads into one DepthSequence, which holds the frames as a
 single (n, height, width) float64 array.
 
-Color interchange is binary PPM (P6, maxval 255); scalar interchange is
-binary PGM (P5, maxval 65535, big-endian samples).  Both round-trip
-bit-exactly through the matching reader.  A directory of PPM frames
-reads into one (n, height, width, 3) uint8 array.
+Images are binary PPM (P6, maxval 1..255 on read, 255 on write), which
+round-trips bit-exactly; every other magic is rejected.  A directory of
+PPM frames reads into one (n, height, width, 3) uint8 array.
 """
 
 from __future__ import annotations
@@ -143,23 +142,21 @@ def _read_netpbm_tokens(data: bytes, n_tokens: int) -> tuple[list[bytes], int]:
 
 
 def read_image(path: str | Path) -> np.ndarray:
-    """Read a binary PPM (P6) or PGM (P5) image.
+    """Read a binary PPM (P6) image with maxval 1..255.
 
     Returns:
-        (h, w, 3) uint8 for P6; (h, w) uint8 or uint16 for P5 depending
-        on maxval.
+        (h, w, 3) uint8.
 
     Raises:
         ParseError: a header field that is not ASCII decimal digits, or a
             file shorter than its header declares.
-        FormatError: maxval outside 1..65535, or a 16-bit (maxval > 255) P6.
+        FormatError: a magic other than P6, or maxval outside 1..255.
     """
     data = Path(path).read_bytes()
     if len(data) < 2:
         raise ParseError(f"truncated header: expected magic, got {len(data)} bytes")
-    magic = data[:2]
-    if magic not in (b"P5", b"P6"):
-        raise FormatError(f"unsupported magic {magic!r}; expected P5 or P6")
+    if data[:2] != b"P6":
+        raise FormatError(f"{Path(path).name}: unsupported magic {data[:2]!r}; expected P6")
     tokens, offset = _read_netpbm_tokens(data[2:], 3)
     # int() would also take a sign, underscores and non-ASCII digits.
     if not all(t.isdigit() for t in tokens):
@@ -167,50 +164,34 @@ def read_image(path: str | Path) -> np.ndarray:
     width, height, maxval = (int(t) for t in tokens)
     if width < 1 or height < 1:
         raise FormatError(f"invalid dimensions {width}x{height}")
-    if not 1 <= maxval <= 65535:
-        raise FormatError(f"maxval {maxval} outside 1..65535")
-    if magic == b"P6" and maxval > 255:
-        raise FormatError(f"16-bit colour (maxval {maxval}) is not supported")
+    if not 1 <= maxval <= 255:
+        raise FormatError(f"maxval {maxval} outside 1..255")
     offset += 2
-    channels = 3 if magic == b"P6" else 1
-    dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")
-    expected = offset + width * height * channels * dtype.itemsize
+    expected = offset + width * height * 3
     if len(data) < expected:
         raise ParseError(f"truncated payload: expected {expected} bytes, got {len(data)}")
-    flat = np.frombuffer(data, dtype=dtype, count=width * height * channels, offset=offset)
-    if magic == b"P6":
-        return flat.reshape(height, width, 3).copy()
-    arr = flat.reshape(height, width)
-    return arr.astype(np.uint16).copy() if dtype.itemsize == 2 else arr.copy()
+    flat = np.frombuffer(data, dtype=np.uint8, count=width * height * 3, offset=offset)
+    return flat.reshape(height, width, 3).copy()
 
 
 def write_image(grid: np.ndarray, path: str | Path) -> None:
-    """Write a color grid as PPM (P6) or a scalar grid as 16-bit PGM (P5).
+    """Write an (h, w, 3) color grid as PPM (P6, maxval 255).
 
-    Args:
-        grid: (h, w, 3) color values in [0, 255] or (h, w) scalar values
-            in [0, 65535]; values must be integral so the file round-trips
-            bit-exactly through read_image.
+    Values must be integral and in [0, 255], so the file round-trips
+    bit-exactly through read_image.
     """
     arr = np.asarray(grid)
+    if arr.ndim != 3 or arr.shape[2] != 3:
+        raise FormatError(f"unsupported grid shape {arr.shape}; expected (h, w, 3)")
     if arr.size == 0:
         raise FormatError("empty grid")
     if np.any(arr != np.floor(arr)):
         raise FormatError("grid values must be integral for lossless interchange")
-    if arr.ndim == 3 and arr.shape[2] == 3:
-        if np.any(arr < 0) or np.any(arr > 255):
-            raise FormatError("color values must lie in [0, 255]")
-        h, w = arr.shape[:2]
-        header = f"P6\n{w} {h}\n255\n".encode()
-        Path(path).write_bytes(header + arr.astype("u1").tobytes())
-    elif arr.ndim == 2:
-        if np.any(arr < 0) or np.any(arr > 65535):
-            raise FormatError("scalar values must lie in [0, 65535]")
-        h, w = arr.shape
-        header = f"P5\n{w} {h}\n65535\n".encode()
-        Path(path).write_bytes(header + arr.astype(">u2").tobytes())
-    else:
-        raise FormatError(f"unsupported grid shape {arr.shape}")
+    if np.any(arr < 0) or np.any(arr > 255):
+        raise FormatError("color values must lie in [0, 255]")
+    h, w = arr.shape[:2]
+    header = f"P6\n{w} {h}\n255\n".encode()
+    Path(path).write_bytes(header + arr.astype("u1").tobytes())
 
 
 def read_rgb_sequence(directory: str | Path) -> np.ndarray:
@@ -221,8 +202,8 @@ def read_rgb_sequence(directory: str | Path) -> np.ndarray:
 
     Raises:
         EmptyInputError: no .ppm files present.
-        FormatError: a file is not a color image, or its size differs
-            from the first file's.
+        FormatError: a file is not a P6 image with maxval 1..255, or its
+            size differs from the first file's.
     """
     directory = Path(directory)
     paths = sorted(p for p in directory.iterdir() if p.suffix == ".ppm")
@@ -231,8 +212,6 @@ def read_rgb_sequence(directory: str | Path) -> np.ndarray:
     frames = []
     for p in paths:
         arr = read_image(p)
-        if arr.ndim != 3:
-            raise FormatError(f"{p.name} is not a color image")
         if frames and arr.shape != frames[0].shape:
             raise FormatError(
                 f"{p.name} has shape {arr.shape}, {paths[0].name} has {frames[0].shape}"

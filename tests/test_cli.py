@@ -377,6 +377,9 @@ class TestRenderDmmMatchesPipeline:
         assert read_image(out).tobytes() == rendered[("yz", 5, 3)].tobytes()
 
 
+_MISSING = "<missing>"
+
+
 class TestBadArguments:
     @pytest.mark.parametrize(
         "argv",
@@ -386,20 +389,28 @@ class TestBadArguments:
             ["render-dmm", "--window", "abc"],
             ["extract", "--windows", "5,x"],
             ["extract", "--angles", "0,x"],
+            ["eval", "--manifest", _MISSING],
+            ["classify", "--plan", _MISSING],
+            ["extract", "--config", _MISSING],
+            ["render-dmm", "--depth", _MISSING],
         ],
-        ids=["index-99", "index-negative", "window-abc", "windows-5x", "angles-0x"],
+        ids=["index-99", "index-negative", "window-abc", "windows-5x", "angles-0x",
+             "missing-manifest", "missing-plan", "missing-config", "missing-depth"],
     )
     def test_exits_two_with_one_error_line(self, ws, tmp_path, caplog, argv):
         command, *flags = argv
         dest = tmp_path / "out"
-        if command == "classify":
-            argv = [command, "--manifest", str(ws.manifest), "--plan", str(ws.plan), *flags]
-        elif command == "extract":
-            argv = [command, "--manifest", str(ws.manifest), "--out", str(dest),
-                    "--config", str(ws.cfg), *flags]
-        else:
-            depth = read_manifest(ws.manifest)[0].depth_path
-            argv = [command, "--depth", str(depth), "--out", str(dest), *flags]
+        opts = {
+            "classify": {"--manifest": ws.manifest, "--plan": ws.plan},
+            "eval": {"--manifest": ws.manifest, "--plan": ws.plan, "--out": dest},
+            "extract": {"--manifest": ws.manifest, "--out": dest, "--config": ws.cfg},
+            "render-dmm": {"--depth": read_manifest(ws.manifest)[0].depth_path, "--out": dest},
+        }[command]
+        # Each flag given replaces the command's own; _MISSING is a path
+        # that does not exist.
+        for flag, value in zip(flags[::2], flags[1::2]):
+            opts[flag] = tmp_path / "missing" / "x" if value == _MISSING else value
+        argv = [command, *(str(part) for item in opts.items() for part in item)]
         with caplog.at_level(logging.ERROR):
             code, out = _run(argv)
         assert code == 2

@@ -336,6 +336,24 @@ class TestConfigTextNeverMisparsed:
             pass
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seed = 1\nseed = 2\n", "line 2: repeated config key 'seed'"),
+            ("angles = [0, , 30]\n", "line 1: bad value for 'angles': empty list item"),
+            ("\nposes = [standing,]\n", "line 2: bad value for 'poses': empty list item"),
+        ],
+        ids=["repeated-key", "empty-middle-item", "trailing-comma"],
+    )
+    def test_silent_misreadings_rejected_naming_the_line(self, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text", ["[]", "[ ]"])
+    def test_empty_list_reads_as_empty_tuple(self, text):
+        assert parse_config_text(f"rgb_windows = {text}\n").rgb_windows == ()
+
+    @pytest.mark.parametrize(
         "line, field, value",
         [
             ("network_preset = desk", "network_preset", "desk"),

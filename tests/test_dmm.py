@@ -271,6 +271,17 @@ class TestRenderTemplate:
         assert np.moveaxis(planes, 0, -1).tobytes() == want_float[box].tobytes()
 
 
+class TestResizeRgb:
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_same_size_is_identity(self, h, w, seed):
+        # Every tap lands on its own pixel centre with weight 0.
+        pixels = np.random.default_rng(seed).integers(0, 256, (h, w, 3), dtype=np.uint8)
+        out = dmm.resize_rgb(pixels, (h, w))
+        assert out.shape == pixels.shape and out.dtype == np.uint8
+        assert out.tobytes() == pixels.tobytes()
+
+
 class TestStackClip:
     def _frames(self, n):
         return [np.full((8, 8, 3), i, dtype=np.uint8) for i in range(n)]

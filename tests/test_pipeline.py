@@ -48,7 +48,6 @@ from dmmaction.pipeline import (
     Split,
     StreamPlan,
     _flow_weights,
-    _resize_rgb,
 )
 from dmmaction.videoio import DepthSequence, read_depth_bin, read_rgb_sequence, write_depth_bin
 from conftest import desk_config
@@ -168,7 +167,7 @@ def _per_pair_weights(maps, cfg, dtype=np.float32):
         peaks = [float(np.max(g)) for g in raw]
         return [g / p if p >= 1e-12 else np.zeros_like(g) for g, p in zip(raw, peaks)]
     peak = max((float(np.max(g)) for g in raw), default=0.0)
-    return [g / peak if peak > 0.0 else np.zeros_like(g) for g in raw]
+    return [g / peak if peak >= 1e-12 else np.zeros_like(g) for g in raw]
 
 
 def _assert_weights_array(weights, n, shape):
@@ -228,6 +227,17 @@ class TestFlowWeights:
         with mock.patch("dmmaction.pipeline.flow_magnitude", bad_magnitude):
             with pytest.raises(ContractError, match="finite and non-negative"):
                 _flow_weights(maps, cfg)
+
+    def test_peak_below_eps_gives_zero_maps(self, cfg):
+        # Both normalizations follow normalize_magnitude: a peak below 1e-12
+        # gives all-zero weights, not a division by that peak.
+        maps = _noisy_depth_maps(0, n=4)
+        with mock.patch(
+            "dmmaction.pipeline.flow_magnitude", lambda flow: np.full(flow[0].shape, 1e-14)
+        ):
+            weights = _flow_weights(maps, cfg)
+        _assert_weights_array(weights, 4, (24, 32))
+        assert weights.tobytes() == np.zeros_like(weights).tobytes()
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_static_sequence_gives_zero_maps(self, cfg, n):
@@ -340,7 +350,7 @@ class TestExtractSample:
             frames = [render_grid(f, cfg.render_size) for f in depth.frames]
         else:
             rgb = read_rgb_sequence(rec.rgb_path)
-            frames = [_resize_rgb(f, cfg.render_size) for f in rgb]
+            frames = [dmm.resize_rgb(f, cfg.render_size) for f in rgb]
         assert len(frames) == 20
         plan = build_streams(cfg)
         result = extract_sample(rec, plan)
