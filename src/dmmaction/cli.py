@@ -62,17 +62,17 @@ def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-    if args.pose_bank:
+    if args.pose_bank is not None:
         updates["poses"] = (args.pose_bank,)
-    if args.angles:
+    if args.angles is not None:
         updates["angles"] = tuple(_angle(a) for a in args.angles.split(","))
-    if args.windows:
+    if args.windows is not None:
         updates["depth_windows"] = tuple(parse_window(w) for w in args.windows.split(","))
     return replace(cfg, **updates) if updates else cfg
 
 
 def _filter_pose(records, args):
-    if args.pose_bank:
+    if args.pose_bank is not None:
         records = [r for r in records if r.pose == args.pose_bank]
         if not records:
             raise EmptyInputError(
@@ -82,11 +82,12 @@ def _filter_pose(records, args):
 
 
 def _resolve(args, records):
+    subjects, cameras = args.train_subjects, args.train_cameras
     return resolve_split(
         records,
         args.split,
-        train_subjects=tuple(args.train_subjects.split(",")) if args.train_subjects else None,
-        train_cameras=tuple(args.train_cameras.split(",")) if args.train_cameras else None,
+        train_subjects=None if subjects is None else tuple(subjects.split(",")),
+        train_cameras=None if cameras is None else tuple(cameras.split(",")),
     )
 
 

@@ -471,21 +471,16 @@ def _uniform_f32(rng: np.random.Generator, s: float, shape: tuple[int, ...]) -> 
 
 
 def _draw(
-    rng: np.random.Generator | None, out_dim: int, *in_shape: int
+    rng: np.random.Generator, out_dim: int, *in_shape: int
 ) -> tuple[np.ndarray | DrawnMatrix, np.ndarray]:
     """float32 weights (out_dim, *in_shape) then bias, uniform in +-1/sqrt(fan-in).
 
     A dense matrix (one input dimension) that dense_forward runs in more
     than one row block (see _dense_rows) is not stored: it is a DrawnMatrix,
     which skips the generator past it, so the bias gets the same draws.
-    With rng None nothing is drawn: both are zero-stride views of one
-    float32 zero, which hold no memory but have the shapes and nbytes.
     """
     s = 1.0 / np.sqrt(np.prod(in_shape))
     shape = (out_dim, *in_shape)
-    if rng is None:
-        zero = np.float32(0)
-        return np.broadcast_to(zero, shape), np.broadcast_to(zero, (out_dim,))
     if len(in_shape) == 1 and _dense_rows(out_dim, in_shape[0]) < out_dim:
         w = DrawnMatrix(rng, s, shape)
     else:
@@ -494,7 +489,7 @@ def _draw(
 
 
 def _build(
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     name: str,
     clip_shape: tuple[int, int, int],
     groups: Sequence[Sequence[int]],
@@ -503,8 +498,7 @@ def _build(
 ) -> NetworkSpec:
     """Padded 3x3x3 conv groups, each closed by a pool (1x2x2 after the
     first, 2x2x2 after the rest), then one dense layer, drawn from rng in
-    layer order (see _draw).  With rng None the network has its shapes and
-    nbytes but draws and holds no weights: it can be sized, not run."""
+    layer order (see _draw)."""
     input_shape = (3, *clip_shape)  # clip_to_tensor yields three channels
     layers: list[Layer] = []
     channels = input_shape[0]
@@ -524,7 +518,7 @@ def _build(
 
 
 def c3d_network(
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     name: str = "c3d",
     clip_len: int = 16,
     height: int = 112,
@@ -536,7 +530,7 @@ def c3d_network(
 
 
 def desk_network(
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     name: str = "desk",
     clip_len: int = 16,
     height: int = 32,

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import dmm as dmm_mod
-from . import neural
 from .config import PipelineConfig, config_to_text, load_config
 from .dmm import Window, render_grid, stack_clip, template_count
 from .errors import (
@@ -151,8 +150,8 @@ class StreamPlan:
     canonical 112x112 stack counts 177.5 MiB, so a plan keeps at most two.
     pca is keyed by Stream.slot, svm by stream id.  _feed feeds the units
     of the loop of train or evaluate to the fork pool that it opens for
-    that loop (_unit_pool), and is None outside it; it opens only over pose
-    banks whose networks are all kept.
+    that loop (_unit_pool), and is None outside it; it opens only once the
+    networks of the loop's pose banks are all built and kept.
     """
 
     cfg: PipelineConfig
@@ -221,7 +220,7 @@ def build_streams(cfg: PipelineConfig) -> StreamPlan:
     return StreamPlan(cfg=cfg, streams=tuple(streams))
 
 
-def _network_args(cfg: PipelineConfig, s: Stream) -> dict:
+def _build_network(cfg: PipelineConfig, s: Stream) -> NetworkSpec:
     height, width = cfg.render_size
     args = dict(
         name=s.id,
@@ -231,21 +230,8 @@ def _network_args(cfg: PipelineConfig, s: Stream) -> dict:
         fc_units=cfg.fc_units_effective,
     )
     if cfg.network_preset == "desk":
-        args["conv_maps"] = cfg.desk_conv_maps
-    return args
-
-
-def _build_network(cfg: PipelineConfig, s: Stream) -> NetworkSpec:
-    build = desk_network if cfg.network_preset == "desk" else c3d_network
-    return build(stream_rng(cfg.seed, s.id), **_network_args(cfg, s))
-
-
-def _network_nbytes(cfg: PipelineConfig, s: Stream) -> int:
-    """NetworkSpec.nbytes of s's network, from its shapes: neural's own
-    builders with no generator draw nothing, and a spy or tracer on this
-    module's builders sees only the networks that are drawn."""
-    build = neural.desk_network if cfg.network_preset == "desk" else neural.c3d_network
-    return build(None, **_network_args(cfg, s)).nbytes
+        return desk_network(stream_rng(cfg.seed, s.id), conv_maps=cfg.desk_conv_maps, **args)
+    return c3d_network(stream_rng(cfg.seed, s.id), **args)
 
 
 # ---------------------------------------------------------------------------
@@ -868,34 +854,29 @@ class _UnitFeed:
             return _Started(None, None, error=exc)
 
 
-def _bank_fits(plan: StreamPlan, poses: set[str]) -> bool:
-    """Whether the cache keeps every network of the pose banks once they
-    are all built, counted from their shapes, in stream order, up to the
-    first that does not fit: nothing is drawn.  A network whose shapes do
-    not build does not fit either; the serial loop raises its error if a
-    record needs it."""
-    need = sum(net.nbytes for net in plan._networks.values())
-    for s in plan.streams:
-        if s.pose in poses and s.id not in plan._networks:
-            try:
-                need += _network_nbytes(plan.cfg, s)
-            except ContractError:
-                return False
-            if need > NETWORK_CACHE_BYTES:
-                return False
-    return True
+def _keep_bank(plan: StreamPlan, poses: set[str]) -> bool:
+    """Build the networks of the pose banks through plan.network, in
+    stream order, up to the first that the cache does not keep or whose
+    shapes do not build; whether the cache kept them all.  The serial
+    loop raises a network's error if a record needs it."""
+    bank = [s.id for s in plan.streams if s.pose in poses]
+    try:
+        return all(plan.network(sid) is plan._networks.get(sid) for sid in bank)
+    except ContractError:
+        return False
 
 
 @contextmanager
 def _unit_pool(plan: StreamPlan, records: list[SampleRecord]) -> Iterator[None]:
     """Keep plan._feed open for the with block, over the loop's records in
     split order: a _UnitFeed over _pool_size workers that get the plan by
-    fork, not by pickling.  The pool opens only if the cache keeps every
-    network of the records' pose banks, which is decided from their sizes
-    before any is built; then they are built here, in stream order, so
-    that workers build none.  Without a pool, plan._feed stays None and
-    every unit runs here.  On exit, also after an error, plan._feed is
-    cleared and the pool shut down, its queued units cancelled."""
+    fork, not by pickling.  The networks of the records' pose banks are
+    built here first, in stream order (see _keep_bank), and the pool opens
+    only if the cache kept them all, so that workers build none; a network
+    built and then dropped is one the serial loop builds again anyway.
+    Without a pool, plan._feed stays None and every unit runs here.  On
+    exit, also after an error, plan._feed is cleared and the pool shut
+    down, its queued units cancelled."""
     workers = _pool_size(plan, len(records))
     poses = {r.pose for r in records}
     if workers >= 2:
@@ -904,10 +885,7 @@ def _unit_pool(plan: StreamPlan, records: list[SampleRecord]) -> Iterator[None]:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods() and _bank_fits(plan, poses):
-            for s in plan.streams:
-                if s.pose in poses:
-                    plan.network(s.id)
+        if "fork" in multiprocessing.get_all_start_methods() and _keep_bank(plan, poses):
             # Each worker runs its share of the cores' BLAS threads, at
             # most the parent's: one GEMM per conv chunk is large enough
             # for OpenBLAS to thread, and with every worker running the

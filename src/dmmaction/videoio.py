@@ -7,8 +7,8 @@ row-major with top-left origin.  A depth value of 0 means "no reading".
 A container reads into one DepthSequence, which holds the frames as a
 single (n, height, width) float64 array.
 
-Images are binary PPM (P6, maxval 1..255 on read, 255 on write), which
-round-trips bit-exactly; every other magic is rejected.  A directory of
+Images are binary PPM (P6, maxval 255), which round-trips bit-exactly;
+every other magic or maxval is rejected.  A directory of
 PPM frames reads into one (n, height, width, 3) uint8 array.
 """
 
@@ -142,7 +142,7 @@ def _read_netpbm_tokens(data: bytes, n_tokens: int) -> tuple[list[bytes], int]:
 
 
 def read_image(path: str | Path) -> np.ndarray:
-    """Read a binary PPM (P6) image with maxval 1..255.
+    """Read a binary PPM (P6) image with maxval 255.
 
     Returns:
         (h, w, 3) uint8.
@@ -150,13 +150,21 @@ def read_image(path: str | Path) -> np.ndarray:
     Raises:
         ParseError: a header field that is not ASCII decimal digits, or a
             file shorter than its header declares.
-        FormatError: a magic other than P6, or maxval outside 1..255.
+        FormatError: a magic other than P6, or a maxval other than 255.
+        Either error's message starts with the file's name.
     """
-    data = Path(path).read_bytes()
+    path = Path(path)
+    try:
+        return _parse_ppm(path.read_bytes())
+    except (ParseError, FormatError) as exc:
+        raise type(exc)(f"{path.name}: {exc}") from None
+
+
+def _parse_ppm(data: bytes) -> np.ndarray:
     if len(data) < 2:
         raise ParseError(f"truncated header: expected magic, got {len(data)} bytes")
     if data[:2] != b"P6":
-        raise FormatError(f"{Path(path).name}: unsupported magic {data[:2]!r}; expected P6")
+        raise FormatError(f"unsupported magic {data[:2]!r}; expected P6")
     tokens, offset = _read_netpbm_tokens(data[2:], 3)
     # int() would also take a sign, underscores and non-ASCII digits.
     if not all(t.isdigit() for t in tokens):
@@ -164,8 +172,8 @@ def read_image(path: str | Path) -> np.ndarray:
     width, height, maxval = (int(t) for t in tokens)
     if width < 1 or height < 1:
         raise FormatError(f"invalid dimensions {width}x{height}")
-    if not 1 <= maxval <= 255:
-        raise FormatError(f"maxval {maxval} outside 1..255")
+    if maxval != 255:
+        raise FormatError(f"unsupported maxval {maxval}; expected 255")
     offset += 2
     expected = offset + width * height * 3
     if len(data) < expected:
@@ -202,7 +210,7 @@ def read_rgb_sequence(directory: str | Path) -> np.ndarray:
 
     Raises:
         EmptyInputError: no .ppm files present.
-        FormatError: a file is not a P6 image with maxval 1..255, or its
+        FormatError: a file is not a P6 image with maxval 255, or its
             size differs from the first file's.
     """
     directory = Path(directory)

@@ -235,8 +235,8 @@ def test_criterion_6_learning_components():
             assert soft == raw
             agree += 1
 
-        one = ScoreVector(np.array([0.2, 0.8]), ("a", "b"))
-        two = ScoreVector(np.array([0.4, 0.6]), ("a", "b"))
+        one = ScoreVector(np.array([0.2, 0.8]), normalized=True)
+        two = ScoreVector(np.array([0.4, 0.6]), normalized=True)
         assert np.array_equal(fuse_scores([one]).values, one.values)
         assert np.array_equal(fuse_scores([one, two]).values, fuse_scores([two, one]).values)
         fused = fuse_scores([one, two])

@@ -393,9 +393,14 @@ class TestBadArguments:
             ["classify", "--plan", _MISSING],
             ["extract", "--config", _MISSING],
             ["render-dmm", "--depth", _MISSING],
+            ["extract", "--angles", ""],
+            ["extract", "--windows", ""],
+            ["eval", "--pose-bank", ""],
+            ["eval", "--train-subjects", ""],
         ],
         ids=["index-99", "index-negative", "window-abc", "windows-5x", "angles-0x",
-             "missing-manifest", "missing-plan", "missing-config", "missing-depth"],
+             "missing-manifest", "missing-plan", "missing-config", "missing-depth",
+             "angles-empty", "windows-empty", "pose-bank-empty", "train-subjects-empty"],
     )
     def test_exits_two_with_one_error_line(self, ws, tmp_path, caplog, argv):
         command, *flags = argv

@@ -1516,10 +1516,10 @@ class TestTrainPool:
         monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", bank + spare)
         with mock.patch.object(pipeline, "desk_network", wraps=pipeline.desk_network) as build:
             plan = train(small_dataset, split, cfg)
-        if spare < 0:  # the last network is not kept: no pool, and none built ahead
+        if spare < 0:  # the last network is built ahead but not kept: no pool
             assert forks == []
             # the serial loop keeps all but the last and builds it per record
-            assert build.call_count == len(plan.streams) - 1 + len(split.train_indices)
+            assert build.call_count == len(plan.streams) + len(split.train_indices)
             monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
             assert _plan_bytes(plan) == _plan_bytes(train(small_dataset, split, cfg))
         else:  # every network is built once, in this process, and kept
@@ -1544,22 +1544,42 @@ class TestTrainPool:
             assert pipeline._pool_size(plan, 2) == 8
         assert len(plan._networks) == cached
 
-    def test_default_plan_builds_no_network_it_cannot_keep(
+    def test_default_plan_opens_no_pool_and_keeps_what_fits(
         self, small_dataset, forks, monkeypatch
     ):
-        # 66 112x112 c3d networks per pose bank do not fit the cache, which
-        # their shapes tell: no network is built or drawn, and no pool opens.
+        # 66 112x112 c3d networks per pose bank do not fit the cache: the
+        # parent builds them in stream order up to the first it does not
+        # keep, and no pool opens.  A cache of one network keeps this cheap.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 200 * 2**20)
         plan = build_streams(PipelineConfig())
-        with (
-            mock.patch.object(pipeline, "c3d_network", side_effect=AssertionError("built")),
-            mock.patch.object(neural, "_uniform_f32", side_effect=AssertionError("drew")),
-            mock.patch.object(neural, "DrawnMatrix", side_effect=AssertionError("drew")),
-        ):
-            with pipeline._unit_pool(plan, small_dataset[:2]):
+        records = small_dataset[:2]
+        with mock.patch.object(pipeline, "c3d_network", wraps=pipeline.c3d_network) as build:
+            with pipeline._unit_pool(plan, records):
                 assert plan._feed is None
-        assert plan._networks == {}
+        built = [c.kwargs["name"] for c in build.call_args_list]
+        bank = [s.id for s in plan.streams if s.pose in {r.pose for r in records}]
+        assert built == bank[:2]
+        assert list(plan._networks) == built[:1]
         assert forks == []
+
+    def test_bank_network_that_does_not_build_opens_no_pool(
+        self, small_dataset, split, forks, monkeypatch
+    ):
+        # Depth clips of 16 frames build at 32x32, RGB clips of 10 do not:
+        # pool5 has no depth left.  No pool opens, and train raises the
+        # error of a serial run.
+        monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
+        cfg = _c3d_config(32, planes=("xy",), rgb_windows=(10,), fc_units=8)
+        errors = []
+        for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
+            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
+            with pytest.raises(ContractError) as info:
+                train(small_dataset, split, cfg)
+            errors.append(str(info.value))
+        assert _pool_workers(cfg) >= 2 and forks == []
+        assert errors[0] == errors[1]
+        assert "pool5" in errors[0]
 
     @pytest.mark.parametrize("size", [32, 112])
     def test_two_stream_c3d_plan_sizes_to_two_samples(self, monkeypatch, size):
