@@ -149,17 +149,6 @@ def _jet_planes(u: np.ndarray) -> np.ndarray:
     return np.clip(planes, 0.0, 1.0, out=planes)
 
 
-def jet_rgb(u: np.ndarray) -> np.ndarray:
-    """Jet colormap over [0, 1], defined bit-exactly for reproducible renders.
-
-    r = clamp(1.5 - |4u - 3|), g = clamp(1.5 - |4u - 2|),
-    b = clamp(1.5 - |4u - 1|), each clamped to [0, 1].  Returned as float
-    channels in [0, 1] on a last axis of 3; quantization happens at the end
-    of rendering.
-    """
-    return np.moveaxis(_jet_planes(np.asarray(u, dtype=np.float64)), 0, -1)
-
-
 @dataclass(frozen=True)
 class _ResizePlan:
     """Where a bilinear resize of an (in_h, in_w) image reads and how it

@@ -30,10 +30,6 @@ class PcaModel:
     components: np.ndarray = field(repr=False)  # (k, d), orthonormal rows
     variance_fractions: np.ndarray = field(repr=False)  # (k,), descending
 
-    @property
-    def k(self) -> int:
-        return self.components.shape[0]
-
 
 @dataclass(frozen=True)
 class SvmModel:

@@ -12,27 +12,26 @@ extraction reads it from the plan, and only save_plan writes a plan to
 disk.  Everything here is deterministic: stream weights derive from (seed,
 stream id), so a plan rebuilds bit-identically from its saved config.
 train and evaluate each open one fork pool for their loop (see
-_unit_pool).  The loop still makes one extract_sample call per record in
-the calling process, in split order, and only the units of each sample,
-one per (angle, plane) and one per appearance stream, run in the workers.
-The pool's feed (_UnitFeed) starts record k+1, and submits its units,
-before record k is joined, so two samples are in flight.  A sample's
-units are joined in a fixed order (a slot's planes in cfg.planes order),
-so plans, features, warnings, errors and reports are byte-identical to a
-serial run's.  A standalone classify runs wholly in the calling process.
-Report aggregation is a single ordered reduction.
+_record_pool), whose work item is one whole record: a worker reads it
+and runs extract_sample on it, from the depth file to the features.  All
+of the loop's records are submitted at once, and the loop still makes
+one extract_sample call per record in the calling process, in split
+order, which joins that record's result.  Each record's extraction is
+the serial one, so plans, features, warnings, errors and reports are
+byte-identical to a serial run's.  A loop over one record, and a
+standalone classify, run wholly in the calling process.  Report
+aggregation is a single ordered reduction.
 """
 
 from __future__ import annotations
 
 import ctypes
-import itertools
 import logging
 import os
 import sys
 import zlib
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,7 +82,7 @@ from .neural import (
 from .videoio import DepthSequence, read_depth_bin, read_rgb_sequence, read_text
 
 if TYPE_CHECKING:
-    from concurrent.futures import Executor, Future
+    from concurrent.futures import Future
 
 log = logging.getLogger(__name__)
 
@@ -148,10 +147,11 @@ class StreamPlan:
     so far and it fit in NETWORK_CACHE_BYTES, and is never evicted; one
     that does not fit is rebuilt, with the same weights, on each use.  A
     canonical 112x112 stack counts 177.5 MiB, so a plan keeps at most two.
-    pca is keyed by Stream.slot, svm by stream id.  _feed feeds the units
-    of the loop of train or evaluate to the fork pool that it opens for
-    that loop (_unit_pool), and is None outside it; it opens only once the
-    networks of the loop's pose banks are all built and kept.
+    pca is keyed by Stream.slot, svm by stream id.  _pooled holds the
+    records of the loop of train or evaluate with their futures in the
+    fork pool that it opens for that loop (_record_pool), and is None
+    outside it; the pool opens only once the networks of the loop's pose
+    banks are all built and kept.
     """
 
     cfg: PipelineConfig
@@ -161,7 +161,7 @@ class StreamPlan:
     svm: dict[str, SvmModel] = field(default_factory=dict)
     train_report: TrainReport | None = None
     _networks: dict[str, NetworkSpec] = field(default_factory=dict, repr=False)
-    _feed: _UnitFeed | None = field(default=None, repr=False)
+    _pooled: deque[tuple[SampleRecord, Future]] | None = field(default=None, repr=False)
 
     def stream(self, stream_id: str) -> Stream:
         for s in self.streams:
@@ -251,12 +251,16 @@ class SampleRecord:
     crop_path: Path | None = None
 
 
+# The fields of a manifest line, as its errors name them.
+_MANIFEST_FIELDS = ("depth path", "rgb path", "label", "subject", "camera", "pose", "crop path")
+
+
 def read_manifest(path: str | Path) -> list[SampleRecord]:
     """Parse a tab-separated dataset manifest.
 
     Each line: depth path, rgb path or '-', label, subject id, camera id,
     pose, and optionally a crop-box file path or '-'.  Paths are resolved
-    relative to the manifest's directory.
+    relative to the manifest's directory.  No field may be empty.
     """
     path = Path(path)
     root = path.parent
@@ -269,6 +273,9 @@ def read_manifest(path: str | Path) -> list[SampleRecord]:
             raise FormatError(
                 f"line {lineno}: expected 6 or 7 tab-separated fields, got {len(parts)}"
             )
+        for name, value in zip(_MANIFEST_FIELDS, parts):
+            if not value:
+                raise FormatError(f"line {lineno}: empty {name} field")
         depth, rgb, label, subject, camera, pose = parts[:6]
         crop = parts[6] if len(parts) == 7 else "-"
         if any("\0" in p for p in (depth, rgb, crop)):
@@ -368,18 +375,22 @@ def _views(
     Each view angle is synthesized about the sequence centroid (the
     original frames stand in for angle 0, and for every angle when
     cfg.bypass_view_synthesis is set) and projected onto the three planes.
+    A synthesized view is dropped once it is projected.
     """
     intr = Intrinsics.default_for(seq.width, seq.height, cfg.focal_px)
     bins = BinParams(cfg.depth_bin_mm, cfg.depth_bin_count)
     pivot = None
-    for alpha in angles:
+
+    def view(alpha: float) -> DepthSequence:
+        nonlocal pivot
         if alpha == 0.0 or cfg.bypass_view_synthesis:
-            view = seq
-        else:
-            if pivot is None:
-                pivot = sequence_centroid(seq, intr)
-            view = synthesize_view(seq, RotationSpec(alpha), intr, pivot=pivot)
-        yield alpha, [project_cartesian(f, bins) for f in view.frames]
+            return seq
+        if pivot is None:
+            pivot = sequence_centroid(seq, intr)
+        return synthesize_view(seq, RotationSpec(alpha), intr, pivot=pivot)
+
+    for alpha in angles:
+        yield alpha, [project_cartesian(f, bins) for f in view(alpha).frames]
 
 
 def _plane_maps(projected: list[tuple[ProjectedMap, ...]], plane: str) -> list[ProjectedMap]:
@@ -419,7 +430,7 @@ def _plane_features(
     maps: list[ProjectedMap],
     windows: list[Window],
 ) -> list[list[np.ndarray]]:
-    """One (angle, plane) unit: the flow weights of maps, then for each
+    """For one (angle, plane): the flow weights of maps, then for each
     window the clip features of its rendered templates on that stream's
     network."""
     cfg = plan.cfg
@@ -434,13 +445,6 @@ def _plane_features(
     return per_window
 
 
-def _appearance_features(
-    plan: StreamPlan, stream_id: str, rgb_len: int, frames: list[np.ndarray]
-) -> list[np.ndarray]:
-    """One appearance unit: the clip features of one RGB window."""
-    return _clip_features(frames, rgb_len, plan.network(stream_id))
-
-
 def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
     """Run one sample through every stream of its pose bank.
 
@@ -450,16 +454,11 @@ def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
     over each window setting, render, stack clips, extract and
     concatenate per-plane features.  Appearance side: tile the RGB (or
     jet-rendered depth) frames into window-length clips and extract.
+    Views are made one angle at a time.
 
-    It is a start and a join (_start_sample).  The start reads, crops,
-    synthesizes the views, projects them and makes the RGB frames here;
-    the rest runs as units, one per (angle, plane) and one per appearance
-    stream.  The join gathers the units' results in a fixed order, so the
-    result does not depend on where they ran.  Outside a pool the units
-    run here, each as soon as its arguments are made.  While train or
-    evaluate has its fork pool open, their loop's call for its k-th
-    record joins the units that the pool's feed (_UnitFeed) has already
-    submitted, and the feed starts record k+1 before record k is joined.
+    While train or evaluate has its fork pool open (_record_pool), their
+    loop's call for its k-th record returns the result of the k-th record
+    the pool was given, which a worker made by calling this function.
 
     Args:
         rec: manifest record; its pose must be one of plan.cfg.poses.
@@ -471,25 +470,9 @@ def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
         short for get an empty list and a warning, appearance slots
         without RGB input get None.
     """
-    feed = plan._feed
-    if feed is not None and feed.expects(rec):
-        return feed.join_next()
-    units, finish = _start_sample(rec, plan)
-    return finish([unit(plan, *args) for unit, args in units])
-
-
-def _start_sample(rec: SampleRecord, plan: StreamPlan):
-    """The start of extract_sample: check the pose, read and crop the depth
-    sequence, and note each window too short for a clip.
-
-    Returns:
-        (units, finish).  units yields each unit of the sample as (unit,
-        args), to be run as unit(plan, *args), lazily and in join order:
-        an angle's view is synthesized and projected when its first unit
-        is asked for, and the appearance frames are made when the first
-        appearance unit is.  finish takes the units' results in that
-        order and returns the ExtractResult.
-    """
+    pooled = plan._pooled
+    if pooled and pooled[0][0] is rec:
+        return pooled.popleft()[1].result()
     cfg = plan.cfg
     if rec.pose not in cfg.poses:
         raise ContractError(
@@ -502,9 +485,7 @@ def _start_sample(rec: SampleRecord, plan: StreamPlan):
     if rec.crop_path is not None:
         depth_seq = _apply_crop(depth_seq, rec.crop_path)
     n = len(depth_seq)
-
     angles = sorted({s.angle for s in bank if s.kind == "dmm"})
-    rgb_streams = [s for s in bank if s.kind == "rgb"]
 
     windows = []  # the depth windows with at least one clip
     for window in cfg.depth_windows:
@@ -517,50 +498,40 @@ def _start_sample(rec: SampleRecord, plan: StreamPlan):
             f"for window {window}, need {cfg.clip_len}; skipping"
         )
         warnings.extend([skip] * len(angles))  # one per (window, angle) slot
-    n_depth = len(angles) * len(cfg.planes) if windows else 0
 
     features: dict[str, list[np.ndarray] | None] = {
         _dmm_slot_id(rec.pose, w, a): [] for w in cfg.depth_windows for a in angles
     }
-    appearance: list[str] = []  # stream ids of the appearance units, in order
+    for alpha, projected in _views(depth_seq, cfg, angles if windows else []):
+        per_plane = [
+            _plane_features(plan, rec.pose, alpha, p, _plane_maps(projected, p), windows)
+            for p in cfg.planes
+        ]
+        del projected  # before the next view is made
+        for window, *planes in zip(windows, *per_plane):
+            features[_dmm_slot_id(rec.pose, window, alpha)] = [
+                np.concatenate(c) for c in zip(*planes, strict=True)
+            ]
 
-    def units():
-        for alpha, projected in _views(depth_seq, cfg, angles if windows else []):
-            for p in cfg.planes:
-                yield _plane_features, (rec.pose, alpha, p, _plane_maps(projected, p), windows)
-        if not rgb_streams:
-            return
-        rgb_frames = _appearance_frames(rec, cfg, depth_seq, warnings)
-        for s in rgb_streams:
-            features[s.slot] = None if rgb_frames is None else []
-            if rgb_frames is None:
-                continue
-            if len(rgb_frames) < s.rgb_len:
-                warnings.append(
-                    f"{rec.depth_path}: {len(rgb_frames)} appearance frames, "
-                    f"need {s.rgb_len}; skipping {s.id}"
-                )
-                continue
-            appearance.append(s.id)
-            yield _appearance_features, (s.id, s.rgb_len, rgb_frames)
-
-    def finish(results: list) -> ExtractResult:
-        per_unit = dict(zip(itertools.product(angles, cfg.planes), results[:n_depth]))
-        for j, window in enumerate(windows):
-            for alpha in angles:
-                per_plane = [per_unit[(alpha, p)][j] for p in cfg.planes]
-                features[_dmm_slot_id(rec.pose, window, alpha)] = [
-                    np.concatenate(c) for c in zip(*per_plane, strict=True)
-                ]
-        features.update(zip(appearance, results[n_depth:], strict=True))
-        return ExtractResult(features=features, warnings=tuple(warnings))
-
-    return units(), finish
+    rgb_streams = [s for s in bank if s.kind == "rgb"]
+    rgb_frames = _appearance_frames(rec, cfg, depth_seq, warnings) if rgb_streams else None
+    for s in rgb_streams:
+        if rgb_frames is None:
+            features[s.slot] = None
+        elif len(rgb_frames) < s.rgb_len:
+            warnings.append(
+                f"{rec.depth_path}: {len(rgb_frames)} appearance frames, "
+                f"need {s.rgb_len}; skipping {s.id}"
+            )
+            features[s.slot] = []
+        else:
+            features[s.slot] = _clip_features(rgb_frames, s.rgb_len, plan.network(s.id))
+    return ExtractResult(features=features, warnings=tuple(warnings))
 
 
 # train and evaluate pool only while pipeline.extract_sample is still this
 # function: a replacement (a test spy, a tracer) must see every call, and
-# every unit run in this process.
+# every record run in this process.
 _EXTRACT_SAMPLE = extract_sample
 
 
@@ -704,21 +675,16 @@ def _check_disjoint(records, protocol, train, test):
 # Training
 
 
-def _pool_size(plan: StreamPlan, n_records: int) -> int:
-    """Worker processes for a pool over a loop of n_records records whose
-    samples have one unit per (angle, plane) and one per appearance
-    stream; below 2 means serially, here.
+def _pool_size(n_records: int) -> int:
+    """Worker processes for a pool over a loop of n_records records: one
+    per core and record; below 2 means serially, here.
 
-    It is one per core and unit of the (at most two) samples the loop has
-    in flight (see _UnitFeed), except that a loop runs serially when
-    extract_sample has been replaced (see _EXTRACT_SAMPLE) or when the
-    platform cannot tell its cores.  Sizing builds no network.
+    A loop also runs serially when extract_sample has been replaced (see
+    _EXTRACT_SAMPLE) or when the platform cannot tell its cores.
     """
-    cfg = plan.cfg
     if extract_sample is not _EXTRACT_SAMPLE or not hasattr(os, "sched_getaffinity"):
         return 1
-    units = len(cfg.angles) * len(cfg.planes) + len(cfg.rgb_windows)
-    return min(len(os.sched_getaffinity(0)), units * min(2, n_records))
+    return min(len(os.sched_getaffinity(0)), n_records)
 
 
 def _blas_threads():
@@ -748,110 +714,16 @@ _worker_plan: StreamPlan | None = None
 
 
 def _init_worker(plan: StreamPlan, blas_threads: int | None) -> None:
-    """Keep plan for this worker's units and, unless blas_threads is None,
-    run this worker's OpenBLAS with that many threads."""
+    """Keep plan for this worker's records and, unless blas_threads is
+    None, run this worker's OpenBLAS with that many threads."""
     global _worker_plan
     _worker_plan = plan
     if blas_threads is not None:
         _blas_threads()[1](blas_threads)
 
 
-def _unit_in_worker(unit, args: tuple):
-    return unit(_worker_plan, *args)
-
-
-@dataclass
-class _Started:
-    """A record a _UnitFeed has started: its units not yet submitted (None
-    once all are), the futures of those that are and its finish (see
-    _start_sample), or the error held for its join."""
-
-    units: Iterator[tuple] | None
-    finish: Callable[[list], ExtractResult] | None
-    futures: list[Future] = field(default_factory=list)
-    error: Exception | None = None
-
-
-class _UnitFeed:
-    """The units of a train or evaluate loop's records, fed to its pool.
-
-    records are the loop's records in split order, and the loop's k-th
-    extract_sample call joins records[k]: records are matched by position,
-    so two equal records (two equal manifest lines) each keep their own.
-    At most limit units are submitted and not yet done, so this process
-    holds the arguments of those only; it submits the next unit as soon as
-    any unit is done, not only the one it joins next.  Record k+1 is
-    started as soon as record k's last unit is submitted, so at most two
-    records are in flight: the workers run k+1's units while this process
-    joins k, and this process makes k+1's views while they run k's.
-
-    An error raised by a record's start, or by making one of its units'
-    arguments, is held until that record is joined, and raised there after
-    every unit submitted before it has been joined: the error raised is the
-    one a serial run raises.  No record past a failed one is started.
-    """
-
-    def __init__(self, pool: Executor, plan: StreamPlan, records: list[SampleRecord], limit: int):
-        self.pool, self.plan, self.records, self.limit = pool, plan, records, limit
-        self.joined = 0  # records whose join has begun
-        self.begun = 0  # records started
-        self.started: deque[_Started] = deque()  # not yet joined, oldest first
-        self.running: set[Future] = set()  # submitted, not yet done
-
-    def expects(self, rec: SampleRecord) -> bool:
-        """Whether rec is the record the loop's next call joins."""
-        return self.joined < len(self.records) and rec is self.records[self.joined]
-
-    def join_next(self) -> ExtractResult:
-        from concurrent.futures import FIRST_COMPLETED, wait
-
-        self.joined += 1
-        self._submit()
-        sample = self.started[0]
-        results = []
-        # Once all of this record's submitted units are done, _submit
-        # submits its next one, so the index is always there.
-        while sample.units is not None or len(results) < len(sample.futures):
-            head = sample.futures[len(results)]
-            if head.done():
-                results.append(head.result())
-            else:
-                wait(self.running, return_when=FIRST_COMPLETED)
-            self._submit()
-        self.started.popleft()
-        if sample.error is not None:
-            raise sample.error
-        self._submit()  # the next record starts before this one returns
-        return sample.finish(results)
-
-    def _submit(self) -> None:
-        """Submit units, in order, starting records as needed, up to the limit."""
-        self.running = {f for f in self.running if not f.done()}
-        while len(self.running) < self.limit:
-            newest = self.started[-1] if self.started else None
-            if newest is None or newest.units is None:
-                failed = newest is not None and newest.error is not None
-                if failed or len(self.started) == 2 or self.begun == len(self.records):
-                    return
-                self.started.append(self._start(self.records[self.begun]))
-                self.begun += 1
-                continue
-            # Whatever the error, the serial run raises it at this record.
-            try:
-                item = next(newest.units, None)
-            except Exception as exc:
-                item, newest.error = None, exc
-            if item is None:
-                newest.units = None
-                continue
-            newest.futures.append(self.pool.submit(_unit_in_worker, *item))
-            self.running.add(newest.futures[-1])
-
-    def _start(self, rec: SampleRecord) -> _Started:
-        try:
-            return _Started(*_start_sample(rec, self.plan))
-        except Exception as exc:
-            return _Started(None, None, error=exc)
+def _extract_in_worker(rec: SampleRecord) -> ExtractResult:
+    return extract_sample(rec, _worker_plan)
 
 
 def _keep_bank(plan: StreamPlan, poses: set[str]) -> bool:
@@ -867,46 +739,59 @@ def _keep_bank(plan: StreamPlan, poses: set[str]) -> bool:
 
 
 @contextmanager
-def _unit_pool(plan: StreamPlan, records: list[SampleRecord]) -> Iterator[None]:
-    """Keep plan._feed open for the with block, over the loop's records in
-    split order: a _UnitFeed over _pool_size workers that get the plan by
-    fork, not by pickling.  The networks of the records' pose banks are
-    built here first, in stream order (see _keep_bank), and the pool opens
-    only if the cache kept them all, so that workers build none; a network
-    built and then dropped is one the serial loop builds again anyway.
-    Without a pool, plan._feed stays None and every unit runs here.  On
-    exit, also after an error, plan._feed is cleared and the pool shut
-    down, its queued units cancelled."""
-    workers = _pool_size(plan, len(records))
-    poses = {r.pose for r in records}
-    if workers >= 2:
-        # Imported here, so that a process that never pools (such as a CLI
-        # classify) does not pay the ~10 ms import.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+def _record_pool(plan: StreamPlan, records: list[SampleRecord]) -> Iterator[None]:
+    """Keep plan._pooled open for the with block: every one of the loop's
+    records, in split order, with the future of its extract_sample call in
+    a fork pool of _pool_size workers that get the plan by fork, not by
+    pickling.  All records are submitted before the first is joined; the
+    loop's k-th extract_sample call joins the k-th future, so records are
+    matched by position (two equal manifest lines each keep their own) and
+    a worker's error is raised at its own record's join, as a serial run
+    raises it.
 
-        if "fork" in multiprocessing.get_all_start_methods() and _keep_bank(plan, poses):
-            # Each worker runs its share of the cores' BLAS threads, at
-            # most the parent's: one GEMM per conv chunk is large enough
-            # for OpenBLAS to thread, and with every worker running the
-            # parent's 2 threads on 2 cores desk-bench trained at 0.93
-            # samples/s instead of 2.27.
-            blas, threads = _blas_threads(), None
-            if blas is not None:
-                threads = max(1, min(blas[0](), len(os.sched_getaffinity(0)) // workers))
-            pool = ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(plan, threads),
-            )
-            plan._feed = _UnitFeed(pool, plan, records, limit=2 * workers)
+    The networks of the records' pose banks are built here first, in
+    stream order (see _keep_bank), and the pool opens only if the cache
+    kept them all, so that workers build none; a network built and then
+    dropped is one the serial loop builds again anyway.  Without a pool,
+    plan._pooled stays None and every record runs here.  On exit, also
+    after an error, plan._pooled is cleared and the pool shut down, its
+    queued records cancelled."""
+    workers = _pool_size(len(records))
+    pool = None
     try:
+        if workers >= 2:
+            # Imported here, so that a process that never pools (such as a
+            # CLI classify) does not pay the ~10 ms import.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            if "fork" in multiprocessing.get_all_start_methods() and _keep_bank(
+                plan, {r.pose for r in records}
+            ):
+                # Each worker runs its share of the cores' BLAS threads, at
+                # most the parent's: one GEMM per conv chunk is large enough
+                # for OpenBLAS to thread, and with every worker running the
+                # parent's 2 threads on 2 cores desk-bench trained at 0.93
+                # samples/s instead of 2.27.
+                blas, threads = _blas_threads(), None
+                if blas is not None:
+                    threads = max(1, min(blas[0](), len(os.sched_getaffinity(0)) // workers))
+                pool = ProcessPoolExecutor(
+                    workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_init_worker,
+                    initargs=(plan, threads),
+                )
+                # A worker gets each record by pickling, so no record it is
+                # given is one of these: its extract_sample runs the sample.
+                plan._pooled = deque(
+                    (rec, pool.submit(_extract_in_worker, rec)) for rec in records
+                )
         yield
     finally:
-        feed, plan._feed = plan._feed, None
-        if feed is not None:
-            feed.pool.shutdown(cancel_futures=True)
+        plan._pooled = None
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _check_indices(n: int, train: tuple[int, ...], test: tuple[int, ...]) -> None:
@@ -927,9 +812,9 @@ def train(
     """Fit every stream's PCA + SVM on the training side of a split.
 
     Each training record, in split order, gets one extract_sample call
-    made here, whose units run in a fork pool open for this loop only
-    (see _unit_pool), which starts the next record before this one is
-    joined.
+    made here, which joins the record's result from a fork pool open for
+    this loop only (see _record_pool), where every record was submitted
+    before the first join.
 
     Args:
         records: full dataset.
@@ -962,7 +847,7 @@ def train(
     per_slot_labels: dict[str, list[str]] = {s.slot: [] for s in plan.streams}
     warnings: list[str] = []
     train_records = [records[i] for i in split.train_indices]
-    with _unit_pool(plan, train_records):
+    with _record_pool(plan, train_records):
         for rec in train_records:
             result = extract_sample(rec, plan)
             warnings.extend(result.warnings)
@@ -1036,10 +921,10 @@ def classify(
     (depth alone when no appearance stream produced a score).  The label
     is the argmax, ties broken toward the lowest class index.
 
-    Called on its own, classify runs every unit of the sample in this
-    process: a pool forked for one sample costs more than it saves.
-    Inside evaluate, the sample's units run in evaluate's pool, which has
-    started them before this call.
+    Called on its own, classify extracts the sample in this process: a
+    pool forked for one sample costs more than it saves.  Inside evaluate,
+    the sample was submitted to evaluate's pool before this call, which
+    joins its result.
     """
     cfg = plan.cfg
     if plan.labels is None or not plan.trained_for(rec.pose):
@@ -1140,10 +1025,10 @@ def evaluate(
 
     Every index and test label is checked before anything is classified.
     Each test record, in split order, gets one classify call made here.
-    Its units run in a fork pool that is open for this loop only (see
-    _unit_pool), which starts the next record before this one is joined,
-    so a classify call's time covers the join of its record, not its
-    whole extraction.
+    The records are extracted in a fork pool that is open for this loop
+    only (see _record_pool), where all of them were submitted before the
+    first classify call, so a classify call's time covers the join of its
+    record, not its whole extraction.
     """
     if not plan.trained:
         raise StateError("plan is untrained; run train first")
@@ -1159,7 +1044,7 @@ def evaluate(
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
     stream_hits: dict[str, int] = {}
     stream_totals: dict[str, int] = {}
-    with _unit_pool(plan, test_records):
+    with _record_pool(plan, test_records):
         for rec in test_records:
             _, _, row = classify(rec, plan)
             counts[index[row.truth], index[row.predicted]] += 1

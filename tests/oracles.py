@@ -206,6 +206,14 @@ def dmm_oracle(grids, t, window, floor=0.0, weights=None):
     return out
 
 
+def jet_rgb(u):
+    """The jet colormap over [0, 1], channels-last: r, g, b = clamp(1.5 -
+    |4u - k|, 0, 1) for k = 3, 2, 1, as float channels before quantization."""
+    return np.stack(
+        [np.clip(1.5 - np.abs(4.0 * u - k), 0.0, 1.0) for k in (3.0, 2.0, 1.0)], axis=-1
+    )
+
+
 def render_float_oracle(grid, out_size):
     """A grid rendered as the package has always defined it, channels-last,
     before quantization.
@@ -223,9 +231,7 @@ def render_float_oracle(grid, out_size):
     lo = float(np.min(grid))
     hi = float(np.max(grid))
     u = np.zeros((in_h, in_w)) if hi == lo else (grid - lo) / (hi - lo)
-    colored = np.stack(
-        [np.clip(1.5 - np.abs(4.0 * u - k), 0.0, 1.0) for k in (3.0, 2.0, 1.0)], axis=-1
-    )
+    colored = jet_rgb(u)
     scale = min(out_h / in_h, out_w / in_w)
     new_h = max(1, round(in_h * scale))
     new_w = max(1, round(in_w * scale))

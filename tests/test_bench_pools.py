@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dmmaction import pipeline
+from dmmaction import generate_synthetic_dataset, pipeline, read_manifest
 from conftest import run_python_in_c_locale
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -24,18 +24,25 @@ def _load_workloads():
 
 
 @pytest.mark.parametrize(
-    "name, units",
+    "name, loops",
     [
-        ("desk-bench", 11),  # 3 angles x 3 planes + 2 RGB windows
-        ("c3d-clip", 1),  # 1 angle x 1 plane
-        ("classify-cold", 3),  # training: 1 angle x 3 planes
+        # the records of train's loop, then of evaluate's
+        pytest.param("desk-bench", (6, 6), id="desk-bench"),
+        pytest.param("c3d-clip", (2, 2), id="c3d-clip"),
+        # set-up's train only: a timed classify is one record, run serially
+        pytest.param("classify-cold", (3,), id="classify-cold"),
     ],
 )
-def test_workload_pool_size(name, units):
-    # Each workload's loops run over 2 or more records: two samples in flight.
-    cfg = _load_workloads().WORKLOADS[name].cfg
+def test_workload_pool_size(name, loops, tmp_path):
+    # Each loop pools one worker per core and record, and every loop has 2
+    # or more records, so each pools on a machine of 2 or more cores.
+    workloads = _load_workloads()
+    w = workloads.WORKLOADS[name]
+    records = read_manifest(generate_synthetic_dataset(tmp_path, w.spec, seed=42))
+    split = workloads._split(w, records)
+    assert (len(split.train_indices), len(split.test_indices))[: len(loops)] == loops
     cores = len(os.sched_getaffinity(0))
-    assert pipeline._pool_size(pipeline.build_streams(cfg), 2) == min(cores, 2 * units)
+    assert [pipeline._pool_size(n) for n in loops] == [min(cores, n) for n in loops]
 
 
 def test_import_loads_no_pool_machinery():

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from dmmaction import ALL, ContractError, dmm
 from dmmaction.dmm import (
     accumulate_ramdmm,
-    jet_rgb,
     render_grid,
     render_template,
     stack_clip,
 )
 from dmmaction.geometry import ProjectedMap
 from dmmaction.motion import normalize_magnitude
-from oracles import dmm_oracle, render_float_oracle, render_oracle
+from oracles import dmm_oracle, jet_rgb, render_float_oracle, render_oracle
 
 
 def _maps(values, plane="xy"):

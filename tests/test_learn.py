@@ -51,7 +51,7 @@ class TestPcaFit:
         t = np.linspace(-2, 2, 9)
         x = np.stack([t, t], axis=1)
         model = pca_fit(x, target=0.95)
-        assert model.k == 1
+        assert model.components.shape[0] == 1
         direction = model.components[0] * np.sign(model.components[0, 0])
         assert np.allclose(direction, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-9)
         assert model.variance_fractions[0] == pytest.approx(1.0, abs=1e-9)
@@ -66,12 +66,12 @@ class TestPcaFit:
     def test_full_target_keeps_dimension(self, rng):
         x = rng.normal(size=(30, 5))
         model = pca_fit(x, target=1.0)
-        assert model.k == 5
+        assert model.components.shape[0] == 5
 
     def test_fixed_k(self, rng):
         x = rng.normal(size=(30, 6))
         model = pca_fit(x, target=3)
-        assert model.k == 3
+        assert model.components.shape[0] == 3
 
     def test_identical_samples_raise_rank_error(self):
         x = np.ones((5, 3))
@@ -86,7 +86,7 @@ class TestPcaFit:
         x = rng.normal(size=(40, 8)) @ np.diag([5, 4, 3, 2, 1, 0.5, 0.2, 0.1])
         model = pca_fit(x, target=1.0)
         gram = model.components @ model.components.T
-        assert np.max(np.abs(gram - np.eye(model.k))) < 1e-6
+        assert np.max(np.abs(gram - np.eye(model.components.shape[0]))) < 1e-6
 
     def test_variance_fractions_descending(self, rng):
         x = rng.normal(size=(50, 6)) * np.arange(1, 7)
@@ -100,7 +100,7 @@ class TestPcaFit:
         model = pca_fit(x, target=1.0)
         centered = x - x.mean(axis=0)
         direct = np.linalg.eigvalsh(centered.T @ centered / 7)[::-1]
-        kept = direct[: model.k] / direct.sum()
+        kept = direct[: model.components.shape[0]] / direct.sum()
         assert np.allclose(model.variance_fractions, kept, atol=1e-8)
 
 
@@ -115,7 +115,7 @@ class TestPcaProject:
         t = np.linspace(-3, 3, 11)
         x = np.stack([t, 2 * t, -t], axis=1)
         model = pca_fit(x, target=0.95)
-        assert model.k == 1
+        assert model.components.shape[0] == 1
         for row in x:
             z = pca_project(model, row)
             back = model.mean + z @ model.components

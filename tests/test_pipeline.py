@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes
 import dataclasses
 import hashlib
@@ -37,7 +38,7 @@ from dmmaction import (
     save_plan,
     train,
 )
-from dmmaction import dmm, neural, pipeline
+from dmmaction import dmm, pipeline
 from dmmaction.dmm import render_grid, stack_clip, template_count
 from dmmaction.geometry import ProjectedMap, synthesize_view
 from dmmaction.learn import PcaModel, SvmModel, pca_fit
@@ -420,7 +421,7 @@ class TestExtractSample:
         ends = {5: [7], "all": [7, 15]}
         slots = [(w, a) for w in (5, "all") for a in ("0", "30")]
         assert list(result.features) == [f"standing/dmm/w{w}/a{a}" for w, a in slots]
-        # one (angle, plane) unit at a time, each over every window
+        # one (angle, plane) at a time, each over every window
         assert [c.args[1:] for c in stack.call_args_list] == [
             (end, cfg.clip_len) for _ in ("0", "30") for _ in planes for w in (5, "all")
             for end in ends[w]
@@ -846,7 +847,7 @@ class TestEvaluate:
         self, small_dataset, trained, n, test_idx, bad
     ):
         s = Split("manual", (0,), test_idx, "manual")
-        with mock.patch.object(pipeline, "_unit_pool", wraps=pipeline._unit_pool) as pool:
+        with mock.patch.object(pipeline, "_record_pool", wraps=pipeline._record_pool) as pool:
             with pytest.raises(
                 ProtocolError, match=re.escape(f"indices {bad} outside the {n}-record dataset")
             ):
@@ -857,7 +858,7 @@ class TestEvaluate:
         # A hand-made split is checked as resolve_split checks one: a
         # repeated test index would count one record twice in the report.
         s = Split("manual", (0,), (2, 3, 2), "manual")
-        with mock.patch.object(pipeline, "_unit_pool", wraps=pipeline._unit_pool) as pool:
+        with mock.patch.object(pipeline, "_record_pool", wraps=pipeline._record_pool) as pool:
             with pytest.raises(ProtocolError, match="test indices name a record more than once"):
                 evaluate(small_dataset, s, trained)
         assert pool.call_count == 0
@@ -1174,6 +1175,28 @@ class TestTextReadersNeverMisparse:
         with pytest.raises(FormatError, match="line 2.*NUL"):
             read_manifest(path)
 
+    @pytest.mark.parametrize(
+        "field, name",
+        [
+            (0, "depth path"),
+            (1, "rgb path"),
+            (2, "label"),
+            (3, "subject"),
+            (4, "camera"),
+            (5, "pose"),
+            (6, "crop path"),
+        ],
+    )
+    def test_manifest_empty_field_names_the_line(self, tmp_path, field, name):
+        # An empty path would resolve to the manifest's directory, and an
+        # empty label would be a class of its own; '-' marks no rgb or crop.
+        row = ["d.bin", "rgb", "slide", "s0", "c0", "standing", "crop.txt"]
+        row[field] = ""
+        path = tmp_path / "manifest.tsv"
+        path.write_text("d.bin\t-\tslide\ts0\tc0\tstanding\n" + "\t".join(row) + "\n")
+        with pytest.raises(FormatError, match=f"^line 2: empty {name} field$"):
+            read_manifest(path)
+
 
 class TestNetworkCache:
     def test_c3d_stream_built_once_for_train_and_evaluate(self, small_dataset):
@@ -1245,20 +1268,15 @@ def forks(monkeypatch):
     return pids
 
 
-def _pool_workers(cfg, n_records=2):
+def _pool_workers(n_records):
     """Children a pool over a loop of n_records records forks: one per core
-    and unit of the (at most two) samples in flight, none below two."""
-    workers = min(len(os.sched_getaffinity(0)), _units(cfg) * min(2, n_records))
+    and record, none below two."""
+    workers = min(len(os.sched_getaffinity(0)), n_records)
     return workers if workers >= 2 else 0
 
 
-def _units(cfg):
-    """Units of one sample: one per (angle, plane), one per RGB window."""
-    return len(cfg.angles) * len(cfg.planes) + len(cfg.rgb_windows)
-
-
 def _fail_render_on(monkeypatch, rec, cfg):
-    """Make render_templates raise on the (0, xy) unit of rec; forked
+    """Make render_templates raise on the (0, xy) maps of rec; forked
     workers inherit the patch."""
     seq = read_depth_bin(rec.depth_path)
     if rec.crop_path is not None:
@@ -1276,9 +1294,9 @@ def _fail_render_on(monkeypatch, rec, cfg):
 
 
 def _break_records(monkeypatch, tmp_path, records, indices, cfg, fail_unit, malformed):
-    """records, with the (0, xy) unit of records[indices[1]] made to raise
+    """records, with the (0, xy) maps of records[indices[1]] made to raise
     (fail_unit) and the depth file of records[indices[2]] a header of zero
-    frames (malformed), the record a pool starts before it joins the other."""
+    frames (malformed), a record the pool runs while it joins the other."""
     records = list(records)
     if fail_unit:
         _fail_render_on(monkeypatch, records[indices[1]], cfg)
@@ -1290,13 +1308,12 @@ def _break_records(monkeypatch, tmp_path, records, indices, cfg, fail_unit, malf
 
 
 # (fail_unit, malformed) and the error train or evaluate raises, pooled or not.
-# Under _eight_cpus a desk_config() sample's 7 units fit in the feed's limit
-# of two per worker, so the record after the failing one starts before the
-# failing one's first unit is joined.
+# Under _eight_cpus each of a loop's 4 records has its own worker, so the
+# record after the failing one runs while the failing one is joined.
 _BROKEN = [
     (True, False, (ContractError, "cannot render window 5 at angle 0")),
-    # the next record is started, and fails to start, before the failing
-    # one is joined: the failing unit's error still wins
+    # the next record fails in its worker before the failing one is
+    # joined: the failing record's error still wins
     (True, True, (ContractError, "cannot render window 5 at angle 0")),
     # the next record's error is held until its turn
     (False, True, (FormatError, "invalid dimensions in header: frames=0 width=4 height=4")),
@@ -1308,7 +1325,7 @@ def _eight_cpus(pid):
 
 
 def _c3d_config(size, **overrides):
-    """Two units per sample, planes xy and xz, on the c3d preset."""
+    """Two streams, planes xy and xz, on the c3d preset."""
     base = dict(
         angles=(0.0,), planes=("xy", "xz"), depth_windows=("all",), rgb_windows=(),
         clip_len=16, render_size=(size, size), network_preset="c3d",
@@ -1358,11 +1375,10 @@ def _plan_bytes(plan):
 
 
 class TestTrainPool:
-    """train runs each record's (angle, plane) and appearance units in a
-    fork pool when its two samples in flight have 2 or more units and the
-    cache keeps every network of the bank; the plan is byte-identical to a
-    serial run's.  A zero NETWORK_CACHE_BYTES keeps no network, which
-    forces the serial path."""
+    """train runs each whole record in a fork pool of one worker per core
+    and record when that is 2 or more and the cache keeps every network of
+    the bank; the plan is byte-identical to a serial run's.  A zero
+    NETWORK_CACHE_BYTES keeps no network, which forces the serial path."""
 
     # 20-frame records give window-5 too few templates for clips of 16, and
     # too few RGB frames for r30: every record adds warnings.
@@ -1376,10 +1392,10 @@ class TestTrainPool:
         if cpus is not None:  # more workers than cores: results arrive out of order
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         pooled = train(small_dataset, split, cfg)
-        assert len(forks) == _pool_workers(cfg)
+        assert len(forks) == _pool_workers(len(split.train_indices))
         monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
         serial = train(small_dataset, split, cfg)
-        assert len(forks) == _pool_workers(cfg)
+        assert len(forks) == _pool_workers(len(split.train_indices))
         assert _plan_bytes(pooled) == _plan_bytes(serial)
         assert pooled.train_report.per_stream
         # warnings name the records in split order
@@ -1415,7 +1431,7 @@ class TestTrainPool:
     def test_no_child_outlives_train(self, small_dataset, split, forks):
         cfg = desk_config(angles=(0.0,))
         train(small_dataset, split, cfg)
-        assert len(forks) == _pool_workers(cfg)
+        assert len(forks) == _pool_workers(len(split.train_indices))
         _assert_reaped(forks)
 
     def test_malformed_depth_file_raises_the_serial_error(
@@ -1433,7 +1449,7 @@ class TestTrainPool:
             with pytest.raises(DmmActionError) as info:
                 train(records, split, cfg)
             errors.append((type(info.value), str(info.value)))
-        assert len(forks) == _pool_workers(cfg)
+        assert len(forks) == _pool_workers(len(split.train_indices))
         assert errors[0] == errors[1]
         assert errors[0][0] is ParseError
 
@@ -1453,30 +1469,56 @@ class TestTrainPool:
                 train(records, split, cfg)
             errors.append((type(info.value), str(info.value)))
             _assert_reaped(forks)
-        assert len(forks) == _pool_workers(cfg)
+        assert len(forks) == _pool_workers(len(split.train_indices))
         assert errors[0] == errors[1] == want
 
-    def test_next_record_starts_before_this_one_is_joined(
+    def test_every_record_is_submitted_before_the_first_join(
         self, small_dataset, split, forks, monkeypatch
     ):
-        # One unit per sample, so each record's unit is out, and the next
-        # record read, before the record before it is joined.
+        # The pool is given the loop's records in split order before the
+        # loop joins the first of them.
         events = []
-        read, result = pipeline.read_depth_bin, pipeline.ExtractResult
-        monkeypatch.setattr(
-            pipeline, "read_depth_bin", lambda path: events.append(path) or read(path)
+        submit, result = (
+            concurrent.futures.ProcessPoolExecutor.submit,
+            concurrent.futures.Future.result,
         )
-        monkeypatch.setattr(
-            pipeline, "ExtractResult", lambda **kw: events.append("joined") or result(**kw)
-        )
-        cfg = desk_config(angles=(0.0,), planes=("xy",), rgb_windows=())
-        train(small_dataset, split, cfg)
-        assert len(forks) == _pool_workers(cfg)
+
+        def spy_submit(pool, fn, rec):
+            events.append(rec.depth_path)
+            return submit(pool, fn, rec)
+
+        def spy_result(future, timeout=None):
+            events.append("joined")
+            return result(future, timeout)
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", spy_submit)
+        monkeypatch.setattr(concurrent.futures.Future, "result", spy_result)
+        monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
+        train(small_dataset, split, desk_config(angles=(0.0,), planes=("xy",), rgb_windows=()))
+        assert len(forks) == len(split.train_indices)
         paths = [small_dataset[i].depth_path for i in split.train_indices]
-        if forks:
-            assert events == [*paths[:3], "joined", paths[3], "joined", "joined", "joined"]
-        else:
-            assert events == [e for p in paths for e in (p, "joined")]
+        assert events == [*paths, *["joined"] * len(paths)]
+
+    def test_parent_neither_reads_nor_projects(
+        self, small_dataset, split, forks, monkeypatch
+    ):
+        # Workers read and project every record; the plan still equals a
+        # serial run's, which reads and projects here.
+        monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
+        cfg = desk_config(angles=(0.0, 30.0))
+        with (
+            mock.patch.object(pipeline, "read_depth_bin", wraps=read_depth_bin) as read,
+            mock.patch.object(
+                pipeline, "project_cartesian", wraps=pipeline.project_cartesian
+            ) as project,
+        ):
+            pooled = train(small_dataset, split, cfg)
+            assert read.call_count == project.call_count == 0
+            assert len(forks) == len(split.train_indices)
+            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
+            serial = train(small_dataset, split, cfg)
+            assert read.call_count == len(split.train_indices) and project.call_count
+        assert _plan_bytes(pooled) == _plan_bytes(serial)
 
     def test_equal_records_keep_their_places(self, small_dataset, split, forks, monkeypatch):
         # Two equal manifest lines make two equal records, each of which
@@ -1490,7 +1532,7 @@ class TestTrainPool:
         )
         cfg = desk_config(angles=(0.0,))
         pooled = train(records, twin, cfg)
-        assert len(forks) == _pool_workers(cfg)
+        assert len(forks) == _pool_workers(len(split.train_indices))
         monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
         assert _plan_bytes(pooled) == _plan_bytes(train(records, twin, cfg))
 
@@ -1523,26 +1565,15 @@ class TestTrainPool:
             monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
             assert _plan_bytes(plan) == _plan_bytes(train(small_dataset, split, cfg))
         else:  # every network is built once, in this process, and kept
-            assert len(forks) == _pool_workers(cfg)
+            assert len(forks) == _pool_workers(len(split.train_indices))
             assert build.call_count == len(plan.streams)
             assert list(plan._networks) == [s.id for s in plan.streams]
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_sizing_the_default_plan_builds_nothing(self, monkeypatch, cached):
-        # 7 angles x 3 planes + 3 RGB windows: 24 units per sample.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        plan = build_streams(PipelineConfig())
-        if cached:  # an evaluate after train finds its bank's first network kept
-            plan._networks[plan.streams[0].id] = pipeline._build_network(
-                plan.cfg, plan.streams[0]
-            )
-        with (
-            mock.patch.object(pipeline, "c3d_network", side_effect=AssertionError("built")),
-            mock.patch.object(pipeline, "desk_network", side_effect=AssertionError("built")),
-            mock.patch.object(neural, "_uniform_f32", side_effect=AssertionError("drew")),
-        ):
-            assert pipeline._pool_size(plan, 2) == 8
-        assert len(plan._networks) == cached
+    def test_pool_size_is_one_worker_per_core_and_record(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
+        assert [pipeline._pool_size(n) for n in (1, 2, 7, 12)] == [1, 2, 7, 8]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert pipeline._pool_size(12) == 1  # the cores are unknown: serially
 
     def test_default_plan_opens_no_pool_and_keeps_what_fits(
         self, small_dataset, forks, monkeypatch
@@ -1555,8 +1586,8 @@ class TestTrainPool:
         plan = build_streams(PipelineConfig())
         records = small_dataset[:2]
         with mock.patch.object(pipeline, "c3d_network", wraps=pipeline.c3d_network) as build:
-            with pipeline._unit_pool(plan, records):
-                assert plan._feed is None
+            with pipeline._record_pool(plan, records):
+                assert plan._pooled is None
         built = [c.kwargs["name"] for c in build.call_args_list]
         bank = [s.id for s in plan.streams if s.pose in {r.pose for r in records}]
         assert built == bank[:2]
@@ -1577,24 +1608,9 @@ class TestTrainPool:
             with pytest.raises(ContractError) as info:
                 train(small_dataset, split, cfg)
             errors.append(str(info.value))
-        assert _pool_workers(cfg) >= 2 and forks == []
+        assert _pool_workers(len(split.train_indices)) >= 2 and forks == []
         assert errors[0] == errors[1]
         assert "pool5" in errors[0]
-
-    @pytest.mark.parametrize("size", [32, 112])
-    def test_two_stream_c3d_plan_sizes_to_two_samples(self, monkeypatch, size):
-        # Pooled, each worker's OpenBLAS threads share the cores with the
-        # others'; sizing builds and draws nothing.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        plan = build_streams(_c3d_config(size))
-        assert len(plan.streams) == 2
-        with (
-            mock.patch.object(pipeline, "c3d_network", side_effect=AssertionError("built")),
-            mock.patch.object(neural, "_uniform_f32", side_effect=AssertionError("drew")),
-        ):
-            assert pipeline._pool_size(plan, 2) == 4
-            assert pipeline._pool_size(plan, 1) == 2  # one record: its own units
-        assert plan._networks == {}
 
     def test_two_stream_c3d_plan_pooled_equals_serial(self, small_dataset, forks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
@@ -1602,21 +1618,21 @@ class TestTrainPool:
         split = _one_record_per_class_split(small_dataset)
         plan = train(small_dataset, split, cfg)
         report = evaluate(small_dataset, split, plan).to_csv()
-        assert len(forks) == 2 * _pool_workers(cfg) == 8  # train's pool, then evaluate's
+        assert len(forks) == 2 * _pool_workers(2) == 4  # train's pool, then evaluate's
         _assert_reaped(forks)
         monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
         serial = train(small_dataset, split, cfg)
         assert evaluate(small_dataset, split, serial).to_csv() == report
-        assert len(forks) == 8
+        assert len(forks) == 4
         assert _plan_bytes(plan) == _plan_bytes(serial)
         assert "n_test,2\n" in report
 
 
 class TestEvaluatePool:
-    """evaluate runs each sample's (angle, plane) and appearance units in a
-    fork pool that is open for its loop; the report is byte-identical to a
-    serial run's.  A zero NETWORK_CACHE_BYTES, with the plan's cached
-    networks dropped, keeps no network, which forces the serial path."""
+    """evaluate runs each whole record in a fork pool that is open for its
+    loop; the report is byte-identical to a serial run's.  A zero
+    NETWORK_CACHE_BYTES, with the plan's cached networks dropped, keeps no
+    network, which forces the serial path."""
 
     @pytest.mark.parametrize("preset, cpus", [("desk", None), ("desk", 8), ("c3d", None)])
     def test_pooled_report_equals_serial_report(
@@ -1630,12 +1646,12 @@ class TestEvaluatePool:
             plan = train(small_dataset, split, _c3d_config(32, **_C3D_SMALL))
             forks.clear()
         pooled = evaluate(small_dataset, split, plan).to_csv()
-        assert len(forks) == _pool_workers(plan.cfg)
+        assert len(forks) == _pool_workers(len(split.test_indices))
         _assert_reaped(forks)
         monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
         plan._networks.clear()
         serial = evaluate(small_dataset, split, plan).to_csv()
-        assert len(forks) == _pool_workers(plan.cfg)
+        assert len(forks) == _pool_workers(len(split.test_indices))
         assert pooled == serial
         assert preset != "desk" or pooled == _GOLDEN_CSV
 
@@ -1656,36 +1672,45 @@ class TestEvaluatePool:
             with pytest.raises(DmmActionError) as info:
                 evaluate(records, split, trained)
             errors.append((type(info.value), str(info.value)))
-            assert trained._feed is None
+            assert trained._pooled is None
             _assert_reaped(forks)
-        assert len(forks) == _pool_workers(trained.cfg)
+        assert len(forks) == _pool_workers(len(split.test_indices))
         assert errors[0] == errors[1] == want
 
     def test_standalone_classify_forks_nothing(self, small_dataset, split, trained, forks):
         classify(small_dataset[split.test_indices[0]], trained)
         assert forks == []
 
-    def test_one_unit_per_sample_pools_two_samples(
-        self, small_dataset, split, forks, monkeypatch
+    def test_parent_neither_reads_nor_projects(
+        self, small_dataset, split, trained, forks, monkeypatch
     ):
-        cfg = desk_config(angles=(0.0,), planes=("xy",), rgb_windows=())
-        plan = train(small_dataset, split, cfg)
-        forks.clear()
-        report = evaluate(small_dataset, split, plan).to_csv()
-        assert len(forks) == _pool_workers(cfg)  # two samples in flight, one unit each
-        # a loop over one record forks no more workers than it has units
+        monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
+        with (
+            mock.patch.object(pipeline, "read_depth_bin", wraps=read_depth_bin) as read,
+            mock.patch.object(
+                pipeline, "project_cartesian", wraps=pipeline.project_cartesian
+            ) as project,
+        ):
+            report = evaluate(small_dataset, split, trained).to_csv()
+        assert read.call_count == project.call_count == 0
+        assert len(forks) == len(split.test_indices)
+        assert report == _GOLDEN_CSV  # the serial report
+
+    def test_loop_over_one_record_runs_serially(
+        self, small_dataset, split, trained, forks, monkeypatch
+    ):
+        # A pool of one worker would only add a fork: the loop runs here,
+        # as a standalone classify does.
+        monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
         one = resolve_split(
             small_dataset,
             "manual",
             train_indices=split.train_indices,
             test_indices=split.test_indices[:1],
         )
-        forks.clear()
-        assert evaluate(small_dataset, one, plan).n_test == 1
-        assert forks == []
-        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
-        plan._networks.clear()
-        assert evaluate(small_dataset, split, plan).to_csv() == report
+        with mock.patch.object(pipeline, "read_depth_bin", wraps=read_depth_bin) as read:
+            assert evaluate(small_dataset, one, trained).n_test == 1
+        assert forks == [] and read.call_count == 1
 
     def test_replaced_extract_sample_sees_every_record_in_process(
         self, small_dataset, split, trained, forks
