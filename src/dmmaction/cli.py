@@ -127,8 +127,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         result = extract_sample(rec, plan)
         arrays = {}
         for slot, feats in result.features.items():
-            if feats is None:
-                continue
             for j, f in enumerate(feats):
                 arrays[f"{slot}|{j}"] = f
         np.savez(out / f"sample_{i:04d}.npz", **arrays)

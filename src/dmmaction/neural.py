@@ -4,8 +4,8 @@ Tensors are dense float32 arrays laid out (channels, depth, height,
 width).  Convolution is valid (no padding) unless a layer declares an
 explicit zero padding; every conv output passes through tanh, so values
 are strictly inside (-1, 1).  Every network ends at its one
-fully-connected layer, and features are that layer's activations,
-upcast (exactly) to float64 for the learning stage.
+fully-connected layer, which reads the last pool's output flat; features
+are its activations, upcast (exactly) to float64 for the learning stage.
 
 The canonical deep stack follows the eight-conv/five-pool C3D shape
 (3x3x3 kernels, stride 1, first pool 1x2x2, remaining pools 2x2x2) and
@@ -131,13 +131,10 @@ class MaxPool3d:
 
 
 @dataclass(frozen=True)
-class Flatten:
-    name: str
-
-
-@dataclass(frozen=True)
 class Dense:
-    """Fully-connected layer with tanh activation.
+    """Fully-connected layer with tanh activation.  It reads its input flat,
+    in C order, as Caffe's InnerProduct does (C3D's fc6 follows pool5), so
+    any input with as many elements as weights has columns fits.
 
     weights is a float32 or float64 array, or, for a layer the builders
     give more than one row block (see _draw), a DrawnMatrix; dense_forward
@@ -156,7 +153,7 @@ class Dense:
             )
 
 
-Layer = Union[Conv3d, MaxPool3d, Flatten, Dense]
+Layer = Union[Conv3d, MaxPool3d, Dense]
 
 
 @dataclass(frozen=True)
@@ -327,14 +324,15 @@ def _dense_rows(out_units: int, in_units: int) -> int:
 
 
 def dense_forward(x: np.ndarray, layer: Dense) -> np.ndarray:
-    """tanh(W x + b) in float32, one block of weight rows at a time.
+    """tanh(W x + b) in float32 with x read flat, one block of weight rows
+    at a time.
 
     Each block (see _dense_rows) is multiplied with x into its slice of the
     output, so a DrawnMatrix is drawn one block at a time.
     """
     out_units, in_units = layer.weights.shape
     rows = _dense_rows(out_units, in_units)
-    x = np.asarray(x, dtype=np.float32)
+    x = np.asarray(x, dtype=np.float32).reshape(-1)
     y = np.empty(out_units, dtype=np.float32)
     for i in range(0, out_units, rows):
         block = np.asarray(layer.weights[i : i + rows], dtype=np.float32)
@@ -365,14 +363,11 @@ def _layer_output_shape(shape: tuple[int, ...], layer: Layer) -> tuple[int, ...]
                 f"kernel {'x'.join(map(str, kernel))}"
             )
         return (maps, *dims)
-    if isinstance(layer, Flatten):
-        return (int(np.prod(shape)),)
     if isinstance(layer, Dense):
         out, inp = layer.weights.shape
-        if shape != (inp,):
+        if np.prod(shape) != inp:
             raise ContractError(
-                f"{layer.name}: input shape {shape} does not match "
-                f"expected ({inp},)"
+                f"{layer.name}: input shape {shape} does not have the {inp} elements it reads"
             )
         return (out,)
     raise ContractError(f"unknown layer type {type(layer).__name__}")
@@ -410,8 +405,6 @@ def _forward(x: np.ndarray, layers: Sequence[Layer]) -> Iterator[tuple[str, np.n
             x = conv3d_forward(x, layer)
         elif isinstance(layer, MaxPool3d):
             x = maxpool3d(x, layer.kernel, layer.stride)
-        elif isinstance(layer, Flatten):
-            x = x.reshape(-1)
         else:
             x = dense_forward(x, layer)
         yield layer.name, x
@@ -497,8 +490,8 @@ def _build(
     fc_units: int,
 ) -> NetworkSpec:
     """Padded 3x3x3 conv groups, each closed by a pool (1x2x2 after the
-    first, 2x2x2 after the rest), then one dense layer, drawn from rng in
-    layer order (see _draw)."""
+    first, 2x2x2 after the rest), then one dense layer that reads the last
+    pool's output flat, drawn from rng in layer order (see _draw)."""
     input_shape = (3, *clip_shape)  # clip_to_tensor yields three channels
     layers: list[Layer] = []
     channels = input_shape[0]
@@ -510,10 +503,9 @@ def _build(
             channels = out_maps
         pool = (1, 2, 2) if g == 1 else (2, 2, 2)
         layers.append(MaxPool3d(f"pool{g}", pool, pool))
-    layers.append(Flatten("flatten"))
     net = NetworkSpec(name, input_shape, tuple(layers))
-    _, (flat,) = infer_shapes(net)[-1]
-    w, b = _draw(rng, fc_units, flat)
+    _, pooled = infer_shapes(net)[-1]
+    w, b = _draw(rng, fc_units, int(np.prod(pooled)))
     return replace(net, layers=net.layers + (Dense(fc_name, w, b),))
 
 

@@ -179,9 +179,10 @@ class StreamPlan:
             self._networks[stream_id] = net
         return net
 
-    def trained_for(self, pose: str) -> bool:
+    def _check_trained_for(self, pose: str) -> None:
         bank = [s.id for s in self.streams if s.pose == pose]
-        return self.labels is not None and any(sid in self.svm for sid in bank)
+        if self.labels is None or not any(sid in self.svm for sid in bank):
+            raise StateError(f"plan has no trained streams for pose {pose!r}; train it first")
 
     @property
     def trained(self) -> bool:
@@ -330,14 +331,14 @@ class ExtractResult:
     """Per-slot clip features for one sample.
 
     features maps Stream.slot to a list of float64 feature arrays (one per
-    clip), an empty list when the sequence was too short for that slot, or
-    None when the slot needs RGB input the sample does not have.  A depth
-    slot's arrays are its planes' features concatenated in cfg.planes
+    clip), empty when the sequence was too short for that slot or the slot
+    needs RGB input the sample does not have (a warning says which).  A
+    depth slot's arrays are its planes' features concatenated in cfg.planes
     order; an appearance slot is its stream's id.  Only the slots of the
     sample's pose bank appear.
     """
 
-    features: dict[str, list[np.ndarray] | None]
+    features: dict[str, list[np.ndarray]]
     warnings: tuple[str, ...] = ()
 
 
@@ -445,6 +446,13 @@ def _plane_features(
     return per_window
 
 
+def _check_pose(rec: SampleRecord, cfg: PipelineConfig) -> None:
+    if rec.pose not in cfg.poses:
+        raise ContractError(
+            f"sample pose {rec.pose!r} is not one of the configured poses {cfg.poses}"
+        )
+
+
 def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
     """Run one sample through every stream of its pose bank.
 
@@ -467,17 +475,14 @@ def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
 
     Returns:
         ExtractResult keyed by Stream.slot; slots the sequence is too
-        short for get an empty list and a warning, appearance slots
-        without RGB input get None.
+        short for, and appearance slots without RGB input, get an empty
+        list and a warning.
     """
     pooled = plan._pooled
     if pooled and pooled[0][0] is rec:
         return pooled.popleft()[1].result()
     cfg = plan.cfg
-    if rec.pose not in cfg.poses:
-        raise ContractError(
-            f"sample pose {rec.pose!r} is not one of the configured poses {cfg.poses}"
-        )
+    _check_pose(rec, cfg)
     bank = [s for s in plan.streams if s.pose == rec.pose]
     warnings: list[str] = []
 
@@ -499,7 +504,7 @@ def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
         )
         warnings.extend([skip] * len(angles))  # one per (window, angle) slot
 
-    features: dict[str, list[np.ndarray] | None] = {
+    features: dict[str, list[np.ndarray]] = {
         _dmm_slot_id(rec.pose, w, a): [] for w in cfg.depth_windows for a in angles
     }
     for alpha, projected in _views(depth_seq, cfg, angles if windows else []):
@@ -517,7 +522,7 @@ def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
     rgb_frames = _appearance_frames(rec, cfg, depth_seq, warnings) if rgb_streams else None
     for s in rgb_streams:
         if rgb_frames is None:
-            features[s.slot] = None
+            features[s.slot] = []
         elif len(rgb_frames) < s.rgb_len:
             warnings.append(
                 f"{rec.depth_path}: {len(rgb_frames)} appearance frames, "
@@ -811,10 +816,11 @@ def train(
 ) -> StreamPlan:
     """Fit every stream's PCA + SVM on the training side of a split.
 
-    Each training record, in split order, gets one extract_sample call
-    made here, which joins the record's result from a fork pool open for
-    this loop only (see _record_pool), where every record was submitted
-    before the first join.
+    Every index, label and training pose is checked before anything is
+    extracted.  Each training record, in split order, gets one
+    extract_sample call made here, which joins the record's result from a
+    fork pool open for this loop only (see _record_pool), where every
+    record was submitted before the first join.
 
     Args:
         records: full dataset.
@@ -841,12 +847,14 @@ def train(
     missing = [lab for lab in labels if lab not in train_labels]
     if missing:
         raise ProtocolError(f"classes {missing} absent from the training split")
+    train_records = [records[i] for i in split.train_indices]
+    for rec in train_records:
+        _check_pose(rec, cfg)
     plan.labels = labels
 
     per_slot_feats: dict[str, list[np.ndarray]] = {s.slot: [] for s in plan.streams}
     per_slot_labels: dict[str, list[str]] = {s.slot: [] for s in plan.streams}
     warnings: list[str] = []
-    train_records = [records[i] for i in split.train_indices]
     with _record_pool(plan, train_records):
         for rec in train_records:
             result = extract_sample(rec, plan)
@@ -927,10 +935,7 @@ def classify(
     joins its result.
     """
     cfg = plan.cfg
-    if plan.labels is None or not plan.trained_for(rec.pose):
-        raise StateError(
-            f"plan has no trained streams for pose {rec.pose!r}; train it first"
-        )
+    plan._check_trained_for(rec.pose)
     result = extract_sample(rec, plan)
     normalize = cfg.score_mode == "softmax"
     dmm_scores: list[ScoreVector] = []
@@ -1023,12 +1028,12 @@ def evaluate(
 ) -> EvalReport:
     """Classify the test side of a split and tabulate the results.
 
-    Every index and test label is checked before anything is classified.
-    Each test record, in split order, gets one classify call made here.
-    The records are extracted in a fork pool that is open for this loop
-    only (see _record_pool), where all of them were submitted before the
-    first classify call, so a classify call's time covers the join of its
-    record, not its whole extraction.
+    Every index, test label and test pose is checked before anything is
+    classified.  Each test record, in split order, gets one classify call
+    made here.  The records are extracted in a fork pool that is open for
+    this loop only (see _record_pool), where all of them were submitted
+    before the first classify call, so a classify call's time covers the
+    join of its record, not its whole extraction.
     """
     if not plan.trained:
         raise StateError("plan is untrained; run train first")
@@ -1041,6 +1046,7 @@ def evaluate(
     for rec in test_records:
         if rec.label not in index:
             raise ProtocolError(f"test label {rec.label!r} was not in the training set")
+        plan._check_trained_for(rec.pose)
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
     stream_hits: dict[str, int] = {}
     stream_totals: dict[str, int] = {}

@@ -14,7 +14,7 @@ from dmmaction import ContractError, neural
 from dmmaction.neural import (
     Conv3d,
     Dense,
-    Flatten,
+    MaxPool3d,
     NetworkSpec,
     c3d_network,
     clip_to_tensor,
@@ -233,7 +233,7 @@ class TestConv3dChunked:
                 assert chunk < whole and chunk % (x.shape[2] * x.shape[3]) == 0  # whole frames
                 _assert_chunked_conv(x, layer, neural.CONV_COLUMN_ELEMENTS)
                 x = conv3d_forward(x, layer)
-            elif isinstance(layer, neural.MaxPool3d):
+            elif isinstance(layer, MaxPool3d):
                 x = maxpool3d(x, layer.kernel, layer.stride)
 
     @pytest.mark.parametrize(
@@ -509,8 +509,8 @@ class TestBadLayerSettings:
         [
             lambda: Conv3d("c", np.ones((1, 1, 1, 1, 1)), np.zeros(1), stride=(0, 1, 1)),
             lambda: Conv3d("c", np.ones((1, 1, 1, 1, 1)), np.zeros(1), padding=(0, -1, 0)),
-            lambda: neural.MaxPool3d("p", (2, 2, 2), (2, 0, 2)),
-            lambda: neural.MaxPool3d("p", (2, 2, 0), (1, 1, 1)),
+            lambda: MaxPool3d("p", (2, 2, 2), (2, 0, 2)),
+            lambda: MaxPool3d("p", (2, 2, 0), (1, 1, 1)),
         ],
         ids=["conv-stride", "conv-padding", "pool-stride", "pool-kernel"],
     )
@@ -612,7 +612,8 @@ class TestNetworks:
         net = desk_network(stream_rng(7, "fc-tail"), clip_len=4, height=16, width=16, fc_units=8)
         # A network must end at its feature layer; one that goes on past it
         # is refused before any layer runs.
-        net = NetworkSpec(net.name, net.input_shape, net.layers + (Flatten("after_fc"),))
+        after = MaxPool3d("after_fc", (1, 1, 1), (1, 1, 1))
+        net = NetworkSpec(net.name, net.input_shape, net.layers + (after,))
         frames = (rng.random((4, 16, 16, 3)) * 255).astype(np.uint8)
         with mock.patch.object(neural, "run_layers") as run, pytest.raises(
             ContractError, match="does not end at a fully-connected layer"
@@ -620,10 +621,19 @@ class TestNetworks:
             extract_features(frames, net)
         assert run.call_count == 0
 
-    def test_misfit_dense_rejected_before_any_layer_runs(self, rng):
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda layers, misfit: layers + (misfit,),
+            # Straight after pool2, whose 16x2x4x4 output has 512 elements.
+            lambda layers, misfit: layers[:-1] + (misfit,),
+        ],
+        ids=["after-fc", "after-pool"],
+    )
+    def test_misfit_dense_rejected_before_any_layer_runs(self, place, rng):
         net = desk_network(stream_rng(7, "fc-next"), clip_len=4, height=16, width=16, fc_units=8)
         misfit = Dense("fc_next", np.zeros((2, 5)), np.zeros(2))
-        net = NetworkSpec(net.name, net.input_shape, net.layers + (misfit,))
+        net = NetworkSpec(net.name, net.input_shape, place(net.layers, misfit))
         frames = (rng.random((4, 16, 16, 3)) * 255).astype(np.uint8)
         with mock.patch.object(neural, "conv3d_forward") as conv, pytest.raises(
             ContractError, match="fc_next"
@@ -667,25 +677,27 @@ class TestNetworks:
         assert len(feats) == 64
 
     # sha256 over every layer's name and the float64 bytes of its weights and
-    # bias, taken from the hand-written builders these presets replaced (fc7,
-    # the last draw of the old c3d stack, left out).
+    # bias.  The weights are those of the hand-written builders these presets
+    # replaced (fc7, the last draw of the old c3d stack, left out).  The
+    # digests were re-recorded when the flatten layer went: each equals the
+    # old builder's digest with the flatten layer's name skipped.
     @pytest.mark.parametrize(
         "build, digest",
         [
             (
                 lambda: desk_network(stream_rng(42, "golden/desk")),
-                "a738473607d079c2b086a51ac28a69bcf5a599f0b035a933348f963f88bd05bc",
+                "bbbcb1c890d2619d5beff112ce37b4cc3bff904887044927e987a0b642539129",
             ),
             (
                 lambda: desk_network(
                     stream_rng(42, "golden/desk"), clip_len=8, height=16, width=24,
                     conv_maps=(4, 6), fc_units=10,
                 ),
-                "1d92bd6579e347b80adb18728b2e26aa52dfc5f6c6780ce9812b9288b496691b",
+                "52cc166a7f8b26e332d1885202ec6f56c27b964b292d5939d49d75a1a4d30b27",
             ),
             (
                 lambda: c3d_network(stream_rng(42, "golden/c3d"), height=32, width=32, fc_units=8),
-                "2f2c34a977f4dbc20a72662d8b02c87f17932bbac57c2490b37c909e24a282e3",
+                "36a1490156e267e558bf3ffee06b17b1af4d54815b7454ce57a06d83d7631f42",
             ),
         ],
         ids=["desk-default", "desk-custom", "c3d-32"],
@@ -767,12 +779,10 @@ class TestNetworks:
                     x, layer.weights.astype(np.float64), layer.bias.astype(np.float64),
                     layer.stride, layer.padding,
                 )
-            elif isinstance(layer, neural.MaxPool3d):
+            elif isinstance(layer, MaxPool3d):
                 x = maxpool3d(x, layer.kernel, layer.stride)
-            elif isinstance(layer, Flatten):
-                x = x.reshape(-1)
             else:
-                x = dense_oracle(x, np.asarray(layer.weights, dtype=np.float64), layer.bias)
+                x = dense_oracle(x.reshape(-1), np.asarray(layer.weights, dtype=np.float64), layer.bias)
         assert np.max(np.abs(extract_features(frames, net) - x)) < 5e-7
 
     def test_nbytes_is_four_per_parameter(self):

@@ -275,10 +275,9 @@ class TestExtractSample:
         assert a.features.keys() == b.features.keys()
         for sid in a.features:
             fa, fb = a.features[sid], b.features[sid]
-            assert (fa is None) == (fb is None)
-            if fa:
-                for va, vb in zip(fa, fb):
-                    assert np.array_equal(va, vb)
+            assert len(fa) == len(fb)
+            for va, vb in zip(fa, fb):
+                assert np.array_equal(va, vb)
 
     def test_unconfigured_pose_rejected(self, small_dataset):
         cfg = desk_config(poses=("sitting",))
@@ -369,7 +368,7 @@ class TestExtractSample:
         cfg = desk_config(angles=(0.0,))
         rec = dataclasses.replace(small_dataset[0], rgb_path=None)
         result = extract_sample(rec, build_streams(cfg))
-        assert result.features["standing/rgb/r10"] is None
+        assert result.features["standing/rgb/r10"] == []
         assert any("rgb" in w.lower() for w in result.warnings)
 
     def test_depth_as_rgb_fills_appearance_stream(self, small_dataset):
@@ -1499,6 +1498,30 @@ class TestTrainPool:
         paths = [small_dataset[i].depth_path for i in split.train_indices]
         assert events == [*paths, *["joined"] * len(paths)]
 
+    def test_pose_outside_the_plan_raises_before_anything_is_extracted(
+        self, small_dataset, split, forks, monkeypatch
+    ):
+        # The last training record's pose has no bank: train raises the
+        # error extract_sample raises for it, before a record is read or a
+        # pool opens.
+        monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
+        cfg = desk_config(angles=(0.0,))
+        records = list(small_dataset)
+        i = split.train_indices[-1]
+        records[i] = dataclasses.replace(records[i], pose="sitting")
+        with pytest.raises(ContractError) as want:
+            extract_sample(records[i], build_streams(cfg))
+        for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
+            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
+            with (
+                mock.patch.object(pipeline, "read_depth_bin", wraps=read_depth_bin) as read,
+                pytest.raises(DmmActionError) as info,
+            ):
+                train(records, split, cfg)
+            assert (type(info.value), str(info.value)) == (ContractError, str(want.value))
+            assert read.call_count == 0
+        assert forks == []
+
     def test_parent_neither_reads_nor_projects(
         self, small_dataset, split, forks, monkeypatch
     ):
@@ -1638,7 +1661,7 @@ class TestEvaluatePool:
     def test_pooled_report_equals_serial_report(
         self, small_dataset, split, trained, forks, monkeypatch, preset, cpus
     ):
-        if cpus is not None:  # more workers than cores: units finish out of order
+        if cpus is not None:  # more workers than cores: records finish out of order
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         if preset == "desk":
             plan = trained
@@ -1676,6 +1699,30 @@ class TestEvaluatePool:
             _assert_reaped(forks)
         assert len(forks) == _pool_workers(len(split.test_indices))
         assert errors[0] == errors[1] == want
+
+    def test_pose_without_trained_streams_raises_before_anything_is_extracted(
+        self, small_dataset, split, trained, forks, monkeypatch
+    ):
+        # The last test record's pose has no trained stream: evaluate raises
+        # the error classify raises for it, before a record is read or a
+        # pool opens.
+        monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
+        records = list(small_dataset)
+        i = split.test_indices[-1]
+        records[i] = dataclasses.replace(records[i], pose="sitting")
+        with pytest.raises(StateError) as want:
+            classify(records[i], trained)
+        for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
+            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
+            trained._networks.clear()
+            with (
+                mock.patch.object(pipeline, "read_depth_bin", wraps=read_depth_bin) as read,
+                pytest.raises(DmmActionError) as info,
+            ):
+                evaluate(records, split, trained)
+            assert (type(info.value), str(info.value)) == (StateError, str(want.value))
+            assert read.call_count == 0
+        assert forks == []
 
     def test_standalone_classify_forks_nothing(self, small_dataset, split, trained, forks):
         classify(small_dataset[split.test_indices[0]], trained)

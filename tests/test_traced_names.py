@@ -39,13 +39,13 @@ def test_evaluate_calls_classify_through_module_per_test_record(monkeypatch):
     from dmmaction.pipeline import ReportRow, SampleRecord, Split
 
     records = [
-        SampleRecord(Path(f"d{i}.bin"), None, "ab"[i % 2], f"s{i}", "c0", "standing")
+        SampleRecord(Path(f"d{i}.bin"), None, "ab"[i % 2], f"s{i}", "c0", "sitting")
         for i in range(6)
     ]
     split = Split("manual", (0, 1), (5, 2, 4), "manual")
     plan = pipeline.build_streams(PipelineConfig())
     plan.labels = ("a", "b")
-    plan.svm = {plan.streams[0].id: None}
+    plan.svm = {plan.streams[0].id: None}  # a stream of the records' pose
     seen = []
 
     def classify(rec, p):
@@ -78,10 +78,10 @@ def test_tracer_sees_every_training_extraction(small_dataset):
     assert sorted(set(flows)) == sorted(ids)
 
 
-def test_tracer_sees_every_evaluated_unit_in_process(small_dataset):
-    """evaluate pools units only while `pipeline.extract_sample` is its own;
-    under the tracer every (angle, plane) unit of each test record runs in
-    this process, so its flow span is recorded, in split order."""
+def test_tracer_sees_every_evaluated_record_in_process(small_dataset):
+    """evaluate pools records only while `pipeline.extract_sample` is its
+    own; under the tracer each test record runs in this process, so the
+    flow span of each of its views and planes is recorded, in split order."""
     from dmmaction import pipeline, resolve_split
     from conftest import desk_config
 
@@ -96,6 +96,38 @@ def test_tracer_sees_every_evaluated_unit_in_process(small_dataset):
     flows = [s[spans.SAMPLE] for s in tracer.spans if s[spans.NAME] == "motion.flow"]
     assert len(set(ids)) == len(ids)
     assert flows == [i for i in ids for _ in range(len(cfg.angles) * len(cfg.planes))]
+
+
+_DESK_LAYERS = ("conv1", "pool1", "conv2", "pool2")
+_C3D_LAYERS = (
+    *_DESK_LAYERS,
+    *("conv3a", "conv3b", "pool3", "conv4a", "conv4b", "pool4", "conv5a", "conv5b", "pool5"),
+)
+
+
+@pytest.mark.parametrize(
+    "preset, kwargs, names",
+    [
+        ("desk_network", {}, _DESK_LAYERS),
+        ("c3d_network", dict(height=32, width=32, fc_units=8), _C3D_LAYERS),
+    ],
+    ids=["desk", "c3d-32"],
+)
+def test_tracer_names_each_conv_and_pool_once_in_layer_order(preset, kwargs, names):
+    """The benchmark reports `neural.<layer>_s` for each conv and pool from
+    these spans: conv spans take the layer's name, and pool spans take the
+    names of the network's MaxPool3d layers, in order."""
+    from dmmaction import neural
+
+    spans = _load_spans()
+    net = getattr(neural, preset)(neural.stream_rng(0, f"spans/{preset}"), **kwargs)
+    clip = np.zeros((*net.input_shape[1:], 3), dtype=np.uint8)
+    with spans.Tracer() as tracer:
+        neural.extract_features(clip, net)
+    assert tracer.missing == []
+    traced = [s[spans.NAME] for s in tracer.spans]
+    layers = [n for n in traced if n.startswith(("neural.conv", "neural.pool"))]
+    assert layers == [f"neural.{name}" for name in names]
 
 
 def test_views_count_synthesized_and_projected_frames():
