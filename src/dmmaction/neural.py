@@ -15,14 +15,16 @@ size before the fifth conv layer, so the published layer list is only
 realizable with same-padding.
 
 Weights and biases are float32, and every layer computes in float32 from
-them, as C3D's reference weights and Caffe forward pass do.  A dense
-layer runs over blocks of weight rows (see `_dense_rows`).  One that runs
-in more than one block (c3d's fc6) does not store its matrix at all: its
-weights are a `DrawnMatrix`, which draws each block again, with the same
-bits, when it is read.  So a 112x112 c3d network holds 105.5 MiB of its
-177.5 MiB of weights, and pays one draw of fc6 per forward pass.
-NetworkSpec.nbytes counts all 177.5 MiB, so the plan's network cache
-keeps as many networks as if fc6 were stored.
+them, as C3D's reference weights and Caffe forward pass do.  A weight
+array of more than DENSE_BLOCK_ELEMENTS values is not stored at all: it
+is a `DrawnMatrix`, which draws it again, with the same bits, when it is
+read, a dense layer one block of weight rows at a time (see
+`_dense_rows`), a conv layer whole.  So a 112x112 c3d network stores only
+conv1, conv2 and the biases, 0.9 MiB of its 177.5 MiB of weights, and
+each forward pass draws conv3a to conv5b and fc6 again, holding at most
+one drawn conv layer (27 MiB) at a time.  NetworkSpec.nbytes counts all
+177.5 MiB, so the plan's network cache keeps as many networks as if every
+array were stored.
 
 Each convolution is one BLAS GEMM per chunk of output positions: the
 weights, as a (maps, input maps * kernel volume) matrix, times a column
@@ -53,41 +55,45 @@ def _check_triple(name: str, what: str, values: Triple, low: int) -> None:
 
 
 class DrawnMatrix:
-    """float32 (rows, cols) matrix of uniform draws in [-s, s) that is drawn
-    again each time it is read, instead of being stored.
+    """float32 array, (rows, ...), of uniform draws in [-s, s) that is
+    drawn again each time it is read, instead of being stored.
 
-    It keeps a PCG64 generator's state at the matrix's first draw and
-    advances the generator past the matrix, as drawing it would.  A row
-    slice [i:i+k] restores that state, advances it past the i * cols
-    doubles of the rows before, and draws as _uniform_f32 does, so every
-    element has the bits it would have had stored.  It holds no array, but
-    nbytes counts the float32 matrix it stands for, so the plan's network
-    cache sizes it as a stored matrix.  np.asarray gives the whole matrix.
+    It keeps a PCG64 generator's state at the array's first draw and
+    advances the generator past the array, as drawing it would.  A row
+    slice [i:i+k] restores that state, advances it past the i * (size /
+    rows) doubles of the rows before, and draws as _uniform_f32 does, so
+    every element has the bits it would have had stored.  It reads only row
+    slices; any other key raises ContractError.  It holds no array, but
+    nbytes counts the float32 array it stands for, so the plan's network
+    cache sizes it as a stored array.  np.asarray gives the whole array.
     """
 
     dtype = np.dtype(np.float32)
-    ndim = 2
 
-    def __init__(self, rng: np.random.Generator, s: float, shape: tuple[int, int]):
+    def __init__(self, rng: np.random.Generator, s: float, shape: tuple[int, ...]):
         if not isinstance(rng.bit_generator, np.random.PCG64):
             raise ContractError(
                 f"a drawn matrix needs a PCG64 generator, got {type(rng.bit_generator).__name__}"
             )
         self.shape = shape
-        self.size = shape[0] * shape[1]
+        self.ndim = len(shape)
+        self.size = int(np.prod(shape))
         self.nbytes = self.size * self.dtype.itemsize
+        self._row = int(np.prod(shape[1:]))
         self._s = s
         self._state = rng.bit_generator.state
         rng.bit_generator.advance(self.size)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
+        if not isinstance(rows, slice):
+            raise ContractError(f"a drawn matrix reads a slice of rows, got {type(rows).__name__}")
         start, stop, step = rows.indices(self.shape[0])
         if step != 1:
             raise ContractError(f"a drawn matrix reads contiguous rows, got step {step}")
-        shape = (max(stop - start, 0), self.shape[1])
+        shape = (max(stop - start, 0), *self.shape[1:])
         bits = np.random.PCG64()
         bits.state = self._state
-        bits.advance(start * self.shape[1])
+        bits.advance(start * self._row)
         return _uniform_f32(np.random.Generator(bits), self._s, shape)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -96,10 +102,15 @@ class DrawnMatrix:
 
 @dataclass(frozen=True)
 class Conv3d:
-    """3D convolution layer: weights (out, in, r, p, q), tanh activation."""
+    """3D convolution layer: weights (out, in, r, p, q), tanh activation.
+
+    weights is an array or, for a layer the builders draw with more than
+    DENSE_BLOCK_ELEMENTS values (see _draw), a DrawnMatrix, which
+    conv3d_forward draws whole once per call.
+    """
 
     name: str
-    weights: np.ndarray = field(repr=False)
+    weights: np.ndarray | DrawnMatrix = field(repr=False)
     bias: np.ndarray = field(repr=False)
     stride: Triple = (1, 1, 1)
     padding: Triple = (0, 0, 0)
@@ -137,8 +148,8 @@ class Dense:
     any input with as many elements as weights has columns fits.
 
     weights is a float32 or float64 array, or, for a layer the builders
-    give more than one row block (see _draw), a DrawnMatrix; dense_forward
-    reads it only by row slices.
+    draw with more than DENSE_BLOCK_ELEMENTS values (see _draw), a
+    DrawnMatrix; dense_forward reads it only by row blocks.
     """
 
     name: str
@@ -167,7 +178,7 @@ class NetworkSpec:
     @property
     def nbytes(self) -> int:
         """Bytes of every weight and bias array, a DrawnMatrix counted as
-        the float32 matrix it stands for; the plan's network cache reads it."""
+        the float32 array it stands for; the plan's network cache reads it."""
         return sum(
             l.weights.nbytes + l.bias.nbytes for l in self.layers if isinstance(l, (Conv3d, Dense))
         )
@@ -240,7 +251,8 @@ def conv3d_forward(x: np.ndarray, layer: Conv3d) -> np.ndarray:
     output position of the chunk, the m*r*p*q input values it reads (zero
     where a tap falls in the padding).  Then the bias is added and tanh
     written into the output.  The buffer and the GEMM block are reused
-    across chunks, so memory beyond the output is those two.
+    across chunks, so memory beyond the output is those two, and the
+    weights while the call runs if they are a DrawnMatrix.
     """
     j_maps, od, oh, ow = _layer_output_shape(x.shape, layer)
     m_maps, kr, kp, kq = layer.weights.shape[1:]
@@ -301,8 +313,10 @@ def maxpool3d(x: np.ndarray, kernel: Triple, stride: Triple) -> np.ndarray:
     return out
 
 
-# Elements of a dense_forward weight block, 2 MiB of float32; a DrawnMatrix
-# draws each block again whenever the layer reads it.
+# Elements of a dense_forward weight block, 2 MiB of float32.  _draw stores
+# a weight array of at most this many values and draws a larger one again
+# on each read (a DrawnMatrix): a dense layer one block at a time, a conv
+# layer whole, once per call.
 DENSE_BLOCK_ELEMENTS = 2**19
 
 
@@ -468,13 +482,13 @@ def _draw(
 ) -> tuple[np.ndarray | DrawnMatrix, np.ndarray]:
     """float32 weights (out_dim, *in_shape) then bias, uniform in +-1/sqrt(fan-in).
 
-    A dense matrix (one input dimension) that dense_forward runs in more
-    than one row block (see _dense_rows) is not stored: it is a DrawnMatrix,
-    which skips the generator past it, so the bias gets the same draws.
+    Weights of more than DENSE_BLOCK_ELEMENTS values, conv or dense, are not
+    stored: they are a DrawnMatrix, which skips the generator past them, so
+    the bias gets the same draws.
     """
     s = 1.0 / np.sqrt(np.prod(in_shape))
     shape = (out_dim, *in_shape)
-    if len(in_shape) == 1 and _dense_rows(out_dim, in_shape[0]) < out_dim:
+    if np.prod(shape) > DENSE_BLOCK_ELEMENTS:
         w = DrawnMatrix(rng, s, shape)
     else:
         w = _uniform_f32(rng, s, shape)

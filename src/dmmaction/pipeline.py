@@ -133,8 +133,9 @@ class TrainReport:
 
 
 # Bytes of network weights a plan keeps built, as NetworkSpec.nbytes counts
-# them: two 112x112 c3d networks (177.5 MiB each counted, fc6's drawn
-# matrix as if stored) or all 20 criterion-7 desk networks (21.6 MiB).
+# them: two 112x112 c3d networks (177.5 MiB each counted, their drawn
+# arrays as if stored, though each stores 0.9 MiB) or all 20 criterion-7
+# desk networks (21.6 MiB).
 NETWORK_CACHE_BYTES = 512 * 2**20
 
 
@@ -146,7 +147,9 @@ class StreamPlan:
     are built on demand.  A built network is kept while the networks kept
     so far and it fit in NETWORK_CACHE_BYTES, and is never evicted; one
     that does not fit is rebuilt, with the same weights, on each use.  A
-    canonical 112x112 stack counts 177.5 MiB, so a plan keeps at most two.
+    canonical 112x112 stack stores 0.9 MiB and draws the rest of its
+    weights on each pass, but NetworkSpec.nbytes counts its drawn arrays as
+    stored, 177.5 MiB, so a plan still keeps at most two.
     pca is keyed by Stream.slot, svm by stream id.  _pooled holds the
     records of the loop of train or evaluate with their futures in the
     fork pool that it opens for that loop (_record_pool), and is None

@@ -148,7 +148,8 @@ def _assert_chunked_conv(x, layer, budget):
 def _chunks(layer, shape):
     """Output positions per chunk and per layer, at the patched budget."""
     maps, od, oh, ow = neural._layer_output_shape(shape, layer)
-    frames, rows = neural._conv_chunk(maps, layer.weights[0].size, od, oh, ow)
+    taps = int(np.prod(layer.weights.shape[1:]))
+    frames, rows = neural._conv_chunk(maps, taps, od, oh, ow)
     return frames * rows * ow, od * oh * ow
 
 
@@ -265,7 +266,9 @@ class TestConv3dChunked:
 class TestConvScratch:
     """conv3d_forward allocates its float32 output, one column buffer of at
     most CONV_COLUMN_ELEMENTS elements and one GEMM block, and nothing more:
-    no padded copy of its input and no float64 array."""
+    no padded copy of its input and no float64 array.  A layer whose
+    weights are drawn (conv3b's) also holds them, and one draw chunk, while
+    it runs."""
 
     @pytest.mark.parametrize(
         "in_maps, out_maps, depth, side",
@@ -278,10 +281,12 @@ class TestConvScratch:
         layer = Conv3d("c3d", w, b, padding=(1, 1, 1))
         x = local.uniform(0.0, 1.0, (in_maps, depth, side, side)).astype(np.float32)
         chunk, _ = _chunks(layer, x.shape)
-        columns = w[0].size * chunk
+        columns = in_maps * 27 * chunk
         assert columns <= neural.CONV_COLUMN_ELEMENTS
         out_nbytes = out_maps * depth * side * side * 4
         allowed = out_nbytes + 4 * columns + 4 * out_maps * chunk
+        if isinstance(w, neural.DrawnMatrix):
+            allowed += 4 * w.size + 8 * neural.DRAW_CHUNK_ELEMENTS
         tracemalloc.start()
         try:
             out = conv3d_forward(x, layer)
@@ -427,9 +432,9 @@ class TestDenseForward:
 
 
 class TestDrawnMatrix:
-    """A dense matrix that runs in more than one row block is drawn again
-    on each read; every row keeps the bits of the stored draw, and the
-    layer the bytes of the stored float32 matrix run as one block."""
+    """A weight array of more than DENSE_BLOCK_ELEMENTS values is drawn
+    again on each read; every row keeps the bits of the stored draw, and a
+    dense layer the bytes of the stored float32 matrix run as one block."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -446,7 +451,7 @@ class TestDrawnMatrix:
         with mock.patch.object(neural, "DENSE_BLOCK_ELEMENTS", rows * in_units):
             w, b = neural._draw(np.random.default_rng(seed), out_units, in_units)
             ref_w, ref_b = draw_oracle(np.random.default_rng(seed), out_units, in_units)
-            drawn = out_units % 8 == 0 and rows < out_units
+            drawn = out_units * in_units > neural.DENSE_BLOCK_ELEMENTS
             assert isinstance(w, neural.DrawnMatrix) == drawn
             assert w.shape == ref_w.shape and w.size == ref_w.size and w.ndim == 2
             assert w.dtype == np.float32 and w.nbytes == ref_w.size * 4
@@ -473,6 +478,35 @@ class TestDrawnMatrix:
         with pytest.raises(ContractError, match="step 2"):
             w[0:16:2]
 
+    @pytest.mark.parametrize(
+        "key, kind",
+        [(0, "int"), (np.int64(3), "int64"), ((slice(0, 2), 0), "tuple"), (..., "ellipsis")],
+        ids=["int", "numpy-int", "tuple", "ellipsis"],
+    )
+    @pytest.mark.parametrize("shape", [(4096, 4608), (256, 128, 3, 3, 3)], ids=["dense", "conv"])
+    def test_keys_other_than_a_row_slice_rejected(self, key, kind, shape):
+        w, _ = neural._draw(np.random.default_rng(0), *shape)
+        assert isinstance(w, neural.DrawnMatrix)
+        with pytest.raises(ContractError, match=f"reads a slice of rows, got {kind}$"):
+            w[key]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 20), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_conv_rows_match_oracle_bytes(self, seed, out_maps, data):
+        # A conv-shaped array: a row is one output map's (in, 3, 3, 3) block.
+        in_maps = data.draw(st.integers(1, 12), label="input maps")
+        with mock.patch.object(neural, "DENSE_BLOCK_ELEMENTS", 27 * in_maps):
+            w, b = neural._draw(np.random.default_rng(seed), out_maps, in_maps, 3, 3, 3)
+        ref_w, ref_b = draw_oracle(np.random.default_rng(seed), out_maps, in_maps, 3, 3, 3)
+        assert isinstance(w, neural.DrawnMatrix)
+        assert w.shape == ref_w.shape and w.ndim == 5 and w.size == ref_w.size
+        assert w.nbytes == ref_w.size * 4
+        assert b.astype(np.float64).tobytes() == ref_b.tobytes()
+        i = data.draw(st.integers(0, out_maps), label="first row")
+        j = data.draw(st.integers(i, out_maps), label="stop row")
+        assert w[i:j].astype(np.float64).tobytes() == ref_w[i:j].tobytes()
+        assert np.asarray(w, dtype=np.float64).tobytes() == ref_w.tobytes()
+
     def test_other_bit_generators_rejected(self):
         with pytest.raises(ContractError, match="PCG64"):
             neural._draw(np.random.Generator(np.random.MT19937(0)), 4096, 4608)
@@ -490,6 +524,52 @@ class TestDrawnMatrix:
         finally:
             tracemalloc.stop()
         assert peak < matrix_nbytes / 4
+
+
+class TestDrawnNetworkMemory:
+    """A c3d network stores only its arrays of at most one block, and a
+    forward pass holds at most one drawn conv layer at a time."""
+
+    def test_building_a_112_c3d_network_allocates_under_2_mib(self):
+        rng = stream_rng(0, "build-memory")
+        tracemalloc.start()
+        try:
+            net = c3d_network(rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stored = sum(
+            l.weights.nbytes + l.bias.nbytes
+            for l in net.layers
+            if isinstance(l, (Conv3d, Dense)) and not isinstance(l.weights, neural.DrawnMatrix)
+        )
+        assert stored < peak < 2 * 2**20
+        assert net.nbytes > 100 * stored
+
+    def test_a_pass_holds_one_drawn_conv_layer_at_a_time(self):
+        # A 32x32 network's conv weights are those of the 112x112 network.
+        net = c3d_network(stream_rng(0, "pass-memory"), height=32, width=32)
+        drawn = sorted(
+            l.weights.nbytes
+            for l in net.layers
+            if isinstance(l, Conv3d) and isinstance(l.weights, neural.DrawnMatrix)
+        )
+        assert len(drawn) == 6 and sum(drawn) == 4 * 27_426_816
+        # A layer's input, its output and its GEMM block, each at most the
+        # largest activation.
+        activations = 3 * 4 * max(int(np.prod(shape)) for _, shape in infer_shapes(net))
+        allowed = (
+            drawn[-1] + activations + 4 * neural.CONV_COLUMN_ELEMENTS + 8 * neural.DRAW_CHUNK_ELEMENTS
+        )
+        assert allowed < drawn[-1] + drawn[-2]
+        frames = np.random.default_rng(0).integers(0, 256, (16, 32, 32, 3), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            extract_features(frames, net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert drawn[-1] < peak < allowed
 
 
 class TestBadLayerSettings:
@@ -707,7 +787,7 @@ class TestNetworks:
         for layer in build().layers:
             h.update(layer.name.encode())
             if isinstance(layer, (Conv3d, Dense)):
-                h.update(layer.weights.astype(np.float64).tobytes())
+                h.update(np.asarray(layer.weights, dtype=np.float64).tobytes())
                 h.update(layer.bias.astype(np.float64).tobytes())
         assert h.hexdigest() == digest
 
@@ -725,7 +805,7 @@ class TestNetworks:
             w, b = neural._draw(np.random.default_rng(seed), out_dim, *in_shape)
         ref_w, ref_b = draw_oracle(np.random.default_rng(seed), out_dim, *in_shape)
         assert w.shape == ref_w.shape and w.dtype == b.dtype == np.float32
-        assert w.astype(np.float64).tobytes() == ref_w.tobytes()
+        assert np.asarray(w, dtype=np.float64).tobytes() == ref_w.tobytes()
         assert b.astype(np.float64).tobytes() == ref_b.tobytes()
 
     @pytest.mark.parametrize(
@@ -743,7 +823,9 @@ class TestNetworks:
             net.input_shape,
             tuple(
                 dataclasses.replace(
-                    l, weights=l.weights.astype(np.float64), bias=l.bias.astype(np.float64)
+                    l,
+                    weights=np.asarray(l.weights, dtype=np.float64),
+                    bias=l.bias.astype(np.float64),
                 )
                 if isinstance(l, (Conv3d, Dense))
                 else l
@@ -776,7 +858,7 @@ class TestNetworks:
         for layer in net.layers:
             if isinstance(layer, Conv3d):
                 x = conv3d_shift_oracle(
-                    x, layer.weights.astype(np.float64), layer.bias.astype(np.float64),
+                    x, np.asarray(layer.weights, dtype=np.float64), layer.bias.astype(np.float64),
                     layer.stride, layer.padding,
                 )
             elif isinstance(layer, MaxPool3d):
@@ -795,25 +877,29 @@ class TestNetworks:
             for l in net.layers
             if isinstance(l, (Conv3d, Dense))
         )
-        # fc6's matrix is drawn, not stored, but counts as stored.
+        # conv3a to conv5b and fc6 are drawn, not stored, but count as stored.
         assert isinstance(net.layers[-1].weights, neural.DrawnMatrix)
         assert net.nbytes == 4 * params == 186_137_600
 
     @pytest.mark.parametrize(
         "preset, kwargs",
         [
-            ("desk", {}),
+            ("desk", {}),  # fc 64 x 8192: exactly one block, stored
             ("desk", dict(clip_len=10, height=24, width=40, conv_maps=(4, 6), fc_units=10)),
             ("c3d", dict(clip_len=25, height=32, width=32, fc_units=8)),
             ("c3d", dict(height=32, width=32)),  # fc6 drawn: 4,096 outputs of 512 inputs
             ("c3d", {}),  # fc6 drawn
         ],
     )
-    def test_only_a_several_block_fc_layer_is_drawn(self, preset, kwargs):
+    def test_only_arrays_above_one_block_are_drawn(self, preset, kwargs):
         build = {"desk": desk_network, "c3d": c3d_network}[preset]
         net = build(stream_rng(0, "layout"), **kwargs)
-        drawn = preset == "c3d" and "fc_units" not in kwargs
-        assert isinstance(net.layers[-1].weights, neural.DrawnMatrix) == drawn
+        layers = [l for l in net.layers if isinstance(l, (Conv3d, Dense))]
+        drawn = {l.name for l in layers if isinstance(l.weights, neural.DrawnMatrix)}
+        assert drawn == {l.name for l in layers if l.weights.size > neural.DENSE_BLOCK_ELEMENTS}
+        convs = {"conv3a", "conv3b", "conv4a", "conv4b", "conv5a", "conv5b"}
+        fc = {"fc6"} if "fc_units" not in kwargs else set()
+        assert drawn == (convs | fc if preset == "c3d" else set())
 
     def test_different_stream_different_weights(self):
         a = desk_network(stream_rng(6, "s1"), clip_len=4, height=16, width=16)

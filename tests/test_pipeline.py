@@ -954,7 +954,7 @@ assert isinstance(net.layers[-1].weights, DrawnMatrix)
 frames = np.random.default_rng(0).integers(0, 256, (16, 32, 32, 3), dtype=np.uint8)
 print("c3d", hashlib.sha256(extract_features(frames, net).tobytes()).hexdigest())
 w, b = _draw(stream_rng(0, "threads/conv3b"), 256, 256, 3, 3, 3)
-assert _conv_chunk(256, w[0].size, 8, 28, 28) == (1, 10)
+assert _conv_chunk(256, np.asarray(w, dtype=np.float32)[0].size, 8, 28, 28) == (1, 10)
 x = np.random.default_rng(0).uniform(0.0, 1.0, (256, 8, 28, 28)).astype(np.float32)
 out = conv3d_forward(x, Conv3d("conv3b", w, b, padding=(1, 1, 1)))
 print("conv3b", hashlib.sha256(out.tobytes()).hexdigest())
