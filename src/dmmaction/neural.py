@@ -22,9 +22,8 @@ read, a dense layer one block of weight rows at a time (see
 `_dense_rows`), a conv layer whole.  So a 112x112 c3d network stores only
 conv1, conv2 and the biases, 0.9 MiB of its 177.5 MiB of weights, and
 each forward pass draws conv3a to conv5b and fc6 again, holding at most
-one drawn conv layer (27 MiB) at a time.  NetworkSpec.nbytes counts all
-177.5 MiB, so the plan's network cache keeps as many networks as if every
-array were stored.
+one drawn conv layer (27 MiB) at a time.  A plan keeps every network it
+builds, so a 112x112 c3d stream costs its plan 0.9 MiB.
 
 Each convolution is one BLAS GEMM per chunk of output positions: the
 weights, as a (maps, input maps * kernel volume) matrix, times a column
@@ -63,9 +62,8 @@ class DrawnMatrix:
     slice [i:i+k] restores that state, advances it past the i * (size /
     rows) doubles of the rows before, and draws as _uniform_f32 does, so
     every element has the bits it would have had stored.  It reads only row
-    slices; any other key raises ContractError.  It holds no array, but
-    nbytes counts the float32 array it stands for, so the plan's network
-    cache sizes it as a stored array.  np.asarray gives the whole array.
+    slices; any other key raises ContractError.  It holds no array:
+    np.asarray gives the whole array.
     """
 
     dtype = np.dtype(np.float32)
@@ -78,7 +76,6 @@ class DrawnMatrix:
         self.shape = shape
         self.ndim = len(shape)
         self.size = int(np.prod(shape))
-        self.nbytes = self.size * self.dtype.itemsize
         self._row = int(np.prod(shape[1:]))
         self._s = s
         self._state = rng.bit_generator.state
@@ -174,14 +171,6 @@ class NetworkSpec:
     name: str
     input_shape: tuple[int, int, int, int]
     layers: tuple[Layer, ...]
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of every weight and bias array, a DrawnMatrix counted as
-        the float32 array it stands for; the plan's network cache reads it."""
-        return sum(
-            l.weights.nbytes + l.bias.nbytes for l in self.layers if isinstance(l, (Conv3d, Dense))
-        )
 
 
 # Elements of conv3d_forward's column buffer, 8 MiB of float32, so that

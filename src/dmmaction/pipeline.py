@@ -132,29 +132,19 @@ class TrainReport:
     warnings: tuple[str, ...] = ()
 
 
-# Bytes of network weights a plan keeps built, as NetworkSpec.nbytes counts
-# them: two 112x112 c3d networks (177.5 MiB each counted, their drawn
-# arrays as if stored, though each stores 0.9 MiB) or all 20 criterion-7
-# desk networks (21.6 MiB).
-NETWORK_CACHE_BYTES = 512 * 2**20
-
-
 @dataclass
 class StreamPlan:
     """All streams of a config plus their trained models.
 
-    Network weights are a pure function of (cfg.seed, stream id), so they
-    are built on demand.  A built network is kept while the networks kept
-    so far and it fit in NETWORK_CACHE_BYTES, and is never evicted; one
-    that does not fit is rebuilt, with the same weights, on each use.  A
-    canonical 112x112 stack stores 0.9 MiB and draws the rest of its
-    weights on each pass, but NetworkSpec.nbytes counts its drawn arrays as
-    stored, 177.5 MiB, so a plan still keeps at most two.
-    pca is keyed by Stream.slot, svm by stream id.  _pooled holds the
-    records of the loop of train or evaluate with their futures in the
+    Network weights are a pure function of (cfg.seed, stream id), so each
+    stream's network is built on its first use and kept for the plan's
+    life.  A network stores only its arrays of at most one block and draws
+    the rest on each pass (see neural), so a canonical 112x112 stack keeps
+    0.9 MiB.  pca is keyed by Stream.slot, svm by stream id.  _pooled holds
+    the records of the loop of train or evaluate with their futures in the
     fork pool that it opens for that loop (_record_pool), and is None
     outside it; the pool opens only once the networks of the loop's pose
-    banks are all built and kept.
+    banks are all built.
     """
 
     cfg: PipelineConfig
@@ -173,14 +163,9 @@ class StreamPlan:
         raise ContractError(f"unknown stream id {stream_id!r}")
 
     def network(self, stream_id: str) -> NetworkSpec:
-        cached = self._networks.get(stream_id)
-        if cached is not None:
-            return cached
-        net = _build_network(self.cfg, self.stream(stream_id))
-        kept = sum(n.nbytes for n in self._networks.values())
-        if kept + net.nbytes <= NETWORK_CACHE_BYTES:
-            self._networks[stream_id] = net
-        return net
+        if stream_id not in self._networks:
+            self._networks[stream_id] = _build_network(self.cfg, self.stream(stream_id))
+        return self._networks[stream_id]
 
     def _check_trained_for(self, pose: str) -> None:
         bank = [s.id for s in self.streams if s.pose == pose]
@@ -734,18 +719,6 @@ def _extract_in_worker(rec: SampleRecord) -> ExtractResult:
     return extract_sample(rec, _worker_plan)
 
 
-def _keep_bank(plan: StreamPlan, poses: set[str]) -> bool:
-    """Build the networks of the pose banks through plan.network, in
-    stream order, up to the first that the cache does not keep or whose
-    shapes do not build; whether the cache kept them all.  The serial
-    loop raises a network's error if a record needs it."""
-    bank = [s.id for s in plan.streams if s.pose in poses]
-    try:
-        return all(plan.network(sid) is plan._networks.get(sid) for sid in bank)
-    except ContractError:
-        return False
-
-
 @contextmanager
 def _record_pool(plan: StreamPlan, records: list[SampleRecord]) -> Iterator[None]:
     """Keep plan._pooled open for the with block: every one of the loop's
@@ -757,13 +730,13 @@ def _record_pool(plan: StreamPlan, records: list[SampleRecord]) -> Iterator[None
     a worker's error is raised at its own record's join, as a serial run
     raises it.
 
-    The networks of the records' pose banks are built here first, in
-    stream order (see _keep_bank), and the pool opens only if the cache
-    kept them all, so that workers build none; a network built and then
-    dropped is one the serial loop builds again anyway.  Without a pool,
-    plan._pooled stays None and every record runs here.  On exit, also
-    after an error, plan._pooled is cleared and the pool shut down, its
-    queued records cancelled."""
+    The networks of the records' pose banks are built here first, through
+    plan.network in stream order, so that workers build none and inherit
+    them by fork; if one does not build, no pool opens, and the serial
+    loop raises its error at the first record that needs it.  Without a
+    pool, plan._pooled stays None and every record runs here.  On exit,
+    also after an error, plan._pooled is cleared and the pool shut down,
+    its queued records cancelled."""
     workers = _pool_size(len(records))
     pool = None
     try:
@@ -773,9 +746,14 @@ def _record_pool(plan: StreamPlan, records: list[SampleRecord]) -> Iterator[None
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            if "fork" in multiprocessing.get_all_start_methods() and _keep_bank(
-                plan, {r.pose for r in records}
-            ):
+            poses = {r.pose for r in records}
+            try:
+                for s in plan.streams:
+                    if s.pose in poses:
+                        plan.network(s.id)
+            except ContractError:
+                workers = 1  # the serial loop raises it where a record needs it
+            if workers >= 2 and "fork" in multiprocessing.get_all_start_methods():
                 # Each worker runs its share of the cores' BLAS threads, at
                 # most the parent's: one GEMM per conv chunk is large enough
                 # for OpenBLAS to thread, and with every worker running the
@@ -1125,6 +1103,10 @@ def load_plan(plan_dir: str | Path) -> StreamPlan:
     cfg = load_config(root / "config.txt")
     plan = build_streams(cfg)
     plan.labels = tuple(read_text(root / "labels.txt").splitlines())
+    if len(plan.labels) < 2 or len(set(plan.labels)) < len(plan.labels):
+        raise FormatError(
+            f"labels.txt lists {list(plan.labels)}; a trained plan has 2 or more distinct labels"
+        )
     for key in dict.fromkeys(s.slot for s in plan.streams):
         path = root / "streams" / _model_filename(key)
         if path.exists():

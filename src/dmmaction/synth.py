@@ -17,6 +17,8 @@ and one manifest.tsv at the dataset root.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,20 +57,42 @@ class SynthSpec:
     pose_cycle: tuple[str, ...] = ("standing",)
 
     def __post_init__(self) -> None:
+        for name in ("subjects", "cameras", "frames", "width", "height"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ContractError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name in ("noise", "jitter", "camera_step_deg"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ContractError(f"{name} must be a finite number, got {value!r}")
         if any(a not in ACTIONS for a in self.actions):
-            raise ContractError(f"actions must be a subset of {ACTIONS}")
+            raise ContractError(f"actions must be a subset of {ACTIONS}, got {self.actions}")
+        if len(set(self.actions)) < len(self.actions):
+            raise ContractError(f"actions must not repeat, got {self.actions}")
         if len(self.actions) < 2:
-            raise ContractError(f"need at least 2 actions, got {len(self.actions)}")
+            raise ContractError(f"actions: need at least 2, got {len(self.actions)}")
         if self.subjects < 2:
-            raise ContractError(f"need at least 2 subjects, got {self.subjects}")
+            raise ContractError(f"subjects: need at least 2, got {self.subjects}")
         if self.cameras < 1:
-            raise ContractError("need at least one camera")
+            raise ContractError(f"cameras: need at least 1, got {self.cameras}")
         if self.frames < 2:
-            raise ContractError("need at least 2 frames per sequence")
+            raise ContractError(f"frames: need at least 2 per sequence, got {self.frames}")
         if self.width < 16 or self.height < 16:
-            raise ContractError("frame must be at least 16x16")
+            raise ContractError(
+                f"width and height must be at least 16, got {self.width}x{self.height}"
+            )
+        # Noise is drawn as int64 integers in [-noise, noise].
+        if not 0.0 <= self.noise < 2.0**63:
+            raise ContractError(f"noise must lie in [0, 2**63), got {self.noise}")
         if not 0.0 <= self.jitter <= 0.9:
             raise ContractError(f"jitter must lie in [0, 0.9], got {self.jitter}")
+        # Each pose is one manifest field.
+        if not self.pose_cycle or any(
+            not isinstance(p, str) or "\t" in p or p.splitlines() != [p] for p in self.pose_cycle
+        ):
+            raise ContractError(
+                f"pose_cycle must name at least one pose, each a nonempty string "
+                f"without tabs or line breaks, got {self.pose_cycle!r}"
+            )
 
 
 _BOX_W_MM = 420.0

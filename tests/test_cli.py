@@ -98,6 +98,14 @@ class TestSynth:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("noise", ["inf", "1e30", "nan", "-1"])
+    def test_bad_noise_is_one_error_line(self, tmp_path, caplog, noise):
+        code, out = _run(["synth", "--out", str(tmp_path / "d"), "--noise", noise])
+        assert code == 2 and out == ""
+        (error,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert error.startswith("noise must") and error.endswith(f", got {float(noise)}")
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_summary_line(self, ws):

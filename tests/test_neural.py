@@ -454,7 +454,7 @@ class TestDrawnMatrix:
             drawn = out_units * in_units > neural.DENSE_BLOCK_ELEMENTS
             assert isinstance(w, neural.DrawnMatrix) == drawn
             assert w.shape == ref_w.shape and w.size == ref_w.size and w.ndim == 2
-            assert w.dtype == np.float32 and w.nbytes == ref_w.size * 4
+            assert w.dtype == np.float32
             assert b.astype(np.float64).tobytes() == ref_b.tobytes()
             i = data.draw(st.integers(0, out_units), label="first row")
             j = data.draw(st.integers(i, out_units), label="stop row")
@@ -500,7 +500,7 @@ class TestDrawnMatrix:
         ref_w, ref_b = draw_oracle(np.random.default_rng(seed), out_maps, in_maps, 3, 3, 3)
         assert isinstance(w, neural.DrawnMatrix)
         assert w.shape == ref_w.shape and w.ndim == 5 and w.size == ref_w.size
-        assert w.nbytes == ref_w.size * 4
+        assert w.dtype == np.float32
         assert b.astype(np.float64).tobytes() == ref_b.tobytes()
         i = data.draw(st.integers(0, out_maps), label="first row")
         j = data.draw(st.integers(i, out_maps), label="stop row")
@@ -538,19 +538,20 @@ class TestDrawnNetworkMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        weighted = [l for l in net.layers if isinstance(l, (Conv3d, Dense))]
         stored = sum(
             l.weights.nbytes + l.bias.nbytes
-            for l in net.layers
-            if isinstance(l, (Conv3d, Dense)) and not isinstance(l.weights, neural.DrawnMatrix)
+            for l in weighted
+            if not isinstance(l.weights, neural.DrawnMatrix)
         )
         assert stored < peak < 2 * 2**20
-        assert net.nbytes > 100 * stored
+        assert sum(4 * (l.weights.size + l.bias.size) for l in weighted) > 100 * stored
 
     def test_a_pass_holds_one_drawn_conv_layer_at_a_time(self):
         # A 32x32 network's conv weights are those of the 112x112 network.
         net = c3d_network(stream_rng(0, "pass-memory"), height=32, width=32)
         drawn = sorted(
-            l.weights.nbytes
+            4 * l.weights.size
             for l in net.layers
             if isinstance(l, Conv3d) and isinstance(l.weights, neural.DrawnMatrix)
         )
@@ -832,7 +833,11 @@ class TestNetworks:
                 for l in net.layers
             ),
         )
-        assert net.nbytes * 2 == upcast.nbytes
+        assert all(
+            l.weights.dtype == l.bias.dtype == np.float64
+            for l in upcast.layers
+            if isinstance(l, (Conv3d, Dense))
+        )
         frames = np.random.default_rng(5).integers(0, 256, (16, 32, 32, 3), dtype=np.uint8)
         x = clip_to_tensor(frames)
         for (name, a), (_, b) in zip(run_layers(x, net), run_layers(x, upcast)):
@@ -867,8 +872,8 @@ class TestNetworks:
                 x = dense_oracle(x.reshape(-1), np.asarray(layer.weights, dtype=np.float64), layer.bias)
         assert np.max(np.abs(extract_features(frames, net) - x)) < 5e-7
 
-    def test_nbytes_is_four_per_parameter(self):
-        net = c3d_network(stream_rng(0, "nbytes"))
+    def test_c3d_has_46_534_400_float32_parameters(self):
+        net = c3d_network(stream_rng(0, "params"))
         params = sum(
             l.weights.size + l.bias.size for l in net.layers if isinstance(l, (Conv3d, Dense))
         )
@@ -877,9 +882,9 @@ class TestNetworks:
             for l in net.layers
             if isinstance(l, (Conv3d, Dense))
         )
-        # conv3a to conv5b and fc6 are drawn, not stored, but count as stored.
+        # conv3a to conv5b and fc6 are drawn, not stored.
         assert isinstance(net.layers[-1].weights, neural.DrawnMatrix)
-        assert net.nbytes == 4 * params == 186_137_600
+        assert params == 46_534_400
 
     @pytest.mark.parametrize(
         "preset, kwargs",

@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import ctypes
 import dataclasses
 import hashlib
@@ -1038,6 +1039,14 @@ class TestPlanPersistence:
         assert loaded.labels == ("wave hand", "bob")
         assert loaded.svm["standing/dmm/xy/w5/a0"].labels == ("wave hand", "bob")
 
+    @pytest.mark.parametrize("labels", [("bob", "bob"), ("bob",)], ids=["repeated", "one"])
+    def test_labels_train_cannot_write_rejected(self, tmp_path, labels):
+        # labels.txt and the model file agree, but train writes two or more
+        # distinct labels.
+        save_plan(_rigged_plan([0.7, 0.3][: len(labels)], labels=labels), tmp_path / "plan")
+        with pytest.raises(FormatError, match=r"^labels\.txt lists \['bob'"):
+            load_plan(tmp_path / "plan")
+
     @pytest.mark.parametrize("text", ["slide\nbob\n", "", "bob\n"])
     def test_labels_file_disagreeing_with_models_rejected(self, tmp_path, text):
         save_plan(_rigged_plan([0.7, 0.3]), tmp_path / "plan")
@@ -1213,32 +1222,6 @@ class TestNetworkCache:
         assert report.n_test == 2
         assert list(plan.svm) == ["standing/dmm/xy/wall/a0"]
 
-    def test_over_budget_plan_rebuilds_with_identical_features(self, small_dataset, monkeypatch):
-        cfg = desk_config(angles=(0.0,))
-        cached = build_streams(cfg)
-        want = [extract_sample(rec, cached).features for rec in small_dataset[:2]]
-        assert len(cached._networks) == len(cached.streams)
-        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
-        uncached = build_streams(cfg)
-        with mock.patch.object(pipeline, "desk_network", wraps=pipeline.desk_network) as build:
-            got = [extract_sample(rec, uncached).features for rec in small_dataset[:2]]
-        assert uncached._networks == {}
-        # every stream's network is rebuilt for every sample
-        assert build.call_count == 2 * len(uncached.streams)
-        for a, b in zip(want, got):
-            assert list(a) == list(b)
-            for slot in a:
-                assert [f.tobytes() for f in a[slot]] == [f.tobytes() for f in b[slot]]
-
-    def test_cache_keeps_networks_while_they_fit(self, monkeypatch):
-        plan = build_streams(desk_config(angles=(0.0,)))
-        one = pipeline._build_network(plan.cfg, plan.streams[0]).nbytes
-        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 2 * one)
-        for s in plan.streams:
-            plan.network(s.id)
-        # two of the three equal depth networks fit; the appearance one is larger
-        assert list(plan._networks) == [s.id for s in plan.streams[:2]]
-
 
 def _one_record_per_class_split(records):
     """A manual split with one record of each class on each side, which
@@ -1265,6 +1248,13 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+@pytest.fixture
+def serial():
+    """serial() is a context in which train and evaluate run serially:
+    os.sched_getaffinity gives one core, so _pool_size returns 1."""
+    return lambda: mock.patch.object(os, "sched_getaffinity", lambda pid: {0})
 
 
 def _pool_workers(n_records):
@@ -1375,9 +1365,9 @@ def _plan_bytes(plan):
 
 class TestTrainPool:
     """train runs each whole record in a fork pool of one worker per core
-    and record when that is 2 or more and the cache keeps every network of
-    the bank; the plan is byte-identical to a serial run's.  A zero
-    NETWORK_CACHE_BYTES keeps no network, which forces the serial path."""
+    and record when that is 2 or more and every network of the bank
+    builds; the plan is byte-identical to a serial run's, which the serial
+    fixture forces."""
 
     # 20-frame records give window-5 too few templates for clips of 16, and
     # too few RGB frames for r30: every record adds warnings.
@@ -1385,17 +1375,17 @@ class TestTrainPool:
 
     @pytest.mark.parametrize("preset, cpus", [("desk", None), ("desk", 8), ("c3d", None)])
     def test_pooled_plan_equals_serial_plan(
-        self, small_dataset, split, forks, monkeypatch, preset, cpus
+        self, small_dataset, split, forks, serial, monkeypatch, preset, cpus
     ):
         cfg = desk_config(**self.CFG) if preset == "desk" else _c3d_config(32, **_C3D_SMALL)
         if cpus is not None:  # more workers than cores: results arrive out of order
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         pooled = train(small_dataset, split, cfg)
         assert len(forks) == _pool_workers(len(split.train_indices))
-        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
-        serial = train(small_dataset, split, cfg)
+        with serial():
+            unpooled = train(small_dataset, split, cfg)
         assert len(forks) == _pool_workers(len(split.train_indices))
-        assert _plan_bytes(pooled) == _plan_bytes(serial)
+        assert _plan_bytes(pooled) == _plan_bytes(unpooled)
         assert pooled.train_report.per_stream
         # warnings name the records in split order
         warned = [w.split(": ")[0] for w in pooled.train_report.warnings]
@@ -1434,7 +1424,7 @@ class TestTrainPool:
         _assert_reaped(forks)
 
     def test_malformed_depth_file_raises_the_serial_error(
-        self, small_dataset, split, forks, monkeypatch, tmp_path
+        self, small_dataset, split, forks, serial, tmp_path
     ):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"\x02\x00\x00\x00\x04\x00")  # a truncated header
@@ -1443,9 +1433,8 @@ class TestTrainPool:
         records[i] = dataclasses.replace(records[i], depth_path=bad)
         cfg = desk_config(angles=(0.0,))
         errors = []
-        for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
-            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
-            with pytest.raises(DmmActionError) as info:
+        for run in (contextlib.nullcontext, serial):
+            with run(), pytest.raises(DmmActionError) as info:
                 train(records, split, cfg)
             errors.append((type(info.value), str(info.value)))
         assert len(forks) == _pool_workers(len(split.train_indices))
@@ -1454,7 +1443,8 @@ class TestTrainPool:
 
     @pytest.mark.parametrize("fail_unit, malformed, want", _BROKEN)
     def test_error_in_a_unit_raises_the_serial_error_and_leaves_no_child(
-        self, small_dataset, split, forks, monkeypatch, tmp_path, fail_unit, malformed, want
+        self, small_dataset, split, forks, serial, monkeypatch, tmp_path, fail_unit, malformed,
+        want,
     ):
         monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
         cfg = desk_config()
@@ -1462,9 +1452,8 @@ class TestTrainPool:
             monkeypatch, tmp_path, small_dataset, split.train_indices, cfg, fail_unit, malformed
         )
         errors = []
-        for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
-            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
-            with pytest.raises(DmmActionError) as info:
+        for run in (contextlib.nullcontext, serial):
+            with run(), pytest.raises(DmmActionError) as info:
                 train(records, split, cfg)
             errors.append((type(info.value), str(info.value)))
             _assert_reaped(forks)
@@ -1499,7 +1488,7 @@ class TestTrainPool:
         assert events == [*paths, *["joined"] * len(paths)]
 
     def test_pose_outside_the_plan_raises_before_anything_is_extracted(
-        self, small_dataset, split, forks, monkeypatch
+        self, small_dataset, split, forks, serial, monkeypatch
     ):
         # The last training record's pose has no bank: train raises the
         # error extract_sample raises for it, before a record is read or a
@@ -1511,9 +1500,9 @@ class TestTrainPool:
         records[i] = dataclasses.replace(records[i], pose="sitting")
         with pytest.raises(ContractError) as want:
             extract_sample(records[i], build_streams(cfg))
-        for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
-            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
+        for run in (contextlib.nullcontext, serial):
             with (
+                run(),
                 mock.patch.object(pipeline, "read_depth_bin", wraps=read_depth_bin) as read,
                 pytest.raises(DmmActionError) as info,
             ):
@@ -1523,7 +1512,7 @@ class TestTrainPool:
         assert forks == []
 
     def test_parent_neither_reads_nor_projects(
-        self, small_dataset, split, forks, monkeypatch
+        self, small_dataset, split, forks, serial, monkeypatch
     ):
         # Workers read and project every record; the plan still equals a
         # serial run's, which reads and projects here.
@@ -1538,12 +1527,12 @@ class TestTrainPool:
             pooled = train(small_dataset, split, cfg)
             assert read.call_count == project.call_count == 0
             assert len(forks) == len(split.train_indices)
-            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
-            serial = train(small_dataset, split, cfg)
+            with serial():
+                unpooled = train(small_dataset, split, cfg)
             assert read.call_count == len(split.train_indices) and project.call_count
-        assert _plan_bytes(pooled) == _plan_bytes(serial)
+        assert _plan_bytes(pooled) == _plan_bytes(unpooled)
 
-    def test_equal_records_keep_their_places(self, small_dataset, split, forks, monkeypatch):
+    def test_equal_records_keep_their_places(self, small_dataset, split, forks, serial):
         # Two equal manifest lines make two equal records, each of which
         # the pool joins in its own place.
         records = [*small_dataset, dataclasses.replace(small_dataset[split.train_indices[0]])]
@@ -1556,8 +1545,8 @@ class TestTrainPool:
         cfg = desk_config(angles=(0.0,))
         pooled = train(records, twin, cfg)
         assert len(forks) == _pool_workers(len(split.train_indices))
-        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
-        assert _plan_bytes(pooled) == _plan_bytes(train(records, twin, cfg))
+        with serial():
+            assert _plan_bytes(pooled) == _plan_bytes(train(records, twin, cfg))
 
     def test_replaced_extract_sample_sees_every_call_in_process(
         self, small_dataset, split, forks
@@ -1571,54 +1560,14 @@ class TestTrainPool:
         ]
         assert forks == []
 
-    @pytest.mark.parametrize("spare", [-1, 0])
-    def test_pool_needs_the_bank_kept_in_the_cache(
-        self, small_dataset, split, forks, monkeypatch, spare
-    ):
-        cfg = desk_config(angles=(0.0,))
-        plan = build_streams(cfg)
-        bank = sum(pipeline._build_network(cfg, s).nbytes for s in plan.streams)
-        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", bank + spare)
-        with mock.patch.object(pipeline, "desk_network", wraps=pipeline.desk_network) as build:
-            plan = train(small_dataset, split, cfg)
-        if spare < 0:  # the last network is built ahead but not kept: no pool
-            assert forks == []
-            # the serial loop keeps all but the last and builds it per record
-            assert build.call_count == len(plan.streams) + len(split.train_indices)
-            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
-            assert _plan_bytes(plan) == _plan_bytes(train(small_dataset, split, cfg))
-        else:  # every network is built once, in this process, and kept
-            assert len(forks) == _pool_workers(len(split.train_indices))
-            assert build.call_count == len(plan.streams)
-            assert list(plan._networks) == [s.id for s in plan.streams]
-
     def test_pool_size_is_one_worker_per_core_and_record(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
         assert [pipeline._pool_size(n) for n in (1, 2, 7, 12)] == [1, 2, 7, 8]
         monkeypatch.delattr(os, "sched_getaffinity")
         assert pipeline._pool_size(12) == 1  # the cores are unknown: serially
 
-    def test_default_plan_opens_no_pool_and_keeps_what_fits(
-        self, small_dataset, forks, monkeypatch
-    ):
-        # 66 112x112 c3d networks per pose bank do not fit the cache: the
-        # parent builds them in stream order up to the first it does not
-        # keep, and no pool opens.  A cache of one network keeps this cheap.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 200 * 2**20)
-        plan = build_streams(PipelineConfig())
-        records = small_dataset[:2]
-        with mock.patch.object(pipeline, "c3d_network", wraps=pipeline.c3d_network) as build:
-            with pipeline._record_pool(plan, records):
-                assert plan._pooled is None
-        built = [c.kwargs["name"] for c in build.call_args_list]
-        bank = [s.id for s in plan.streams if s.pose in {r.pose for r in records}]
-        assert built == bank[:2]
-        assert list(plan._networks) == built[:1]
-        assert forks == []
-
     def test_bank_network_that_does_not_build_opens_no_pool(
-        self, small_dataset, split, forks, monkeypatch
+        self, small_dataset, split, forks, serial, monkeypatch
     ):
         # Depth clips of 16 frames build at 32x32, RGB clips of 10 do not:
         # pool5 has no depth left.  No pool opens, and train raises the
@@ -1626,40 +1575,48 @@ class TestTrainPool:
         monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
         cfg = _c3d_config(32, planes=("xy",), rgb_windows=(10,), fc_units=8)
         errors = []
-        for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
-            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
-            with pytest.raises(ContractError) as info:
+        for run in (contextlib.nullcontext, serial):
+            with run(), pytest.raises(ContractError) as info:
                 train(small_dataset, split, cfg)
             errors.append(str(info.value))
         assert _pool_workers(len(split.train_indices)) >= 2 and forks == []
         assert errors[0] == errors[1]
         assert "pool5" in errors[0]
 
-    def test_two_stream_c3d_plan_pooled_equals_serial(self, small_dataset, forks, monkeypatch):
+    @pytest.mark.parametrize(
+        "angles, planes",
+        [((0.0,), ("xy", "xz")), ((0.0, 30.0), ("xy", "yz", "xz"))],
+        ids=["2-streams", "6-streams"],
+    )
+    def test_c3d_plan_builds_each_network_once_and_pooled_equals_serial(
+        self, small_dataset, forks, serial, monkeypatch, angles, planes
+    ):
+        # Every network is built once, in this process, before train's pool
+        # forks, and evaluate reuses them all.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        cfg = _c3d_config(32, fc_units=8, pca_target=1, svm_epochs=5)
+        cfg = _c3d_config(32, angles=angles, planes=planes, fc_units=8, pca_target=1, svm_epochs=5)
         split = _one_record_per_class_split(small_dataset)
-        plan = train(small_dataset, split, cfg)
-        report = evaluate(small_dataset, split, plan).to_csv()
+        with mock.patch.object(pipeline, "c3d_network", wraps=pipeline.c3d_network) as build:
+            plan = train(small_dataset, split, cfg)
+            report = evaluate(small_dataset, split, plan).to_csv()
+        assert build.call_count == len(plan.streams) == len(angles) * len(planes)
         assert len(forks) == 2 * _pool_workers(2) == 4  # train's pool, then evaluate's
         _assert_reaped(forks)
-        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
-        serial = train(small_dataset, split, cfg)
-        assert evaluate(small_dataset, split, serial).to_csv() == report
+        with serial():
+            unpooled = train(small_dataset, split, cfg)
+            assert evaluate(small_dataset, split, unpooled).to_csv() == report
         assert len(forks) == 4
-        assert _plan_bytes(plan) == _plan_bytes(serial)
+        assert _plan_bytes(plan) == _plan_bytes(unpooled)
         assert "n_test,2\n" in report
-
 
 class TestEvaluatePool:
     """evaluate runs each whole record in a fork pool that is open for its
-    loop; the report is byte-identical to a serial run's.  A zero
-    NETWORK_CACHE_BYTES, with the plan's cached networks dropped, keeps no
-    network, which forces the serial path."""
+    loop; the report is byte-identical to a serial run's, which the serial
+    fixture forces."""
 
     @pytest.mark.parametrize("preset, cpus", [("desk", None), ("desk", 8), ("c3d", None)])
     def test_pooled_report_equals_serial_report(
-        self, small_dataset, split, trained, forks, monkeypatch, preset, cpus
+        self, small_dataset, split, trained, forks, serial, monkeypatch, preset, cpus
     ):
         if cpus is not None:  # more workers than cores: records finish out of order
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -1671,16 +1628,15 @@ class TestEvaluatePool:
         pooled = evaluate(small_dataset, split, plan).to_csv()
         assert len(forks) == _pool_workers(len(split.test_indices))
         _assert_reaped(forks)
-        monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", 0)
-        plan._networks.clear()
-        serial = evaluate(small_dataset, split, plan).to_csv()
+        with serial():
+            unpooled = evaluate(small_dataset, split, plan).to_csv()
         assert len(forks) == _pool_workers(len(split.test_indices))
-        assert pooled == serial
+        assert pooled == unpooled
         assert preset != "desk" or pooled == _GOLDEN_CSV
 
     @pytest.mark.parametrize("fail_unit, malformed, want", _BROKEN)
     def test_error_in_a_unit_raises_the_serial_error_and_leaves_no_child(
-        self, small_dataset, split, trained, forks, monkeypatch, tmp_path,
+        self, small_dataset, split, trained, forks, serial, monkeypatch, tmp_path,
         fail_unit, malformed, want,
     ):
         monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
@@ -1689,10 +1645,8 @@ class TestEvaluatePool:
             fail_unit, malformed,
         )
         errors = []
-        for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
-            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
-            trained._networks.clear()
-            with pytest.raises(DmmActionError) as info:
+        for run in (contextlib.nullcontext, serial):
+            with run(), pytest.raises(DmmActionError) as info:
                 evaluate(records, split, trained)
             errors.append((type(info.value), str(info.value)))
             assert trained._pooled is None
@@ -1701,7 +1655,7 @@ class TestEvaluatePool:
         assert errors[0] == errors[1] == want
 
     def test_pose_without_trained_streams_raises_before_anything_is_extracted(
-        self, small_dataset, split, trained, forks, monkeypatch
+        self, small_dataset, split, trained, forks, serial, monkeypatch
     ):
         # The last test record's pose has no trained stream: evaluate raises
         # the error classify raises for it, before a record is read or a
@@ -1712,10 +1666,9 @@ class TestEvaluatePool:
         records[i] = dataclasses.replace(records[i], pose="sitting")
         with pytest.raises(StateError) as want:
             classify(records[i], trained)
-        for budget in (pipeline.NETWORK_CACHE_BYTES, 0):
-            monkeypatch.setattr(pipeline, "NETWORK_CACHE_BYTES", budget)
-            trained._networks.clear()
+        for run in (contextlib.nullcontext, serial):
             with (
+                run(),
                 mock.patch.object(pipeline, "read_depth_bin", wraps=read_depth_bin) as read,
                 pytest.raises(DmmActionError) as info,
             ):

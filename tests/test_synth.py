@@ -56,6 +56,34 @@ class TestSpecValidation:
         with pytest.raises(ContractError):
             _tiny_spec(actions=("slide", "moonwalk"))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise", float("inf")),
+            ("noise", 1e30),
+            ("noise", 2.0**63),
+            ("noise", float("nan")),
+            ("noise", -1.0),
+            ("jitter", float("nan")),
+            ("camera_step_deg", float("inf")),
+            ("pose_cycle", ()),
+            ("pose_cycle", ("sit\tting",)),
+            ("pose_cycle", ("",)),
+            ("subjects", 2.5),
+            ("frames", "6"),
+            ("actions", ("slide", "bob", "slide")),
+        ],
+    )
+    def test_bad_field_rejected_by_name(self, field, value):
+        # Unchecked, an infinite or huge noise fails the integer draw, a
+        # NaN or negative one adds none, and an empty pose cycle or a
+        # fractional count fails deep in generation.
+        with pytest.raises(ContractError, match=f"^{field}"):
+            _tiny_spec(**{field: value})
+
+    def test_largest_noise_in_range_accepted(self):
+        assert _tiny_spec(noise=np.nextafter(2.0**63, 0)).noise < 2.0**63
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
