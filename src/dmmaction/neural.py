@@ -15,15 +15,17 @@ size before the fifth conv layer, so the published layer list is only
 realizable with same-padding.
 
 Weights and biases are float32, and every layer computes in float32 from
-them, as C3D's reference weights and Caffe forward pass do.  A weight
-array of more than DENSE_BLOCK_ELEMENTS values is not stored at all: it
-is a `DrawnMatrix`, which draws it again, with the same bits, when it is
-read, a dense layer one block of weight rows at a time (see
-`_dense_rows`), a conv layer whole.  So a 112x112 c3d network stores only
-conv1, conv2 and the biases, 0.9 MiB of its 177.5 MiB of weights, and
-each forward pass draws conv3a to conv5b and fc6 again, holding at most
-one drawn conv layer (27 MiB) at a time.  A plan keeps every network it
-builds, so a 112x112 c3d stream costs its plan 0.9 MiB.
+them, as C3D's reference weights and Caffe forward pass do.  No weight
+array a builder makes is stored: each is a `DrawnMatrix`, which draws it
+again, with the same bits, when it is read, a dense layer one block of
+weight rows at a time (see `_dense_rows`), a conv layer whole.  So a
+network stores only its biases, 26.8 KiB for a 112x112 c3d network, and
+a plan, which keeps every network it builds, holds no weights.
+`draw_once` draws the arrays of at most DENSE_BLOCK_ELEMENTS values into
+a copy of the network, which a caller running several clips reads
+instead: a desk network is then drawn once per stream's clips, and a c3d
+pass still draws conv3a to conv5b and fc6 on each read, holding at most
+one drawn conv layer (27 MiB) at a time.
 
 Each convolution is one BLAS GEMM per chunk of output positions: the
 weights, as a (maps, input maps * kernel volume) matrix, times a column
@@ -55,7 +57,8 @@ def _check_triple(name: str, what: str, values: Triple, low: int) -> None:
 
 class DrawnMatrix:
     """float32 array, (rows, ...), of uniform draws in [-s, s) that is
-    drawn again each time it is read, instead of being stored.
+    drawn again each time it is read, instead of being stored; _draw
+    makes every weight array a DrawnMatrix.
 
     It keeps a PCG64 generator's state at the array's first draw and
     advances the generator past the array, as drawing it would.  A row
@@ -101,9 +104,9 @@ class DrawnMatrix:
 class Conv3d:
     """3D convolution layer: weights (out, in, r, p, q), tanh activation.
 
-    weights is an array or, for a layer the builders draw with more than
-    DENSE_BLOCK_ELEMENTS values (see _draw), a DrawnMatrix, which
-    conv3d_forward draws whole once per call.
+    weights is a DrawnMatrix as the builders make it (see _draw), which
+    conv3d_forward draws whole once per call, or an array, as draw_once
+    makes it for a layer of at most DENSE_BLOCK_ELEMENTS values.
     """
 
     name: str
@@ -144,9 +147,10 @@ class Dense:
     in C order, as Caffe's InnerProduct does (C3D's fc6 follows pool5), so
     any input with as many elements as weights has columns fits.
 
-    weights is a float32 or float64 array, or, for a layer the builders
-    draw with more than DENSE_BLOCK_ELEMENTS values (see _draw), a
-    DrawnMatrix; dense_forward reads it only by row blocks.
+    weights is a DrawnMatrix as the builders make it (see _draw), which
+    dense_forward reads only by row blocks, or a float32 or float64 array,
+    as draw_once makes it for a layer of at most DENSE_BLOCK_ELEMENTS
+    values.
     """
 
     name: str
@@ -302,10 +306,10 @@ def maxpool3d(x: np.ndarray, kernel: Triple, stride: Triple) -> np.ndarray:
     return out
 
 
-# Elements of a dense_forward weight block, 2 MiB of float32.  _draw stores
-# a weight array of at most this many values and draws a larger one again
-# on each read (a DrawnMatrix): a dense layer one block at a time, a conv
-# layer whole, once per call.
+# Elements of a dense_forward weight block, 2 MiB of float32.  draw_once
+# draws a weight array of at most this many values once for all of a
+# stream's clips; a larger one is drawn again on each read: a dense layer
+# one block at a time, a conv layer whole, once per call.
 DENSE_BLOCK_ELEMENTS = 2**19
 
 
@@ -413,6 +417,23 @@ def _forward(x: np.ndarray, layers: Sequence[Layer]) -> Iterator[tuple[str, np.n
         yield layer.name, x
 
 
+def draw_once(net: NetworkSpec) -> NetworkSpec:
+    """net with each weight DrawnMatrix of at most DENSE_BLOCK_ELEMENTS
+    values drawn into a float32 array, so that passes over several clips
+    draw it once; the larger ones stay drawn on each read.  The features
+    keep their bytes, since a drawn array has the bits of its DrawnMatrix."""
+    return replace(
+        net,
+        layers=tuple(
+            replace(l, weights=np.asarray(l.weights))
+            if isinstance(getattr(l, "weights", None), DrawnMatrix)
+            and l.weights.size <= DENSE_BLOCK_ELEMENTS
+            else l
+            for l in net.layers
+        ),
+    )
+
+
 def clip_to_tensor(clip: np.ndarray) -> np.ndarray:
     """Clip frames (lam, h, w, 3) uint8 -> float32 network tensor (3, lam, h, w) in [0, 1]."""
     if clip.ndim != 4 or clip.shape[3] != 3:
@@ -451,8 +472,8 @@ def _uniform_f32(rng: np.random.Generator, s: float, shape: tuple[int, ...]) -> 
 
     The bits equal rng.uniform(-s, s, shape).astype(float32): uniform is
     -s + 2s * u over the same stream of doubles u, computed in float64,
-    then rounded to float32.  It runs chunk by chunk through one float64
-    buffer.
+    then rounded to float32 as the sum is written out.  It runs chunk by
+    chunk through one float64 buffer.
     """
     out = np.empty(shape, dtype=np.float32)
     flat = out.reshape(-1)
@@ -461,26 +482,20 @@ def _uniform_f32(rng: np.random.Generator, s: float, shape: tuple[int, ...]) -> 
         part = buf[: min(DRAW_CHUNK_ELEMENTS, flat.size - i)]
         rng.random(out=part)
         part *= 2 * s
-        part += -s
-        np.copyto(flat[i : i + part.size], part, casting="same_kind")
+        np.add(part, -s, out=flat[i : i + part.size], casting="same_kind")
     return out
 
 
 def _draw(
     rng: np.random.Generator, out_dim: int, *in_shape: int
-) -> tuple[np.ndarray | DrawnMatrix, np.ndarray]:
+) -> tuple[DrawnMatrix, np.ndarray]:
     """float32 weights (out_dim, *in_shape) then bias, uniform in +-1/sqrt(fan-in).
 
-    Weights of more than DENSE_BLOCK_ELEMENTS values, conv or dense, are not
-    stored: they are a DrawnMatrix, which skips the generator past them, so
-    the bias gets the same draws.
+    The weights are not stored: they are a DrawnMatrix, which skips the
+    generator past them, so the bias gets the same draws.
     """
     s = 1.0 / np.sqrt(np.prod(in_shape))
-    shape = (out_dim, *in_shape)
-    if np.prod(shape) > DENSE_BLOCK_ELEMENTS:
-        w = DrawnMatrix(rng, s, shape)
-    else:
-        w = _uniform_f32(rng, s, shape)
+    w = DrawnMatrix(rng, s, (out_dim, *in_shape))
     return w, _uniform_f32(rng, s, (out_dim,))
 
 

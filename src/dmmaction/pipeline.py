@@ -76,6 +76,7 @@ from .neural import (
     NetworkSpec,
     c3d_network,
     desk_network,
+    draw_once,
     extract_features,
     stream_rng,
 )
@@ -138,9 +139,9 @@ class StreamPlan:
 
     Network weights are a pure function of (cfg.seed, stream id), so each
     stream's network is built on its first use and kept for the plan's
-    life.  A network stores only its arrays of at most one block and draws
-    the rest on each pass (see neural), so a canonical 112x112 stack keeps
-    0.9 MiB.  pca is keyed by Stream.slot, svm by stream id.  _pooled holds
+    life.  A network stores only its biases and draws its weights where
+    they are read (see neural), so a canonical 112x112 stack keeps 26.8 KiB.
+    pca is keyed by Stream.slot, svm by stream id.  _pooled holds
     the records of the loop of train or evaluate with their futures in the
     fork pool that it opens for that loop (_record_pool), and is None
     outside it; the pool opens only once the networks of the loop's pose
@@ -404,7 +405,10 @@ def render_templates(
 
 
 def _clip_features(frames: list[np.ndarray], lam: int, net: NetworkSpec) -> list[np.ndarray]:
-    """Features of the stride-lam clips of frames, ending at lam-1, 2*lam-1, ..."""
+    """Features of the stride-lam clips of frames, ending at lam-1, 2*lam-1,
+    ..., on net with its weight arrays of at most one block drawn once for
+    all the clips (see neural.draw_once)."""
+    net = draw_once(net)
     return [
         extract_features(stack_clip(frames, end, lam), net)
         for end in range(lam - 1, len(frames), lam)

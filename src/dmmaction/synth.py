@@ -80,9 +80,12 @@ class SynthSpec:
             raise ContractError(
                 f"width and height must be at least 16, got {self.width}x{self.height}"
             )
-        # Noise is drawn as int64 integers in [-noise, noise].
-        if not 0.0 <= self.noise < 2.0**63:
-            raise ContractError(f"noise must lie in [0, 2**63), got {self.noise}")
+        # Every box point stays within 1.2 m of the box center (at most 0.4 m
+        # of face half-diagonal and 1.9 x 0.4 m of motion, rotated about the
+        # center), so a depth is below 2**12 mm, and a noise below
+        # 2**32 - 2**12 keeps every noisy depth inside the container's u32.
+        if not 0.0 <= self.noise < 2.0**32 - 2**12:
+            raise ContractError(f"noise must lie in [0, 2**32 - 2**12), got {self.noise}")
         if not 0.0 <= self.jitter <= 0.9:
             raise ContractError(f"jitter must lie in [0, 0.9], got {self.jitter}")
         # Each pose is one manifest field.

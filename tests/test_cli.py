@@ -98,7 +98,7 @@ class TestSynth:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("noise", ["inf", "1e30", "nan", "-1"])
+    @pytest.mark.parametrize("noise", ["inf", "1e30", "1e18", "nan", "-1"])
     def test_bad_noise_is_one_error_line(self, tmp_path, caplog, noise):
         code, out = _run(["synth", "--out", str(tmp_path / "d"), "--noise", noise])
         assert code == 2 and out == ""

@@ -21,6 +21,7 @@ from dmmaction.neural import (
     conv3d_forward,
     dense_forward,
     desk_network,
+    draw_once,
     extract_features,
     infer_shapes,
     maxpool3d,
@@ -136,7 +137,7 @@ def _assert_chunked_conv(x, layer, budget):
     assert _conv(x, layer, budget).tobytes() == out.tobytes()
     ref = conv3d_shift_oracle(
         x,
-        layer.weights.astype(np.float64),
+        np.asarray(layer.weights, dtype=np.float64),
         layer.bias.astype(np.float64),
         layer.stride,
         layer.padding,
@@ -267,8 +268,8 @@ class TestConvScratch:
     """conv3d_forward allocates its float32 output, one column buffer of at
     most CONV_COLUMN_ELEMENTS elements and one GEMM block, and nothing more:
     no padded copy of its input and no float64 array.  A layer whose
-    weights are drawn (conv3b's) also holds them, and one draw chunk, while
-    it runs."""
+    weights are drawn, as a builder's are, also holds them, and one draw
+    chunk, while it runs."""
 
     @pytest.mark.parametrize(
         "in_maps, out_maps, depth, side",
@@ -432,9 +433,9 @@ class TestDenseForward:
 
 
 class TestDrawnMatrix:
-    """A weight array of more than DENSE_BLOCK_ELEMENTS values is drawn
-    again on each read; every row keeps the bits of the stored draw, and a
-    dense layer the bytes of the stored float32 matrix run as one block."""
+    """Every weight array is drawn again on each read; every row keeps the
+    bits of the stored draw, and a dense layer the bytes of the stored
+    float32 matrix run as one block."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -451,8 +452,7 @@ class TestDrawnMatrix:
         with mock.patch.object(neural, "DENSE_BLOCK_ELEMENTS", rows * in_units):
             w, b = neural._draw(np.random.default_rng(seed), out_units, in_units)
             ref_w, ref_b = draw_oracle(np.random.default_rng(seed), out_units, in_units)
-            drawn = out_units * in_units > neural.DENSE_BLOCK_ELEMENTS
-            assert isinstance(w, neural.DrawnMatrix) == drawn
+            assert isinstance(w, neural.DrawnMatrix)
             assert w.shape == ref_w.shape and w.size == ref_w.size and w.ndim == 2
             assert w.dtype == np.float32
             assert b.astype(np.float64).tobytes() == ref_b.tobytes()
@@ -527,8 +527,8 @@ class TestDrawnMatrix:
 
 
 class TestDrawnNetworkMemory:
-    """A c3d network stores only its arrays of at most one block, and a
-    forward pass holds at most one drawn conv layer at a time."""
+    """A c3d network stores only its biases, and a forward pass holds at
+    most one drawn conv layer at a time."""
 
     def test_building_a_112_c3d_network_allocates_under_2_mib(self):
         rng = stream_rng(0, "build-memory")
@@ -555,7 +555,7 @@ class TestDrawnNetworkMemory:
             for l in net.layers
             if isinstance(l, Conv3d) and isinstance(l.weights, neural.DrawnMatrix)
         )
-        assert len(drawn) == 6 and sum(drawn) == 4 * 27_426_816
+        assert len(drawn) == 8 and sum(drawn) == 4 * (5_184 + 221_184 + 27_426_816)
         # A layer's input, its output and its GEMM block, each at most the
         # largest activation.
         activations = 3 * 4 * max(int(np.prod(shape)) for _, shape in infer_shapes(net))
@@ -882,29 +882,32 @@ class TestNetworks:
             for l in net.layers
             if isinstance(l, (Conv3d, Dense))
         )
-        # conv3a to conv5b and fc6 are drawn, not stored.
+        # Every weight array is drawn, not stored.
         assert isinstance(net.layers[-1].weights, neural.DrawnMatrix)
         assert params == 46_534_400
 
     @pytest.mark.parametrize(
         "preset, kwargs",
         [
-            ("desk", {}),  # fc 64 x 8192: exactly one block, stored
+            ("desk", {}),  # fc 64 x 8192: exactly one block
             ("desk", dict(clip_len=10, height=24, width=40, conv_maps=(4, 6), fc_units=10)),
             ("c3d", dict(clip_len=25, height=32, width=32, fc_units=8)),
-            ("c3d", dict(height=32, width=32)),  # fc6 drawn: 4,096 outputs of 512 inputs
-            ("c3d", {}),  # fc6 drawn
+            ("c3d", dict(height=32, width=32)),  # fc6: 4,096 outputs of 512 inputs
+            ("c3d", {}),
         ],
     )
-    def test_only_arrays_above_one_block_are_drawn(self, preset, kwargs):
+    def test_every_weight_array_is_drawn(self, preset, kwargs):
         build = {"desk": desk_network, "c3d": c3d_network}[preset]
         net = build(stream_rng(0, "layout"), **kwargs)
         layers = [l for l in net.layers if isinstance(l, (Conv3d, Dense))]
-        drawn = {l.name for l in layers if isinstance(l.weights, neural.DrawnMatrix)}
-        assert drawn == {l.name for l in layers if l.weights.size > neural.DENSE_BLOCK_ELEMENTS}
-        convs = {"conv3a", "conv3b", "conv4a", "conv4b", "conv5a", "conv5b"}
-        fc = {"fc6"} if "fc_units" not in kwargs else set()
-        assert drawn == (convs | fc if preset == "c3d" else set())
+        assert len(layers) == (3 if preset == "desk" else 9)
+        assert all(isinstance(l.weights, neural.DrawnMatrix) for l in layers)
+        # draw_once draws exactly the arrays of at most one block.
+        once = draw_once(net).layers
+        stored = {l.name for l in once if isinstance(getattr(l, "weights", None), np.ndarray)}
+        assert stored == {l.name for l in layers if l.weights.size <= neural.DENSE_BLOCK_ELEMENTS}
+        small = {"conv1", "conv2"} | ({"fc6"} if "fc_units" in kwargs else set())
+        assert stored == ({"conv1", "conv2", "fc"} if preset == "desk" else small)
 
     def test_different_stream_different_weights(self):
         a = desk_network(stream_rng(6, "s1"), clip_len=4, height=16, width=16)

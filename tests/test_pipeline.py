@@ -10,6 +10,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -39,12 +40,12 @@ from dmmaction import (
     save_plan,
     train,
 )
-from dmmaction import dmm, pipeline
+from dmmaction import dmm, neural, pipeline
 from dmmaction.dmm import render_grid, stack_clip, template_count
 from dmmaction.geometry import ProjectedMap, synthesize_view
 from dmmaction.learn import PcaModel, SvmModel, pca_fit
 from dmmaction.motion import estimate_flow, flow_magnitude
-from dmmaction.neural import extract_features
+from dmmaction.neural import Conv3d, Dense, DrawnMatrix, extract_features, stream_rng
 from dmmaction.pipeline import (
     SampleRecord,
     Split,
@@ -53,7 +54,7 @@ from dmmaction.pipeline import (
 )
 from dmmaction.videoio import DepthSequence, read_depth_bin, read_rgb_sequence, write_depth_bin
 from conftest import desk_config
-from oracles import horn_schunck_oracle
+from oracles import draw_oracle, horn_schunck_oracle
 
 
 @pytest.fixture(scope="module")
@@ -1221,6 +1222,130 @@ class TestNetworkCache:
         assert build.call_count == 1
         assert report.n_test == 2
         assert list(plan.svm) == ["standing/dmm/xy/wall/a0"]
+
+
+# The criterion-7 acceptance config: 3 angles x windows 5 and all x 3
+# planes, and RGB windows 10 and 16, 20 desk streams.
+_CRITERION7 = dict(
+    angles=(-30.0, 0.0, 30.0), depth_windows=(5, "all"), rgb_windows=(10, 16),
+    pca_target=3, svm_epochs=45,
+)
+
+
+def _arrays(obj, seen=None):
+    """Every numpy array reachable from obj through containers and
+    instance attributes, each once."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (tuple, list)):
+        children = obj
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        children = vars(obj).values()
+    else:
+        return []
+    return [a for child in children for a in _arrays(child, seen)]
+
+
+class TestNetworkMemory:
+    """A built network stores only its biases and draws every weight array
+    where it is read, so a plan that keeps every network it builds holds
+    no weights."""
+
+    @staticmethod
+    def _build_every_network(cfg):
+        """The plan of cfg with every network built, and the tracemalloc
+        peak of the builds, after a first build outside the trace has made
+        the imports it needs."""
+        plan = build_streams(cfg)
+        pipeline._build_network(cfg, plan.streams[0])
+        tracemalloc.start()
+        try:
+            for s in plan.streams:
+                plan.network(s.id)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return plan, peak
+
+    def test_criterion_7_desk_networks_allocate_under_1_mib(self):
+        # They stored 22.4 MiB when arrays of at most 2**19 values were kept.
+        plan, peak = self._build_every_network(desk_config(**_CRITERION7))
+        assert len(plan._networks) == len(plan.streams) == 20
+        assert peak < 2**20
+
+    def test_default_networks_without_r10_allocate_under_8_mib(self):
+        # r10's clip reaches depth 1 before pool5, so it does not build.
+        # These stored 117.6 MiB when arrays of at most 2**19 values were
+        # kept.
+        plan, peak = self._build_every_network(PipelineConfig(rgb_windows=(16, 25)))
+        assert len(plan._networks) == len(plan.streams) == 130
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [desk_config(**_CRITERION7), PipelineConfig(poses=("standing",), rgb_windows=(16,))],
+        ids=["desk", "c3d"],
+    )
+    def test_a_built_network_stores_only_its_biases(self, cfg):
+        plan = build_streams(cfg)
+        for s in plan.streams:
+            net = plan.network(s.id)
+            weighted = [l for l in net.layers if isinstance(l, (Conv3d, Dense))]
+            assert all(isinstance(l.weights, DrawnMatrix) for l in weighted)
+            assert {id(a) for a in _arrays(net)} == {id(l.bias) for l in weighted}
+            assert all(l.bias.shape == (l.weights.shape[0],) for l in weighted)
+
+
+class TestClipFeatures:
+    """_clip_features draws each weight array of a desk network once for all
+    of a stream's clips, runs extract_features once per clip, and gives the
+    bytes of a network that stores its weights."""
+
+    @pytest.mark.parametrize("clips", [1, 2, 3])
+    def test_desk_stream_draws_each_weight_array_once(self, clips):
+        cfg = desk_config(**_CRITERION7)
+        plan = build_streams(cfg)
+        sid = plan.streams[0].id
+        net = plan.network(sid)
+        lam = cfg.clip_len
+        frames = list(
+            np.random.default_rng(clips).integers(
+                0, 256, (clips * lam, *cfg.render_size, 3), dtype=np.uint8
+            )
+        )
+        real_draw, drawn = neural._uniform_f32, []
+
+        def draw(rng, s, shape):
+            drawn.append(shape)
+            return real_draw(rng, s, shape)
+
+        with mock.patch.object(neural, "_uniform_f32", draw), mock.patch.object(
+            pipeline, "extract_features", wraps=extract_features
+        ) as extract:
+            features = pipeline._clip_features(frames, lam, net)
+        weighted = [l for l in net.layers if isinstance(l, (Conv3d, Dense))]
+        assert drawn == [l.weights.shape for l in weighted]
+        assert extract.call_count == len(features) == clips
+
+        rng = stream_rng(cfg.seed, sid)
+        stored = {}
+        for l in weighted:
+            w, b = draw_oracle(rng, *l.weights.shape)
+            stored[l.name] = dataclasses.replace(
+                l, weights=w.astype(np.float32), bias=b.astype(np.float32)
+            )
+        ref = dataclasses.replace(net, layers=tuple(stored.get(l.name, l) for l in net.layers))
+        expected = [
+            extract_features(stack_clip(frames, end, lam), ref)
+            for end in range(lam - 1, len(frames), lam)
+        ]
+        assert [f.tobytes() for f in features] == [e.tobytes() for e in expected]
 
 
 def _one_record_per_class_split(records):

@@ -62,6 +62,8 @@ class TestSpecValidation:
             ("noise", float("inf")),
             ("noise", 1e30),
             ("noise", 2.0**63),
+            ("noise", 1e18),
+            ("noise", 2.0**32 - 2**12),
             ("noise", float("nan")),
             ("noise", -1.0),
             ("jitter", float("nan")),
@@ -76,13 +78,26 @@ class TestSpecValidation:
     )
     def test_bad_field_rejected_by_name(self, field, value):
         # Unchecked, an infinite or huge noise fails the integer draw, a
-        # NaN or negative one adds none, and an empty pose cycle or a
-        # fractional count fails deep in generation.
+        # noise of 2**32 - 2**12 or more can push a depth past the
+        # container's u32, a NaN or negative one adds none, and an empty
+        # pose cycle or a fractional count fails deep in generation.
         with pytest.raises(ContractError, match=f"^{field}"):
             _tiny_spec(**{field: value})
 
-    def test_largest_noise_in_range_accepted(self):
-        assert _tiny_spec(noise=np.nextafter(2.0**63, 0)).noise < 2.0**63
+    def test_largest_noise_in_range_writes_and_reads_back(self, tmp_path):
+        # The farthest box points: the narrowest frame (the coarsest face
+        # grid), the most motion and side views.
+        noise = np.nextafter(2.0**32 - 2**12, 0)
+        spec = _tiny_spec(noise=noise, width=16, height=16, jitter=0.9, cameras=3,
+                          camera_step_deg=90.0)
+        records = read_manifest(generate_synthetic_dataset(tmp_path, spec, seed=5))
+        top = max(read_depth_bin(r.depth_path).frames.max() for r in records)
+        assert 2**31 < top < 2**32
+
+    def test_noise_past_the_container_creates_no_directory(self, tmp_path):
+        with pytest.raises(ContractError, match=r"^noise must lie in \[0, 2\*\*32 - 2\*\*12\)"):
+            generate_synthetic_dataset(tmp_path / "d", _tiny_spec(noise=1e18), seed=0)
+        assert not (tmp_path / "d").exists()
 
 
 class TestDeterminism:
