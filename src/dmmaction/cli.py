@@ -13,6 +13,7 @@ import argparse
 import io
 import logging
 import sys
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,13 +22,13 @@ import numpy as np
 from .config import PipelineConfig, load_config, parse_window
 from .errors import ConfigError, DmmActionError, EmptyInputError
 from .pipeline import (
+    _extracted,
     _flow_weights,
     _plane_maps,
     _views,
     build_streams,
     classify,
     evaluate,
-    extract_sample,
     load_plan,
     read_manifest,
     render_templates,
@@ -123,16 +124,16 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     plan = build_streams(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, rec in enumerate(records):
-        result = extract_sample(rec, plan)
-        arrays = {}
-        for slot, feats in result.features.items():
-            for j, f in enumerate(feats):
-                arrays[f"{slot}|{j}"] = f
-        np.savez(out / f"sample_{i:04d}.npz", **arrays)
-        for w in result.warnings:
-            log.warning("%s", w)
-        log.info("sample %d: %d clip features", i, len(arrays))
+    with closing(_extracted(plan, records)) as results:
+        for i, (_, result) in enumerate(results):
+            arrays = {}
+            for slot, feats in result.features.items():
+                for j, f in enumerate(feats):
+                    arrays[f"{slot}|{j}"] = f
+            np.savez(out / f"sample_{i:04d}.npz", **arrays)
+            for w in result.warnings:
+                log.warning("%s", w)
+            log.info("sample %d: %d clip features", i, len(arrays))
     print(out)
     return 0
 
@@ -172,9 +173,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         raise ConfigError(f"--index must be in [0, {len(records)}), got {args.index}")
     chosen = records if args.index is None else [records[args.index]]
     for rec in chosen:
-        label, score, _ = classify(rec, plan)
-        peak = float(np.max(score.values))
-        print(f"{rec.depth_path}\t{label}\t{peak:.4f}")
+        plan._check_trained_for(rec.pose)
+    with closing(_extracted(plan, chosen)) as results:
+        for rec, result in results:
+            label, score, _ = classify(rec, plan, extracted=result)
+            peak = float(np.max(score.values))
+            print(f"{rec.depth_path}\t{label}\t{peak:.4f}")
     return 0
 
 

@@ -360,7 +360,8 @@ class _Reader:
 
 
 def load_models(path: str | Path) -> tuple[PcaModel, list[SvmModel]]:
-    """Read a file written by save_models: the slot's PCA and its SVMs in order."""
+    """Read a file written by save_models: the slot's PCA and its SVMs in order.
+    A PCA of 0 components or over 0 inputs, which pca_fit never writes, is rejected."""
     reader = _Reader(Path(path).read_bytes())
     magic = reader.take(4)
     if magic != _MODEL_MAGIC:
@@ -386,4 +387,6 @@ def load_models(path: str | Path) -> tuple[PcaModel, list[SvmModel]]:
         svm.weights.shape != (n_labels, k) or svm.biases.shape != (n_labels,) for svm in svms
     ):
         raise FormatError(f"{path} holds no SVM, or its array shapes disagree")
+    if k == 0 or d == 0:
+        raise FormatError(f"{path} holds a PCA of {k} components over {d} inputs")
     return pca, svms

@@ -11,12 +11,12 @@ A plan's config (StreamPlan.cfg) is the one source of its settings:
 extraction reads it from the plan, and only save_plan writes a plan to
 disk.  Everything here is deterministic: stream weights derive from (seed,
 stream id), so a plan rebuilds bit-identically from its saved config.
-train and evaluate each open one fork pool for their loop (see
-_record_pool), whose work item is one whole record: a worker reads it
-and runs extract_sample on it, from the depth file to the features.  All
-of the loop's records are submitted at once, and the loop still makes
-one extract_sample call per record in the calling process, in split
-order, which joins that record's result.  Each record's extraction is
+train, evaluate and the CLI's extract and classify loop over their
+records through one generator, _extracted, which yields each record with
+its ExtractResult in order.  It opens one fork pool for the loop, whose
+work item is one whole record: a worker reads it and runs extract_sample
+on it, from the depth file to the features.  All of the loop's records
+are submitted before the first is joined.  Each record's extraction is
 the serial one, so plans, features, warnings, errors and reports are
 byte-identical to a serial run's.  A loop over one record, and a
 standalone classify, run wholly in the calling process.  Report
@@ -30,12 +30,10 @@ import logging
 import os
 import sys
 import zlib
-from collections import deque
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -81,9 +79,6 @@ from .neural import (
     stream_rng,
 )
 from .videoio import DepthSequence, read_depth_bin, read_rgb_sequence, read_text
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future
 
 log = logging.getLogger(__name__)
 
@@ -141,11 +136,7 @@ class StreamPlan:
     stream's network is built on its first use and kept for the plan's
     life.  A network stores only its biases and draws its weights where
     they are read (see neural), so a canonical 112x112 stack keeps 26.8 KiB.
-    pca is keyed by Stream.slot, svm by stream id.  _pooled holds
-    the records of the loop of train or evaluate with their futures in the
-    fork pool that it opens for that loop (_record_pool), and is None
-    outside it; the pool opens only once the networks of the loop's pose
-    banks are all built.
+    pca is keyed by Stream.slot, svm by stream id.
     """
 
     cfg: PipelineConfig
@@ -155,7 +146,6 @@ class StreamPlan:
     svm: dict[str, SvmModel] = field(default_factory=dict)
     train_report: TrainReport | None = None
     _networks: dict[str, NetworkSpec] = field(default_factory=dict, repr=False)
-    _pooled: deque[tuple[SampleRecord, Future]] | None = field(default=None, repr=False)
 
     def stream(self, stream_id: str) -> Stream:
         for s in self.streams:
@@ -454,11 +444,8 @@ def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
     over each window setting, render, stack clips, extract and
     concatenate per-plane features.  Appearance side: tile the RGB (or
     jet-rendered depth) frames into window-length clips and extract.
-    Views are made one angle at a time.
-
-    While train or evaluate has its fork pool open (_record_pool), their
-    loop's call for its k-th record returns the result of the k-th record
-    the pool was given, which a worker made by calling this function.
+    Views are made one angle at a time, in this process; a loop over
+    records runs this function in a fork pool's workers (see _extracted).
 
     Args:
         rec: manifest record; its pose must be one of plan.cfg.poses.
@@ -470,9 +457,6 @@ def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
         short for, and appearance slots without RGB input, get an empty
         list and a warning.
     """
-    pooled = plan._pooled
-    if pooled and pooled[0][0] is rec:
-        return pooled.popleft()[1].result()
     cfg = plan.cfg
     _check_pose(rec, cfg)
     bank = [s for s in plan.streams if s.pose == rec.pose]
@@ -526,7 +510,7 @@ def extract_sample(rec: SampleRecord, plan: StreamPlan) -> ExtractResult:
     return ExtractResult(features=features, warnings=tuple(warnings))
 
 
-# train and evaluate pool only while pipeline.extract_sample is still this
+# _extracted pools only while pipeline.extract_sample is still this
 # function: a replacement (a test spy, a tracer) must see every call, and
 # every record run in this process.
 _EXTRACT_SAMPLE = extract_sample
@@ -706,7 +690,7 @@ def _blas_threads():
     return None
 
 
-# The plan of the train or evaluate call that forked this worker.
+# The plan of the _extracted loop that forked this worker.
 _worker_plan: StreamPlan | None = None
 
 
@@ -723,65 +707,62 @@ def _extract_in_worker(rec: SampleRecord) -> ExtractResult:
     return extract_sample(rec, _worker_plan)
 
 
-@contextmanager
-def _record_pool(plan: StreamPlan, records: list[SampleRecord]) -> Iterator[None]:
-    """Keep plan._pooled open for the with block: every one of the loop's
-    records, in split order, with the future of its extract_sample call in
-    a fork pool of _pool_size workers that get the plan by fork, not by
-    pickling.  All records are submitted before the first is joined; the
-    loop's k-th extract_sample call joins the k-th future, so records are
-    matched by position (two equal manifest lines each keep their own) and
-    a worker's error is raised at its own record's join, as a serial run
-    raises it.
+def _extracted(
+    plan: StreamPlan, records: list[SampleRecord]
+) -> Iterator[tuple[SampleRecord, ExtractResult]]:
+    """Each of records, in order, with its extract_sample result.
 
-    The networks of the records' pose banks are built here first, through
-    plan.network in stream order, so that workers build none and inherit
-    them by fork; if one does not build, no pool opens, and the serial
-    loop raises its error at the first record that needs it.  Without a
-    pool, plan._pooled stays None and every record runs here.  On exit,
-    also after an error, plan._pooled is cleared and the pool shut down,
-    its queued records cancelled."""
+    With _pool_size workers of 2 or more, the records' bank networks are
+    built here first, in stream order, so that workers inherit them by fork
+    and build none; then every record is submitted to a fork pool before
+    the first is joined.  Results are matched to records by position, so
+    two equal manifest lines each keep their own, and a worker's error is
+    raised at its own record, as a serial run raises it.  Otherwise, or if
+    a bank network does not build or the platform cannot fork, each record
+    runs here through pipeline.extract_sample, so that a replacement sees
+    every call.  The pool is shut down, its queued records cancelled, when
+    the generator ends or is closed; callers iterate it under
+    contextlib.closing, so that a loop body that raises closes it too.
+    """
     workers = _pool_size(len(records))
-    pool = None
-    try:
-        if workers >= 2:
-            # Imported here, so that a process that never pools (such as a
-            # CLI classify) does not pay the ~10 ms import.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    if workers >= 2:
+        # Imported here, so that a process that never pools (such as a CLI
+        # classify of one record) does not pay the ~10 ms import.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-            poses = {r.pose for r in records}
-            try:
-                for s in plan.streams:
-                    if s.pose in poses:
-                        plan.network(s.id)
-            except ContractError:
-                workers = 1  # the serial loop raises it where a record needs it
-            if workers >= 2 and "fork" in multiprocessing.get_all_start_methods():
-                # Each worker runs its share of the cores' BLAS threads, at
-                # most the parent's: one GEMM per conv chunk is large enough
-                # for OpenBLAS to thread, and with every worker running the
-                # parent's 2 threads on 2 cores desk-bench trained at 0.93
-                # samples/s instead of 2.27.
-                blas, threads = _blas_threads(), None
-                if blas is not None:
-                    threads = max(1, min(blas[0](), len(os.sched_getaffinity(0)) // workers))
-                pool = ProcessPoolExecutor(
-                    workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_init_worker,
-                    initargs=(plan, threads),
-                )
-                # A worker gets each record by pickling, so no record it is
-                # given is one of these: its extract_sample runs the sample.
-                plan._pooled = deque(
-                    (rec, pool.submit(_extract_in_worker, rec)) for rec in records
-                )
-        yield
+        poses = {r.pose for r in records}
+        try:
+            for s in plan.streams:
+                if s.pose in poses:
+                    plan.network(s.id)
+        except ContractError:
+            workers = 1  # the serial loop raises it where a record needs it
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers < 2:
+        for rec in records:
+            yield rec, extract_sample(rec, plan)
+        return
+    # Each worker runs its share of the cores' BLAS threads, at most the
+    # parent's: one GEMM per conv chunk is large enough for OpenBLAS to
+    # thread, and with every worker running the parent's 2 threads on 2
+    # cores desk-bench trained at 0.93 samples/s instead of 2.27.
+    blas, threads = _blas_threads(), None
+    if blas is not None:
+        threads = max(1, min(blas[0](), len(os.sched_getaffinity(0)) // workers))
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(plan, threads),
+    )
+    try:
+        futures = [pool.submit(_extract_in_worker, rec) for rec in records]
+        for rec, future in zip(records, futures):
+            yield rec, future.result()
     finally:
-        plan._pooled = None
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
 
 
 def _check_indices(n: int, train: tuple[int, ...], test: tuple[int, ...]) -> None:
@@ -802,10 +783,8 @@ def train(
     """Fit every stream's PCA + SVM on the training side of a split.
 
     Every index, label and training pose is checked before anything is
-    extracted.  Each training record, in split order, gets one
-    extract_sample call made here, which joins the record's result from a
-    fork pool open for this loop only (see _record_pool), where every
-    record was submitted before the first join.
+    extracted.  The training records are extracted in split order through
+    _extracted, in a fork pool open for this loop only.
 
     Args:
         records: full dataset.
@@ -840,9 +819,8 @@ def train(
     per_slot_feats: dict[str, list[np.ndarray]] = {s.slot: [] for s in plan.streams}
     per_slot_labels: dict[str, list[str]] = {s.slot: [] for s in plan.streams}
     warnings: list[str] = []
-    with _record_pool(plan, train_records):
-        for rec in train_records:
-            result = extract_sample(rec, plan)
+    with closing(_extracted(plan, train_records)) as results:
+        for rec, result in results:
             warnings.extend(result.warnings)
             for slot, feats in result.features.items():
                 if not feats:
@@ -905,7 +883,7 @@ class ReportRow:
 
 
 def classify(
-    rec: SampleRecord, plan: StreamPlan
+    rec: SampleRecord, plan: StreamPlan, extracted: ExtractResult | None = None
 ) -> tuple[str, ScoreVector, ReportRow]:
     """Fuse every trained stream of the sample's pose bank into one label.
 
@@ -914,14 +892,14 @@ def classify(
     (depth alone when no appearance stream produced a score).  The label
     is the argmax, ties broken toward the lowest class index.
 
-    Called on its own, classify extracts the sample in this process: a
-    pool forked for one sample costs more than it saves.  Inside evaluate,
-    the sample was submitted to evaluate's pool before this call, which
-    joins its result.
+    extracted is rec's extract_sample result, as evaluate passes it from
+    its loop.  When it is None, classify extracts rec in this process: a
+    pool forked for one sample costs more than it saves.
     """
     cfg = plan.cfg
     plan._check_trained_for(rec.pose)
-    result = extract_sample(rec, plan)
+    if extracted is None:
+        extracted = extract_sample(rec, plan)
     normalize = cfg.score_mode == "softmax"
     dmm_scores: list[ScoreVector] = []
     rgb_scores: list[ScoreVector] = []
@@ -930,7 +908,7 @@ def classify(
     for s in plan.streams:
         if s.pose != rec.pose:
             continue
-        feats = result.features.get(s.slot)
+        feats = extracted.features.get(s.slot)
         if not feats or s.id not in plan.svm:
             continue
         if s.slot not in projected:
@@ -1014,11 +992,10 @@ def evaluate(
     """Classify the test side of a split and tabulate the results.
 
     Every index, test label and test pose is checked before anything is
-    classified.  Each test record, in split order, gets one classify call
-    made here.  The records are extracted in a fork pool that is open for
-    this loop only (see _record_pool), where all of them were submitted
-    before the first classify call, so a classify call's time covers the
-    join of its record, not its whole extraction.
+    classified.  The test records are extracted in split order through
+    _extracted, in a fork pool open for this loop only, and each record's
+    result is passed to one pipeline.classify call made here, which scores
+    it.
     """
     if not plan.trained:
         raise StateError("plan is untrained; run train first")
@@ -1035,9 +1012,9 @@ def evaluate(
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
     stream_hits: dict[str, int] = {}
     stream_totals: dict[str, int] = {}
-    with _record_pool(plan, test_records):
-        for rec in test_records:
-            _, _, row = classify(rec, plan)
+    with closing(_extracted(plan, test_records)) as results:
+        for rec, result in results:
+            _, _, row = classify(rec, plan, extracted=result)
             counts[index[row.truth], index[row.predicted]] += 1
             for sid, pred in row.stream_predictions.items():
                 stream_totals[sid] = stream_totals.get(sid, 0) + 1
@@ -1104,6 +1081,9 @@ def save_plan(plan: StreamPlan, out_dir: str | Path) -> Path:
 def load_plan(plan_dir: str | Path) -> StreamPlan:
     """Rebuild a trained plan saved by save_plan."""
     root = Path(plan_dir)
+    for path in (root / "config.txt", root / "labels.txt"):
+        if not path.is_file():
+            raise FormatError(f"plan file {path} is missing")
     cfg = load_config(root / "config.txt")
     plan = build_streams(cfg)
     plan.labels = tuple(read_text(root / "labels.txt").splitlines())

@@ -1,7 +1,9 @@
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,3 +59,41 @@ def run_python_in_c_locale(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
     )
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the child processes forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.fixture
+def serial():
+    """serial() is a context in which every loop over records (train,
+    evaluate, the CLI's extract and classify) runs serially:
+    os.sched_getaffinity gives one core, so _pool_size returns 1."""
+    return lambda: mock.patch.object(os, "sched_getaffinity", lambda pid: {0})
+
+
+def _pool_workers(n_records):
+    """Children a pool over a loop of n_records records forks: one per core
+    and record, none below two."""
+    workers = min(len(os.sched_getaffinity(0)), n_records)
+    return workers if workers >= 2 else 0
+
+
+def _assert_reaped(pids):
+    assert multiprocessing.active_children() == []
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(pid, os.WNOHANG)

@@ -1,7 +1,8 @@
 import argparse
 import io
 import logging
-from contextlib import redirect_stdout
+import zipfile
+from contextlib import nullcontext, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,7 +27,7 @@ from dmmaction import (
 from dmmaction.cli import build_parser, main
 from dmmaction.config import config_to_text
 from dmmaction.videoio import read_image
-from conftest import desk_config, run_python_in_c_locale
+from conftest import _assert_reaped, _pool_workers, desk_config, run_python_in_c_locale
 
 
 def _run(argv):
@@ -302,6 +303,71 @@ class TestExtract:
                     assert got.dtype == np.float64
                     assert got.shape == ((64,) if "/rgb/" in slot else (192,))
                     assert got.tobytes() == f.tobytes()
+
+
+def _npz_members(root: Path) -> dict[str, list[tuple[str, bytes]]]:
+    """Each .npz file under root, by name, with its members' names and bytes
+    in order; a zip header also holds the time its member was written."""
+    out = {}
+    for f in sorted(root.glob("*.npz")):
+        with zipfile.ZipFile(f) as z:
+            out[f.name] = [(name, z.read(name)) for name in z.namelist()]
+    return out
+
+
+class TestPooledEqualsSerial:
+    """extract and classify loop over their records in the fork pool that
+    train and evaluate use; what they write equals a serial run's byte for
+    byte, which the serial fixture forces."""
+
+    def test_extract_writes_the_serial_files(self, ws, tmp_path, forks, serial):
+        three = ws.manifest.parent / "three.tsv"
+        three.write_text("".join(ws.manifest.read_text().splitlines(keepends=True)[:3]))
+        outs = []
+        for run in (nullcontext, serial):
+            outs.append(tmp_path / f"feats{len(outs)}")
+            with run():
+                code, _ = _run(["extract", "--manifest", str(three), "--out", str(outs[-1]),
+                                "--config", str(ws.cfg)])
+            assert code == 0
+            assert len(forks) == _pool_workers(3)
+        _assert_reaped(forks)
+        pooled = _npz_members(outs[0])
+        assert list(pooled) == ["sample_0000.npz", "sample_0001.npz", "sample_0002.npz"]
+        assert pooled == _npz_members(outs[1])
+
+    def test_classify_prints_the_serial_lines(self, ws, forks, serial):
+        argv = ["classify", "--manifest", str(ws.manifest), "--plan", str(ws.plan)]
+        code, pooled = _run(argv)
+        assert code == 0
+        assert len(forks) == _pool_workers(8)
+        with serial():
+            code, unpooled = _run(argv)
+        assert code == 0
+        assert len(forks) == _pool_workers(8)
+        _assert_reaped(forks)
+        assert pooled == unpooled
+        assert len(pooled.splitlines()) == 8
+
+    def test_pose_without_trained_streams_raises_before_anything_is_read(
+        self, ws, caplog, forks
+    ):
+        # The last record's pose has no trained stream: classify raises
+        # StateError for it before any record is read or printed.
+        rows = ws.manifest.read_text().splitlines()
+        fields = rows[-1].split("\t")
+        fields[5] = "sitting"
+        sitting = ws.manifest.parent / "sitting.tsv"
+        sitting.write_text("\n".join([*rows[:-1], "\t".join(fields)]) + "\n")
+        with (
+            caplog.at_level(logging.ERROR),
+            mock.patch.object(pipeline, "read_depth_bin", wraps=pipeline.read_depth_bin) as read,
+        ):
+            code, out = _run(["classify", "--manifest", str(sitting), "--plan", str(ws.plan)])
+        assert code == 2 and out == ""
+        assert read.call_count == 0 and forks == []
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["plan has no trained streams for pose 'sitting'; train it first"]
 
 
 class TestRenderDmm:

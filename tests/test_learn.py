@@ -363,6 +363,18 @@ class TestModelFile:
         with pytest.raises(FormatError, match="no SVM, or its array shapes disagree"):
             load_models(path)
 
+    @pytest.mark.parametrize("k, d", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_pca_rejected(self, tmp_path, k, d):
+        # Such a file would score every vector by the SVM biases alone.
+        pca = PcaModel(np.zeros(d), np.zeros((k, d)), np.full(k, 1.0 / max(k, 1)))
+        svm = SvmModel(np.zeros((2, k)), np.array([0.1, -0.1]), ("a", "b"), 1e-3)
+        path = tmp_path / "m.models"
+        save_models(path, pca, [svm])
+        with pytest.raises(
+            FormatError, match=f"holds a PCA of {k} components over {d} inputs"
+        ):
+            load_models(path)
+
     def test_every_truncation_raises_typed_error(self, tmp_path):
         pca, svms = self._models(seed=2)
         # Multi-byte labels, so some cuts land inside a UTF-8 sequence.
@@ -382,9 +394,10 @@ class TestModelFile:
         path = tmp_path_factory.mktemp("fuzz") / "m.models"
         path.write_bytes(data)
         try:
-            load_models(path)
+            pca, _ = load_models(path)
         except DmmActionError:
-            pass
+            return
+        assert min(pca.components.shape) >= 1  # k and d, as pca_fit writes them
 
     @given(position=st.integers(min_value=0), value=st.integers(0, 255))
     @settings(max_examples=300, deadline=None)
@@ -402,6 +415,7 @@ class TestModelFile:
             pca2, svms2 = load_models(path)
         except DmmActionError:
             return
+        assert min(pca2.components.shape) >= 1  # k and d, as pca_fit writes them
         loaded = [pca2.mean, pca2.components, pca2.variance_fractions]
         loaded += [a for svm in svms2 for a in (svm.weights, svm.biases)]
         assert all(np.isfinite(a).all() for a in loaded)

@@ -4,7 +4,6 @@ import ctypes
 import dataclasses
 import hashlib
 import math
-import multiprocessing
 import os
 import re
 import struct
@@ -53,7 +52,7 @@ from dmmaction.pipeline import (
     _flow_weights,
 )
 from dmmaction.videoio import DepthSequence, read_depth_bin, read_rgb_sequence, write_depth_bin
-from conftest import desk_config
+from conftest import _assert_reaped, _pool_workers, desk_config
 from oracles import draw_oracle, horn_schunck_oracle
 
 
@@ -783,6 +782,15 @@ class TestClassify:
         assert np.allclose(fused.values, [0.6, 0.4], atol=1e-9)
         assert predicted == "bob"
 
+    def test_extracted_result_scores_as_a_standalone_classify(
+        self, small_dataset, split, trained
+    ):
+        rec = small_dataset[split.test_indices[0]]
+        label, fused, row = classify(rec, trained)
+        given = classify(rec, trained, extracted=extract_sample(rec, trained))
+        assert given[0] == label and given[2] == row
+        assert given[1].values.tobytes() == fused.values.tobytes()
+
     def test_stream_order_invariance(self, small_dataset):
         plan = _rigged_plan(dmm_scores=(0.3, 0.7), rgb_scores=(0.9, 0.1))
         reordered = StreamPlan(
@@ -848,7 +856,7 @@ class TestEvaluate:
         self, small_dataset, trained, n, test_idx, bad
     ):
         s = Split("manual", (0,), test_idx, "manual")
-        with mock.patch.object(pipeline, "_record_pool", wraps=pipeline._record_pool) as pool:
+        with mock.patch.object(pipeline, "_extracted", wraps=pipeline._extracted) as pool:
             with pytest.raises(
                 ProtocolError, match=re.escape(f"indices {bad} outside the {n}-record dataset")
             ):
@@ -859,7 +867,7 @@ class TestEvaluate:
         # A hand-made split is checked as resolve_split checks one: a
         # repeated test index would count one record twice in the report.
         s = Split("manual", (0,), (2, 3, 2), "manual")
-        with mock.patch.object(pipeline, "_record_pool", wraps=pipeline._record_pool) as pool:
+        with mock.patch.object(pipeline, "_extracted", wraps=pipeline._extracted) as pool:
             with pytest.raises(ProtocolError, match="test indices name a record more than once"):
                 evaluate(small_dataset, s, trained)
         assert pool.call_count == 0
@@ -1108,6 +1116,13 @@ class TestPlanPersistence:
         with open(root / "config.txt", "a", encoding="utf-8") as f:
             f.write(f"out_dir = {value}\n")
         with pytest.raises(ConfigError, match="'out_dir'"):
+            load_plan(root)
+
+    @pytest.mark.parametrize("name", ["config.txt", "labels.txt"])
+    def test_missing_plan_file_rejected_naming_its_path(self, tmp_path, name):
+        root = save_plan(_rigged_plan([0.7, 0.3]), tmp_path / "plan")
+        (root / name).unlink()
+        with pytest.raises(FormatError, match=re.escape(f"plan file {root / name} is missing")):
             load_plan(root)
 
     def test_load_missing_models_rejected(self, tmp_path):
@@ -1359,36 +1374,6 @@ def _one_record_per_class_split(records):
     return resolve_split(records, "manual", train_indices=train_idx, test_indices=test_idx)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Pids of the child processes forked while the test runs."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-@pytest.fixture
-def serial():
-    """serial() is a context in which train and evaluate run serially:
-    os.sched_getaffinity gives one core, so _pool_size returns 1."""
-    return lambda: mock.patch.object(os, "sched_getaffinity", lambda pid: {0})
-
-
-def _pool_workers(n_records):
-    """Children a pool over a loop of n_records records forks: one per core
-    and record, none below two."""
-    workers = min(len(os.sched_getaffinity(0)), n_records)
-    return workers if workers >= 2 else 0
-
-
 def _fail_render_on(monkeypatch, rec, cfg):
     """Make render_templates raise on the (0, xy) maps of rec; forked
     workers inherit the patch."""
@@ -1461,13 +1446,6 @@ def _openblas_threads(action):
         return getattr(lib, f"scipy_openblas_{action}_num_threads64_")
     except (AttributeError, OSError):
         pytest.skip("numpy links no scipy_openblas build")
-
-
-def _assert_reaped(pids):
-    assert multiprocessing.active_children() == []
-    for pid in pids:
-        with pytest.raises(ChildProcessError):  # already reaped
-            os.waitpid(pid, os.WNOHANG)
 
 
 def _plan_bytes(plan):
@@ -1774,10 +1752,42 @@ class TestEvaluatePool:
             with run(), pytest.raises(DmmActionError) as info:
                 evaluate(records, split, trained)
             errors.append((type(info.value), str(info.value)))
-            assert trained._pooled is None
             _assert_reaped(forks)
         assert len(forks) == _pool_workers(len(split.test_indices))
         assert errors[0] == errors[1] == want
+
+    def test_error_in_the_loop_body_closes_the_pool_and_leaves_no_child(
+        self, small_dataset, split, trained, forks, serial, monkeypatch, tmp_path
+    ):
+        # The first test record is too short for every stream and has no
+        # RGB input, so its classify raises while the pool still runs the
+        # other records; the pool is shut down, its queued records
+        # cancelled, before evaluate's error leaves it.
+        monkeypatch.setattr(os, "sched_getaffinity", _eight_cpus)
+        records = list(small_dataset)
+        i = split.test_indices[0]
+        short = tmp_path / "short.bin"
+        write_depth_bin(short, DepthSequence(read_depth_bin(records[i].depth_path).frames[:3]))
+        records[i] = dataclasses.replace(records[i], depth_path=short, rgb_path=None)
+        shutdowns = []
+        real = concurrent.futures.ProcessPoolExecutor.shutdown
+
+        def shutdown(pool, wait=True, *, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+            return real(pool, wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "shutdown", shutdown)
+        errors = []
+        for run in (contextlib.nullcontext, serial):
+            with run(), pytest.raises(DmmActionError) as info:
+                evaluate(records, split, trained)
+            errors.append((type(info.value), str(info.value)))
+            _assert_reaped(forks)
+        assert len(forks) == _pool_workers(len(split.test_indices))
+        assert shutdowns == [True]  # the pooled run's, with its queue cancelled
+        assert errors[0] == errors[1] == (
+            ContractError, f"no stream produced a score for {short}; sequence too short"
+        )
 
     def test_pose_without_trained_streams_raises_before_anything_is_extracted(
         self, small_dataset, split, trained, forks, serial, monkeypatch

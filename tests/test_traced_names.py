@@ -34,9 +34,10 @@ def test_traced_name_resolves(module, attr):
 
 def test_evaluate_calls_classify_through_module_per_test_record(monkeypatch):
     """The benchmark times `classify` by patching `dmmaction.pipeline.classify`
-    around `evaluate`; its latency percentiles come from those calls."""
+    around `evaluate`; its latency percentiles come from those calls, each
+    given its own record's extraction."""
     from dmmaction import PipelineConfig, pipeline
-    from dmmaction.pipeline import ReportRow, SampleRecord, Split
+    from dmmaction.pipeline import ExtractResult, ReportRow, SampleRecord, Split
 
     records = [
         SampleRecord(Path(f"d{i}.bin"), None, "ab"[i % 2], f"s{i}", "c0", "sitting")
@@ -48,14 +49,21 @@ def test_evaluate_calls_classify_through_module_per_test_record(monkeypatch):
     plan.svm = {plan.streams[0].id: None}  # a stream of the records' pose
     seen = []
 
-    def classify(rec, p):
+    # The records have no files: each one's result is a stand-in that names it.
+    def extract_sample(rec, p):
         assert p is plan
-        seen.append(rec)
+        return ExtractResult(features={}, warnings=(str(rec.depth_path),))
+
+    def classify(rec, p, extracted=None):
+        assert p is plan
+        seen.append((rec, extracted.warnings))
         return rec.label, None, ReportRow(rec.label, rec.label, {})
 
+    monkeypatch.setattr(pipeline, "extract_sample", extract_sample)
     monkeypatch.setattr(pipeline, "classify", classify)
     report = pipeline.evaluate(records, split, plan)
-    assert seen == [records[i] for i in split.test_indices]
+    test = [records[i] for i in split.test_indices]
+    assert seen == [(rec, (str(rec.depth_path),)) for rec in test]
     assert report.n_test == 3
 
 
